@@ -6,10 +6,13 @@
 // (schema in DESIGN.md "Benchmark baselines") with p50/p95/p99 of major and
 // minor fault latency, eviction behavior, and a full metric snapshot.
 //
-// Two extra profiles run on their own machines and land in the same JSON:
-// a `parallel_fault` scaling sweep (1/2/4 simulated faulting threads over a
+// Extra profiles run on their own machines and land in the same JSON: a
+// `parallel_fault` scaling sweep (1/2/4 simulated faulting threads over a
 // shared region, round-robined deterministically on one OS thread; reports
-// cycles-per-fault per thread count and the 1->4 `speedup` ratio) and a
+// cycles-per-fault per thread count and the 1->4 `speedup` ratio), a
+// request-sized variant of it (`request_step`: each thread runs several
+// reads plus non-gated work per turn, the shape under which a trailing
+// thread could be charged for gate sections it never overlapped), and a
 // prefetch demo (sequential walk with the stride prefetcher enabled, so the
 // suvm.prefetch.* counters have a non-zero witness while the main profile
 // keeps them at zero).
@@ -145,10 +148,11 @@ int main(int argc, char** argv) {
   // Parallel fault-scaling profile: T simulated threads hammer one shared
   // over-committed region with random reads. A single OS thread round-robins
   // the T CpuContexts by smallest virtual clock (fully deterministic), so the
-  // only serialization is the virtual one: the paging gate's busy horizon,
-  // which covers victim selection and the fault-logic slice but NOT the
-  // page-copy crypto. cycles_per_fault = machine-clock delta / major-fault
-  // delta; `speedup` = cpf(1)/cpf(4) is the scaling ratio validate_bench.py
+  // only serialization is the virtual one: the paging gate's recorded busy
+  // sections, which cover the fault-logic slice but NOT the page-copy
+  // crypto. Each turn of a thread (a "step") is `reads_per_step` reads plus
+  // `work_cycles` of non-gated work. cycles_per_fault = machine-clock delta /
+  // major-fault delta; `speedup` = cpf(1)/cpf(4) is the scaling ratio validate_bench.py
   // gates at >= 1.8x (with crypto inside the gate it would pin near 1.0).
   struct ParResult {
     size_t threads = 0;
@@ -162,7 +166,8 @@ int main(int argc, char** argv) {
   const size_t kParWsPages = smoke ? 256 : 4096;
   const size_t kParPpPages = kParWsPages / 4;
   const size_t kParReads = smoke ? 1500 : 30000;  // per thread, measured
-  auto run_parallel = [&](size_t threads) -> ParResult {
+  auto run_parallel = [&](size_t threads, size_t reads_per_step,
+                          uint64_t work_cycles) -> ParResult {
     sim::Machine pm(bench::FastMachine());
     sim::Enclave pe(pm);
     suvm::SuvmConfig pcfg;
@@ -182,22 +187,25 @@ int main(int argc, char** argv) {
     for (size_t p = 0; p < kParWsPages; ++p) {
       ps.Write(&pm.cpu(0), pbase + p * sim::kPageSize, buf.data(), buf.size());
     }
-    auto step = [&](size_t i) {
+    auto step = [&](size_t i) {  // reads i .. i + reads_per_step - 1
       size_t best = 0;  // run whichever simulated thread is furthest behind
       for (size_t t = 1; t < threads; ++t) {
         if (pm.cpu(t).clock.now() < pm.cpu(best).clock.now()) {
           best = t;
         }
       }
-      const uint64_t p = rngs[best].NextBelow(kParWsPages);
-      ps.Read(&pm.cpu(best), pbase + p * sim::kPageSize + (i % 256), buf.data(),
-              buf.size());
+      for (size_t k = i; k < i + reads_per_step; ++k) {
+        const uint64_t p = rngs[best].NextBelow(kParWsPages);
+        ps.Read(&pm.cpu(best), pbase + p * sim::kPageSize + (k % 256),
+                buf.data(), buf.size());
+      }
+      pm.cpu(best).Charge(work_cycles);
     };
     // Warmup into steady-state eviction, then align every clock to the
     // furthest-ahead one: the populate pass ran entirely on cpu0, and
     // measuring while the others catch up would deflate the max-clock delta.
     const size_t warmup = threads * kParReads / 4;
-    for (size_t i = 0; i < warmup; ++i) {
+    for (size_t i = 0; i < warmup; i += reads_per_step) {
       step(i);
     }
     const uint64_t aligned = pm.MaxClock();
@@ -210,7 +218,7 @@ int main(int argc, char** argv) {
     const uint64_t majors0 = ps.stats().major_faults.load();
     const uint64_t coalesced0 = ps.stats().fault_coalesced.load();
     const uint64_t wait0 = ps.stats().gate_wait_cycles.load();
-    for (size_t i = 0; i < r.reads; ++i) {
+    for (size_t i = 0; i < r.reads; i += reads_per_step) {
       step(warmup + i);
     }
     r.major_faults = ps.stats().major_faults.load() - majors0;
@@ -231,10 +239,19 @@ int main(int argc, char** argv) {
     }
     return r;
   };
-  const ParResult par1 = run_parallel(1);
-  const ParResult par2 = run_parallel(2);
-  const ParResult par4 = run_parallel(4);
+  const ParResult par1 = run_parallel(1, 1, 0);
+  const ParResult par2 = run_parallel(2, 1, 0);
+  const ParResult par4 = run_parallel(4, 1, 0);
   const double par_speedup = par1.cycles_per_fault / par4.cycles_per_fault;
+  // Request-sized turns: about a KvCache GET's worth of page accesses and
+  // application work per step. validate_bench.py requires the gate wait per
+  // major fault to stay within one fault-logic slice; a gate that charged a
+  // trailing thread for another thread's sections in its virtual future
+  // would charge a large part of a request per fault here.
+  const uint64_t fault_logic_cycles = machine.costs().suvm_fault_logic_cycles;
+  constexpr size_t kReqReads = 4;
+  constexpr uint64_t kReqWork = 8000;
+  const ParResult req4 = run_parallel(4, kReqReads, kReqWork);
 
   // Prefetch demo: a linear walk over a sealed-out region with the
   // sequential-stride prefetcher on (off everywhere else). Contributes the
@@ -314,6 +331,14 @@ int main(int argc, char** argv) {
   json += "    \"threads_2\": " + par_json(par2) + ",\n";
   json += "    \"threads_4\": " + par_json(par4) + ",\n";
   json += "    " + bench::JsonKv("speedup", par_speedup) + ",\n";
+  json += "    \"request_step\": {" +
+          bench::JsonKv("reads_per_step", static_cast<uint64_t>(kReqReads)) +
+          ", " + bench::JsonKv("work_cycles", kReqWork) + ", " +
+          bench::JsonKv("fault_logic_cycles", fault_logic_cycles) + ", " +
+          bench::JsonKv("gate_wait_per_fault",
+                        static_cast<double>(req4.gate_wait_cycles) /
+                            static_cast<double>(req4.major_faults)) +
+          ", \"threads_4\": " + par_json(req4) + "},\n";
   json += "    \"prefetch_demo\": {" +
           bench::JsonKv("pages", static_cast<uint64_t>(kPfPages)) + ", " +
           bench::JsonKv("issued", pf_issued) + ", " +
@@ -360,9 +385,13 @@ int main(int argc, char** argv) {
       recover->Percentile(50), out.c_str());
   std::printf(
       "bench_baseline_suvm: parallel_fault cpf(1)=%.0f cpf(2)=%.0f "
-      "cpf(4)=%.0f speedup=%.2fx, prefetch issued=%llu hits=%llu\n",
+      "cpf(4)=%.0f speedup=%.2fx, request_step gate wait/fault=%.1f, "
+      "prefetch issued=%llu hits=%llu\n",
       par1.cycles_per_fault, par2.cycles_per_fault, par4.cycles_per_fault,
-      par_speedup, static_cast<unsigned long long>(pf_issued),
+      par_speedup,
+      static_cast<double>(req4.gate_wait_cycles) /
+          static_cast<double>(req4.major_faults),
+      static_cast<unsigned long long>(pf_issued),
       static_cast<unsigned long long>(pf_hits));
   return 0;
 }

@@ -32,6 +32,10 @@ Checks (per file):
   * suvm_baseline: the parallel_fault block is present with per-thread-count
     sub-blocks, its 1->4 thread speedup is >= 1.8x (crypto escaped the
     paging gate's serial slice), and the prefetch demo issued and hit
+  * suvm_baseline: in the request_step profile (4 threads, several reads
+    plus non-gated work per turn) the paging-gate wait per major fault is at
+    most one fault-logic slice — a thread is charged only for gate sections
+    that overlap its own in virtual time
 
 Exits non-zero with a message naming the offending file/field, so tier1.sh
 fails on malformed or empty output.
@@ -236,6 +240,24 @@ def check_suvm_parallel(path: str, doc: dict) -> None:
             f"{path}: parallel_fault speedup {pf['speedup']} < 1.8x — the "
             f"paging gate is serializing more than the fault-logic slice "
             f"(crypto back inside the critical section?)"
+        )
+    req = pf.get("request_step")
+    if not isinstance(req, dict):
+        fail(f"{path}: parallel_fault.request_step missing")
+    for key in ("reads_per_step", "work_cycles", "fault_logic_cycles",
+                "gate_wait_per_fault", "threads_4"):
+        if key not in req:
+            fail(f"{path}: parallel_fault.request_step is missing '{key}'")
+    sub = req["threads_4"]
+    if sub.get("major_faults", 0) <= 0:
+        fail(f"{path}: parallel_fault.request_step took no major faults")
+    wait_per_fault = sub["gate_wait_cycles"] / sub["major_faults"]
+    if wait_per_fault > req["fault_logic_cycles"]:
+        fail(
+            f"{path}: request_step gate wait {wait_per_fault:.1f} cycles per "
+            f"major fault exceeds the {req['fault_logic_cycles']}-cycle "
+            f"fault-logic slice — the paging gate is charging waits for "
+            f"sections that never overlapped the faulting thread's own"
         )
     demo = pf.get("prefetch_demo")
     if not isinstance(demo, dict):

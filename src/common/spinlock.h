@@ -11,7 +11,11 @@
 #ifndef ELEOS_SRC_COMMON_SPINLOCK_H_
 #define ELEOS_SRC_COMMON_SPINLOCK_H_
 
+#include <algorithm>
 #include <atomic>
+#include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -62,42 +66,81 @@ class Spinlock {
 // clocks are per-CPU and advance only via explicit charges — a plain Spinlock
 // would let N threads serialize in real time while their virtual clocks
 // overlap perfectly, making any "parallel speedup" measurement a tautology.
-// VirtualGate closes that hole: each holder that charges cycles while inside
-// pushes a shared `busy_until_` horizon forward, and a later entrant whose
-// clock is still behind that horizon owes the difference as queueing delay
-// (the caller charges it — the gate has no Machine dependency).
+// VirtualGate closes that hole causally: it keeps a short sorted record of
+// recent busy sections [start, end) in virtual time, and an entrant owes
+// queueing delay only where its own section would overlap a recorded one
+// (the caller charges it — the gate has no Machine dependency). A section
+// that lies in the entrant's virtual future does not delay it as long as
+// the entrant's section fits in the gap before it.
 //
-// Single-threaded property: one CPU's clock can never trail its own last
-// release, so Acquire always returns 0 and cycle counts are byte-identical
-// to an unmodeled lock. Null-CPU callers pass now=0 to both calls: they wait
-// for nothing and add no occupancy.
+// Single-threaded property: one CPU's clock never trails its own sections,
+// so Acquire always returns 0 and cycle counts are byte-identical to an
+// unmodeled lock. Null-CPU callers pass now=0 to both calls and ignore the
+// returned wait: Release(0) records nothing.
+//
+// Limit: only the last kMaxSections sections (by start time) are kept; an
+// entrant older than the oldest retained section is charged nothing for
+// the dropped ones.
 class VirtualGate {
  public:
+  static constexpr size_t kMaxSections = 32;
+
   VirtualGate() = default;
   VirtualGate(const VirtualGate&) = delete;
   VirtualGate& operator=(const VirtualGate&) = delete;
 
-  // Takes the real lock; returns the virtual backlog (cycles the caller's
-  // clock lags the busy horizon; 0 when the gate is virtually idle). The
-  // caller is responsible for charging the returned wait before doing gated
-  // work, so its in-section charges start from the horizon.
-  uint64_t Acquire(uint64_t now) {
+  // Takes the real lock; returns t - now for the earliest t >= now at which
+  // [t, t + max(hold, 1)) overlaps no recorded section (0 when the gate is
+  // virtually idle at `now`). `hold` is the virtual time the caller will
+  // charge inside. The caller charges the returned wait before its gated
+  // work, so its in-section charges start at t.
+  uint64_t Acquire(uint64_t now, uint64_t hold) {
     lock_.lock();
-    return busy_until_ > now ? busy_until_ - now : 0;
+    const uint64_t len = hold > 0 ? hold : 1;
+    entry_ = now;
+    for (const Section& s : sections_) {
+      if (s.end <= entry_) {
+        continue;
+      }
+      if (s.start >= entry_ + len) {
+        break;  // the gap before s fits
+      }
+      entry_ = s.end;
+    }
+    return entry_ - now;
   }
 
-  // Releases the real lock; `now` is the holder's clock after its in-section
-  // charges and becomes the new busy horizon if it advanced past it.
+  // Releases the real lock; records [t, now) — `now` is the holder's clock
+  // after its in-section charges — merged with any section it overlaps or
+  // touches. A holder that charged nothing records nothing.
   void Release(uint64_t now) {
-    if (now > busy_until_) {
-      busy_until_ = now;
+    if (now > entry_) {
+      Section merged{entry_, now};
+      auto first = std::lower_bound(
+          sections_.begin(), sections_.end(), merged.start,
+          [](const Section& s, uint64_t t) { return s.end < t; });
+      auto last = first;
+      for (; last != sections_.end() && last->start <= merged.end; ++last) {
+        merged.start = std::min(merged.start, last->start);
+        merged.end = std::max(merged.end, last->end);
+      }
+      sections_.insert(sections_.erase(first, last), merged);
+      if (sections_.size() > kMaxSections) {
+        sections_.erase(sections_.begin());
+      }
     }
     lock_.unlock();
   }
 
  private:
+  struct Section {
+    uint64_t start;
+    uint64_t end;
+  };
+
   Spinlock lock_;
-  uint64_t busy_until_ = 0;  // guarded by lock_
+  uint64_t entry_ = 0;              // guarded by lock_: holder's section start
+  std::vector<Section> sections_;  // guarded by lock_: sorted, disjoint
 };
 
 }  // namespace eleos

@@ -545,10 +545,10 @@ Status Suvm::TryPinPage(sim::CpuContext* cpu, uint64_t bs_page, int* slot_out) {
     stats_.major_faults.fetch_add(1, std::memory_order_relaxed);
     // The serialized page-table manipulation slice of the fault. Decrypt
     // (LoadPage) stays outside the gate — that is the whole point.
-    GateEnter(cpu);
-    enclave_->machine().ChargeCost(
-        cpu, telemetry::CostCategory::kSuvmPaging,
-        enclave_->machine().costs().suvm_fault_logic_cycles);
+    const uint64_t logic = enclave_->machine().costs().suvm_fault_logic_cycles;
+    GateEnter(cpu, logic);
+    enclave_->machine().ChargeCost(cpu, telemetry::CostCategory::kSuvmPaging,
+                                   logic);
     GateExit(cpu);
     const Status status = LoadPage(cpu, bs_page, m, slot);
     if (!status.ok()) {
@@ -680,9 +680,9 @@ uint8_t* Suvm::SlotData(sim::CpuContext* cpu, int slot, size_t offset, size_t le
   return enclave_->Data(cpu, cache_.SlotVaddr(slot) + offset, len, write);
 }
 
-void Suvm::GateEnter(sim::CpuContext* cpu) {
+void Suvm::GateEnter(sim::CpuContext* cpu, uint64_t hold) {
   const uint64_t wait =
-      paging_gate_.Acquire(cpu != nullptr ? cpu->clock.now() : 0);
+      paging_gate_.Acquire(cpu != nullptr ? cpu->clock.now() : 0, hold);
   if (cpu != nullptr && wait > 0) {
     stats_.gate_wait_cycles.fetch_add(wait, std::memory_order_relaxed);
     enclave_->machine().ChargeCost(cpu, telemetry::CostCategory::kSuvmPaging,
@@ -695,7 +695,7 @@ void Suvm::GateExit(sim::CpuContext* cpu) {
 }
 
 bool Suvm::SelectVictim(sim::CpuContext* cpu, Victim* out) {
-  GateEnter(cpu);
+  GateEnter(cpu, /*hold=*/0);  // the scan charges nothing inside the gate
   const size_t n = cache_.max_pages();
   for (size_t scanned = 0; scanned < 2 * n; ++scanned) {
     size_t slot;
@@ -890,10 +890,10 @@ void Suvm::PrefetchRun(sim::CpuContext* cpu, uint64_t bs_page) {
                       "suvm.prefetch");
   // One gate rendezvous + one page-table charge for the whole batch — the
   // amortization a real fault per page would not get.
-  GateEnter(cpu);
-  enclave_->machine().ChargeCost(
-      cpu, telemetry::CostCategory::kSuvmPaging,
-      enclave_->machine().costs().suvm_fault_logic_cycles);
+  const uint64_t logic = enclave_->machine().costs().suvm_fault_logic_cycles;
+  GateEnter(cpu, logic);
+  enclave_->machine().ChargeCost(cpu, telemetry::CostCategory::kSuvmPaging,
+                                 logic);
   GateExit(cpu);
   for (size_t i = 0; i < claims.size(); ++i) {
     PageMeta& m = *claims[i].meta;

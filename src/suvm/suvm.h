@@ -348,10 +348,10 @@ class Suvm {
   // Sequential-stride detection + batch prefetch (config.prefetch_pages).
   void NotePinForPrefetch(sim::CpuContext* cpu, uint64_t bs_page);
   void PrefetchRun(sim::CpuContext* cpu, uint64_t bs_page);
-  // Paging-gate entry/exit: Acquire charges any virtual backlog as queueing
-  // delay (kSuvmPaging + stats.gate_wait_cycles); Release publishes the
-  // holder's post-charge clock as the new busy horizon.
-  void GateEnter(sim::CpuContext* cpu);
+  // Paging-gate entry/exit: Enter charges the queueing delay before the
+  // first gap that fits a `hold`-cycle section (kSuvmPaging +
+  // stats.gate_wait_cycles); Exit records the holder's section.
+  void GateEnter(sim::CpuContext* cpu, uint64_t hold);
   void GateExit(sim::CpuContext* cpu);
   Status LoadPage(sim::CpuContext* cpu, uint64_t bs_page, PageMeta& m, int slot);
   void SealResident(sim::CpuContext* cpu, uint64_t bs_page, PageMeta& m);

@@ -405,18 +405,25 @@ TEST(RpcBreaker, AdaptiveBudgetsShrinkOnTimeoutAndRecoverOnSuccess) {
   }
   EXPECT_EQ(rpc.submit_spin_budget(), 1u << 8);
 
-  // Await-side shrink, while the await budget still sits at its ceiling:
-  // dropped completions time out the await spin and halve the await budget
-  // (the calls still complete via fallback). Loop until both drops fired so
-  // a cold worker cannot flake the assertion.
+  // Await-side shrink, while the await budget still sits at its ceiling: a
+  // dropped completion times out the await spin and halves the await budget
+  // (the call still completes via fallback). Loop until the drop fired. One
+  // drop is all the assertion needs: the call whose completion was dropped
+  // has returned, shrinking the budget, by the time the counter is seen.
+  // Under CPU contention the starved worker misses calls that revoke first,
+  // and each such timeout halves the budget too, so the drop can take many
+  // calls to land; the loop is bounded by wall-clock time, not a call count.
   faults.Disarm(sim::Fault::kQueueFull);
-  faults.Arm(sim::Fault::kCompletionDrop, 1.0, /*max_triggers=*/2);
+  faults.Arm(sim::Fault::kCompletionDrop, 1.0, /*max_triggers=*/1);
   uint64_t min_await = rpc.await_spin_budget();
-  for (int i = 0; i < 500 && rpc.pool()->completions_dropped() < 2; ++i) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (rpc.pool()->completions_dropped() < 1 &&
+         std::chrono::steady_clock::now() < deadline) {
     EXPECT_EQ(rpc.Call(nullptr, 0, [] { return 3u; }), 3u);
     min_await = std::min(min_await, rpc.await_spin_budget());
   }
-  EXPECT_EQ(rpc.pool()->completions_dropped(), 2u);
+  EXPECT_EQ(rpc.pool()->completions_dropped(), 1u);
   EXPECT_LE(min_await, 1u << 15) << "await budget shrank on timeout";
 
   // Additive recovery: each exit-less completion walks both budgets up by
