@@ -31,23 +31,22 @@ uint64_t ReadSweepCycles(bool clean_skip) {
   sc.epc_pp_pages = 2048;           // 8 MiB EPC++
   sc.backing_bytes = 128ull << 20;
   sc.clean_page_skip = clean_skip;
-  sc.fast_seal = true;
   suvm::Suvm suvm(enclave, sc);
   const size_t pages = 8192;  // 32 MiB working set
-  const uint64_t a = suvm.Malloc(pages * 4096);
+  const uint64_t a = ValueOrThrow(suvm.Malloc(pages * 4096));
   uint8_t page[4096];
   std::memset(page, 1, sizeof(page));
   for (size_t p = 0; p < pages; ++p) {
-    suvm.Write(nullptr, a + p * 4096, page, 4096);
+    ThrowIfError(suvm.Write(nullptr, a + p * 4096, page, 4096));
   }
   for (size_t p = 0; p < pages; ++p) {
-    suvm.Read(nullptr, a + p * 4096, page, 8);
+    ThrowIfError(suvm.Read(nullptr, a + p * 4096, page, 8));
   }
   sim::CpuContext& cpu = machine.cpu(0);
   Xoshiro256 rng(17);
   const uint64_t t0 = cpu.clock.now();
   for (size_t i = 0; i < 8000; ++i) {
-    suvm.Read(&cpu, a + rng.NextBelow(pages) * 4096, page, 4096);
+    ThrowIfError(suvm.Read(&cpu, a + rng.NextBelow(pages) * 4096, page, 4096));
   }
   bench::SnapshotMetrics(machine,
                          clean_skip ? "clean_skip_on" : "clean_skip_off");
@@ -69,7 +68,6 @@ LinkingResult LinkingAblation() {
   suvm::SuvmConfig sc;
   sc.epc_pp_pages = 1024;
   sc.backing_bytes = 32ull << 20;
-  sc.fast_seal = true;
   suvm::Suvm suvm(enclave, sc);
   const size_t count = 512 * 512;  // uint32 elements: 1 MiB, resident
   auto p = suvm::SuvmAlloc<uint32_t>(suvm, count);
@@ -100,7 +98,7 @@ LinkingResult LinkingAblation() {
   t0 = cpu.clock.now();
   for (size_t i = 0; i < count; ++i) {
     uint32_t v;
-    suvm.Read(&cpu, p.addr() + i * 4, &v, 4);
+    ThrowIfError(suvm.Read(&cpu, p.addr() + i * 4, &v, 4));
     sum += v;
   }
   r.unlinked_cycles = cpu.clock.now() - t0;
@@ -119,7 +117,6 @@ double KvGetCycles(bool metadata_secure) {
   suvm::SuvmConfig sc;
   sc.epc_pp_pages = 2048;
   sc.backing_bytes = 128ull << 20;
-  sc.fast_seal = true;
   suvm::Suvm suvm(enclave, sc);
   apps::KvCache::Options opts;
   opts.pool_bytes = 48ull << 20;

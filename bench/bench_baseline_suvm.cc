@@ -79,23 +79,22 @@ int main(int argc, char** argv) {
   cfg.epc_pp_pages = kPpPages;
   cfg.backing_bytes = 64ull << 20;
   cfg.swapper_low_watermark = 0;
-  cfg.fast_seal = true;  // identical virtual-cycle charges, less wall-clock
   suvm::Suvm suvm(enclave, cfg);
   sim::CpuContext& cpu = machine.cpu(0);
 
-  const uint64_t base = suvm.Malloc(kWsPages * sim::kPageSize);
+  const uint64_t base = ValueOrThrow(suvm.Malloc(kWsPages * sim::kPageSize));
   std::vector<uint8_t> buf(256, 0x5a);
 
   enclave.Enter(cpu);
   for (size_t p = 0; p < kWsPages; ++p) {
-    suvm.Write(&cpu, base + p * sim::kPageSize + (p % 16), buf.data(),
-               buf.size());
+    ThrowIfError(suvm.Write(&cpu, base + p * sim::kPageSize + (p % 16),
+                            buf.data(), buf.size()));
   }
   Xoshiro256 rng(42);
   for (size_t i = 0; i < kReads; ++i) {
     const uint64_t p = rng.NextBelow(kWsPages);
-    suvm.Read(&cpu, base + p * sim::kPageSize + (i % 256), buf.data(),
-              buf.size());
+    ThrowIfError(suvm.Read(&cpu, base + p * sim::kPageSize + (i % 256),
+                           buf.data(), buf.size()));
   }
   enclave.Exit(cpu);
 
@@ -111,17 +110,18 @@ int main(int argc, char** argv) {
     rcfg.epc_pp_pages = kRecPages / 4;
     rcfg.backing_bytes = 64ull << 20;
     rcfg.swapper_low_watermark = 0;
-    rcfg.fast_seal = true;
     rcfg.crash_consistency = true;
     auto rec_enclave = std::make_unique<sim::Enclave>(rec_machine);
     auto rec = std::make_unique<suvm::Suvm>(*rec_enclave, rcfg);
     sim::CpuContext& rcpu = rec_machine.cpu(0);
-    const uint64_t rbase = rec->Malloc(kRecPages * sim::kPageSize);
+    const uint64_t rbase =
+        ValueOrThrow(rec->Malloc(kRecPages * sim::kPageSize));
     Xoshiro256 rrng(7);
     for (size_t round = 0; round < kRecRounds; ++round) {
       for (size_t p = 0; p < kRecPages; ++p) {
         if (rrng.NextBelow(4) == 0) {  // dirty ~a quarter of the set per round
-          rec->Write(&rcpu, rbase + p * sim::kPageSize, buf.data(), buf.size());
+          ThrowIfError(rec->Write(&rcpu, rbase + p * sim::kPageSize, buf.data(),
+                                  buf.size()));
         }
       }
       StatusOr<sim::SgxDriver::SealedBlob> root = rec->SealCheckpoint(&rcpu);
@@ -174,9 +174,9 @@ int main(int argc, char** argv) {
     pcfg.epc_pp_pages = kParPpPages;
     pcfg.backing_bytes = 64ull << 20;
     pcfg.swapper_low_watermark = 0;
-    pcfg.fast_seal = true;
     suvm::Suvm ps(pe, pcfg);
-    const uint64_t pbase = ps.Malloc(kParWsPages * sim::kPageSize);
+    const uint64_t pbase =
+        ValueOrThrow(ps.Malloc(kParWsPages * sim::kPageSize));
     for (size_t t = 0; t < threads; ++t) {
       pe.Enter(pm.cpu(t));
     }
@@ -185,7 +185,8 @@ int main(int argc, char** argv) {
       rngs.emplace_back(100 + t);
     }
     for (size_t p = 0; p < kParWsPages; ++p) {
-      ps.Write(&pm.cpu(0), pbase + p * sim::kPageSize, buf.data(), buf.size());
+      ThrowIfError(ps.Write(&pm.cpu(0), pbase + p * sim::kPageSize, buf.data(),
+                            buf.size()));
     }
     auto step = [&](size_t i) {  // reads i .. i + reads_per_step - 1
       size_t best = 0;  // run whichever simulated thread is furthest behind
@@ -196,8 +197,9 @@ int main(int argc, char** argv) {
       }
       for (size_t k = i; k < i + reads_per_step; ++k) {
         const uint64_t p = rngs[best].NextBelow(kParWsPages);
-        ps.Read(&pm.cpu(best), pbase + p * sim::kPageSize + (k % 256),
-                buf.data(), buf.size());
+        ThrowIfError(ps.Read(&pm.cpu(best),
+                             pbase + p * sim::kPageSize + (k % 256), buf.data(),
+                             buf.size()));
       }
       pm.cpu(best).Charge(work_cycles);
     };
@@ -265,7 +267,6 @@ int main(int argc, char** argv) {
     suvm::SuvmConfig fcfg;
     fcfg.epc_pp_pages = kPfPages / 4;
     fcfg.backing_bytes = 64ull << 20;
-    fcfg.fast_seal = true;
     fcfg.prefetch_pages = 4;
     fcfg.prefetch_min_run = 2;
     // Prefetch consumes free slots only (it never evicts to make room), so
@@ -275,13 +276,15 @@ int main(int argc, char** argv) {
     fcfg.swapper_low_watermark = 8;
     suvm::Suvm fs(fe, fcfg);
     sim::CpuContext& fcpu = fm.cpu(0);
-    const uint64_t fbase = fs.Malloc(kPfPages * sim::kPageSize);
+    const uint64_t fbase = ValueOrThrow(fs.Malloc(kPfPages * sim::kPageSize));
     fe.Enter(fcpu);
     for (size_t p = 0; p < kPfPages; ++p) {  // seal out (early pages evict)
-      fs.Write(&fcpu, fbase + p * sim::kPageSize, buf.data(), buf.size());
+      ThrowIfError(fs.Write(&fcpu, fbase + p * sim::kPageSize, buf.data(),
+                            buf.size()));
     }
     for (size_t p = 0; p < kPfPages; ++p) {  // the stream the prefetcher feeds
-      fs.Read(&fcpu, fbase + p * sim::kPageSize, buf.data(), buf.size());
+      ThrowIfError(fs.Read(&fcpu, fbase + p * sim::kPageSize, buf.data(),
+                           buf.size()));
     }
     fe.Exit(fcpu);
     pf_issued = fs.stats().prefetch_issued.load();

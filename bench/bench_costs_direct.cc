@@ -115,20 +115,19 @@ SuvmFaultCosts MeasureSuvmFaults() {
     suvm::SuvmConfig sc;
     sc.epc_pp_pages = 2048;
     sc.backing_bytes = 64 << 20;
-    sc.fast_seal = true;
     suvm::Suvm s(e, sc);
-    const uint64_t a = s.Malloc(pages * 4096);
+    const uint64_t a = ValueOrThrow(s.Malloc(pages * 4096));
     sim::CpuContext& cpu = m.cpu(0);
     for (size_t p = 0; p < pages; ++p) {
-      s.Write(nullptr, a + p * 4096, page, 4096);
+      ThrowIfError(s.Write(nullptr, a + p * 4096, page, 4096));
     }
     for (size_t p = 0; p < pages; ++p) {
-      s.Read(nullptr, a + p * 4096, page, 8);
+      ThrowIfError(s.Read(nullptr, a + p * 4096, page, 8));
     }
     s.ResetStats();
     const uint64_t t0 = cpu.clock.now();
     for (size_t i = 0; i < kProbes; ++i) {
-      s.Read(&cpu, a + ((i * 37) % pages) * 4096, page, 8);
+      ThrowIfError(s.Read(&cpu, a + ((i * 37) % pages) * 4096, page, 8));
     }
     const uint64_t faults = s.stats().major_faults.load();
     out.pagein_only = (cpu.clock.now() - t0) / (faults == 0 ? 1 : faults);
@@ -142,17 +141,16 @@ SuvmFaultCosts MeasureSuvmFaults() {
     suvm::SuvmConfig sc;
     sc.epc_pp_pages = 2048;
     sc.backing_bytes = 64 << 20;
-    sc.fast_seal = true;
     suvm::Suvm s(e, sc);
-    const uint64_t a = s.Malloc(pages * 4096);
+    const uint64_t a = ValueOrThrow(s.Malloc(pages * 4096));
     sim::CpuContext& cpu = m.cpu(0);
     for (size_t p = 0; p < pages; ++p) {
-      s.Write(nullptr, a + p * 4096, page, 4096);
+      ThrowIfError(s.Write(nullptr, a + p * 4096, page, 4096));
     }
     s.ResetStats();
     const uint64_t t0 = cpu.clock.now();
     for (size_t i = 0; i < kProbes; ++i) {
-      s.Write(&cpu, a + ((i * 61) % pages) * 4096, page, 8);
+      ThrowIfError(s.Write(&cpu, a + ((i * 61) % pages) * 4096, page, 8));
     }
     const uint64_t faults = s.stats().major_faults.load();
     out.evict_and_pagein = (cpu.clock.now() - t0) / (faults == 0 ? 1 : faults);

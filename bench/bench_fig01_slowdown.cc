@@ -24,7 +24,6 @@ double CyclesPerRequest(size_t data_bytes, PsExecMode mode, PsBackend backend,
   cfg.backend = backend;
   if (backend == PsBackend::kSuvm) {
     cfg.suvm.epc_pp_pages = (60ull << 20) / 4096;
-    cfg.suvm.fast_seal = true;
     cfg.suvm.backing_bytes = 1;  // raised automatically to fit data_bytes
   }
   const double cycles =

@@ -71,18 +71,17 @@ RunResult RunSuvm(size_t buffer_bytes, bool write, size_t threads) {
     backing <<= 1;
   }
   sc.backing_bytes = backing;
-  sc.fast_seal = true;
   suvm::Suvm suvm(enclave, sc);
-  const uint64_t addr = suvm.Malloc(buffer_bytes);
+  const uint64_t addr = ValueOrThrow(suvm.Malloc(buffer_bytes));
   uint8_t page[4096];
   std::memset(page, 1, sizeof(page));
   const size_t pages = buffer_bytes / 4096;
   for (size_t p = 0; p < pages; ++p) {
-    suvm.Write(nullptr, addr + p * 4096, page, 4096);
+    ThrowIfError(suvm.Write(nullptr, addr + p * 4096, page, 4096));
   }
   if (!write) {
     for (size_t p = 0; p < pages; ++p) {  // settle residents to clean
-      suvm.Read(nullptr, addr + p * 4096, page, 8);
+      ThrowIfError(suvm.Read(nullptr, addr + p * 4096, page, 8));
     }
   }
   for (size_t t = 0; t < threads; ++t) {
@@ -95,9 +94,9 @@ RunResult RunSuvm(size_t buffer_bytes, bool write, size_t threads) {
     sim::CpuContext& cpu = machine.cpu(i % threads);
     const uint64_t off = rng.NextBelow(pages) * 4096;
     if (write) {
-      suvm.Write(&cpu, addr + off, page, 4096);
+      ThrowIfError(suvm.Write(&cpu, addr + off, page, 4096));
     } else {
-      suvm.Read(&cpu, addr + off, page, 4096);
+      ThrowIfError(suvm.Read(&cpu, addr + off, page, 4096));
     }
   }
   RunResult r;

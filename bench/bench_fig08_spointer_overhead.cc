@@ -30,27 +30,28 @@ double MeasureSuvm(size_t ws_bytes, size_t elem, bool write) {
   suvm::SuvmConfig sc;
   sc.epc_pp_pages = pages + 64;
   sc.backing_bytes = 512ull << 20;
-  sc.fast_seal = true;
   suvm::Suvm suvm(enclave, sc);
-  const uint64_t addr = suvm.Malloc(ws_bytes);
+  const uint64_t addr = ValueOrThrow(suvm.Malloc(ws_bytes));
   std::vector<uint8_t> buf(elem, 7);
   for (size_t p = 0; p < pages; ++p) {
-    suvm.Write(nullptr, addr + p * 4096, buf.data(), elem < 4096 ? elem : 4096);
+    ThrowIfError(suvm.Write(nullptr, addr + p * 4096, buf.data(),
+                            elem < 4096 ? elem : 4096));
   }
   sim::CpuContext& cpu = machine.cpu(0);
   const size_t accesses = AccessCount(elem);
   Xoshiro256 warm(11);
   for (size_t i = 0; i < accesses; ++i) {
-    suvm.Read(&cpu, addr + warm.NextBelow(pages) * 4096, buf.data(), elem);
+    ThrowIfError(suvm.Read(&cpu, addr + warm.NextBelow(pages) * 4096,
+                           buf.data(), elem));
   }
   Xoshiro256 rng(21);
   const uint64_t t0 = cpu.clock.now();
   for (size_t i = 0; i < accesses; ++i) {
     const uint64_t off = rng.NextBelow(pages) * 4096;
     if (write) {
-      suvm.Write(&cpu, addr + off, buf.data(), elem);
+      ThrowIfError(suvm.Write(&cpu, addr + off, buf.data(), elem));
     } else {
-      suvm.Read(&cpu, addr + off, buf.data(), elem);
+      ThrowIfError(suvm.Read(&cpu, addr + off, buf.data(), elem));
     }
   }
   char label[64];

@@ -29,27 +29,26 @@ double RunSuvmPair(size_t array_bytes, size_t pp_bytes) {
     backing <<= 1;
   }
   sc.backing_bytes = backing;
-  sc.fast_seal = true;
   suvm::Suvm s1(e1, sc), s2(e2, sc);
-  const uint64_t a1 = s1.Malloc(array_bytes);
-  const uint64_t a2 = s2.Malloc(array_bytes);
+  const uint64_t a1 = ValueOrThrow(s1.Malloc(array_bytes));
+  const uint64_t a2 = ValueOrThrow(s2.Malloc(array_bytes));
   uint8_t page[4096];
   std::memset(page, 1, sizeof(page));
   const size_t pages = array_bytes / 4096;
   for (size_t p = 0; p < pages; ++p) {
-    s1.Write(nullptr, a1 + p * 4096, page, 4096);
-    s2.Write(nullptr, a2 + p * 4096, page, 4096);
+    ThrowIfError(s1.Write(nullptr, a1 + p * 4096, page, 4096));
+    ThrowIfError(s2.Write(nullptr, a2 + p * 4096, page, 4096));
   }
   for (size_t p = 0; p < pages; ++p) {
-    s1.Read(nullptr, a1 + p * 4096, page, 8);
-    s2.Read(nullptr, a2 + p * 4096, page, 8);
+    ThrowIfError(s1.Read(nullptr, a1 + p * 4096, page, 8));
+    ThrowIfError(s2.Read(nullptr, a2 + p * 4096, page, 8));
   }
   sim::CpuContext& cpu = machine.cpu(0);
   Xoshiro256 rng(31);
   const uint64_t t0 = cpu.clock.now();
   for (size_t i = 0; i < kAccessPairs; ++i) {
-    s1.Read(&cpu, a1 + rng.NextBelow(pages) * 4096, page, 4096);
-    s2.Read(&cpu, a2 + rng.NextBelow(pages) * 4096, page, 4096);
+    ThrowIfError(s1.Read(&cpu, a1 + rng.NextBelow(pages) * 4096, page, 4096));
+    ThrowIfError(s2.Read(&cpu, a2 + rng.NextBelow(pages) * 4096, page, 4096));
   }
   char label[64];
   std::snprintf(label, sizeof(label), "suvm_%zumib_pp%zumib", array_bytes >> 20,

@@ -53,7 +53,6 @@ struct Setup {
         backing <<= 1;
       }
       sc.backing_bytes = backing;
-      sc.fast_seal = true;
       suvm = std::make_unique<suvm::Suvm>(*enclave, sc);
       region = std::make_unique<apps::SuvmRegion>(*suvm, bytes);
     } else {

@@ -86,7 +86,6 @@ struct Server {
           backing <<= 1;
         }
         sc.backing_bytes = backing;
-        sc.fast_seal = true;
         sc.direct_mode = config == Config::kEleosDirect;
         suvm = std::make_unique<suvm::Suvm>(*enclave, sc);
         region = std::make_unique<apps::SuvmRegion>(

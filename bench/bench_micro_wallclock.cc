@@ -109,14 +109,14 @@ BENCHMARK(BM_SpointerDerefLinked);
 
 void BM_SuvmReadResident4K(benchmark::State& state) {
   SuvmFixture f;
-  const uint64_t a = f.suvm.Malloc(1 << 20);
+  const uint64_t a = ValueOrThrow(f.suvm.Malloc(1 << 20));
   uint8_t page[4096] = {1};
   for (size_t off = 0; off < (1 << 20); off += 4096) {
-    f.suvm.Write(nullptr, a + off, page, 4096);
+    ThrowIfError(f.suvm.Write(nullptr, a + off, page, 4096));
   }
   size_t off = 0;
   for (auto _ : state) {
-    f.suvm.Read(nullptr, a + off, page, 4096);
+    ThrowIfError(f.suvm.Read(nullptr, a + off, page, 4096));
     off = (off + 4096) % (1 << 20);
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 4096);
@@ -126,14 +126,14 @@ BENCHMARK(BM_SuvmReadResident4K);
 void BM_SuvmSoftFault(benchmark::State& state) {
   SuvmFixture f;
   const size_t pages = 2048;  // 2x EPC++
-  const uint64_t a = f.suvm.Malloc(pages * 4096);
+  const uint64_t a = ValueOrThrow(f.suvm.Malloc(pages * 4096));
   uint8_t page[4096] = {1};
   for (size_t p = 0; p < pages; ++p) {
-    f.suvm.Write(nullptr, a + p * 4096, page, 4096);
+    ThrowIfError(f.suvm.Write(nullptr, a + p * 4096, page, 4096));
   }
   size_t p = 0;
   for (auto _ : state) {
-    f.suvm.Read(nullptr, a + p * 4096, page, 8);
+    ThrowIfError(f.suvm.Read(nullptr, a + p * 4096, page, 8));
     p = (p + 1031) % pages;  // stride guarantees misses
   }
 }

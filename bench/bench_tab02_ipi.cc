@@ -59,17 +59,16 @@ Row RunSuvm(size_t threads) {
   suvm::SuvmConfig sc;
   sc.epc_pp_pages = (60ull << 20) / 4096;
   sc.backing_bytes = 512ull << 20;
-  sc.fast_seal = true;
   suvm::Suvm suvm(enclave, sc);
-  const uint64_t addr = suvm.Malloc(kBufferBytes);
+  const uint64_t addr = ValueOrThrow(suvm.Malloc(kBufferBytes));
   uint8_t page[4096];
   std::memset(page, 1, sizeof(page));
   const size_t pages = kBufferBytes / 4096;
   for (size_t p = 0; p < pages; ++p) {
-    suvm.Write(nullptr, addr + p * 4096, page, 4096);
+    ThrowIfError(suvm.Write(nullptr, addr + p * 4096, page, 4096));
   }
   for (size_t p = 0; p < pages; ++p) {
-    suvm.Read(nullptr, addr + p * 4096, page, 8);
+    ThrowIfError(suvm.Read(nullptr, addr + p * 4096, page, 8));
   }
   for (size_t t = 0; t < threads; ++t) {
     enclave.Enter(machine.cpu(t));
@@ -78,8 +77,8 @@ Row RunSuvm(size_t threads) {
   suvm.ResetStats();
   Xoshiro256 rng(5);
   for (size_t i = 0; i < kAccesses; ++i) {
-    suvm.Read(&machine.cpu(i % threads), addr + rng.NextBelow(pages) * 4096, page,
-              4096);
+    ThrowIfError(suvm.Read(&machine.cpu(i % threads),
+                           addr + rng.NextBelow(pages) * 4096, page, 4096));
   }
   Row r{0, machine.driver().stats().ipis, suvm.stats().major_faults.load()};
   for (size_t t = 0; t < threads; ++t) {

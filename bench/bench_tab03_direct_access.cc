@@ -27,17 +27,16 @@ double CyclesPerAccess(size_t access_bytes, bool direct) {
   // The EPC++ comparator is normal whole-page SUVM; only the direct variant
   // seals at sub-page granularity (as in the paper's Table 3).
   sc.direct_mode = direct;
-  sc.fast_seal = true;
   suvm::Suvm suvm(enclave, sc);
-  const uint64_t addr = suvm.Malloc(kBufferBytes);
+  const uint64_t addr = ValueOrThrow(suvm.Malloc(kBufferBytes));
   uint8_t page[4096];
   std::memset(page, 3, sizeof(page));
   const size_t pages = kBufferBytes / 4096;
   for (size_t p = 0; p < pages; ++p) {
-    suvm.Write(nullptr, addr + p * 4096, page, 4096);
+    ThrowIfError(suvm.Write(nullptr, addr + p * 4096, page, 4096));
   }
   for (size_t p = 0; p < pages; ++p) {
-    suvm.Read(nullptr, addr + p * 4096, page, 8);
+    ThrowIfError(suvm.Read(nullptr, addr + p * 4096, page, 8));
   }
 
   sim::CpuContext& cpu = machine.cpu(0);
@@ -51,9 +50,9 @@ double CyclesPerAccess(size_t access_bytes, bool direct) {
     const uint64_t off = rng.NextBelow(kBufferBytes / align) * align;
     const uint64_t a = addr + (off + access_bytes > kBufferBytes ? 0 : off);
     if (direct) {
-      suvm.ReadDirect(&cpu, a, buf.data(), access_bytes);
+      ThrowIfError(suvm.ReadDirect(&cpu, a, buf.data(), access_bytes));
     } else {
-      suvm.Read(&cpu, a, buf.data(), access_bytes);
+      ThrowIfError(suvm.Read(&cpu, a, buf.data(), access_bytes));
     }
   }
   char label[64];

@@ -36,7 +36,6 @@ int main(int argc, char** argv) {
     backing <<= 1;
   }
   sc.backing_bytes = backing;
-  sc.fast_seal = true;
   suvm::Suvm suvm(enclave, sc);
   apps::SuvmRegion region(suvm, db_bytes);
 

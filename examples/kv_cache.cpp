@@ -27,19 +27,25 @@ int main() {
   suvm::SuvmConfig sc;
   sc.epc_pp_pages = (8ull << 20) / 4096;  // 8 MiB page cache
   sc.backing_bytes = 128ull << 20;
-  sc.fast_seal = true;
   suvm::Suvm suvm(enclave, sc);
 
   std::printf("== Secure KV cache (memcached-style) over SUVM ==\n\n");
 
   // --- Low-level taste of the C API the cache is built on ---
   suvm_ctx* ctx = suvm_ctx_from(&suvm);
-  const suvm_addr_t secret = suvm_malloc(ctx, 64);
-  suvm_set_bytes(ctx, secret, "attack at dawn", 15);
+  // Every call returns a status; a C program checks it instead of catching.
+  suvm_addr_t secret = 0;
   char read_back[15];
-  suvm_get_bytes(ctx, secret, read_back, sizeof(read_back));
+  if (suvm_malloc(ctx, 64, &secret) != SUVM_OK ||
+      suvm_set_bytes(ctx, secret, "attack at dawn", 15) != SUVM_OK ||
+      suvm_get_bytes(ctx, secret, read_back, sizeof(read_back)) != SUVM_OK) {
+    std::fprintf(stderr, "SUVM C API call failed\n");
+    return 1;
+  }
   std::printf("C API round-trip: \"%s\"\n", read_back);
-  suvm_free(ctx, secret);
+  if (suvm_free(ctx, secret) != SUVM_OK) {
+    return 1;
+  }
 
   // --- The cache itself: 32 MiB of secure values through 8 MiB of EPC++ ---
   apps::KvCache::Options opts;

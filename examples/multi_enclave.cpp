@@ -27,7 +27,6 @@ int main() {
   suvm::SuvmConfig sc;
   sc.epc_pp_pages = (24ull << 20) / 4096;  // each *wants* 24 MiB
   sc.backing_bytes = 64ull << 20;
-  sc.fast_seal = true;
 
   sim::Enclave e1(machine, "tenant-1");
   suvm::Suvm s1(e1, sc);
@@ -48,21 +47,23 @@ int main() {
 
   // Both tenants now work concurrently without thrashing the driver.
   const size_t buf = 16ull << 20;
-  const uint64_t a1 = s1.Malloc(buf);
-  const uint64_t a2 = s2.Malloc(buf);
+  const uint64_t a1 = ValueOrThrow(s1.Malloc(buf));
+  const uint64_t a2 = ValueOrThrow(s2.Malloc(buf));
   uint8_t page[4096];
   std::memset(page, 9, sizeof(page));
   for (size_t off = 0; off < buf; off += 4096) {
-    s1.Write(nullptr, a1 + off, page, sizeof(page));
-    s2.Write(nullptr, a2 + off, page, sizeof(page));
+    ThrowIfError(s1.Write(nullptr, a1 + off, page, sizeof(page)));
+    ThrowIfError(s2.Write(nullptr, a2 + off, page, sizeof(page)));
   }
   sim::CpuContext& cpu = machine.cpu(0);
   machine.driver().ResetStats();
   Xoshiro256 rng(1);
   const uint64_t t0 = cpu.clock.now();
   for (int i = 0; i < 2000; ++i) {
-    s1.Read(&cpu, a1 + rng.NextBelow(buf / 4096) * 4096, page, 4096);
-    s2.Read(&cpu, a2 + rng.NextBelow(buf / 4096) * 4096, page, 4096);
+    ThrowIfError(s1.Read(&cpu, a1 + rng.NextBelow(buf / 4096) * 4096, page,
+                         4096));
+    ThrowIfError(s2.Read(&cpu, a2 + rng.NextBelow(buf / 4096) * 4096, page,
+                         4096));
   }
   std::printf("4000 reads across both tenants: %.0f cycles/read\n",
               static_cast<double>(cpu.clock.now() - t0) / 4000.0);

@@ -52,7 +52,6 @@ int main(int argc, char** argv) {
     cfg.mode = spec.mode;
     cfg.backend = spec.backend;
     if (spec.backend == PsBackend::kSuvm) {
-      cfg.suvm.fast_seal = true;
       cfg.suvm.epc_pp_pages = (60ull << 20) / 4096;
     }
     const apps::PsRunResult r =

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <stdexcept>
 
 #include "src/baseline/sgx_buffer.h"
 #include "src/common/status.h"
@@ -109,26 +108,23 @@ class SuvmRegion : public MemRegion {
  public:
   SuvmRegion(suvm::Suvm& suvm, size_t bytes, bool direct_access = false)
       : suvm_(&suvm), bytes_(bytes), direct_(direct_access) {
-    addr_ = suvm.Malloc(bytes);
-    if (addr_ == suvm::kInvalidAddr) {
-      throw std::bad_alloc();
-    }
+    addr_ = ValueOrThrow(suvm.Malloc(bytes));
   }
   ~SuvmRegion() override { suvm_->Free(addr_); }
 
   // Accesses go through SUVM's fault-handler paths — routed via the C-level
-  // interface (suvm_try_*), which is how the paper's C applications consume
-  // SUVM; exercising it here keeps both bindings on one code path. A
-  // transient MAC failure (in-flight tamper) is absorbed by the single
-  // retry; persistent corruption, rollback, a crashed instance, or EPC++
-  // exhaustion surface as a Status (Try*) or an exception (Read/Write).
+  // interface, which is how the paper's C applications consume SUVM;
+  // exercising it here keeps both bindings on one code path. A transient MAC
+  // failure (in-flight tamper) is absorbed by the single retry; persistent
+  // corruption, rollback, a crashed instance, or EPC++ exhaustion surface as
+  // a Status (Try*) or an exception (Read/Write).
   Status TryRead(sim::CpuContext* cpu, uint64_t off, void* dst,
                  size_t n) override {
     sim::ScopedCpu bind(cpu);  // the C ABI has no cpu parameter
     suvm_ctx* ctx = suvm_ctx_from(suvm_);
     const suvm_status_t code =
-        direct_ ? suvm_try_read_direct(ctx, addr_ + off, dst, n)
-                : suvm_try_get_bytes(ctx, addr_ + off, dst, n);
+        direct_ ? suvm_read_direct(ctx, addr_ + off, dst, n)
+                : suvm_get_bytes(ctx, addr_ + off, dst, n);
     return FromC(code, "SuvmRegion: read failed");
   }
   Status TryWrite(sim::CpuContext* cpu, uint64_t off, const void* src,
@@ -136,22 +132,16 @@ class SuvmRegion : public MemRegion {
     sim::ScopedCpu bind(cpu);
     suvm_ctx* ctx = suvm_ctx_from(suvm_);
     const suvm_status_t code =
-        direct_ ? suvm_try_write_direct(ctx, addr_ + off, src, n)
-                : suvm_try_set_bytes(ctx, addr_ + off, src, n);
+        direct_ ? suvm_write_direct(ctx, addr_ + off, src, n)
+                : suvm_set_bytes(ctx, addr_ + off, src, n);
     return FromC(code, "SuvmRegion: write failed");
   }
   void Read(sim::CpuContext* cpu, uint64_t off, void* dst, size_t n) override {
-    const Status status = TryRead(cpu, off, dst, n);
-    if (!status.ok()) {
-      throw std::runtime_error(status.ToString());
-    }
+    ThrowIfError(TryRead(cpu, off, dst, n));
   }
   void Write(sim::CpuContext* cpu, uint64_t off, const void* src,
              size_t n) override {
-    const Status status = TryWrite(cpu, off, src, n);
-    if (!status.ok()) {
-      throw std::runtime_error(status.ToString());
-    }
+    ThrowIfError(TryWrite(cpu, off, src, n));
   }
   size_t size() const override { return bytes_; }
   uint64_t suvm_addr() const { return addr_; }

@@ -13,6 +13,7 @@
 
 #include <cassert>
 #include <new>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -152,6 +153,21 @@ class StatusOr {
     T value_;
   };
 };
+
+// The one adapter from Status to exceptions, for callers that cannot return a
+// Status (spointer dereference, containers, benches, examples): throws
+// std::runtime_error carrying status.ToString() when the status is not OK.
+inline void ThrowIfError(const Status& status) {
+  if (!status.ok()) {
+    throw std::runtime_error(status.ToString());
+  }
+}
+
+template <typename T>
+T ValueOrThrow(StatusOr<T> status_or) {
+  ThrowIfError(status_or.status());
+  return std::move(status_or).value();
+}
 
 }  // namespace eleos
 

@@ -19,9 +19,8 @@ Machine::Machine(MachineConfig cfg)
     : costs_(cfg.costs),
       llc_(costs_),
       epc_(cfg.epc_frames != 0 ? cfg.epc_frames : costs_.prm_usable_frames),
-      driver_(this),
+      driver_(this, cfg.seal_mode),
       fault_injector_(cfg.fault_seed) {
-  driver_.set_seal_mode(cfg.seal_mode);
   for (size_t c = 0; c < telemetry::kNumCostCategories; ++c) {
     cycles_by_cat_[c] = metrics_.GetCounter(
         std::string("sim.cycles.") +

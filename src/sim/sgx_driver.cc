@@ -2,7 +2,6 @@
 
 #include "src/sim/sgx_driver.h"
 
-#include <cstring>
 #include <mutex>
 #include <stdexcept>
 
@@ -35,9 +34,9 @@ constexpr uint64_t kDataSealVaddrBase = 7ull << 44;
 
 }  // namespace
 
-SgxDriver::SgxDriver(Machine* machine)
+SgxDriver::SgxDriver(Machine* machine, SealMode seal_mode)
     : machine_(machine),
-      sealer_(crypto::DeriveAesKey("sgx-driver-ewb", 0x5117).data()),
+      sealer_(crypto::DeriveAesKey("sgx-driver-ewb", 0x5117).data(), seal_mode),
       nonce_rng_(0xdead5eed) {}
 
 EnclaveId SgxDriver::RegisterEnclave(Enclave* enclave) {
@@ -307,14 +306,12 @@ void SgxDriver::SealPage(CpuContext* cpu, EnclaveRec& rec, uint64_t vpage,
     ps.sealed = std::make_unique<uint8_t[]>(kPageSize);
   }
   uint8_t* frame_data = machine_->epc().FrameData(ps.frame);
-  if (seal_mode_ == SealMode::kReal) {
-    nonce_rng_.FillBytes(ps.nonce, sizeof(ps.nonce));
-    SealAad aad{rec.enclave->id(), vpage};
-    sealer_.Seal(ps.nonce, reinterpret_cast<const uint8_t*>(&aad), sizeof(aad),
-                 frame_data, kPageSize, ps.sealed.get(), ps.tag);
-  } else {
-    std::memcpy(ps.sealed.get(), frame_data, kPageSize);
-  }
+  const SealAad aad{rec.enclave->id(), vpage};
+  sealer_.Seal([this](uint8_t* nonce) {
+                 nonce_rng_.FillBytes(nonce, crypto::kGcmNonceSize);
+               },
+               ps.nonce, &aad, sizeof(aad), frame_data, kPageSize,
+               ps.sealed.get(), ps.tag);
   ps.has_sealed = true;
   // Cache effects of the copy-out: read the EPC frame, write the blob.
   machine_->StreamAccess(cpu, vpage * kPageSize, kPageSize, /*write=*/false,
@@ -331,17 +328,13 @@ SgxDriver::SealedBlob SgxDriver::SealBlob(CpuContext* cpu, Enclave& enclave,
   // but the same identity, exactly like MRENCLAVE-keyed sealing.
   const auto aad = crypto::Sha256::Digest(enclave.name().data(),
                                           enclave.name().size());
-  if (seal_mode_ == SealMode::kReal) {
-    {
-      std::lock_guard guard(lock_);
-      nonce_rng_.FillBytes(blob.nonce, sizeof(blob.nonce));
-    }
-    sealer_.Seal(blob.nonce, aad.data(), aad.size(), data, len,
-                 blob.ciphertext.data(), blob.tag);
-  } else {
-    std::memcpy(blob.ciphertext.data(), data, len);
-    blob.fast = true;
-  }
+  sealer_.Seal([this](uint8_t* nonce) {
+                 std::lock_guard guard(lock_);
+                 nonce_rng_.FillBytes(nonce, crypto::kGcmNonceSize);
+               },
+               blob.nonce, aad.data(), aad.size(), data, len,
+               blob.ciphertext.data(), blob.tag);
+  blob.fast = !sealer_.authenticates();
   enclave.ChargeGcm(cpu, len);
   machine_->StreamAccess(cpu, kDataSealVaddrBase, len, /*write=*/true,
                          MemKind::kUntrusted);
@@ -354,12 +347,8 @@ bool SgxDriver::UnsealBlob(CpuContext* cpu, Enclave& enclave,
   enclave.ChargeGcm(cpu, blob.ciphertext.size());
   machine_->StreamAccess(cpu, kDataSealVaddrBase, blob.ciphertext.size(),
                          /*write=*/false, MemKind::kUntrusted);
-  if (blob.fast != (seal_mode_ == SealMode::kFast)) {
+  if (blob.fast == sealer_.authenticates()) {
     return false;  // seal-mode mismatch: the blob cannot be authenticated
-  }
-  if (seal_mode_ == SealMode::kFast) {
-    std::memcpy(out->data(), blob.ciphertext.data(), blob.ciphertext.size());
-    return true;
   }
   const auto aad = crypto::Sha256::Digest(enclave.name().data(),
                                           enclave.name().size());
@@ -380,18 +369,12 @@ uint64_t SgxDriver::monotonic_counter() const {
 
 void SgxDriver::UnsealPage(CpuContext* cpu, EnclaveRec& rec, uint64_t vpage,
                            PageState& ps, uint8_t* frame_data) {
-  if (seal_mode_ == SealMode::kReal) {
-    SealAad aad{rec.enclave->id(), vpage};
-    const bool ok = sealer_.Open(ps.nonce, reinterpret_cast<const uint8_t*>(&aad),
-                                 sizeof(aad), ps.sealed.get(), kPageSize, ps.tag,
-                                 frame_data);
-    if (!ok) {
-      throw std::runtime_error(
-          "SgxDriver: integrity check failed on EPC page reload (tampered "
-          "backing memory?)");
-    }
-  } else {
-    std::memcpy(frame_data, ps.sealed.get(), kPageSize);
+  const SealAad aad{rec.enclave->id(), vpage};
+  if (!sealer_.Open(ps.nonce, &aad, sizeof(aad), ps.sealed.get(), kPageSize,
+                    ps.tag, frame_data)) {
+    throw std::runtime_error(
+        "SgxDriver: integrity check failed on EPC page reload (tampered "
+        "backing memory?)");
   }
   machine_->StreamAccess(cpu, SealedBlobVaddr(vpage), kPageSize,
                          /*write=*/false, MemKind::kUntrusted);

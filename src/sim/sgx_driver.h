@@ -31,6 +31,7 @@
 #include "src/common/rng.h"
 #include "src/common/spinlock.h"
 #include "src/crypto/gcm.h"
+#include "src/crypto/sealer.h"
 #include "src/sim/epc.h"
 #include "src/sim/vclock.h"
 
@@ -45,13 +46,13 @@ inline constexpr int kMaxCpus = 8;
 
 class SgxDriver {
  public:
-  // How evicted pages are protected. kReal runs AES-GCM over every page
-  // (default; integrity failures abort). kFast memcpy-only, for large
-  // benchmark sweeps where crypto correctness is not under test — virtual
-  // cycle charges are identical in both modes.
-  enum class SealMode { kReal, kFast };
+  // How evicted pages are protected (src/crypto/sealer.h). kReal runs
+  // AES-GCM over every page (default; integrity failures abort). kFast is
+  // memcpy-only, for large benchmark sweeps where crypto correctness is not
+  // under test — virtual cycle charges are identical in both modes.
+  using SealMode = crypto::SealMode;
 
-  explicit SgxDriver(Machine* machine);
+  SgxDriver(Machine* machine, SealMode seal_mode);
 
   EnclaveId RegisterEnclave(Enclave* enclave);
   void UnregisterEnclave(EnclaveId id);
@@ -76,7 +77,7 @@ class SgxDriver {
   // today's driver splits PRM evenly among active enclaves.
   size_t AvailableFramesFor(EnclaveId id) const;
 
-  void set_seal_mode(SealMode mode) { seal_mode_ = mode; }
+  SealMode seal_mode() const { return sealer_.mode(); }
 
   // --- Data sealing service (EGETKEY/sealed-blob analog) ---
   // Seals an arbitrary enclave-produced blob so it survives enclave (and
@@ -169,7 +170,6 @@ class SgxDriver {
   // time, while functional-only (null-cpu) threads just need mutual exclusion.
   mutable Spinlock lock_;
   Machine* machine_;
-  SealMode seal_mode_ = SealMode::kReal;
   std::unordered_map<EnclaveId, EnclaveRec> enclaves_;
   EnclaveId next_id_ = 1;
 
@@ -179,7 +179,7 @@ class SgxDriver {
   size_t swapper_low_watermark_ = 8;
   size_t swapper_batch_ = 2;
 
-  crypto::AesGcm sealer_;
+  crypto::Sealer sealer_;
   Xoshiro256 nonce_rng_;
   Stats stats_;
   uint64_t monotonic_counter_ = 0;  // guarded by lock_

@@ -15,12 +15,15 @@
 // dereference, so operator*/operator[] conservatively assume writes; use
 // Get()/Set() to keep read-only accesses from marking the page dirty (which
 // would force a write-back on eviction).
+//
+// Pointer semantics leave no room for a Status: a dereference whose page-in
+// fails after the fault handler's retry (persistent corruption, EPC++
+// exhaustion, a crashed instance) throws via ThrowIfError.
 
 #ifndef ELEOS_SRC_SUVM_SPOINTER_H_
 #define ELEOS_SRC_SUVM_SPOINTER_H_
 
 #include <cstddef>
-#include <new>
 #include <stdexcept>
 
 #include "src/sim/machine.h"
@@ -148,7 +151,7 @@ class spointer {
     }
     if (slot_ < 0 || page != linked_page_) {
       Unlink();
-      slot_ = suvm_->PinPage(cpu, page);
+      ThrowIfError(suvm_->PinPage(cpu, page, &slot_));
       linked_page_ = page;
     }
     if (write) {
@@ -169,11 +172,7 @@ class spointer {
 // spointer to the first.
 template <typename T>
 spointer<T> SuvmAlloc(Suvm& suvm, size_t count = 1) {
-  const uint64_t addr = suvm.Malloc(count * sizeof(T));
-  if (addr == kInvalidAddr) {
-    throw std::bad_alloc();
-  }
-  return spointer<T>(&suvm, addr);
+  return spointer<T>(&suvm, ValueOrThrow(suvm.Malloc(count * sizeof(T))));
 }
 
 template <typename T>

@@ -7,6 +7,7 @@
 #include <map>
 #include <mutex>
 #include <stdexcept>
+#include <tuple>
 
 #include "src/crypto/sha256.h"
 #include "src/sim/machine.h"
@@ -92,7 +93,8 @@ Suvm::Suvm(sim::Enclave& enclave, SuvmConfig config,
                  : std::make_shared<BackingStore>(BackingStore::Config{
                        .capacity_bytes = config.backing_bytes})),
       cache_(enclave, config.epc_pp_pages),
-      sealer_(crypto::DeriveAesKey("suvm-app-key", config.key_seed).data()),
+      sealer_(crypto::DeriveAesKey("suvm-app-key", config.key_seed).data(),
+              enclave.machine().driver().seal_mode()),
       slot_to_page_(config.epc_pp_pages),
       nonce_rng_(config.key_seed ^ 0x9e3779b97f4a7c15ull),
       alloc_health_(HealthFsm::Options{config.alloc_failure_threshold,
@@ -192,10 +194,6 @@ void Suvm::ResetStats() {
   stats_.prefetch_wasted = 0;
 }
 
-void Suvm::ThrowStatus(const Status& status) {
-  throw std::runtime_error(status.message());
-}
-
 size_t Suvm::PageTableEntries() const {
   size_t n = 0;
   for (const Stripe& st : stripes_) {
@@ -262,12 +260,7 @@ void Suvm::NoteMacFailure(sim::CpuContext* cpu, uint64_t bs_page) {
                  cpu != nullptr ? cpu->clock.now() : 0, bs_page);
 }
 
-uint64_t Suvm::Malloc(size_t bytes) {
-  StatusOr<uint64_t> addr = TryMalloc(bytes);
-  return addr.ok() ? *addr : kInvalidAddr;
-}
-
-StatusOr<uint64_t> Suvm::TryMalloc(size_t bytes) {
+StatusOr<uint64_t> Suvm::Malloc(size_t bytes) {
   if (crashed_.load(std::memory_order_relaxed)) {
     return Status::Unavailable(kCrashedMsg);
   }
@@ -329,16 +322,7 @@ void Suvm::Free(uint64_t addr) {
          page <= (end - 1) / sim::kPageSize; ++page) {
       Stripe& st = StripeFor(page);
       std::unique_lock<Spinlock> sl(st.lock);
-      // Settle: wait out an in-flight fill/eviction so we see a stable page.
-      auto it = st.map.find(page);
-      while (it != st.map.end() &&
-             (it->second.state == Residency::kFilling ||
-              it->second.state == Residency::kEvicting)) {
-        sl.unlock();
-        CpuRelax();
-        sl.lock();
-        it = st.map.find(page);
-      }
+      auto it = Settle(st, sl, page);
       if (it == st.map.end()) {
         continue;
       }
@@ -358,52 +342,34 @@ void Suvm::Free(uint64_t addr) {
         st.map.erase(it);
         continue;
       }
-      // Edge page shared with a live neighbor. Bring it resident if it only
-      // exists as a seal, then scrub the freed range in the plaintext copy.
-      if (m.slot < 0 && !m.has_data && m.subs == nullptr) {
-        continue;  // never materialized: already reads as zeros
+      // Edge page shared with a live neighbor: scrub the freed range through
+      // the ordinary fault path. A page that never materialized already
+      // reads as zeros. A quarantined or tampered seal has nothing
+      // trustworthy to scrub, and with every slot pinned no reader has a
+      // live allocation covering the freed range: both keep the old bytes.
+      if (m.poisoned || (m.slot < 0 && !m.has_data && m.subs == nullptr)) {
+        continue;
       }
-      if (m.poisoned) {
-        continue;  // quarantined: the seal is untrusted, nothing to scrub —
-                   // the freed range stays behind the quarantine fast-fail
-      }
-      if (m.slot < 0) {
-        // Claim the fill so concurrent faults coalesce behind the scrub, then
-        // fetch a slot and decrypt with the stripe lock dropped.
-        m.state = Residency::kFilling;
-        sl.unlock();
-        const int slot = AcquireSlot(nullptr);
-        if (slot < 0) {
-          sl.lock();
-          m.state = Residency::kAbsent;
-          continue;  // every slot pinned: leave the stale seal (no reader has
-                     // a live allocation covering the freed range right now)
-        }
-        if (!LoadPage(nullptr, page, m, slot).ok()) {
-          // Tampered seal: nothing trustworthy to preserve or scrub.
-          cache_.FreeSlot(slot);
-          sl.lock();
-          m.state = Residency::kAbsent;
-          continue;
-        }
-        sl.lock();
-        m.slot = slot;
-        m.ref_bit = true;
-        m.dirty = false;
-        m.state = Residency::kResident;
-        slot_to_page_[static_cast<size_t>(slot)].store(
-            page, std::memory_order_release);
-      }
-      const uint64_t lo = page_start > addr ? page_start : addr;
-      const uint64_t hi =
-          page_start + sim::kPageSize < end ? page_start + sim::kPageSize : end;
-      uint8_t* data = SlotData(nullptr, m.slot, lo - page_start, hi - lo,
-                               /*write=*/true);
-      std::memset(data, 0, hi - lo);
-      m.dirty = true;
+      sl.unlock();
+      const uint64_t lo = std::max(page_start, addr);
+      const uint64_t hi = std::min(page_start + sim::kPageSize, end);
+      (void)Memset(nullptr, lo, 0, hi - lo);
     }
   }
   store_->Free(addr);
+}
+
+std::unordered_map<uint64_t, Suvm::PageMeta>::iterator Suvm::Settle(
+    Stripe& st, std::unique_lock<Spinlock>& sl, uint64_t page) {
+  auto it = st.map.find(page);
+  while (it != st.map.end() && (it->second.state == Residency::kFilling ||
+                                it->second.state == Residency::kEvicting)) {
+    sl.unlock();
+    CpuRelax();
+    sl.lock();
+    it = st.map.find(page);
+  }
+  return it;
 }
 
 void Suvm::FillNonce(uint8_t nonce[crypto::kGcmNonceSize]) {
@@ -411,11 +377,16 @@ void Suvm::FillNonce(uint8_t nonce[crypto::kGcmNonceSize]) {
   nonce_rng_.FillBytes(nonce, crypto::kGcmNonceSize);
 }
 
-void Suvm::TouchIpt(sim::CpuContext* cpu, int slot, bool write) {
+void Suvm::SealPageBytes(uint64_t bs_page, PageMeta& m, const uint8_t* src,
+                         uint8_t* dst) {
+  const PageAad aad{bs_page};
+  sealer_.Seal([this](uint8_t* nonce) { FillNonce(nonce); }, m.nonce, &aad,
+               sizeof(aad), src, sim::kPageSize, dst, m.tag);
+}
+
+void Suvm::TouchIpt(sim::CpuContext* cpu) {
   // The inverse page table is tiny (16 B per EPC++ page) and hot; charge the
   // lookup as near-core work instead of a modeled memory round-trip.
-  (void)slot;
-  (void)write;
   enclave_->machine().ChargeCost(
       cpu, telemetry::CostCategory::kSuvmPaging,
       enclave_->machine().costs().suvm_pt_lookup_cycles);
@@ -430,16 +401,7 @@ void Suvm::TouchCryptoMeta(sim::CpuContext* cpu, uint64_t bs_page, bool write) {
   enclave_->Data(cpu, vaddr, in_page < entry_bytes ? in_page : entry_bytes, write);
 }
 
-int Suvm::PinPage(sim::CpuContext* cpu, uint64_t bs_page) {
-  int slot = -1;
-  const Status status = TryPinPage(cpu, bs_page, &slot);
-  if (!status.ok()) {
-    ThrowStatus(status);
-  }
-  return slot;
-}
-
-Status Suvm::TryPinPage(sim::CpuContext* cpu, uint64_t bs_page, int* slot_out) {
+Status Suvm::PinOnce(sim::CpuContext* cpu, uint64_t bs_page, int* slot_out) {
   if (crashed_.load(std::memory_order_relaxed)) {
     return Status::Unavailable(kCrashedMsg);
   }
@@ -488,7 +450,7 @@ Status Suvm::TryPinPage(sim::CpuContext* cpu, uint64_t bs_page, int* slot_out) {
       stats_.minor_faults.fetch_add(1, std::memory_order_relaxed);
       *slot_out = m.slot;
       // One inverse-page-table lookup (reference-count update).
-      TouchIpt(cpu, m.slot, /*write=*/true);
+      TouchIpt(cpu);
       if (cpu != nullptr) {
         minor_fault_cycles_->Record(cpu->clock.now() - t0);
       }
@@ -558,7 +520,7 @@ Status Suvm::TryPinPage(sim::CpuContext* cpu, uint64_t bs_page, int* slot_out) {
       rollback();
       return status;
     }
-    TouchIpt(cpu, slot, /*write=*/true);
+    TouchIpt(cpu);
     TouchCryptoMeta(cpu, bs_page, /*write=*/false);
     sl.lock();
     m.slot = slot;
@@ -586,9 +548,8 @@ Status Suvm::TryPinPage(sim::CpuContext* cpu, uint64_t bs_page, int* slot_out) {
   return Status::Ok();
 }
 
-Status Suvm::PinPageWithRetry(sim::CpuContext* cpu, uint64_t bs_page,
-                              int* slot_out) {
-  Status status = TryPinPage(cpu, bs_page, slot_out);
+Status Suvm::PinPage(sim::CpuContext* cpu, uint64_t bs_page, int* slot_out) {
+  Status status = PinOnce(cpu, bs_page, slot_out);
   if (status.ok() || status.code() != StatusCode::kDataCorruption) {
     return status;
   }
@@ -597,11 +558,14 @@ Status Suvm::PinPageWithRetry(sim::CpuContext* cpu, uint64_t bs_page,
   }
   // The MAC failure may stem from an in-flight tamper; one clean retry.
   stats_.retries.fetch_add(1, std::memory_order_relaxed);
-  status = TryPinPage(cpu, bs_page, slot_out);
+  status = PinOnce(cpu, bs_page, slot_out);
   if (status.code() == StatusCode::kDataCorruption) {
     // Persistent corruption: poison the page so every further access fails
-    // fast instead of re-paying crypto + retry forever.
-    QuarantinePage(cpu, bs_page);
+    // fast instead of re-paying crypto + retry forever. Corruption implies
+    // the page had sealed data, so its entry normally exists already.
+    Stripe& st = StripeFor(bs_page);
+    std::lock_guard sl(st.lock);
+    MarkQuarantinedLocked(cpu, bs_page, st.map[bs_page]);
   }
   return status;
 }
@@ -624,15 +588,6 @@ void Suvm::MarkQuarantinedLocked(sim::CpuContext* cpu, uint64_t bs_page,
                  cpu != nullptr ? cpu->clock.now() : 0, bs_page);
 }
 
-void Suvm::QuarantinePage(sim::CpuContext* cpu, uint64_t bs_page) {
-  Stripe& st = StripeFor(bs_page);
-  std::lock_guard sl(st.lock);
-  // Corruption implies the page had sealed data, so the entry normally
-  // exists; try_emplace covers the belt-and-braces case anyway.
-  auto [it, inserted] = st.map.try_emplace(bs_page);
-  MarkQuarantinedLocked(cpu, bs_page, it->second);
-}
-
 Status Suvm::TryRestorePage(sim::CpuContext* cpu, uint64_t bs_page) {
   {
     Stripe& st = StripeFor(bs_page);
@@ -647,7 +602,7 @@ Status Suvm::TryRestorePage(sim::CpuContext* cpu, uint64_t bs_page) {
   // single-retry tamper absorption). Persistent corruption re-quarantines
   // via the retry path above.
   int slot = -1;
-  const Status status = PinPageWithRetry(cpu, bs_page, &slot);
+  const Status status = PinPage(cpu, bs_page, &slot);
   if (!status.ok()) {
     return status;
   }
@@ -909,7 +864,7 @@ void Suvm::PrefetchRun(sim::CpuContext* cpu, uint64_t bs_page) {
       m.state = Residency::kAbsent;
       continue;
     }
-    TouchIpt(cpu, slot, /*write=*/true);
+    TouchIpt(cpu);
     TouchCryptoMeta(cpu, page, /*write=*/false);
     Stripe& st = StripeFor(page);
     std::lock_guard sl(st.lock);
@@ -935,103 +890,63 @@ Status Suvm::LoadPage(sim::CpuContext* cpu, uint64_t bs_page, PageMeta& m,
   machine.StreamAccess(cpu, vaddr, sim::kPageSize, /*write=*/true,
                        sim::MemKind::kEpc);
 
-  const uint64_t arena_off = bs_page * sim::kPageSize;
   if (config_.direct_mode) {
     const size_t sub_size = config_.subpage_size;
     for (size_t s = 0; s < subpages_per_page_; ++s) {
-      uint8_t* sub_dst = dst + s * sub_size;
-      if (m.subs != nullptr && m.subs[s].has_data) {
-        uint8_t* ct = store_->Raw(arena_off + s * sub_size);
-        if (config_.fast_seal) {
-          std::memcpy(sub_dst, ct, sub_size);
-        } else {
-          SubAad aad{bs_page, s};
-          // The host may tamper with the ciphertext while it is in flight;
-          // the flip is undone after Open so a retry can observe clean bytes.
-          const bool flipped =
-              faults_->ShouldInject(sim::Fault::kCiphertextFlip);
-          if (flipped) {
-            ct[0] ^= 0x01;
-          }
-          const bool ok = sealer_.Open(
-              m.subs[s].nonce, reinterpret_cast<const uint8_t*>(&aad),
-              sizeof(aad), ct, sub_size, m.subs[s].tag, sub_dst);
-          if (flipped) {
-            ct[0] ^= 0x01;
-          }
-          if (!ok) {
-            NoteMacFailure(cpu, bs_page);
-            return Status::DataCorruption(
-                "Suvm: sub-page integrity check failed");
-          }
-        }
-        enclave_->ChargeGcm(cpu, sub_size);
-        machine.StreamAccess(cpu, BackingVaddr(arena_off + s * sub_size),
-                             sub_size, /*write=*/false,
-                             sim::MemKind::kUntrusted);
-      } else {
-        std::memset(sub_dst, 0, sub_size);
+      const Status status = OpenSub(cpu, m, bs_page, s, dst + s * sub_size);
+      if (!status.ok()) {
+        return status;
       }
     }
     return Status::Ok();
   }
 
-  if (m.has_data) {
-    return OpenPageCiphertext(cpu, bs_page, m, dst);
+  if (!m.has_data) {
+    std::memset(dst, 0, sim::kPageSize);
+    return Status::Ok();
   }
-  std::memset(dst, 0, sim::kPageSize);
-  return Status::Ok();
-}
-
-Status Suvm::OpenPageCiphertext(sim::CpuContext* cpu, uint64_t bs_page,
-                                PageMeta& m, uint8_t* dst) {
-  sim::Machine& machine = enclave_->machine();
   uint8_t* ct = store_->Raw(bs_page * sim::kPageSize);
-  if (config_.fast_seal) {
-    std::memcpy(dst, ct, sim::kPageSize);
-  } else {
-    PageAad aad{bs_page};
-    // Hostile-host window: the host may serve a stale seal (rollback/replay)
-    // or flip ciphertext bits for this read. Both tampers are transient —
-    // undone after Open — modeling in-flight modification; persistence is
-    // modeled by arming the fault with more triggers.
-    bool rolled_back = false;
-    std::vector<uint8_t> fresh;
-    if (faults_->armed(sim::Fault::kRollback)) {
-      std::lock_guard sg(stale_lock_);
-      auto it = stale_seals_.find(bs_page);
-      if (it != stale_seals_.end() &&
-          faults_->ShouldInject(sim::Fault::kRollback)) {
-        fresh.assign(ct, ct + sim::kPageSize);
-        std::memcpy(ct, it->second.data(), sim::kPageSize);
-        rolled_back = true;
-      }
+  const PageAad aad{bs_page};
+  // Hostile-host window: the host may serve a stale seal (rollback/replay)
+  // or flip ciphertext bits for this read. Both tampers are transient —
+  // undone after Open — modeling in-flight modification; persistence is
+  // modeled by arming the fault with more triggers.
+  bool rolled_back = false;
+  std::vector<uint8_t> fresh;
+  if (sealer_.authenticates() && faults_->armed(sim::Fault::kRollback)) {
+    std::lock_guard sg(stale_lock_);
+    auto it = stale_seals_.find(bs_page);
+    if (it != stale_seals_.end() &&
+        faults_->ShouldInject(sim::Fault::kRollback)) {
+      fresh.assign(ct, ct + sim::kPageSize);
+      std::memcpy(ct, it->second.data(), sim::kPageSize);
+      rolled_back = true;
     }
-    bool flipped = false;
-    if (!rolled_back && faults_->ShouldInject(sim::Fault::kCiphertextFlip)) {
-      ct[0] ^= 0x01;
-      flipped = true;
-    }
-    const bool ok = sealer_.Open(m.nonce, reinterpret_cast<const uint8_t*>(&aad),
-                                 sizeof(aad), ct, sim::kPageSize, m.tag, dst);
-    if (flipped) {
-      ct[0] ^= 0x01;
-    }
+  }
+  const bool flipped = !rolled_back && sealer_.authenticates() &&
+                       faults_->ShouldInject(sim::Fault::kCiphertextFlip);
+  if (flipped) {
+    ct[0] ^= 0x01;
+  }
+  const bool ok = sealer_.Open(m.nonce, &aad, sizeof(aad), ct, sim::kPageSize,
+                               m.tag, dst);
+  if (flipped) {
+    ct[0] ^= 0x01;
+  }
+  if (rolled_back) {
+    std::memcpy(ct, fresh.data(), sim::kPageSize);
+  }
+  if (!ok) {
+    NoteMacFailure(cpu, bs_page);
     if (rolled_back) {
-      std::memcpy(ct, fresh.data(), sim::kPageSize);
+      // The enclave-held nonce/tag bind this address to the *newest* seal,
+      // so a replayed older seal necessarily fails the MAC — that failure
+      // IS the freshness guarantee. The injector's ground truth lets the
+      // simulator classify it separately from plain corruption.
+      stats_.rollbacks_detected.fetch_add(1, std::memory_order_relaxed);
     }
-    if (!ok) {
-      NoteMacFailure(cpu, bs_page);
-      if (rolled_back) {
-        // The enclave-held nonce/tag bind this address to the *newest* seal,
-        // so a replayed older seal necessarily fails the MAC — that failure
-        // IS the freshness guarantee. The injector's ground truth lets the
-        // simulator classify it separately from plain corruption.
-        stats_.rollbacks_detected.fetch_add(1, std::memory_order_relaxed);
-      }
-      return Status::DataCorruption(
-          "Suvm: page integrity check failed (tampered backing store?)");
-    }
+    return Status::DataCorruption(
+        "Suvm: page integrity check failed (tampered backing store?)");
   }
   enclave_->ChargeGcm(cpu, sim::kPageSize);
   machine.StreamAccess(cpu, BackingVaddr(bs_page * sim::kPageSize),
@@ -1049,32 +964,17 @@ void Suvm::SealResident(sim::CpuContext* cpu, uint64_t bs_page, PageMeta& m) {
   machine.StreamAccess(cpu, vaddr, sim::kPageSize, /*write=*/false,
                        sim::MemKind::kEpc);
 
-  const uint64_t arena_off = bs_page * sim::kPageSize;
   if (config_.direct_mode) {
     EnsureSubs(m);
-    const size_t sub_size = config_.subpage_size;
     for (size_t s = 0; s < subpages_per_page_; ++s) {
-      uint8_t* ct = store_->Raw(arena_off + s * sub_size);
-      if (config_.fast_seal) {
-        std::memcpy(ct, src + s * sub_size, sub_size);
-      } else {
-        FillNonce(m.subs[s].nonce);
-        SubAad aad{bs_page, s};
-        sealer_.Seal(m.subs[s].nonce, reinterpret_cast<const uint8_t*>(&aad),
-                     sizeof(aad), src + s * sub_size, sub_size, ct,
-                     m.subs[s].tag);
-      }
-      m.subs[s].has_data = true;
-      enclave_->ChargeGcm(cpu, sub_size);
-      machine.StreamAccess(cpu, BackingVaddr(arena_off + s * sub_size),
-                           sub_size, /*write=*/true,
-                           sim::MemKind::kUntrusted);
+      SealSub(cpu, m, bs_page, s, src + s * config_.subpage_size);
     }
     return;
   }
 
+  const uint64_t arena_off = bs_page * sim::kPageSize;
   uint8_t* ct = store_->Raw(arena_off);
-  if (!config_.fast_seal && m.has_data &&
+  if (sealer_.authenticates() && m.has_data &&
       faults_->armed(sim::Fault::kRollback)) {
     // A hostile host squirrels away the outgoing (still valid) seal so it can
     // replay it at the next page-in. Only bought while the fault is armed.
@@ -1085,14 +985,7 @@ void Suvm::SealResident(sim::CpuContext* cpu, uint64_t bs_page, PageMeta& m) {
     JournaledSeal(cpu, bs_page, m, src);
     return;
   }
-  if (config_.fast_seal) {
-    std::memcpy(ct, src, sim::kPageSize);
-  } else {
-    FillNonce(m.nonce);
-    PageAad aad{bs_page};
-    sealer_.Seal(m.nonce, reinterpret_cast<const uint8_t*>(&aad), sizeof(aad),
-                 src, sim::kPageSize, ct, m.tag);
-  }
+  SealPageBytes(bs_page, m, src, ct);
   m.has_data = true;
   enclave_->ChargeGcm(cpu, sim::kPageSize);
   machine.StreamAccess(cpu, BackingVaddr(arena_off), sim::kPageSize,
@@ -1128,14 +1021,7 @@ void Suvm::JournaledSeal(sim::CpuContext* cpu, uint64_t bs_page, PageMeta& m,
   // Build the sealed payload in private memory first: nothing touches the
   // untrusted arena until the journal record exists (write-ahead rule).
   std::vector<uint8_t> sealed(sim::kPageSize);
-  if (config_.fast_seal) {
-    std::memcpy(sealed.data(), src, sim::kPageSize);
-  } else {
-    FillNonce(m.nonce);
-    PageAad aad{bs_page};
-    sealer_.Seal(m.nonce, reinterpret_cast<const uint8_t*>(&aad), sizeof(aad),
-                 src, sim::kPageSize, sealed.data(), m.tag);
-  }
+  SealPageBytes(bs_page, m, src, sealed.data());
   enclave_->ChargeGcm(cpu, sim::kPageSize);
 
   JournalRecord rec;
@@ -1189,126 +1075,89 @@ void Suvm::JournaledSeal(sim::CpuContext* cpu, uint64_t bs_page, PageMeta& m,
 
 // --- Unlinked bulk operations ---
 
-void Suvm::Read(sim::CpuContext* cpu, uint64_t addr, void* dst, size_t len) {
-  auto* out = static_cast<uint8_t*>(dst);
-  while (len > 0) {
-    const uint64_t page = addr / sim::kPageSize;
-    const size_t off = addr % sim::kPageSize;
-    const size_t chunk = std::min(len, sim::kPageSize - off);
-    const int slot = PinPage(cpu, page);
-    const uint8_t* data = SlotData(cpu, slot, off, chunk, /*write=*/false);
-    std::memcpy(out, data, chunk);
-    UnpinPage(page, slot, /*dirty=*/false);
-    out += chunk;
-    addr += chunk;
-    len -= chunk;
-  }
-}
-
-void Suvm::Write(sim::CpuContext* cpu, uint64_t addr, const void* src, size_t len) {
-  const auto* in = static_cast<const uint8_t*>(src);
-  while (len > 0) {
-    const uint64_t page = addr / sim::kPageSize;
-    const size_t off = addr % sim::kPageSize;
-    const size_t chunk = std::min(len, sim::kPageSize - off);
-    const int slot = PinPage(cpu, page);
-    uint8_t* data = SlotData(cpu, slot, off, chunk, /*write=*/true);
-    std::memcpy(data, in, chunk);
-    UnpinPage(page, slot, /*dirty=*/true);
-    in += chunk;
-    addr += chunk;
-    len -= chunk;
-  }
-}
-
-Status Suvm::TryRead(sim::CpuContext* cpu, uint64_t addr, void* dst, size_t len) {
-  auto* out = static_cast<uint8_t*>(dst);
+template <typename Fn>
+Status Suvm::WalkPages(sim::CpuContext* cpu, uint64_t addr, size_t len,
+                       bool write, Fn&& fn) {
   while (len > 0) {
     const uint64_t page = addr / sim::kPageSize;
     const size_t off = addr % sim::kPageSize;
     const size_t chunk = std::min(len, sim::kPageSize - off);
     int slot = -1;
-    const Status status = PinPageWithRetry(cpu, page, &slot);
+    const Status status = PinPage(cpu, page, &slot);
     if (!status.ok()) {
       return status;
     }
-    const uint8_t* data = SlotData(cpu, slot, off, chunk, /*write=*/false);
-    std::memcpy(out, data, chunk);
-    UnpinPage(page, slot, /*dirty=*/false);
-    out += chunk;
+    fn(SlotData(cpu, slot, off, chunk, write), chunk);
+    UnpinPage(page, slot, /*dirty=*/write);
     addr += chunk;
     len -= chunk;
   }
   return Status::Ok();
 }
 
-Status Suvm::TryWrite(sim::CpuContext* cpu, uint64_t addr, const void* src,
-                      size_t len) {
+Status Suvm::Read(sim::CpuContext* cpu, uint64_t addr, void* dst, size_t len) {
+  auto* out = static_cast<uint8_t*>(dst);
+  return WalkPages(cpu, addr, len, /*write=*/false,
+                   [&](const uint8_t* data, size_t chunk) {
+                     std::memcpy(out, data, chunk);
+                     out += chunk;
+                   });
+}
+
+Status Suvm::Write(sim::CpuContext* cpu, uint64_t addr, const void* src,
+                   size_t len) {
   const auto* in = static_cast<const uint8_t*>(src);
-  while (len > 0) {
-    const uint64_t page = addr / sim::kPageSize;
-    const size_t off = addr % sim::kPageSize;
-    const size_t chunk = std::min(len, sim::kPageSize - off);
-    int slot = -1;
-    const Status status = PinPageWithRetry(cpu, page, &slot);
-    if (!status.ok()) {
-      return status;
-    }
-    uint8_t* data = SlotData(cpu, slot, off, chunk, /*write=*/true);
-    std::memcpy(data, in, chunk);
-    UnpinPage(page, slot, /*dirty=*/true);
-    in += chunk;
-    addr += chunk;
-    len -= chunk;
-  }
-  return Status::Ok();
+  return WalkPages(cpu, addr, len, /*write=*/true,
+                   [&](uint8_t* data, size_t chunk) {
+                     std::memcpy(data, in, chunk);
+                     in += chunk;
+                   });
 }
 
-void Suvm::Memset(sim::CpuContext* cpu, uint64_t addr, uint8_t value, size_t len) {
-  while (len > 0) {
-    const uint64_t page = addr / sim::kPageSize;
-    const size_t off = addr % sim::kPageSize;
-    const size_t chunk = std::min(len, sim::kPageSize - off);
-    const int slot = PinPage(cpu, page);
-    uint8_t* data = SlotData(cpu, slot, off, chunk, /*write=*/true);
-    std::memset(data, value, chunk);
-    UnpinPage(page, slot, /*dirty=*/true);
-    addr += chunk;
-    len -= chunk;
-  }
+Status Suvm::Memset(sim::CpuContext* cpu, uint64_t addr, uint8_t value,
+                    size_t len) {
+  return WalkPages(cpu, addr, len, /*write=*/true,
+                   [&](uint8_t* data, size_t chunk) {
+                     std::memset(data, value, chunk);
+                   });
 }
 
-void Suvm::Memcpy(sim::CpuContext* cpu, uint64_t dst, uint64_t src, size_t len) {
+Status Suvm::Memcpy(sim::CpuContext* cpu, uint64_t dst, uint64_t src,
+                    size_t len) {
   uint8_t buf[512];
-  if (dst > src && dst < src + len) {
-    // Forward-overlapping ranges: front-to-back staging would re-read bytes a
-    // previous chunk already overwrote. Copy back-to-front (memmove-style);
-    // each chunk is staged through buf, so intra-chunk overlap is safe too.
-    while (len > 0) {
-      const size_t chunk = std::min(len, sizeof(buf));
-      len -= chunk;
-      Read(cpu, src + len, buf, chunk);
-      Write(cpu, dst + len, buf, chunk);
-    }
-    return;
-  }
+  // Forward-overlapping ranges: front-to-back staging would re-read bytes a
+  // previous chunk already overwrote. Copy back-to-front (memmove-style);
+  // each chunk is staged through buf, so intra-chunk overlap is safe too.
+  const bool backward = dst > src && dst < src + len;
   while (len > 0) {
     const size_t chunk = std::min(len, sizeof(buf));
-    Read(cpu, src, buf, chunk);
-    Write(cpu, dst, buf, chunk);
-    src += chunk;
-    dst += chunk;
     len -= chunk;
+    const uint64_t at = backward ? len : 0;
+    Status status = Read(cpu, src + at, buf, chunk);
+    if (status.ok()) {
+      status = Write(cpu, dst + at, buf, chunk);
+    }
+    if (!status.ok()) {
+      return status;
+    }
+    if (!backward) {
+      src += chunk;
+      dst += chunk;
+    }
   }
+  return Status::Ok();
 }
 
-int Suvm::Memcmp(sim::CpuContext* cpu, uint64_t addr, const void* other,
-                 size_t len) {
+StatusOr<int> Suvm::Memcmp(sim::CpuContext* cpu, uint64_t addr,
+                           const void* other, size_t len) {
   const auto* p = static_cast<const uint8_t*>(other);
   uint8_t buf[512];
   while (len > 0) {
     const size_t chunk = std::min(len, sizeof(buf));
-    Read(cpu, addr, buf, chunk);
+    const Status status = Read(cpu, addr, buf, chunk);
+    if (!status.ok()) {
+      return status;
+    }
     const int c = std::memcmp(buf, p, chunk);
     if (c != 0) {
       return c;
@@ -1322,36 +1171,27 @@ int Suvm::Memcmp(sim::CpuContext* cpu, uint64_t addr, const void* other,
 
 // --- Direct access (§3.2.4) ---
 
-void Suvm::ReadDirect(sim::CpuContext* cpu, uint64_t addr, void* dst, size_t len) {
-  if (!config_.direct_mode) {
-    throw std::logic_error("Suvm::ReadDirect requires direct_mode");
-  }
-  const Status status = TryReadDirect(cpu, addr, dst, len);
-  if (!status.ok()) {
-    ThrowStatus(status);
-  }
+Status Suvm::ReadDirect(sim::CpuContext* cpu, uint64_t addr, void* dst,
+                        size_t len) {
+  return WalkDirect(cpu, addr, static_cast<uint8_t*>(dst), nullptr, len);
 }
 
-void Suvm::WriteDirect(sim::CpuContext* cpu, uint64_t addr, const void* src,
-                       size_t len) {
-  if (!config_.direct_mode) {
-    throw std::logic_error("Suvm::WriteDirect requires direct_mode");
-  }
-  const Status status = TryWriteDirect(cpu, addr, src, len);
-  if (!status.ok()) {
-    ThrowStatus(status);
-  }
+Status Suvm::WriteDirect(sim::CpuContext* cpu, uint64_t addr, const void* src,
+                         size_t len) {
+  return WalkDirect(cpu, addr, nullptr, static_cast<const uint8_t*>(src), len);
 }
 
-Status Suvm::TryReadDirect(sim::CpuContext* cpu, uint64_t addr, void* dst,
-                           size_t len) {
+Status Suvm::WalkDirect(sim::CpuContext* cpu, uint64_t addr, uint8_t* out,
+                        const uint8_t* in, size_t len) {
+  const bool write = in != nullptr;
   if (!config_.direct_mode) {
-    return Status::FailedPrecondition("Suvm::ReadDirect requires direct_mode");
+    return Status::FailedPrecondition(
+        write ? "Suvm::WriteDirect requires direct_mode"
+              : "Suvm::ReadDirect requires direct_mode");
   }
   if (crashed_.load(std::memory_order_relaxed)) {
     return Status::Unavailable(kCrashedMsg);
   }
-  auto* out = static_cast<uint8_t*>(dst);
   const size_t sub_size = config_.subpage_size;
   while (len > 0) {
     const uint64_t page = addr / sim::kPageSize;
@@ -1362,23 +1202,23 @@ Status Suvm::TryReadDirect(sim::CpuContext* cpu, uint64_t addr, void* dst,
 
     Stripe& st = StripeFor(page);
     std::unique_lock<Spinlock> sl(st.lock);
-    // Reads never materialize page-table entries: a miss on a never-written
-    // page is answered with zeros straight away (default-inserting here let
-    // read-only probes grow the page table without bound). An in-flight
-    // fill/eviction is waited out first so the resident-copy-wins rule sees
-    // a settled residency bit.
-    auto it = st.map.find(page);
-    while (it != st.map.end() &&
-           (it->second.state == Residency::kFilling ||
-            it->second.state == Residency::kEvicting)) {
-      sl.unlock();
-      CpuRelax();
-      sl.lock();
-      it = st.map.find(page);
+    // Settle an in-flight fill/eviction first so the resident-copy-wins rule
+    // sees a settled residency bit. Reads never materialize page-table
+    // entries: a miss on a never-written page is answered with zeros
+    // (default-inserting here let read-only probes grow the page table
+    // without bound). Writes legitimately materialize an entry (the page now
+    // has contents), but a failed write must not leave a husk behind.
+    auto it = Settle(st, sl, page);
+    bool inserted = false;
+    if (write) {
+      std::tie(it, inserted) = st.map.try_emplace(page);
+      stats_.direct_writes.fetch_add(1, std::memory_order_relaxed);
+      direct_write_bytes_->Add(chunk);
+    } else {
+      stats_.direct_reads.fetch_add(1, std::memory_order_relaxed);
+      direct_read_bytes_->Add(chunk);
     }
-    stats_.direct_reads.fetch_add(1, std::memory_order_relaxed);
-    direct_read_bytes_->Add(chunk);
-    TouchCryptoMeta(cpu, page, /*write=*/false);
+    TouchCryptoMeta(cpu, page, write);
     if (it == st.map.end()) {
       std::memset(out, 0, chunk);  // never-written data reads as zero
     } else if (it->second.state == Residency::kResident) {
@@ -1386,87 +1226,31 @@ Status Suvm::TryReadDirect(sim::CpuContext* cpu, uint64_t addr, void* dst,
       // checking that the page is not resident in the page cache first").
       PageMeta& m = it->second;
       m.ref_bit = true;
-      const uint8_t* data = SlotData(cpu, m.slot, page_off, chunk, false);
-      std::memcpy(out, data, chunk);
+      uint8_t* data = SlotData(cpu, m.slot, page_off, chunk, write);
+      if (write) {
+        m.dirty = true;
+        std::memcpy(data, in, chunk);
+      } else {
+        std::memcpy(out, data, chunk);
+      }
     } else {
       PageMeta& m = it->second;
       if (m.poisoned) {
         stats_.quarantine_hits.fetch_add(1, std::memory_order_relaxed);
         return Status::DataCorruption(kQuarantinedMsg);
       }
-      Status status = DirectSubRead(cpu, m, page, sub, sub_off, out, chunk);
+      // The single-retry protocol, as in PinPage: a MAC failure is retried
+      // once and a second one quarantines the page (corruption implies the
+      // sub-page pre-existed, so a poisoned entry is never `inserted`).
+      const auto access = [&] {
+        return write ? DirectSubWrite(cpu, m, page, sub, sub_off, in, chunk)
+                     : DirectSubRead(cpu, m, page, sub, sub_off, out, chunk);
+      };
+      Status status = access();
       if (status.code() == StatusCode::kDataCorruption) {
         stats_.retries.fetch_add(1, std::memory_order_relaxed);
-        status = DirectSubRead(cpu, m, page, sub, sub_off, out, chunk);
+        status = access();
         if (status.code() == StatusCode::kDataCorruption) {
-          MarkQuarantinedLocked(cpu, page, m);
-        }
-      }
-      if (!status.ok()) {
-        return status;
-      }
-    }
-    out += chunk;
-    addr += chunk;
-    len -= chunk;
-  }
-  return Status::Ok();
-}
-
-Status Suvm::TryWriteDirect(sim::CpuContext* cpu, uint64_t addr, const void* src,
-                            size_t len) {
-  if (!config_.direct_mode) {
-    return Status::FailedPrecondition("Suvm::WriteDirect requires direct_mode");
-  }
-  if (crashed_.load(std::memory_order_relaxed)) {
-    return Status::Unavailable(kCrashedMsg);
-  }
-  const auto* in = static_cast<const uint8_t*>(src);
-  const size_t sub_size = config_.subpage_size;
-  while (len > 0) {
-    const uint64_t page = addr / sim::kPageSize;
-    const size_t page_off = addr % sim::kPageSize;
-    const size_t sub = page_off / sub_size;
-    const size_t sub_off = page_off % sub_size;
-    const size_t chunk = std::min(len, sub_size - sub_off);
-
-    Stripe& st = StripeFor(page);
-    std::unique_lock<Spinlock> sl(st.lock);
-    // Settle an in-flight fill/eviction before deciding between the resident
-    // and sealed-sub-page paths.
-    auto fit = st.map.find(page);
-    while (fit != st.map.end() &&
-           (fit->second.state == Residency::kFilling ||
-            fit->second.state == Residency::kEvicting)) {
-      sl.unlock();
-      CpuRelax();
-      sl.lock();
-      fit = st.map.find(page);
-    }
-    // Writes legitimately materialize an entry (the page now has contents),
-    // but a failed write must not leave a husk behind.
-    const auto [it, inserted] = st.map.try_emplace(page);
-    PageMeta& m = it->second;
-    stats_.direct_writes.fetch_add(1, std::memory_order_relaxed);
-    direct_write_bytes_->Add(chunk);
-    TouchCryptoMeta(cpu, page, /*write=*/true);
-    if (m.state == Residency::kResident) {
-      m.ref_bit = true;
-      m.dirty = true;
-      uint8_t* data = SlotData(cpu, m.slot, page_off, chunk, true);
-      std::memcpy(data, in, chunk);
-    } else {
-      if (m.poisoned) {
-        stats_.quarantine_hits.fetch_add(1, std::memory_order_relaxed);
-        return Status::DataCorruption(kQuarantinedMsg);
-      }
-      Status status = DirectSubWrite(cpu, m, page, sub, sub_off, in, chunk);
-      if (status.code() == StatusCode::kDataCorruption) {
-        stats_.retries.fetch_add(1, std::memory_order_relaxed);
-        status = DirectSubWrite(cpu, m, page, sub, sub_off, in, chunk);
-        if (status.code() == StatusCode::kDataCorruption) {
-          // Corruption implies the sub-page pre-existed, so `inserted` is
-          // false and the poisoned entry survives the erase below.
           MarkQuarantinedLocked(cpu, page, m);
         }
       }
@@ -1477,97 +1261,87 @@ Status Suvm::TryWriteDirect(sim::CpuContext* cpu, uint64_t addr, const void* src
         return status;
       }
     }
-    in += chunk;
+    if (write) {
+      in += chunk;
+    } else {
+      out += chunk;
+    }
     addr += chunk;
     len -= chunk;
   }
   return Status::Ok();
 }
 
-Status Suvm::DirectSubRead(sim::CpuContext* cpu, PageMeta& m, uint64_t bs_page,
-                           size_t sub, size_t off, uint8_t* dst, size_t len) {
+Status Suvm::OpenSub(sim::CpuContext* cpu, PageMeta& m, uint64_t bs_page,
+                     size_t sub, uint8_t* plain) {
   const size_t sub_size = config_.subpage_size;
   if (m.subs == nullptr || !m.subs[sub].has_data) {
-    std::memset(dst, 0, len);  // never-written data reads as zero
+    std::memset(plain, 0, sub_size);  // never-written data reads as zero
     return Status::Ok();
   }
-  sim::Machine& machine = enclave_->machine();
-  std::vector<uint8_t> plain(sub_size);
-  uint8_t* ct = store_->Raw(bs_page * sim::kPageSize + sub * sub_size);
-  if (config_.fast_seal) {
-    std::memcpy(plain.data(), ct, sub_size);
-  } else {
-    SubAad aad{bs_page, sub};
-    const bool flipped = faults_->ShouldInject(sim::Fault::kCiphertextFlip);
-    if (flipped) {
-      ct[0] ^= 0x01;
-    }
-    const bool ok = sealer_.Open(m.subs[sub].nonce,
-                                 reinterpret_cast<const uint8_t*>(&aad),
-                                 sizeof(aad), ct, sub_size, m.subs[sub].tag,
-                                 plain.data());
-    if (flipped) {
-      ct[0] ^= 0x01;
-    }
-    if (!ok) {
-      NoteMacFailure(cpu, bs_page);
-      return Status::DataCorruption("Suvm: sub-page integrity check failed");
-    }
+  const uint64_t arena_off = bs_page * sim::kPageSize + sub * sub_size;
+  uint8_t* ct = store_->Raw(arena_off);
+  const SubAad aad{bs_page, sub};
+  // The host may tamper with the ciphertext while it is in flight; the flip
+  // is undone after Open so a retry can observe clean bytes.
+  const bool flipped = sealer_.authenticates() &&
+                       faults_->ShouldInject(sim::Fault::kCiphertextFlip);
+  if (flipped) {
+    ct[0] ^= 0x01;
+  }
+  const bool ok = sealer_.Open(m.subs[sub].nonce, &aad, sizeof(aad), ct,
+                               sub_size, m.subs[sub].tag, plain);
+  if (flipped) {
+    ct[0] ^= 0x01;
+  }
+  if (!ok) {
+    NoteMacFailure(cpu, bs_page);
+    return Status::DataCorruption("Suvm: sub-page integrity check failed");
   }
   enclave_->ChargeGcm(cpu, sub_size);
-  machine.StreamAccess(cpu, BackingVaddr(bs_page * sim::kPageSize + sub * sub_size),
-                       sub_size, /*write=*/false, sim::MemKind::kUntrusted);
-  std::memcpy(dst, plain.data() + off, len);
+  enclave_->machine().StreamAccess(cpu, BackingVaddr(arena_off), sub_size,
+                                   /*write=*/false, sim::MemKind::kUntrusted);
   return Status::Ok();
+}
+
+void Suvm::SealSub(sim::CpuContext* cpu, PageMeta& m, uint64_t bs_page,
+                   size_t sub, const uint8_t* plain) {
+  const size_t sub_size = config_.subpage_size;
+  const uint64_t arena_off = bs_page * sim::kPageSize + sub * sub_size;
+  const SubAad aad{bs_page, sub};
+  sealer_.Seal([this](uint8_t* nonce) { FillNonce(nonce); }, m.subs[sub].nonce,
+               &aad, sizeof(aad), plain, sub_size, store_->Raw(arena_off),
+               m.subs[sub].tag);
+  m.subs[sub].has_data = true;
+  enclave_->ChargeGcm(cpu, sub_size);
+  enclave_->machine().StreamAccess(cpu, BackingVaddr(arena_off), sub_size,
+                                   /*write=*/true, sim::MemKind::kUntrusted);
+}
+
+Status Suvm::DirectSubRead(sim::CpuContext* cpu, PageMeta& m, uint64_t bs_page,
+                           size_t sub, size_t off, uint8_t* dst, size_t len) {
+  std::vector<uint8_t> plain(config_.subpage_size);
+  const Status status = OpenSub(cpu, m, bs_page, sub, plain.data());
+  if (status.ok()) {
+    std::memcpy(dst, plain.data() + off, len);
+  }
+  return status;
 }
 
 Status Suvm::DirectSubWrite(sim::CpuContext* cpu, PageMeta& m, uint64_t bs_page,
                             size_t sub, size_t off, const uint8_t* src,
                             size_t len) {
-  const size_t sub_size = config_.subpage_size;
-  sim::Machine& machine = enclave_->machine();
   EnsureSubs(m);
-  std::vector<uint8_t> plain(sub_size, 0);
-  uint8_t* ct = store_->Raw(bs_page * sim::kPageSize + sub * sub_size);
-  SubAad aad{bs_page, sub};
-  if (m.subs[sub].has_data && len < sub_size) {
+  std::vector<uint8_t> plain(config_.subpage_size, 0);
+  if (m.subs[sub].has_data && len < config_.subpage_size) {
     // Read-modify-write of an existing sub-page.
-    if (config_.fast_seal) {
-      std::memcpy(plain.data(), ct, sub_size);
-    } else {
-      const bool flipped = faults_->ShouldInject(sim::Fault::kCiphertextFlip);
-      if (flipped) {
-        ct[0] ^= 0x01;
-      }
-      const bool ok = sealer_.Open(m.subs[sub].nonce,
-                                   reinterpret_cast<const uint8_t*>(&aad),
-                                   sizeof(aad), ct, sub_size, m.subs[sub].tag,
-                                   plain.data());
-      if (flipped) {
-        ct[0] ^= 0x01;
-      }
-      if (!ok) {
-        NoteMacFailure(cpu, bs_page);
-        return Status::DataCorruption("Suvm: sub-page integrity check failed");
-      }
+    const Status status = OpenSub(cpu, m, bs_page, sub, plain.data());
+    if (!status.ok()) {
+      return status;
     }
-    enclave_->ChargeGcm(cpu, sub_size);
-    machine.StreamAccess(cpu,
-                         BackingVaddr(bs_page * sim::kPageSize + sub * sub_size),
-                         sub_size, /*write=*/false, sim::MemKind::kUntrusted);
   }
   std::memcpy(plain.data() + off, src, len);
-  if (config_.fast_seal) {
-    std::memcpy(ct, plain.data(), sub_size);
-  } else {
-    FillNonce(m.subs[sub].nonce);
-    sealer_.Seal(m.subs[sub].nonce, reinterpret_cast<const uint8_t*>(&aad),
-                 sizeof(aad), plain.data(), sub_size, ct, m.subs[sub].tag);
-  }
-  m.subs[sub].has_data = true;
-  enclave_->ChargeGcm(cpu, sub_size);
-  machine.StreamAccess(cpu, BackingVaddr(bs_page * sim::kPageSize + sub * sub_size),
-                       sub_size, /*write=*/true, sim::MemKind::kUntrusted);
+  SealSub(cpu, m, bs_page, sub, plain.data());
   return Status::Ok();
 }
 
@@ -1855,14 +1629,10 @@ Status Suvm::TryRecover(sim::CpuContext* cpu,
         machine.StreamAccess(cpu, BackingVaddr(bs_page * sim::kPageSize),
                              sim::kPageSize, /*write=*/false,
                              sim::MemKind::kUntrusted);
-        bool ok = true;
-        if (!config_.fast_seal) {
-          PageAad aad{bs_page};
-          ok = sealer_.Open(r.nonce, reinterpret_cast<const uint8_t*>(&aad),
-                            sizeof(aad), store_->Raw(bs_page * sim::kPageSize),
-                            sim::kPageSize, r.tag, scratch.data());
-        }
-        if (!ok) {
+        const PageAad aad{bs_page};
+        if (!sealer_.Open(r.nonce, &aad, sizeof(aad),
+                          store_->Raw(bs_page * sim::kPageSize),
+                          sim::kPageSize, r.tag, scratch.data())) {
           NoteMacFailure(cpu, bs_page);
           r.poisoned = true;
         }

@@ -24,6 +24,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -32,6 +33,7 @@
 #include "src/common/spinlock.h"
 #include "src/common/status.h"
 #include "src/crypto/gcm.h"
+#include "src/crypto/sealer.h"
 #include "src/sim/enclave.h"
 #include "src/sim/fault_injector.h"
 #include "src/suvm/backing_store.h"
@@ -71,16 +73,14 @@ struct SuvmConfig {
   // 0 disables prefetch entirely (default; keeps charges byte-identical).
   size_t prefetch_pages = 0;
   uint32_t prefetch_min_run = 2;
-  uint64_t key_seed = 0xe1e05;   // per-application sealing key seed
-  // Benchmark-only escape hatch: seal/open pages with memcpy instead of
-  // AES-GCM. Virtual-cycle charges are identical; integrity is NOT enforced.
-  // Large sweeps use it to keep wall-clock time down; tests never do.
-  bool fast_seal = false;
+  // Per-application sealing key seed. Whether seals are AES-GCM or memcpy
+  // follows the machine (MachineConfig::seal_mode).
+  uint64_t key_seed = 0xe1e05;
   // Self-healing: consecutive allocation failures before the region degrades
-  // to read-mostly (TryMalloc fails fast without touching the host until a
+  // to read-mostly (Malloc fails fast without touching the host until a
   // periodic probe succeeds). 0 disables the health FSM.
   uint32_t alloc_failure_threshold = 4;
-  // While degraded, every N-th TryMalloc is a real probe of the host.
+  // While degraded, every N-th Malloc is a real probe of the host.
   uint64_t alloc_probe_interval = 16;
   // Crash consistency: sealed page writes go through a journaled two-phase
   // commit (journal record -> in-place write -> commit mark), and the region
@@ -109,22 +109,31 @@ class Suvm {
   Suvm(const Suvm&) = delete;
   Suvm& operator=(const Suvm&) = delete;
 
+  // Every fallible operation has exactly one member, returning Status. Each
+  // page-in runs the fault-handler protocol: a MAC failure (the tamper may be
+  // transient — e.g. an in-flight bit-flip) is retried once; a persistent
+  // corruption or rollback surfaces as kDataCorruption with the mac_failures
+  // / rollbacks_detected / retries counters incremented, and quarantines the
+  // page. A crashed instance fails with kUnavailable. Callers that cannot
+  // return a Status adapt with ThrowIfError (src/common/status.h).
+
   // --- Allocation (suvm_malloc / suvm_free) ---
-  // Returns a SUVM address (backing-store offset), or kInvalidAddr on OOM.
-  uint64_t Malloc(size_t bytes);
-  // Non-throwing variant: kResourceExhausted when the arena is out of space
-  // or the host refuses the allocation (fault injection).
-  StatusOr<uint64_t> TryMalloc(size_t bytes);
+  // Returns a SUVM address (backing-store offset); kResourceExhausted when
+  // the arena is out of space, the host refuses the allocation (fault
+  // injection), or the region is degraded to read-mostly.
+  [[nodiscard]] StatusOr<uint64_t> Malloc(size_t bytes);
+  // Throws std::logic_error only on a contract violation: a fully freed page
+  // still pinned by a spointer (suvm_free maps it to a status).
   void Free(uint64_t addr);
 
   // --- spointer support ---
   // Pins the page (increments its reference count), paging it in on a major
-  // fault; returns the EPC++ slot. Pinned pages cannot be evicted.
-  int PinPage(sim::CpuContext* cpu, uint64_t bs_page);
-  // Non-throwing variant: kDataCorruption on a MAC failure (tampered or
-  // rolled-back backing store), kResourceExhausted when every EPC++ page is
-  // pinned. The page stays non-resident on failure; retrying is safe.
-  Status TryPinPage(sim::CpuContext* cpu, uint64_t bs_page, int* slot_out);
+  // fault, and stores the EPC++ slot in *slot_out. Pinned pages cannot be
+  // evicted. kDataCorruption after the retry (tampered or rolled-back
+  // backing store), kResourceExhausted when every EPC++ page is pinned. The
+  // page stays non-resident on failure.
+  [[nodiscard]] Status PinPage(sim::CpuContext* cpu, uint64_t bs_page,
+                               int* slot_out);
   // --- Page quarantine (self-healing) ---
   // A page whose single MAC-failure retry also failed is poisoned: every
   // later access fails with kDataCorruption immediately — no crypto work, no
@@ -132,7 +141,7 @@ class Suvm {
   // re-attempts the page-in: success unpins and returns Ok, persistent
   // corruption re-quarantines the page and returns kDataCorruption.
   // kFailedPrecondition if the page is not quarantined.
-  Status TryRestorePage(sim::CpuContext* cpu, uint64_t bs_page);
+  [[nodiscard]] Status TryRestorePage(sim::CpuContext* cpu, uint64_t bs_page);
   bool IsQuarantined(uint64_t bs_page) const;
   // Releases a pin; `dirty` propagates the spointer's dirty bit to the page.
   void UnpinPage(uint64_t bs_page, int slot, bool dirty);
@@ -142,31 +151,29 @@ class Suvm {
                     bool write);
 
   // --- Unlinked bulk operations (suvm_memcpy and friends) ---
-  void Read(sim::CpuContext* cpu, uint64_t addr, void* dst, size_t len);
-  void Write(sim::CpuContext* cpu, uint64_t addr, const void* src, size_t len);
-  // Non-throwing fault-handler paths. Each page-in retries once on a MAC
-  // failure (the tamper may be transient — e.g. an in-flight bit-flip); a
-  // persistent corruption or rollback surfaces as kDataCorruption with the
-  // mac_failures / rollbacks_detected / retries counters incremented.
-  Status TryRead(sim::CpuContext* cpu, uint64_t addr, void* dst, size_t len);
-  Status TryWrite(sim::CpuContext* cpu, uint64_t addr, const void* src,
-                  size_t len);
-  void Memset(sim::CpuContext* cpu, uint64_t addr, uint8_t value, size_t len);
+  // A multi-page transfer that fails mid-way has already transferred the
+  // earlier pages.
+  [[nodiscard]] Status Read(sim::CpuContext* cpu, uint64_t addr, void* dst,
+                            size_t len);
+  [[nodiscard]] Status Write(sim::CpuContext* cpu, uint64_t addr,
+                             const void* src, size_t len);
+  [[nodiscard]] Status Memset(sim::CpuContext* cpu, uint64_t addr,
+                              uint8_t value, size_t len);
   // Copy between two SUVM buffers.
-  void Memcpy(sim::CpuContext* cpu, uint64_t dst, uint64_t src, size_t len);
+  [[nodiscard]] Status Memcpy(sim::CpuContext* cpu, uint64_t dst, uint64_t src,
+                              size_t len);
   // memcmp between a SUVM buffer and a plain buffer.
-  int Memcmp(sim::CpuContext* cpu, uint64_t addr, const void* other, size_t len);
+  [[nodiscard]] StatusOr<int> Memcmp(sim::CpuContext* cpu, uint64_t addr,
+                                     const void* other, size_t len);
 
   // --- Direct access to the backing store (§3.2.4) ---
   // Bypasses EPC++ (unless the page is resident — consistency requires the
   // cached copy to win), operating at sub-page granularity with sub-page
-  // crypto. Requires direct_mode. Akin to O_DIRECT.
-  void ReadDirect(sim::CpuContext* cpu, uint64_t addr, void* dst, size_t len);
-  void WriteDirect(sim::CpuContext* cpu, uint64_t addr, const void* src, size_t len);
-  Status TryReadDirect(sim::CpuContext* cpu, uint64_t addr, void* dst,
-                       size_t len);
-  Status TryWriteDirect(sim::CpuContext* cpu, uint64_t addr, const void* src,
-                        size_t len);
+  // crypto. Akin to O_DIRECT. kFailedPrecondition without direct_mode.
+  [[nodiscard]] Status ReadDirect(sim::CpuContext* cpu, uint64_t addr,
+                                  void* dst, size_t len);
+  [[nodiscard]] Status WriteDirect(sim::CpuContext* cpu, uint64_t addr,
+                                   const void* src, size_t len);
 
   // --- Maintenance ---
   // The swapper: keeps the EPC++ free pool at the configured watermark
@@ -184,7 +191,8 @@ class Suvm {
   // set, a fresh platform monotonic counter, the journal high-water mark)
   // through the driver's data-sealing service. Returns the sealed root the
   // host must persist; the journal is truncated below the captured mark.
-  StatusOr<sim::SgxDriver::SealedBlob> SealCheckpoint(sim::CpuContext* cpu);
+  [[nodiscard]] StatusOr<sim::SgxDriver::SealedBlob> SealCheckpoint(
+      sim::CpuContext* cpu);
 
   struct RecoveryReport {
     uint64_t pages_verified = 0;     // MAC re-verified against the root
@@ -200,8 +208,9 @@ class Suvm {
   // journal (idempotent; torn records discarded), then re-verifies every
   // page MAC. Unverifiable pages are quarantined and the region degrades to
   // read-mostly instead of failing the whole recovery.
-  Status TryRecover(sim::CpuContext* cpu, const sim::SgxDriver::SealedBlob& root,
-                    RecoveryReport* report);
+  [[nodiscard]] Status TryRecover(sim::CpuContext* cpu,
+                                  const sim::SgxDriver::SealedBlob& root,
+                                  RecoveryReport* report);
 
   // True once an injected kHostCrash has fired: the enclave instance is dead
   // and every entry point fails with kUnavailable (the test harness builds a
@@ -225,7 +234,7 @@ class Suvm {
     std::atomic<uint64_t> pages_quarantined{0};   // poison events (retry failed too)
     std::atomic<uint64_t> quarantine_hits{0};     // accesses fast-failed on poison
     std::atomic<uint64_t> pages_restored{0};      // TryRestorePage successes
-    std::atomic<uint64_t> degraded_rejects{0};    // TryMalloc denied while degraded
+    std::atomic<uint64_t> degraded_rejects{0};    // Malloc denied (degraded)
     // Crash consistency.
     std::atomic<uint64_t> journal_appends{0};     // 2PC phase 1: records written
     std::atomic<uint64_t> journal_commits{0};     // 2PC phase 3: commit marks
@@ -353,6 +362,23 @@ class Suvm {
   // stats.gate_wait_cycles); Exit records the holder's section.
   void GateEnter(sim::CpuContext* cpu, uint64_t hold);
   void GateExit(sim::CpuContext* cpu);
+  // One pin attempt (no retry): the residency loop, then the fill as leader.
+  Status PinOnce(sim::CpuContext* cpu, uint64_t bs_page, int* slot_out);
+  // The page walker behind Read/Write/Memset: pins each page of the range
+  // through PinPage and hands fn(slot_bytes, chunk) the pinned bytes.
+  template <typename Fn>
+  Status WalkPages(sim::CpuContext* cpu, uint64_t addr, size_t len, bool write,
+                   Fn&& fn);
+  // The sub-page walker behind ReadDirect (out) / WriteDirect (in).
+  Status WalkDirect(sim::CpuContext* cpu, uint64_t addr, uint8_t* out,
+                    const uint8_t* in, size_t len);
+  // With the stripe lock held, waits out an in-flight fill/eviction of
+  // `page` and returns its settled entry (or map end).
+  std::unordered_map<uint64_t, PageMeta>::iterator Settle(
+      Stripe& st, std::unique_lock<Spinlock>& sl, uint64_t page);
+  // Fills `slot` with the page's plaintext: opens its seal inside the host's
+  // tamper windows (an injected bit-flip or stale-seal rollback, undone after
+  // Open; rollbacks are classified), or zero-fills a never-sealed page.
   Status LoadPage(sim::CpuContext* cpu, uint64_t bs_page, PageMeta& m, int slot);
   void SealResident(sim::CpuContext* cpu, uint64_t bs_page, PageMeta& m);
   // The journaled two-phase commit (crash_consistency): journal record with
@@ -364,34 +390,32 @@ class Suvm {
   // crashed). A fresh fire marks the instance dead and traces the window.
   bool CrashPoint(sim::CpuContext* cpu, uint64_t window);
   void FillNonce(uint8_t nonce[crypto::kGcmNonceSize]);
+  // Whole-page seal of `src` into `dst` through the seam (fresh nonce).
+  void SealPageBytes(uint64_t bs_page, PageMeta& m, const uint8_t* src,
+                     uint8_t* dst);
 
-  // Single-retry pin used by the Try{Read,Write} fault-handler paths.
-  Status PinPageWithRetry(sim::CpuContext* cpu, uint64_t bs_page, int* slot_out);
-  // Host-side tamper window around a whole-page Open: applies an injected
-  // bit-flip or stale-seal rollback, runs Open, undoes the tamper. Returns
-  // the resulting Status and classifies rollbacks.
-  Status OpenPageCiphertext(sim::CpuContext* cpu, uint64_t bs_page, PageMeta& m,
-                            uint8_t* dst);
-  [[noreturn]] static void ThrowStatus(const Status& status);
-
-  // Bumps mac_failures and drops a trace event (all four Open sites).
+  // Bumps mac_failures and drops a trace event (every Open site).
   void NoteMacFailure(sim::CpuContext* cpu, uint64_t bs_page);
 
-  // Quarantine plumbing. MarkQuarantinedLocked expects the page's stripe
-  // lock held; QuarantinePage takes it.
+  // Poisons the page; expects its stripe lock held.
   void MarkQuarantinedLocked(sim::CpuContext* cpu, uint64_t bs_page,
                              PageMeta& m);
-  void QuarantinePage(sim::CpuContext* cpu, uint64_t bs_page);
-  // Feeds one TryMalloc outcome into the alloc health FSM; traces
+  // Feeds one Malloc outcome into the alloc health FSM; traces
   // kSuvmHealthChange on a state transition.
   void NoteAllocHealth(bool ok);
 
   // Accounting touches on SUVM's own (EPC-resident, natively evictable)
   // metadata tables.
-  void TouchIpt(sim::CpuContext* cpu, int slot, bool write);
+  void TouchIpt(sim::CpuContext* cpu);
   void TouchCryptoMeta(sim::CpuContext* cpu, uint64_t bs_page, bool write);
 
-  // Sub-page read-modify-write helpers for the direct path.
+  // Open (with the host's in-flight flip window; zeros if never written) and
+  // seal of one whole sub-page, plus the read-modify-write helpers the
+  // direct path builds on them.
+  Status OpenSub(sim::CpuContext* cpu, PageMeta& m, uint64_t bs_page,
+                 size_t sub, uint8_t* plain);
+  void SealSub(sim::CpuContext* cpu, PageMeta& m, uint64_t bs_page, size_t sub,
+               const uint8_t* plain);
   Status DirectSubRead(sim::CpuContext* cpu, PageMeta& m, uint64_t bs_page,
                        size_t sub, size_t off, uint8_t* dst, size_t len);
   Status DirectSubWrite(sim::CpuContext* cpu, PageMeta& m, uint64_t bs_page,
@@ -406,7 +430,9 @@ class Suvm {
   // instance and be adopted by its post-crash successor.
   std::shared_ptr<BackingStore> store_;
   PageCache cache_;
-  crypto::AesGcm sealer_;
+  // GCM or memcpy, per the machine's seal_mode. The host tamper windows open
+  // only when it authenticates (no fault-injector draw otherwise).
+  crypto::Sealer sealer_;
   std::atomic<bool> crashed_{false};
 
   // Rollback-replay support: previously valid seals, stashed at reseal time

@@ -25,32 +25,10 @@ typedef struct suvm_ctx suvm_ctx;
 
 suvm_ctx* suvm_ctx_from(eleos::suvm::Suvm* suvm);
 
-suvm_addr_t suvm_malloc(suvm_ctx* ctx, size_t bytes);
-void suvm_free(suvm_ctx* ctx, suvm_addr_t addr);
-
-// Read ("get") and write ("set") accessors; reads never mark pages dirty.
-void suvm_get_bytes(suvm_ctx* ctx, suvm_addr_t addr, void* dst, size_t len);
-void suvm_set_bytes(suvm_ctx* ctx, suvm_addr_t addr, const void* src, size_t len);
-
-// Optimized buffer operations (§3.2.3).
-void suvm_memset(suvm_ctx* ctx, suvm_addr_t addr, int value, size_t len);
-void suvm_memcpy(suvm_ctx* ctx, suvm_addr_t dst, suvm_addr_t src, size_t len);
-int suvm_memcmp(suvm_ctx* ctx, suvm_addr_t addr, const void* other, size_t len);
-
-// Direct (sub-page, O_DIRECT-style) access; requires a direct-mode context.
-void suvm_read_direct(suvm_ctx* ctx, suvm_addr_t addr, void* dst, size_t len);
-void suvm_write_direct(suvm_ctx* ctx, suvm_addr_t addr, const void* src,
-                       size_t len);
-
-// --- Error-returning ("try") variants ---
-//
-// The accessors above abort the process on an integrity or paging failure —
-// fine for benchmarks, wrong for applications that must survive a hostile
-// host (quarantined pages, exhausted EPC++, a crashed instance). These
-// variants surface the StatusCode so C callers (and KvCache) can degrade
-// gracefully instead of dying.
-//
-// Values mirror eleos::StatusCode exactly.
+// Every fallible entry point returns a status and never throws across the C
+// boundary, so C callers (and KvCache) can degrade gracefully on a hostile
+// host (quarantined pages, exhausted EPC++, a crashed instance) instead of
+// dying. Values mirror eleos::StatusCode exactly.
 typedef int suvm_status_t;
 #define SUVM_OK 0
 #define SUVM_ERR_INVALID_ARGUMENT 1
@@ -63,19 +41,36 @@ typedef int suvm_status_t;
 #define SUVM_ERR_ROLLBACK_DETECTED 8
 
 // On failure `*out` is untouched.
-suvm_status_t suvm_try_malloc(suvm_ctx* ctx, size_t bytes, suvm_addr_t* out);
+[[nodiscard]] suvm_status_t suvm_malloc(suvm_ctx* ctx, size_t bytes,
+                                        suvm_addr_t* out);
+// SUVM_ERR_FAILED_PRECONDITION when a C++ spointer still pins a page of the
+// block.
+[[nodiscard]] suvm_status_t suvm_free(suvm_ctx* ctx, suvm_addr_t addr);
 
+// Read ("get") and write ("set") accessors; reads never mark pages dirty.
 // Partial-progress caveat: a multi-page transfer that fails mid-way has
 // already transferred the earlier pages (reads filled part of dst, writes
-// dirtied part of the range) — same contract as the C++ TryRead/TryWrite.
-suvm_status_t suvm_try_get_bytes(suvm_ctx* ctx, suvm_addr_t addr, void* dst,
-                                 size_t len);
-suvm_status_t suvm_try_set_bytes(suvm_ctx* ctx, suvm_addr_t addr,
-                                 const void* src, size_t len);
-suvm_status_t suvm_try_read_direct(suvm_ctx* ctx, suvm_addr_t addr, void* dst,
-                                   size_t len);
-suvm_status_t suvm_try_write_direct(suvm_ctx* ctx, suvm_addr_t addr,
-                                    const void* src, size_t len);
+// dirtied part of the range).
+[[nodiscard]] suvm_status_t suvm_get_bytes(suvm_ctx* ctx, suvm_addr_t addr,
+                                           void* dst, size_t len);
+[[nodiscard]] suvm_status_t suvm_set_bytes(suvm_ctx* ctx, suvm_addr_t addr,
+                                           const void* src, size_t len);
+
+// Optimized buffer operations (§3.2.3). suvm_memcmp stores the memcmp
+// result in *result on success.
+[[nodiscard]] suvm_status_t suvm_memset(suvm_ctx* ctx, suvm_addr_t addr,
+                                        int value, size_t len);
+[[nodiscard]] suvm_status_t suvm_memcpy(suvm_ctx* ctx, suvm_addr_t dst,
+                                        suvm_addr_t src, size_t len);
+[[nodiscard]] suvm_status_t suvm_memcmp(suvm_ctx* ctx, suvm_addr_t addr,
+                                        const void* other, size_t len,
+                                        int* result);
+
+// Direct (sub-page, O_DIRECT-style) access; requires a direct-mode context.
+[[nodiscard]] suvm_status_t suvm_read_direct(suvm_ctx* ctx, suvm_addr_t addr,
+                                             void* dst, size_t len);
+[[nodiscard]] suvm_status_t suvm_write_direct(suvm_ctx* ctx, suvm_addr_t addr,
+                                              const void* src, size_t len);
 
 }  // extern "C"
 

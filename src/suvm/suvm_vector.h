@@ -54,20 +54,23 @@ class SuvmVector {
     if (size_ == capacity_) {
       Grow();
     }
-    suvm_->Write(sim::CurrentCpu(), ElemAddr(size_), &value, sizeof(T));
+    ThrowIfError(suvm_->Write(sim::CurrentCpu(), ElemAddr(size_), &value,
+                              sizeof(T)));
     ++size_;
   }
 
   T Get(size_t index) const {
     CheckBounds(index);
     T out;
-    suvm_->Read(sim::CurrentCpu(), ElemAddr(index), &out, sizeof(T));
+    ThrowIfError(suvm_->Read(sim::CurrentCpu(), ElemAddr(index), &out,
+                             sizeof(T)));
     return out;
   }
 
   void Set(size_t index, const T& value) {
     CheckBounds(index);
-    suvm_->Write(sim::CurrentCpu(), ElemAddr(index), &value, sizeof(T));
+    ThrowIfError(suvm_->Write(sim::CurrentCpu(), ElemAddr(index), &value,
+                              sizeof(T)));
   }
 
   void PopBack() {
@@ -125,13 +128,12 @@ class SuvmVector {
   void Grow() { Relocate(capacity_ == 0 ? 64 : capacity_ * 2); }
 
   void Relocate(size_t new_capacity) {
-    const uint64_t new_base = suvm_->Malloc(new_capacity * sizeof(T));
-    if (new_base == kInvalidAddr) {
-      throw std::bad_alloc();
-    }
+    const uint64_t new_base =
+        ValueOrThrow(suvm_->Malloc(new_capacity * sizeof(T)));
     if (base_ != kInvalidAddr) {
       if (size_ > 0) {
-        suvm_->Memcpy(sim::CurrentCpu(), new_base, base_, size_ * sizeof(T));
+        ThrowIfError(suvm_->Memcpy(sim::CurrentCpu(), new_base, base_,
+                                   size_ * sizeof(T)));
       }
       suvm_->Free(base_);
     }

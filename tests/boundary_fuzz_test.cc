@@ -29,6 +29,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -211,6 +212,16 @@ TEST_P(BoundaryFuzz, EveryOpEndsCorrectOrFailClosedUnderLiveScribbler) {
       }
     }
     if (hostile) {
+      // Under parallel load the scribbler thread may not have been scheduled
+      // yet: hold the first hostile window open with exit-less calls until it
+      // has scribbled, bounded by a wall-clock deadline.
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(30);
+      while (w == 0 && scribbler.scribbles() == 0 &&
+             std::chrono::steady_clock::now() < deadline) {
+        const uint64_t a = rng.Next(), b = rng.Next();
+        ASSERT_EQ(rpc.Call(&cpu, 64, [a, b] { return a ^ b; }), a ^ b);
+      }
       faults.Disarm(sim::Fault::kSharedMemScribbler);
       faults.Disarm(sim::Fault::kIagoReturn);
     }

@@ -182,8 +182,8 @@ void RunShadowSoak(sim::Machine& machine, uint64_t ops, uint64_t seed,
   sim::FaultInjector& faults = machine.fault_injector();
   sim::CpuContext& cpu = machine.cpu(0);
 
-  const uint64_t base = suvm.Malloc(kRegionPages * sim::kPageSize);
-  EXPECT_NE(base, kInvalidAddr);
+  const uint64_t base =
+      ValueOrThrow(suvm.Malloc(kRegionPages * sim::kPageSize));
   const uint64_t base_page = base / sim::kPageSize;
   std::vector<uint8_t> shadow(kRegionPages * sim::kPageSize, 0);
 
@@ -229,7 +229,7 @@ void RunShadowSoak(sim::Machine& machine, uint64_t ops, uint64_t seed,
     const bool is_write = rng.NextBelow(100) < 40;
     if (is_write) {
       rng.FillBytes(buf.data(), len);
-      const Status status = suvm.TryWrite(&cpu, addr, buf.data(), len);
+      const Status status = suvm.Write(&cpu, addr, buf.data(), len);
       if (status.ok()) {
         std::memcpy(shadow.data() + shadow_off, buf.data(), len);
       } else {
@@ -238,7 +238,7 @@ void RunShadowSoak(sim::Machine& machine, uint64_t ops, uint64_t seed,
         ++failed_writes;
       }
     } else {
-      const Status status = suvm.TryRead(&cpu, addr, buf.data(), len);
+      const Status status = suvm.Read(&cpu, addr, buf.data(), len);
       if (status.ok()) {
         ASSERT_EQ(std::memcmp(buf.data(), shadow.data() + shadow_off, len), 0)
             << "shadow divergence at op " << op << " page " << page;
@@ -251,7 +251,7 @@ void RunShadowSoak(sim::Machine& machine, uint64_t ops, uint64_t seed,
 
     // Periodic allocation pressure exercises the alloc-health FSM...
     if (op % 997 == 0) {
-      const StatusOr<uint64_t> scratch = suvm.TryMalloc(4096);
+      const StatusOr<uint64_t> scratch = suvm.Malloc(4096);
       if (scratch.ok()) {
         ++scratch_allocs;
         suvm.Free(*scratch);
@@ -290,14 +290,14 @@ void RunShadowSoak(sim::Machine& machine, uint64_t ops, uint64_t seed,
     }
     for (int i = 0; i < 64 && suvm.alloc_health_state() != HealthState::kHealthy;
          ++i) {
-      const StatusOr<uint64_t> probe = suvm.TryMalloc(4096);
+      const StatusOr<uint64_t> probe = suvm.Malloc(4096);
       if (probe.ok()) {
         suvm.Free(*probe);
       }
     }
     EXPECT_EQ(suvm.alloc_health_state(), HealthState::kHealthy);
     std::vector<uint8_t> back(shadow.size());
-    ASSERT_TRUE(suvm.TryRead(&cpu, base, back.data(), back.size()).ok());
+    ASSERT_TRUE(suvm.Read(&cpu, base, back.data(), back.size()).ok());
     EXPECT_EQ(Fnv1a(back), Fnv1a(shadow)) << "post-recovery region differs";
 
     // Telemetry mirrors the authoritative counters after PublishAll.

@@ -94,15 +94,14 @@ TEST(CrashRecovery, CheckpointRestoreRoundTrip) {
   sim::Machine machine;
   auto first = std::make_unique<Incarnation>(machine, nullptr);
   sim::CpuContext& cpu = machine.cpu(0);
-  const uint64_t base = first->suvm->Malloc(kRegionBytes);
-  ASSERT_NE(base, kInvalidAddr);
+  const uint64_t base = ValueOrThrow(first->suvm->Malloc(kRegionBytes));
 
   std::vector<uint8_t> page(sim::kPageSize);
   for (size_t p = 0; p < kRegionPages; ++p) {
     FillPattern(&page, p);
     ASSERT_TRUE(
-        first->suvm->TryWrite(&cpu, base + p * sim::kPageSize, page.data(),
-                              page.size())
+        first->suvm->Write(&cpu, base + p * sim::kPageSize, page.data(),
+                           page.size())
             .ok());
   }
   StatusOr<sim::SgxDriver::SealedBlob> root = first->suvm->SealCheckpoint(&cpu);
@@ -124,8 +123,8 @@ TEST(CrashRecovery, CheckpointRestoreRoundTrip) {
   for (size_t p = 0; p < kRegionPages; ++p) {
     FillPattern(&page, p);
     ASSERT_TRUE(second.suvm
-                    ->TryRead(&cpu, base + p * sim::kPageSize, got.data(),
-                              got.size())
+                    ->Read(&cpu, base + p * sim::kPageSize, got.data(),
+                           got.size())
                     .ok());
     EXPECT_EQ(std::memcmp(got.data(), page.data(), page.size()), 0)
         << "page " << p;
@@ -156,9 +155,9 @@ TEST(CrashRecovery, RecoverRequiresFreshInstance) {
   sim::Machine machine;
   Incarnation inc(machine, nullptr);
   sim::CpuContext& cpu = machine.cpu(0);
-  const uint64_t base = inc.suvm->Malloc(sim::kPageSize);
+  const uint64_t base = ValueOrThrow(inc.suvm->Malloc(sim::kPageSize));
   const uint32_t v = 42;
-  ASSERT_TRUE(inc.suvm->TryWrite(&cpu, base, &v, sizeof(v)).ok());
+  ASSERT_TRUE(inc.suvm->Write(&cpu, base, &v, sizeof(v)).ok());
   StatusOr<sim::SgxDriver::SealedBlob> root = inc.suvm->SealCheckpoint(&cpu);
   ASSERT_TRUE(root.ok());
   Suvm::RecoveryReport report;
@@ -171,8 +170,7 @@ TEST(CrashRecovery, CrashedInstanceFailsEveryEntryPoint) {
   sim::Machine machine;
   Incarnation inc(machine, nullptr);
   sim::CpuContext& cpu = machine.cpu(0);
-  const uint64_t base = inc.suvm->Malloc(kRegionBytes);
-  ASSERT_NE(base, kInvalidAddr);
+  const uint64_t base = ValueOrThrow(inc.suvm->Malloc(kRegionBytes));
 
   machine.fault_injector().Arm(sim::Fault::kHostCrash, 1.0, /*max_triggers=*/1);
   // Writes force evictions (cache is 8 pages, region 24): the first
@@ -180,17 +178,17 @@ TEST(CrashRecovery, CrashedInstanceFailsEveryEntryPoint) {
   std::vector<uint8_t> page(sim::kPageSize, 0x5a);
   Status status = Status::Ok();
   for (size_t p = 0; p < kRegionPages && status.ok(); ++p) {
-    status = inc.suvm->TryWrite(&cpu, base + p * sim::kPageSize, page.data(),
-                                page.size());
+    status = inc.suvm->Write(&cpu, base + p * sim::kPageSize, page.data(),
+                             page.size());
   }
   ASSERT_TRUE(inc.suvm->crashed());
   ASSERT_EQ(status.code(), StatusCode::kUnavailable);
   EXPECT_EQ(inc.suvm->stats().host_crashes.load(), 1u);
 
   uint8_t byte = 0;
-  EXPECT_EQ(inc.suvm->TryRead(&cpu, base, &byte, 1).code(),
+  EXPECT_EQ(inc.suvm->Read(&cpu, base, &byte, 1).code(),
             StatusCode::kUnavailable);
-  EXPECT_EQ(inc.suvm->TryMalloc(64).status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(inc.suvm->Malloc(64).status().code(), StatusCode::kUnavailable);
   EXPECT_EQ(inc.suvm->SealCheckpoint(&cpu).status().code(),
             StatusCode::kUnavailable);
   Suvm::RecoveryReport report;
@@ -203,15 +201,14 @@ TEST(CrashRecovery, CrashMidEvictionRecoversFromJournal) {
   sim::Machine machine;
   auto first = std::make_unique<Incarnation>(machine, nullptr);
   sim::CpuContext& cpu = machine.cpu(0);
-  const uint64_t base = first->suvm->Malloc(kRegionBytes);
-  ASSERT_NE(base, kInvalidAddr);
+  const uint64_t base = ValueOrThrow(first->suvm->Malloc(kRegionBytes));
 
   std::vector<uint8_t> page(sim::kPageSize);
   for (size_t p = 0; p < kRegionPages; ++p) {
     FillPattern(&page, p);
     ASSERT_TRUE(first->suvm
-                    ->TryWrite(&cpu, base + p * sim::kPageSize, page.data(),
-                               page.size())
+                    ->Write(&cpu, base + p * sim::kPageSize, page.data(),
+                            page.size())
                     .ok());
   }
   StatusOr<sim::SgxDriver::SealedBlob> root = first->suvm->SealCheckpoint(&cpu);
@@ -224,21 +221,21 @@ TEST(CrashRecovery, CrashMidEvictionRecoversFromJournal) {
   // that wave writes anything.
   FillPattern(&page, 1003);
   ASSERT_TRUE(first->suvm
-                  ->TryWrite(&cpu, base + 3 * sim::kPageSize, page.data(),
-                             page.size())
+                  ->Write(&cpu, base + 3 * sim::kPageSize, page.data(),
+                          page.size())
                   .ok());
   std::vector<uint8_t> scratch(sim::kPageSize, 0x11);
   for (size_t p = 0; p < kRegionPages; ++p) {
     ASSERT_TRUE(first->suvm
-                    ->TryWrite(&cpu, base + p * sim::kPageSize, scratch.data(),
-                               scratch.size())
+                    ->Write(&cpu, base + p * sim::kPageSize, scratch.data(),
+                            scratch.size())
                     .ok());
   }
   ASSERT_GT(first->suvm->stats().journal_commits.load(), 0u);
   machine.fault_injector().Arm(sim::Fault::kHostCrash, 1.0, /*max_triggers=*/1);
   for (size_t p = 0; p < kRegionPages && !first->suvm->crashed(); ++p) {
-    (void)first->suvm->TryWrite(&cpu, base + p * sim::kPageSize,
-                                scratch.data(), scratch.size());
+    (void)first->suvm->Write(&cpu, base + p * sim::kPageSize,
+                             scratch.data(), scratch.size());
   }
   ASSERT_TRUE(first->suvm->crashed());
 
@@ -257,8 +254,8 @@ TEST(CrashRecovery, CrashMidEvictionRecoversFromJournal) {
   std::vector<uint8_t> got(sim::kPageSize);
   for (size_t p = 0; p < kRegionPages; ++p) {
     ASSERT_TRUE(second.suvm
-                    ->TryRead(&cpu, base + p * sim::kPageSize, got.data(),
-                              got.size())
+                    ->Read(&cpu, base + p * sim::kPageSize, got.data(),
+                           got.size())
                     .ok())
         << "page " << p;
     std::set<uint64_t> valid;
@@ -277,15 +274,14 @@ TEST(CrashRecovery, TornJournalRecordIsDiscarded) {
   sim::Machine machine;
   auto first = std::make_unique<Incarnation>(machine, nullptr);
   sim::CpuContext& cpu = machine.cpu(0);
-  const uint64_t base = first->suvm->Malloc(kRegionBytes);
-  ASSERT_NE(base, kInvalidAddr);
+  const uint64_t base = ValueOrThrow(first->suvm->Malloc(kRegionBytes));
 
   std::vector<uint8_t> page(sim::kPageSize);
   for (size_t p = 0; p < kRegionPages; ++p) {
     FillPattern(&page, p);
     ASSERT_TRUE(first->suvm
-                    ->TryWrite(&cpu, base + p * sim::kPageSize, page.data(),
-                               page.size())
+                    ->Write(&cpu, base + p * sim::kPageSize, page.data(),
+                            page.size())
                     .ok());
   }
   StatusOr<sim::SgxDriver::SealedBlob> root = first->suvm->SealCheckpoint(&cpu);
@@ -298,8 +294,8 @@ TEST(CrashRecovery, TornJournalRecordIsDiscarded) {
   machine.fault_injector().Arm(sim::Fault::kTornWrite, 1.0);
   std::vector<uint8_t> scratch(sim::kPageSize, 0x77);
   for (size_t p = 0; p < kRegionPages && !first->suvm->crashed(); ++p) {
-    (void)first->suvm->TryWrite(&cpu, base + p * sim::kPageSize,
-                                scratch.data(), scratch.size());
+    (void)first->suvm->Write(&cpu, base + p * sim::kPageSize,
+                             scratch.data(), scratch.size());
   }
   ASSERT_TRUE(first->suvm->crashed());
 
@@ -318,8 +314,8 @@ TEST(CrashRecovery, TornJournalRecordIsDiscarded) {
   for (size_t p = 0; p < kRegionPages; ++p) {
     FillPattern(&page, p);
     ASSERT_TRUE(second.suvm
-                    ->TryRead(&cpu, base + p * sim::kPageSize, got.data(),
-                              got.size())
+                    ->Read(&cpu, base + p * sim::kPageSize, got.data(),
+                           got.size())
                     .ok());
     EXPECT_EQ(std::memcmp(got.data(), page.data(), page.size()), 0)
         << "page " << p;
@@ -337,16 +333,15 @@ TEST(CrashRecovery, AllCrashWindowsExercised) {
     sim::Machine machine(mcfg);
     Incarnation inc(machine, nullptr);
     sim::CpuContext& cpu = machine.cpu(0);
-    const uint64_t base = inc.suvm->Malloc(kRegionBytes);
-    ASSERT_NE(base, kInvalidAddr);
+    const uint64_t base = ValueOrThrow(inc.suvm->Malloc(kRegionBytes));
     machine.fault_injector().Arm(sim::Fault::kHostCrash, 0.5,
                                  /*max_triggers=*/1);
     std::vector<uint8_t> page(sim::kPageSize, 0x42);
     for (int pass = 0; pass < 8 && !inc.suvm->crashed(); ++pass) {
       for (size_t p = 0; p < kRegionPages && !inc.suvm->crashed(); ++p) {
         page[0] = static_cast<uint8_t>(pass);
-        (void)inc.suvm->TryWrite(&cpu, base + p * sim::kPageSize, page.data(),
-                                 page.size());
+        (void)inc.suvm->Write(&cpu, base + p * sim::kPageSize, page.data(),
+                              page.size());
       }
     }
     for (const telemetry::TraceEvent& e :
@@ -364,16 +359,15 @@ TEST(CrashRecovery, RollbackDetectedOnStaleRoot) {
   sim::Machine machine;
   auto first = std::make_unique<Incarnation>(machine, nullptr);
   sim::CpuContext& cpu = machine.cpu(0);
-  const uint64_t base = first->suvm->Malloc(kRegionBytes);
-  ASSERT_NE(base, kInvalidAddr);
+  const uint64_t base = ValueOrThrow(first->suvm->Malloc(kRegionBytes));
 
   std::vector<uint8_t> page(sim::kPageSize);
   FillPattern(&page, 1);
-  ASSERT_TRUE(first->suvm->TryWrite(&cpu, base, page.data(), page.size()).ok());
+  ASSERT_TRUE(first->suvm->Write(&cpu, base, page.data(), page.size()).ok());
   StatusOr<sim::SgxDriver::SealedBlob> root_a = first->suvm->SealCheckpoint(&cpu);
   ASSERT_TRUE(root_a.ok());
   FillPattern(&page, 2);
-  ASSERT_TRUE(first->suvm->TryWrite(&cpu, base, page.data(), page.size()).ok());
+  ASSERT_TRUE(first->suvm->Write(&cpu, base, page.data(), page.size()).ok());
   StatusOr<sim::SgxDriver::SealedBlob> root_b = first->suvm->SealCheckpoint(&cpu);
   ASSERT_TRUE(root_b.ok());
 
@@ -392,7 +386,7 @@ TEST(CrashRecovery, RollbackDetectedOnStaleRoot) {
   ASSERT_TRUE(status.ok()) << status.ToString();
   std::vector<uint8_t> got(sim::kPageSize);
   FillPattern(&page, 2);
-  ASSERT_TRUE(second.suvm->TryRead(&cpu, base, got.data(), got.size()).ok());
+  ASSERT_TRUE(second.suvm->Read(&cpu, base, got.data(), got.size()).ok());
   EXPECT_EQ(std::memcmp(got.data(), page.data(), page.size()), 0);
 }
 
@@ -400,15 +394,14 @@ TEST(CrashRecovery, JournalReplayIsIdempotent) {
   sim::Machine machine;
   auto first = std::make_unique<Incarnation>(machine, nullptr);
   sim::CpuContext& cpu = machine.cpu(0);
-  const uint64_t base = first->suvm->Malloc(kRegionBytes);
-  ASSERT_NE(base, kInvalidAddr);
+  const uint64_t base = ValueOrThrow(first->suvm->Malloc(kRegionBytes));
 
   std::vector<uint8_t> page(sim::kPageSize);
   for (size_t p = 0; p < kRegionPages; ++p) {
     FillPattern(&page, p);
     ASSERT_TRUE(first->suvm
-                    ->TryWrite(&cpu, base + p * sim::kPageSize, page.data(),
-                               page.size())
+                    ->Write(&cpu, base + p * sim::kPageSize, page.data(),
+                            page.size())
                     .ok());
   }
   StatusOr<sim::SgxDriver::SealedBlob> root = first->suvm->SealCheckpoint(&cpu);
@@ -416,8 +409,8 @@ TEST(CrashRecovery, JournalReplayIsIdempotent) {
   machine.fault_injector().Arm(sim::Fault::kHostCrash, 1.0, /*max_triggers=*/1);
   std::vector<uint8_t> scratch(sim::kPageSize, 0x33);
   for (size_t p = 0; p < kRegionPages && !first->suvm->crashed(); ++p) {
-    (void)first->suvm->TryWrite(&cpu, base + p * sim::kPageSize,
-                                scratch.data(), scratch.size());
+    (void)first->suvm->Write(&cpu, base + p * sim::kPageSize,
+                             scratch.data(), scratch.size());
   }
   ASSERT_TRUE(first->suvm->crashed());
   std::shared_ptr<BackingStore> store = first->suvm->shared_backing_store();
@@ -442,12 +435,12 @@ TEST(CrashRecovery, JournalReplayIsIdempotent) {
   std::vector<uint8_t> got_a(sim::kPageSize), got_b(sim::kPageSize);
   for (size_t p = 0; p < kRegionPages; ++p) {
     ASSERT_TRUE(a.suvm
-                    ->TryRead(&cpu, base + p * sim::kPageSize, got_a.data(),
-                              got_a.size())
+                    ->Read(&cpu, base + p * sim::kPageSize, got_a.data(),
+                           got_a.size())
                     .ok());
     ASSERT_TRUE(b.suvm
-                    ->TryRead(&cpu, base + p * sim::kPageSize, got_b.data(),
-                              got_b.size())
+                    ->Read(&cpu, base + p * sim::kPageSize, got_b.data(),
+                           got_b.size())
                     .ok());
     EXPECT_EQ(std::memcmp(got_a.data(), got_b.data(), sim::kPageSize), 0)
         << "page " << p;
@@ -458,15 +451,14 @@ TEST(CrashRecovery, QuarantinedPageFailsClosedAfterRecovery) {
   sim::Machine machine;
   auto first = std::make_unique<Incarnation>(machine, nullptr);
   sim::CpuContext& cpu = machine.cpu(0);
-  const uint64_t base = first->suvm->Malloc(kRegionBytes);
-  ASSERT_NE(base, kInvalidAddr);
+  const uint64_t base = ValueOrThrow(first->suvm->Malloc(kRegionBytes));
 
   std::vector<uint8_t> page(sim::kPageSize);
   for (size_t p = 0; p < kRegionPages; ++p) {
     FillPattern(&page, p);
     ASSERT_TRUE(first->suvm
-                    ->TryWrite(&cpu, base + p * sim::kPageSize, page.data(),
-                               page.size())
+                    ->Write(&cpu, base + p * sim::kPageSize, page.data(),
+                            page.size())
                     .ok());
   }
   StatusOr<sim::SgxDriver::SealedBlob> root = first->suvm->SealCheckpoint(&cpu);
@@ -491,8 +483,8 @@ TEST(CrashRecovery, QuarantinedPageFailsClosedAfterRecovery) {
 
   std::vector<uint8_t> got(sim::kPageSize);
   for (size_t p = 0; p < kRegionPages; ++p) {
-    const Status read = second.suvm->TryRead(&cpu, base + p * sim::kPageSize,
-                                             got.data(), got.size());
+    const Status read = second.suvm->Read(&cpu, base + p * sim::kPageSize,
+                                          got.data(), got.size());
     if (p == 5) {
       EXPECT_EQ(read.code(), StatusCode::kDataCorruption)
           << "quarantined page must fail closed";
@@ -504,7 +496,7 @@ TEST(CrashRecovery, QuarantinedPageFailsClosedAfterRecovery) {
     }
   }
   // Degraded read-mostly: new allocations fail fast.
-  EXPECT_EQ(second.suvm->TryMalloc(64).status().code(),
+  EXPECT_EQ(second.suvm->Malloc(64).status().code(),
             StatusCode::kResourceExhausted);
 }
 
@@ -524,8 +516,7 @@ TEST_P(CrashSoak, KillRestartRoundsConvergeToShadow) {
   sim::CpuContext& cpu = machine.cpu(0);
 
   auto inc = std::make_unique<Incarnation>(machine, nullptr);
-  const uint64_t base = inc->suvm->Malloc(kRegionBytes);
-  ASSERT_NE(base, kInvalidAddr);
+  const uint64_t base = ValueOrThrow(inc->suvm->Malloc(kRegionBytes));
 
   // Shadow model: current expected bytes, plus per-page sets of every
   // write-boundary state hash (a page recovered from an older seal must
@@ -562,8 +553,8 @@ TEST_P(CrashSoak, KillRestartRoundsConvergeToShadow) {
     // against its recorded write-boundary states.
     std::vector<uint8_t> got(sim::kPageSize);
     for (size_t p = 0; p < kRegionPages; ++p) {
-      const Status read = inc->suvm->TryRead(&cpu, base + p * sim::kPageSize,
-                                             got.data(), got.size());
+      const Status read = inc->suvm->Read(&cpu, base + p * sim::kPageSize,
+                                          got.data(), got.size());
       if (quarantined.count(p) != 0 || !read.ok()) {
         // Quarantine verdicts persist across restarts (fail closed).
         ASSERT_EQ(read.code(), StatusCode::kDataCorruption)
@@ -598,7 +589,7 @@ TEST_P(CrashSoak, KillRestartRoundsConvergeToShadow) {
       for (auto& b : buf) {
         b = static_cast<uint8_t>(rng.NextBelow(256));
       }
-      const Status status = inc->suvm->TryWrite(&cpu, addr, buf.data(), len);
+      const Status status = inc->suvm->Write(&cpu, addr, buf.data(), len);
       if (status.ok()) {
         std::memcpy(shadow.data() + p * sim::kPageSize + off, buf.data(), len);
         history[p].insert(HashPage(shadow.data() + p * sim::kPageSize));
@@ -612,7 +603,7 @@ TEST_P(CrashSoak, KillRestartRoundsConvergeToShadow) {
       }
     } else {
       std::vector<uint8_t> buf(len);
-      const Status status = inc->suvm->TryRead(&cpu, addr, buf.data(), len);
+      const Status status = inc->suvm->Read(&cpu, addr, buf.data(), len);
       if (status.ok()) {
         ASSERT_EQ(std::memcmp(buf.data(),
                               shadow.data() + p * sim::kPageSize + off, len),

@@ -79,7 +79,6 @@ TEST_P(FaceVerifBackends, VerifiesAcrossBackends) {
     suvm::SuvmConfig sc;
     sc.epc_pp_pages = 128;  // 512 KiB: forces paging across histograms
     sc.backing_bytes = 8 << 20;
-    sc.fast_seal = true;
     suvm = std::make_unique<suvm::Suvm>(*enclave, sc);
     region = std::make_unique<SuvmRegion>(*suvm, bytes);
   }

@@ -20,7 +20,10 @@
 #include "src/common/status.h"
 #include "src/sim/fault_injector.h"
 #include "src/sim/machine.h"
+#include "src/suvm/spointer.h"
 #include "src/suvm/suvm.h"
+#include "src/suvm/suvm_c.h"
+#include "tests/test_status.h"
 
 namespace eleos::suvm {
 namespace {
@@ -51,7 +54,7 @@ std::vector<uint8_t> FillPages(World& w, uint64_t addr, size_t pages,
   std::vector<uint8_t> data(pages * sim::kPageSize);
   Xoshiro256 rng(seed);
   rng.FillBytes(data.data(), data.size());
-  w.suvm->Write(nullptr, addr, data.data(), data.size());
+  EXPECT_OK(w.suvm->Write(nullptr, addr, data.data(), data.size()));
   return data;
 }
 
@@ -99,45 +102,76 @@ TEST(FaultInjector, TriggerBudgetDisarms) {
   EXPECT_FALSE(f.armed(sim::Fault::kWorkerDeath));
 }
 
-TEST(SuvmFault, TransientCiphertextFlipIsAbsorbedByRetry) {
+// Every access path runs the same fault handler, so the single retry absorbs
+// a transient flip on each of them: the bulk read, an spointer dereference
+// and the C interface.
+enum class ReadPath { kRead, kSpointer, kCApi };
+
+class TransientCiphertextFlip : public ::testing::TestWithParam<ReadPath> {};
+
+TEST_P(TransientCiphertextFlip, IsAbsorbedByRetry) {
   World w(TinyCfg(4));
   const size_t pages = 16;
-  const uint64_t addr = w.suvm->Malloc(pages * sim::kPageSize);
-  ASSERT_NE(addr, kInvalidAddr);
+  const uint64_t addr = ValueOrThrow(w.suvm->Malloc(pages * sim::kPageSize));
   const std::vector<uint8_t> data = FillPages(w, addr, pages, 11);
 
   // Exactly one in-flight bit flip: the first page-in MAC-fails, the retry
   // sees clean bytes and succeeds.
   w.faults().Arm(sim::Fault::kCiphertextFlip, 1.0, /*max_triggers=*/1);
   std::vector<uint8_t> back(data.size());
-  const Status status = w.suvm->TryRead(nullptr, addr, back.data(), back.size());
-  ASSERT_TRUE(status.ok()) << status.ToString();
+  switch (GetParam()) {
+    case ReadPath::kRead:
+      ASSERT_OK(w.suvm->Read(nullptr, addr, back.data(), back.size()));
+      break;
+    case ReadPath::kSpointer: {
+      spointer<uint8_t> p(w.suvm.get(), addr);
+      ASSERT_NO_THROW(for (size_t i = 0; i < back.size(); ++i) {
+        back[i] = p.GetAt(static_cast<ptrdiff_t>(i));
+      });
+      break;
+    }
+    case ReadPath::kCApi:
+      ASSERT_EQ(suvm_get_bytes(suvm_ctx_from(w.suvm.get()), addr, back.data(),
+                               back.size()),
+                SUVM_OK);
+      break;
+  }
   EXPECT_EQ(back, data);
   EXPECT_EQ(w.suvm->stats().mac_failures.load(), 1u);
   EXPECT_EQ(w.suvm->stats().retries.load(), 1u);
   EXPECT_EQ(w.suvm->stats().rollbacks_detected.load(), 0u);
 }
 
-TEST(SuvmFault, PersistentCorruptionSurfacesAsStatusAndThrow) {
+INSTANTIATE_TEST_SUITE_P(
+    SuvmFault, TransientCiphertextFlip,
+    ::testing::Values(ReadPath::kRead, ReadPath::kSpointer, ReadPath::kCApi),
+    [](const ::testing::TestParamInfo<ReadPath>& param_info) {
+      switch (param_info.param) {
+        case ReadPath::kRead:
+          return "Read";
+        case ReadPath::kSpointer:
+          return "Spointer";
+        case ReadPath::kCApi:
+          return "CApi";
+      }
+      return "Unknown";
+    });
+
+TEST(SuvmFault, PersistentCorruptionSurfacesAsStatus) {
   World w(TinyCfg(4));
   const size_t pages = 16;
-  const uint64_t addr = w.suvm->Malloc(pages * sim::kPageSize);
-  ASSERT_NE(addr, kInvalidAddr);
+  const uint64_t addr = ValueOrThrow(w.suvm->Malloc(pages * sim::kPageSize));
   const std::vector<uint8_t> data = FillPages(w, addr, pages, 12);
 
   // The host tampers on *every* read: the retry fails too.
   w.faults().Arm(sim::Fault::kCiphertextFlip, 1.0);
   std::vector<uint8_t> back(sim::kPageSize);
   const Status status =
-      w.suvm->TryRead(nullptr, addr, back.data(), back.size());
+      w.suvm->Read(nullptr, addr, back.data(), back.size());
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kDataCorruption);
   EXPECT_GE(w.suvm->stats().mac_failures.load(), 2u);  // first try + retry
   EXPECT_EQ(w.suvm->stats().retries.load(), 1u);
-
-  // The legacy throwing API reports the same failure.
-  EXPECT_THROW(w.suvm->Read(nullptr, addr, back.data(), back.size()),
-               std::runtime_error);
 
   // The failed retry quarantined the page: further accesses fail fast with
   // the same status and pay no further crypto (mac_failures stays put).
@@ -146,7 +180,7 @@ TEST(SuvmFault, PersistentCorruptionSurfacesAsStatusAndThrow) {
   EXPECT_EQ(w.suvm->stats().pages_quarantined.load(), 1u);
   const uint64_t mac_before = w.suvm->stats().mac_failures.load();
   const Status again =
-      w.suvm->TryRead(nullptr, addr, back.data(), back.size());
+      w.suvm->Read(nullptr, addr, back.data(), back.size());
   EXPECT_EQ(again.code(), StatusCode::kDataCorruption);
   EXPECT_EQ(w.suvm->stats().mac_failures.load(), mac_before);
   EXPECT_GE(w.suvm->stats().quarantine_hits.load(), 1u);
@@ -155,20 +189,19 @@ TEST(SuvmFault, PersistentCorruptionSurfacesAsStatusAndThrow) {
   // in flight), but the quarantine holds until an explicit restore
   // re-verifies the sealed bytes.
   w.faults().DisarmAll();
-  EXPECT_EQ(w.suvm->TryRead(nullptr, addr, back.data(), back.size()).code(),
+  EXPECT_EQ(w.suvm->Read(nullptr, addr, back.data(), back.size()).code(),
             StatusCode::kDataCorruption);
   ASSERT_TRUE(w.suvm->TryRestorePage(nullptr, page).ok());
   EXPECT_FALSE(w.suvm->IsQuarantined(page));
   EXPECT_EQ(w.suvm->stats().pages_restored.load(), 1u);
-  ASSERT_TRUE(w.suvm->TryRead(nullptr, addr, back.data(), back.size()).ok());
+  ASSERT_TRUE(w.suvm->Read(nullptr, addr, back.data(), back.size()).ok());
   std::vector<uint8_t> first_page(data.begin(), data.begin() + sim::kPageSize);
   EXPECT_EQ(back, first_page);
 }
 
 TEST(SuvmFault, TryRestorePageRequiresQuarantine) {
   World w(TinyCfg(4));
-  const uint64_t addr = w.suvm->Malloc(sim::kPageSize);
-  ASSERT_NE(addr, kInvalidAddr);
+  const uint64_t addr = ValueOrThrow(w.suvm->Malloc(sim::kPageSize));
   const uint64_t page = addr / sim::kPageSize;
   EXPECT_FALSE(w.suvm->IsQuarantined(page));
   EXPECT_EQ(w.suvm->TryRestorePage(nullptr, page).code(),
@@ -178,14 +211,13 @@ TEST(SuvmFault, TryRestorePageRequiresQuarantine) {
 TEST(SuvmFault, RestoreUnderOngoingTamperRequarantines) {
   World w(TinyCfg(4));
   const size_t pages = 16;
-  const uint64_t addr = w.suvm->Malloc(pages * sim::kPageSize);
-  ASSERT_NE(addr, kInvalidAddr);
+  const uint64_t addr = ValueOrThrow(w.suvm->Malloc(pages * sim::kPageSize));
   FillPages(w, addr, pages, 14);
   const uint64_t page = addr / sim::kPageSize;
 
   w.faults().Arm(sim::Fault::kCiphertextFlip, 1.0);
   std::vector<uint8_t> back(sim::kPageSize);
-  ASSERT_EQ(w.suvm->TryRead(nullptr, addr, back.data(), back.size()).code(),
+  ASSERT_EQ(w.suvm->Read(nullptr, addr, back.data(), back.size()).code(),
             StatusCode::kDataCorruption);
   ASSERT_TRUE(w.suvm->IsQuarantined(page));
   EXPECT_EQ(w.suvm->stats().pages_quarantined.load(), 1u);
@@ -204,7 +236,7 @@ TEST(SuvmFault, RestoreUnderOngoingTamperRequarantines) {
   ASSERT_TRUE(w.suvm->TryRestorePage(nullptr, page).ok());
   EXPECT_FALSE(w.suvm->IsQuarantined(page));
   EXPECT_EQ(w.suvm->stats().pages_restored.load(), 1u);
-  ASSERT_TRUE(w.suvm->TryRead(nullptr, addr, back.data(), back.size()).ok());
+  ASSERT_TRUE(w.suvm->Read(nullptr, addr, back.data(), back.size()).ok());
 }
 
 TEST(SuvmFault, RepeatedAllocRefusalDegradesRegionToReadMostly) {
@@ -212,14 +244,13 @@ TEST(SuvmFault, RepeatedAllocRefusalDegradesRegionToReadMostly) {
   cfg.alloc_failure_threshold = 3;
   cfg.alloc_probe_interval = 4;
   World w(cfg);
-  const uint64_t addr = w.suvm->Malloc(4 * sim::kPageSize);
-  ASSERT_NE(addr, kInvalidAddr);
+  const uint64_t addr = ValueOrThrow(w.suvm->Malloc(4 * sim::kPageSize));
   const std::vector<uint8_t> data = FillPages(w, addr, 4, 31);
 
   // Three consecutive refusals trip the allocation FSM.
   w.faults().Arm(sim::Fault::kBackingAllocFail, 1.0);
   for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(w.suvm->TryMalloc(4096).status().code(),
+    EXPECT_EQ(w.suvm->Malloc(4096).status().code(),
               StatusCode::kResourceExhausted);
   }
   EXPECT_EQ(w.suvm->alloc_health_state(), HealthState::kDegraded);
@@ -228,26 +259,26 @@ TEST(SuvmFault, RepeatedAllocRefusalDegradesRegionToReadMostly) {
   // host round-trip (the injection point is never even consulted), while
   // existing pages stay fully readable and writable.
   const uint64_t checks = w.faults().checks(sim::Fault::kBackingAllocFail);
-  const StatusOr<uint64_t> denied = w.suvm->TryMalloc(4096);
+  const StatusOr<uint64_t> denied = w.suvm->Malloc(4096);
   ASSERT_FALSE(denied.ok());
   EXPECT_EQ(denied.status().code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(w.faults().checks(sim::Fault::kBackingAllocFail), checks);
   EXPECT_GE(w.suvm->stats().degraded_rejects.load(), 1u);
   std::vector<uint8_t> back(data.size());
-  ASSERT_TRUE(w.suvm->TryRead(nullptr, addr, back.data(), back.size()).ok());
+  ASSERT_TRUE(w.suvm->Read(nullptr, addr, back.data(), back.size()).ok());
   EXPECT_EQ(back, data);
-  ASSERT_TRUE(w.suvm->TryWrite(nullptr, addr, data.data(), 64).ok());
+  ASSERT_TRUE(w.suvm->Write(nullptr, addr, data.data(), 64).ok());
 
   // Host relents: every alloc_probe_interval-th rejected attempt retries the
   // real allocation, and the first success closes the FSM.
   w.faults().DisarmAll();
   bool recovered = false;
   for (int i = 0; i < 16 && !recovered; ++i) {
-    recovered = w.suvm->TryMalloc(4096).ok();
+    recovered = w.suvm->Malloc(4096).ok();
   }
   EXPECT_TRUE(recovered);
   EXPECT_EQ(w.suvm->alloc_health_state(), HealthState::kHealthy);
-  ASSERT_TRUE(w.suvm->TryMalloc(4096).ok()) << "fully healthy again";
+  ASSERT_TRUE(w.suvm->Malloc(4096).ok()) << "fully healthy again";
 }
 
 TEST(FaultInjector, ScheduleArmsAndDisarmsByVirtualTime) {
@@ -307,27 +338,26 @@ TEST(FaultInjector, ScheduleIsDeterministicAcrossInstances) {
 TEST(SuvmFault, RollbackReplayIsDetectedAndClassified) {
   World w(TinyCfg(4));
   const size_t pages = 16;
-  const uint64_t addr = w.suvm->Malloc(pages * sim::kPageSize);
-  ASSERT_NE(addr, kInvalidAddr);
+  const uint64_t addr = ValueOrThrow(w.suvm->Malloc(pages * sim::kPageSize));
   FillPages(w, addr, pages, 13);  // v1 everywhere; pages 0..11 get evicted
 
   // Arm the rollback before the reseal so the hostile host stashes the
   // outgoing (v1) seal of page 0 when v2 is written back.
   w.faults().Arm(sim::Fault::kRollback, 1.0, /*max_triggers=*/1);
   std::vector<uint8_t> v2(sim::kPageSize, 0x5a);
-  w.suvm->Write(nullptr, addr, v2.data(), v2.size());
+  ASSERT_OK(w.suvm->Write(nullptr, addr, v2.data(), v2.size()));
   // Force page 0 out so it is resealed (stash point) and must be re-opened.
   std::vector<uint8_t> scratch(sim::kPageSize);
   for (size_t p = 1; p < pages; ++p) {
-    w.suvm->Read(nullptr, addr + p * sim::kPageSize, scratch.data(),
-                 scratch.size());
+    ASSERT_OK(w.suvm->Read(nullptr, addr + p * sim::kPageSize, scratch.data(),
+                           scratch.size()));
   }
 
   // Page-in of page 0 gets the replayed v1 seal: the enclave-held nonce/tag
   // bind the address to the newest seal, so the MAC fails — freshness holds.
   std::vector<uint8_t> back(sim::kPageSize);
   const Status status =
-      w.suvm->TryRead(nullptr, addr, back.data(), back.size());
+      w.suvm->Read(nullptr, addr, back.data(), back.size());
   ASSERT_TRUE(status.ok()) << status.ToString();  // single trigger: retry wins
   EXPECT_EQ(back, v2) << "replayed stale data must never be accepted";
   EXPECT_GE(w.suvm->stats().rollbacks_detected.load(), 1u);
@@ -339,43 +369,37 @@ TEST(SuvmFault, AllocRefusalAndArenaExhaustion) {
   World w(TinyCfg(8));
 
   w.faults().Arm(sim::Fault::kBackingAllocFail, 1.0, /*max_triggers=*/1);
-  const StatusOr<uint64_t> refused = w.suvm->TryMalloc(4096);
+  const StatusOr<uint64_t> refused = w.suvm->Malloc(4096);
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(w.suvm->stats().alloc_failures.load(), 1u);
 
   // Budget spent: the next allocation succeeds.
-  const StatusOr<uint64_t> granted = w.suvm->TryMalloc(4096);
+  const StatusOr<uint64_t> granted = w.suvm->Malloc(4096);
   ASSERT_TRUE(granted.ok());
   EXPECT_NE(*granted, kInvalidAddr);
 
-  // The legacy API maps refusal to kInvalidAddr, as for real exhaustion.
-  w.faults().Arm(sim::Fault::kBackingAllocFail, 1.0, /*max_triggers=*/1);
-  EXPECT_EQ(w.suvm->Malloc(4096), kInvalidAddr);
-  w.faults().DisarmAll();
-
   // Genuine arena exhaustion takes the same Status path.
-  const StatusOr<uint64_t> huge = w.suvm->TryMalloc(1ull << 40);
+  const StatusOr<uint64_t> huge = w.suvm->Malloc(1ull << 40);
   ASSERT_FALSE(huge.ok());
   EXPECT_EQ(huge.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(w.suvm->stats().alloc_failures.load(), 3u);
+  EXPECT_EQ(w.suvm->stats().alloc_failures.load(), 2u);
 }
 
 TEST(SuvmFault, EpcExhaustionIsRecoverable) {
   World w(TinyCfg(2));  // two EPC++ slots
-  const uint64_t addr = w.suvm->Malloc(4 * sim::kPageSize);
-  ASSERT_NE(addr, kInvalidAddr);
+  const uint64_t addr = ValueOrThrow(w.suvm->Malloc(4 * sim::kPageSize));
   int s0 = -1, s1 = -1, s2 = -1;
-  ASSERT_TRUE(w.suvm->TryPinPage(nullptr, addr / sim::kPageSize, &s0).ok());
-  ASSERT_TRUE(w.suvm->TryPinPage(nullptr, addr / sim::kPageSize + 1, &s1).ok());
+  ASSERT_TRUE(w.suvm->PinPage(nullptr, addr / sim::kPageSize, &s0).ok());
+  ASSERT_TRUE(w.suvm->PinPage(nullptr, addr / sim::kPageSize + 1, &s1).ok());
   // Every slot pinned: the third pin must fail cleanly, not deadlock.
   const Status status =
-      w.suvm->TryPinPage(nullptr, addr / sim::kPageSize + 2, &s2);
+      w.suvm->PinPage(nullptr, addr / sim::kPageSize + 2, &s2);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kResourceExhausted);
   // Releasing a pin makes the same pin succeed.
   w.suvm->UnpinPage(addr / sim::kPageSize, s0, /*dirty=*/false);
-  ASSERT_TRUE(w.suvm->TryPinPage(nullptr, addr / sim::kPageSize + 2, &s2).ok());
+  ASSERT_TRUE(w.suvm->PinPage(nullptr, addr / sim::kPageSize + 2, &s2).ok());
   w.suvm->UnpinPage(addr / sim::kPageSize + 1, s1, /*dirty=*/false);
   w.suvm->UnpinPage(addr / sim::kPageSize + 2, s2, /*dirty=*/false);
 }
@@ -384,15 +408,14 @@ TEST(SuvmFault, DirectModeFlipIsRetriedAndCounted) {
   SuvmConfig cfg = TinyCfg(4);
   cfg.direct_mode = true;
   World w(cfg);
-  const uint64_t addr = w.suvm->Malloc(8 * sim::kPageSize);
-  ASSERT_NE(addr, kInvalidAddr);
+  const uint64_t addr = ValueOrThrow(w.suvm->Malloc(8 * sim::kPageSize));
   std::vector<uint8_t> data(2048, 0xc3);
-  w.suvm->WriteDirect(nullptr, addr, data.data(), data.size());
+  ASSERT_OK(w.suvm->WriteDirect(nullptr, addr, data.data(), data.size()));
 
   w.faults().Arm(sim::Fault::kCiphertextFlip, 1.0, /*max_triggers=*/1);
   std::vector<uint8_t> back(data.size());
   const Status status =
-      w.suvm->TryReadDirect(nullptr, addr, back.data(), back.size());
+      w.suvm->ReadDirect(nullptr, addr, back.data(), back.size());
   ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_EQ(back, data);
   EXPECT_EQ(w.suvm->stats().mac_failures.load(), 1u);

@@ -224,16 +224,15 @@ TEST(FlightRecorder, MachineDumpFlightOnInjectedHostCrash) {
   cfg.crash_consistency = true;
   suvm::Suvm suvm(enclave, cfg);
   sim::CpuContext& cpu = machine.cpu(0);
-  const uint64_t base = suvm.Malloc(24 * sim::kPageSize);
-  ASSERT_NE(base, suvm::kInvalidAddr);
+  const uint64_t base = ValueOrThrow(suvm.Malloc(24 * sim::kPageSize));
 
   // Writes force journaled seals (cache 8 pages, region 24); the armed crash
   // point kills the instance mid-2PC.
   machine.fault_injector().Arm(sim::Fault::kHostCrash, 1.0, /*max_triggers=*/1);
   std::vector<uint8_t> page(sim::kPageSize, 0x5a);
   for (size_t p = 0; p < 24 && !suvm.crashed(); ++p) {
-    (void)suvm.TryWrite(&cpu, base + p * sim::kPageSize, page.data(),
-                        page.size());
+    (void)suvm.Write(&cpu, base + p * sim::kPageSize, page.data(),
+                     page.size());
   }
   ASSERT_TRUE(suvm.crashed());
 
@@ -309,13 +308,12 @@ TEST(FlightRecorder, CrashBundleShowsFallbackRampBeforeHostCrash) {
   cfg.swapper_low_watermark = 0;
   cfg.crash_consistency = true;
   suvm::Suvm suvm(enclave, cfg);
-  const uint64_t base = suvm.Malloc(24 * sim::kPageSize);
-  ASSERT_NE(base, suvm::kInvalidAddr);
+  const uint64_t base = ValueOrThrow(suvm.Malloc(24 * sim::kPageSize));
   machine.fault_injector().Arm(sim::Fault::kHostCrash, 1.0, /*max_triggers=*/1);
   std::vector<uint8_t> page(sim::kPageSize, 0xa5);
   for (size_t p = 0; p < 24 && !suvm.crashed(); ++p) {
-    (void)suvm.TryWrite(&cpu, base + p * sim::kPageSize, page.data(),
-                        page.size());
+    (void)suvm.Write(&cpu, base + p * sim::kPageSize, page.data(),
+                     page.size());
   }
   ASSERT_TRUE(suvm.crashed());
 

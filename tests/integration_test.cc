@@ -13,6 +13,7 @@
 #include "src/baseline/sgx_buffer.h"
 #include "src/rpc/rpc_manager.h"
 #include "src/suvm/spointer.h"
+#include "tests/test_status.h"
 
 namespace eleos {
 namespace {
@@ -60,26 +61,25 @@ TEST(Integration, SuvmBeatsNativeSgxPagingOutOfEpc) {
     suvm::SuvmConfig sc;
     sc.epc_pp_pages = 2048;  // 8 MiB EPC++ fits the 16 MiB EPC comfortably
     sc.backing_bytes = 128 << 20;
-    sc.fast_seal = true;
     suvm::Suvm suvm(enclave, sc);
-    const uint64_t addr = suvm.Malloc(buffer_bytes);
+    const uint64_t addr = ValueOrThrow(suvm.Malloc(buffer_bytes));
     sim::CpuContext& cpu = machine.cpu(0);
     Xoshiro256 rng(42);
     uint8_t page[4096];
     std::memset(page, 1, sizeof(page));
     for (size_t off = 0; off < buffer_bytes; off += 4096) {
-      suvm.Write(nullptr, addr + off, page, sizeof(page));
+      ASSERT_OK(suvm.Write(nullptr, addr + off, page, sizeof(page)));
     }
     // Read pass: flushes the first-generation dirty residents so the
     // measured read-only phase evicts clean pages (steady state).
     for (size_t off = 0; off < buffer_bytes; off += 4096) {
-      suvm.Read(nullptr, addr + off, page, sizeof(page));
+      ASSERT_OK(suvm.Read(nullptr, addr + off, page, sizeof(page)));
     }
     enclave.Enter(cpu);
     const uint64_t t0 = cpu.clock.now();
     for (size_t i = 0; i < accesses; ++i) {
       const uint64_t off = rng.NextBelow(buffer_bytes / 4096) * 4096;
-      suvm.Read(&cpu, addr + off, page, sizeof(page));
+      ASSERT_OK(suvm.Read(&cpu, addr + off, page, sizeof(page)));
     }
     suvm_cycles = cpu.clock.now() - t0;
     enclave.Exit(cpu);
@@ -103,27 +103,26 @@ TEST(Integration, BallooningAvoidsCrossEnclaveThrash) {
     suvm::SuvmConfig sc;
     sc.epc_pp_pages = pp_pages;
     sc.backing_bytes = 64 << 20;
-    sc.fast_seal = true;
     suvm::Suvm s1(e1, sc), s2(e2, sc);
     const size_t buf = 12 << 20;
-    const uint64_t a1 = s1.Malloc(buf);
-    const uint64_t a2 = s2.Malloc(buf);
+    const uint64_t a1 = ValueOrThrow(s1.Malloc(buf));
+    const uint64_t a2 = ValueOrThrow(s2.Malloc(buf));
     sim::CpuContext& cpu = machine.cpu(0);
     Xoshiro256 rng(7);
     uint8_t page[4096] = {1};
     for (size_t off = 0; off < buf; off += 4096) {  // warm both (unmeasured)
-      s1.Write(nullptr, a1 + off, page, sizeof(page));
-      s2.Write(nullptr, a2 + off, page, sizeof(page));
+      EXPECT_OK(s1.Write(nullptr, a1 + off, page, sizeof(page)));
+      EXPECT_OK(s2.Write(nullptr, a2 + off, page, sizeof(page)));
     }
     for (size_t off = 0; off < buf; off += 4096) {  // settle to clean pages
-      s1.Read(nullptr, a1 + off, page, sizeof(page));
-      s2.Read(nullptr, a2 + off, page, sizeof(page));
+      EXPECT_OK(s1.Read(nullptr, a1 + off, page, sizeof(page)));
+      EXPECT_OK(s2.Read(nullptr, a2 + off, page, sizeof(page)));
     }
     const uint64_t t0 = cpu.clock.now();
     for (size_t i = 0; i < 1500; ++i) {
       const uint64_t off = rng.NextBelow(buf / 4096) * 4096;
-      s1.Read(&cpu, a1 + off, page, sizeof(page));
-      s2.Read(&cpu, a2 + off, page, sizeof(page));
+      EXPECT_OK(s1.Read(&cpu, a1 + off, page, sizeof(page)));
+      EXPECT_OK(s2.Read(&cpu, a2 + off, page, sizeof(page)));
     }
     return cpu.clock.now() - t0;
   };
@@ -149,7 +148,6 @@ TEST(Integration, ServingSessionIsExitless) {
   cfg.mode = apps::PsExecMode::kSgxRpcCat;
   cfg.suvm.epc_pp_pages = 2048;
   cfg.suvm.backing_bytes = 16 << 20;
-  cfg.suvm.fast_seal = true;
 
   apps::ParamServer server(machine, cfg);
   server.Populate();

@@ -12,6 +12,7 @@
 
 #include "src/suvm/page_cache.h"
 #include "src/suvm/suvm.h"
+#include "tests/test_status.h"
 
 namespace eleos::suvm {
 namespace {
@@ -166,12 +167,13 @@ TEST(PageCache, ResizeBelowOccupancyWithPinnedPages) {
   cfg.swapper_low_watermark = 0;
   Suvm suvm(*b.enclave, cfg);
 
-  const uint64_t addr = suvm.Malloc(8 * sim::kPageSize);
-  ASSERT_NE(addr, kInvalidAddr);
+  const uint64_t addr = ValueOrThrow(suvm.Malloc(8 * sim::kPageSize));
   const uint64_t base = addr / sim::kPageSize;
   std::vector<int> slots;
   for (uint64_t p = 0; p < 8; ++p) {
-    slots.push_back(suvm.PinPage(nullptr, base + p));
+    int slot = -1;
+    ASSERT_OK(suvm.PinPage(nullptr, base + p, &slot));
+    slots.push_back(slot);
   }
   ASSERT_EQ(suvm.page_cache().in_use(), 8u);
 
@@ -181,8 +183,8 @@ TEST(PageCache, ResizeBelowOccupancyWithPinnedPages) {
 
   // Over-target: no new page may come in, even though slots exist.
   int extra = -1;
-  const uint64_t spare = suvm.Malloc(sim::kPageSize);
-  EXPECT_EQ(suvm.TryPinPage(nullptr, spare / sim::kPageSize, &extra).code(),
+  const uint64_t spare = ValueOrThrow(suvm.Malloc(sim::kPageSize));
+  EXPECT_EQ(suvm.PinPage(nullptr, spare / sim::kPageSize, &extra).code(),
             StatusCode::kResourceExhausted);
 
   for (uint64_t p = 0; p < 8; ++p) {
@@ -191,7 +193,8 @@ TEST(PageCache, ResizeBelowOccupancyWithPinnedPages) {
   suvm.ResizeEpcPp(nullptr, 4);  // pins released: the shrink completes
   EXPECT_LE(suvm.page_cache().in_use(), 4u);
   // With room under the target again, pinning works.
-  const int s = suvm.PinPage(nullptr, spare / sim::kPageSize);
+  int s = -1;
+  ASSERT_OK(suvm.PinPage(nullptr, spare / sim::kPageSize, &s));
   EXPECT_GE(s, 0);
   suvm.UnpinPage(spare / sim::kPageSize, s, /*dirty=*/false);
 }

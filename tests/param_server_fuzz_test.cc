@@ -115,7 +115,6 @@ TEST(PsModes, RequestStreamGivesIdenticalState) {
     cfg.backend = backend;
     cfg.suvm.epc_pp_pages = 64;
     cfg.suvm.backing_bytes = 4 << 20;
-    cfg.suvm.fast_seal = true;
     ParamServer server(machine, cfg);
     server.Populate();
     PsLoadGenerator gen(server.num_keys(), 0, 4, 99, cfg.crypto_seed);

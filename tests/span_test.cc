@@ -240,8 +240,7 @@ TEST(SpanSuvm, RootSpanMakesTheAuditExact) {
     // window (absorbed by the page-in retry; occasional failures are legal).
     machine.fault_injector().LoadSchedule(
         {{sim::Fault::kRollback, 0.05, UINT64_MAX, 0, 100}});
-    const uint64_t base = suvm.Malloc(64 * sim::kPageSize);
-    ASSERT_NE(base, suvm::kInvalidAddr);
+    const uint64_t base = ValueOrThrow(suvm.Malloc(64 * sim::kPageSize));
     Xoshiro256 rng(42);
     std::vector<uint8_t> buf(256);
     enclave.Enter(cpu);
@@ -253,9 +252,9 @@ TEST(SpanSuvm, RootSpanMakesTheAuditExact) {
           base + rng.NextBelow(64) * sim::kPageSize + rng.NextBelow(3840);
       if (rng.NextBelow(100) < 40) {
         rng.FillBytes(buf.data(), buf.size());
-        (void)suvm.TryWrite(&cpu, addr, buf.data(), buf.size());
+        (void)suvm.Write(&cpu, addr, buf.data(), buf.size());
       } else {
-        (void)suvm.TryRead(&cpu, addr, buf.data(), buf.size());
+        (void)suvm.Read(&cpu, addr, buf.data(), buf.size());
       }
     }
     enclave.Exit(cpu);

@@ -12,6 +12,8 @@
 #include "src/common/rng.h"
 #include "src/suvm/spointer.h"
 #include "src/suvm/suvm.h"
+#include "src/suvm/suvm_c.h"
+#include "tests/test_status.h"
 
 namespace eleos::suvm {
 namespace {
@@ -36,47 +38,47 @@ struct World {
 
 TEST(SuvmEdge, ZeroLengthOpsAreNoOps) {
   World w;
-  const uint64_t a = w.suvm->Malloc(4096);
+  const uint64_t a = ValueOrThrow(w.suvm->Malloc(4096));
   uint8_t buf[1] = {9};
-  w.suvm->Read(nullptr, a, buf, 0);
-  w.suvm->Write(nullptr, a, buf, 0);
-  w.suvm->Memset(nullptr, a, 1, 0);
-  w.suvm->Memcpy(nullptr, a, a, 0);
-  EXPECT_EQ(w.suvm->Memcmp(nullptr, a, buf, 0), 0);
+  ASSERT_OK(w.suvm->Read(nullptr, a, buf, 0));
+  ASSERT_OK(w.suvm->Write(nullptr, a, buf, 0));
+  ASSERT_OK(w.suvm->Memset(nullptr, a, 1, 0));
+  ASSERT_OK(w.suvm->Memcpy(nullptr, a, a, 0));
+  EXPECT_EQ(ValueOrThrow(w.suvm->Memcmp(nullptr, a, buf, 0)), 0);
   EXPECT_EQ(buf[0], 9);
 }
 
 TEST(SuvmEdge, ExactPageBoundaryAccesses) {
   World w;
-  const uint64_t a = w.suvm->Malloc(4 * sim::kPageSize);
+  const uint64_t a = ValueOrThrow(w.suvm->Malloc(4 * sim::kPageSize));
   // Write the last byte of one page and the first of the next in one call.
   const uint8_t pair[2] = {0xAB, 0xCD};
-  w.suvm->Write(nullptr, a + sim::kPageSize - 1, pair, 2);
+  ASSERT_OK(w.suvm->Write(nullptr, a + sim::kPageSize - 1, pair, 2));
   uint8_t back[2];
-  w.suvm->Read(nullptr, a + sim::kPageSize - 1, back, 2);
+  ASSERT_OK(w.suvm->Read(nullptr, a + sim::kPageSize - 1, back, 2));
   EXPECT_EQ(back[0], 0xAB);
   EXPECT_EQ(back[1], 0xCD);
   // Whole-region op landing exactly on page boundaries.
   std::vector<uint8_t> all(4 * sim::kPageSize, 0x11);
-  w.suvm->Write(nullptr, a, all.data(), all.size());
+  ASSERT_OK(w.suvm->Write(nullptr, a, all.data(), all.size()));
   std::vector<uint8_t> out(all.size());
-  w.suvm->Read(nullptr, a, out.data(), out.size());
+  ASSERT_OK(w.suvm->Read(nullptr, a, out.data(), out.size()));
   EXPECT_EQ(all, out);
 }
 
 TEST(SuvmEdge, MallocFreeReuseKeepsIsolation) {
   World w;
-  const uint64_t a = w.suvm->Malloc(sim::kPageSize);
-  w.suvm->Memset(nullptr, a, 0xEE, sim::kPageSize);
+  const uint64_t a = ValueOrThrow(w.suvm->Malloc(sim::kPageSize));
+  ASSERT_OK(w.suvm->Memset(nullptr, a, 0xEE, sim::kPageSize));
   w.suvm->Free(a);
-  const uint64_t b = w.suvm->Malloc(sim::kPageSize);
+  const uint64_t b = ValueOrThrow(w.suvm->Malloc(sim::kPageSize));
   EXPECT_EQ(b, a);  // buddy reuses the block
   // Fresh allocation must not resurrect sealed old contents after paging.
-  w.suvm->Memset(nullptr, b, 0x22, 16);
+  ASSERT_OK(w.suvm->Memset(nullptr, b, 0x22, 16));
   w.suvm->ResizeEpcPp(nullptr, 0);
   w.suvm->ResizeEpcPp(nullptr, 8);
   uint8_t out[16];
-  w.suvm->Read(nullptr, b + 16, out, sizeof(out));
+  ASSERT_OK(w.suvm->Read(nullptr, b + 16, out, sizeof(out)));
   // Bytes 16..31 were never written in this allocation's lifetime: the page
   // was dropped on Free, so they read back as zero (not stale 0xEE).
   for (uint8_t v : out) {
@@ -84,12 +86,13 @@ TEST(SuvmEdge, MallocFreeReuseKeepsIsolation) {
   }
 }
 
-TEST(SuvmEdge, MallocOutOfBackingReturnsInvalid) {
+TEST(SuvmEdge, MallocOutOfBackingIsResourceExhausted) {
   SuvmConfig cfg = World::Tiny();
   cfg.backing_bytes = 1 << 20;
   World w(cfg);
-  EXPECT_NE(w.suvm->Malloc(512 << 10), kInvalidAddr);
-  EXPECT_EQ(w.suvm->Malloc(1 << 20), kInvalidAddr);
+  EXPECT_OK(w.suvm->Malloc(512 << 10));
+  EXPECT_EQ(w.suvm->Malloc(1 << 20).status().code(),
+            StatusCode::kResourceExhausted);
 }
 
 TEST(SuvmEdge, TwoInstancesInOneEnclaveAreIndependent) {
@@ -100,20 +103,20 @@ TEST(SuvmEdge, TwoInstancesInOneEnclaveAreIndependent) {
   SuvmConfig cfg2 = cfg;
   cfg2.key_seed = 999;
   Suvm s2(enclave, cfg2);
-  const uint64_t a1 = s1.Malloc(4096);
-  const uint64_t a2 = s2.Malloc(4096);
-  s1.Memset(nullptr, a1, 1, 64);
-  s2.Memset(nullptr, a2, 2, 64);
+  const uint64_t a1 = ValueOrThrow(s1.Malloc(4096));
+  const uint64_t a2 = ValueOrThrow(s2.Malloc(4096));
+  ASSERT_OK(s1.Memset(nullptr, a1, 1, 64));
+  ASSERT_OK(s2.Memset(nullptr, a2, 2, 64));
   uint8_t v1, v2;
-  s1.Read(nullptr, a1, &v1, 1);
-  s2.Read(nullptr, a2, &v2, 1);
+  ASSERT_OK(s1.Read(nullptr, a1, &v1, 1));
+  ASSERT_OK(s2.Read(nullptr, a2, &v2, 1));
   EXPECT_EQ(v1, 1);
   EXPECT_EQ(v2, 2);
 }
 
 TEST(SuvmEdge, BalloonChurnUnderLoad) {
   World w;
-  const uint64_t a = w.suvm->Malloc(32 * sim::kPageSize);
+  const uint64_t a = ValueOrThrow(w.suvm->Malloc(32 * sim::kPageSize));
   Xoshiro256 rng(8);
   for (int round = 0; round < 50; ++round) {
     const size_t target = 1 + rng.NextBelow(8);
@@ -121,9 +124,9 @@ TEST(SuvmEdge, BalloonChurnUnderLoad) {
     for (int i = 0; i < 20; ++i) {
       const uint64_t off = rng.NextBelow(32 * sim::kPageSize - 8);
       uint64_t v = off;
-      w.suvm->Write(nullptr, a + off, &v, sizeof(v));
+      ASSERT_OK(w.suvm->Write(nullptr, a + off, &v, sizeof(v)));
       uint64_t got;
-      w.suvm->Read(nullptr, a + off, &got, sizeof(got));
+      ASSERT_OK(w.suvm->Read(nullptr, a + off, &got, sizeof(got)));
       ASSERT_EQ(got, off);
     }
     ASSERT_LE(w.suvm->page_cache().in_use(), target)
@@ -135,10 +138,10 @@ TEST(SuvmEdge, SwapperHonorsWatermarkAcrossLoads) {
   SuvmConfig cfg = World::Tiny();
   cfg.swapper_low_watermark = 3;
   World w(cfg);
-  const uint64_t a = w.suvm->Malloc(32 * sim::kPageSize);
+  const uint64_t a = ValueOrThrow(w.suvm->Malloc(32 * sim::kPageSize));
   uint8_t b = 1;
   for (uint64_t p = 0; p < 32; ++p) {
-    w.suvm->Write(nullptr, a + p * sim::kPageSize, &b, 1);
+    ASSERT_OK(w.suvm->Write(nullptr, a + p * sim::kPageSize, &b, 1));
     w.suvm->SwapperPass(nullptr);
     ASSERT_GE(w.suvm->page_cache().free_slots(), 3u);
   }
@@ -146,8 +149,9 @@ TEST(SuvmEdge, SwapperHonorsWatermarkAcrossLoads) {
 
 TEST(SuvmEdge, UnpinUnderflowThrows) {
   World w;
-  const uint64_t a = w.suvm->Malloc(4096);
-  const int slot = w.suvm->PinPage(nullptr, a / sim::kPageSize);
+  const uint64_t a = ValueOrThrow(w.suvm->Malloc(4096));
+  int slot = -1;
+  ASSERT_OK(w.suvm->PinPage(nullptr, a / sim::kPageSize, &slot));
   w.suvm->UnpinPage(a / sim::kPageSize, slot, false);
   EXPECT_THROW(w.suvm->UnpinPage(a / sim::kPageSize, slot, false),
                std::logic_error);
@@ -155,24 +159,31 @@ TEST(SuvmEdge, UnpinUnderflowThrows) {
 
 TEST(SuvmEdge, FreeWhilePinnedThrows) {
   World w;
-  const uint64_t a = w.suvm->Malloc(sim::kPageSize);
-  const int slot = w.suvm->PinPage(nullptr, a / sim::kPageSize);
+  const uint64_t a = ValueOrThrow(w.suvm->Malloc(sim::kPageSize));
+  int slot = -1;
+  ASSERT_OK(w.suvm->PinPage(nullptr, a / sim::kPageSize, &slot));
   EXPECT_THROW(w.suvm->Free(a), std::logic_error);
+  // The C interface reports the same violation without unwinding into C.
+  EXPECT_EQ(suvm_free(suvm_ctx_from(w.suvm.get()), a),
+            SUVM_ERR_FAILED_PRECONDITION);
   w.suvm->UnpinPage(a / sim::kPageSize, slot, false);
   EXPECT_NO_THROW(w.suvm->Free(a));
 }
 
-TEST(SuvmEdge, AllPagesPinnedFaultThrows) {
+TEST(SuvmEdge, AllPagesPinnedFaultIsResourceExhausted) {
   SuvmConfig cfg = World::Tiny();
   cfg.epc_pp_pages = 2;
   World w(cfg);
-  const uint64_t a = w.suvm->Malloc(8 * sim::kPageSize);
-  const int s0 = w.suvm->PinPage(nullptr, a / sim::kPageSize);
-  const int s1 = w.suvm->PinPage(nullptr, a / sim::kPageSize + 1);
-  EXPECT_THROW(w.suvm->PinPage(nullptr, a / sim::kPageSize + 2),
-               std::runtime_error);
+  const uint64_t a = ValueOrThrow(w.suvm->Malloc(8 * sim::kPageSize));
+  int s0 = -1;
+  ASSERT_OK(w.suvm->PinPage(nullptr, a / sim::kPageSize, &s0));
+  int s1 = -1;
+  ASSERT_OK(w.suvm->PinPage(nullptr, a / sim::kPageSize + 1, &s1));
+  int s2 = -1;
+  EXPECT_EQ(w.suvm->PinPage(nullptr, a / sim::kPageSize + 2, &s2).code(),
+            StatusCode::kResourceExhausted);
   w.suvm->UnpinPage(a / sim::kPageSize, s0, false);
-  EXPECT_NO_THROW(w.suvm->PinPage(nullptr, a / sim::kPageSize + 2));
+  EXPECT_OK(w.suvm->PinPage(nullptr, a / sim::kPageSize + 2, &s2));
   w.suvm->UnpinPage(a / sim::kPageSize + 1, s1, false);
 }
 
@@ -197,13 +208,13 @@ TEST(SuvmEdge, DirectModeSubpageGranularityConfigurable) {
   cfg.subpage_size = 512;  // 8 sub-pages per page
   World w(cfg);
   EXPECT_EQ(w.suvm->subpages_per_page(), 8u);
-  const uint64_t a = w.suvm->Malloc(2 * sim::kPageSize);
+  const uint64_t a = ValueOrThrow(w.suvm->Malloc(2 * sim::kPageSize));
   uint8_t data[600];
   std::memset(data, 0x3c, sizeof(data));
-  w.suvm->Write(nullptr, a + 100, data, sizeof(data));
+  ASSERT_OK(w.suvm->Write(nullptr, a + 100, data, sizeof(data)));
   w.suvm->ResizeEpcPp(nullptr, 0);
   uint8_t out[600];
-  w.suvm->ReadDirect(nullptr, a + 100, out, sizeof(out));
+  ASSERT_OK(w.suvm->ReadDirect(nullptr, a + 100, out, sizeof(out)));
   EXPECT_EQ(0, std::memcmp(data, out, sizeof(out)));
 }
 

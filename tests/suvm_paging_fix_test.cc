@@ -4,7 +4,7 @@
 //  1. Suvm::Free dropped sub-page/edge allocations without scrubbing, so a
 //     later owner of the same backing-store bytes read the previous owner's
 //     stale plaintext instead of zeros.
-//  2. Miss paths (TryPinPage fast path, TryReadDirect) default-inserted
+//  2. Miss paths (PinPage fast path, ReadDirect) default-inserted
 //     PageMeta entries via operator[], growing the page table without bound
 //     on miss-heavy probing.
 //  3. Suvm::Memcpy staged forward in 512-byte chunks, corrupting overlapping
@@ -19,6 +19,7 @@
 
 #include "src/common/rng.h"
 #include "src/suvm/suvm.h"
+#include "tests/test_status.h"
 
 namespace eleos::suvm {
 namespace {
@@ -57,98 +58,95 @@ std::vector<uint8_t> Pattern(size_t n, uint64_t seed) {
 
 TEST(SuvmFree, ReallocatedSubPageBlockReadsAsZeros) {
   World w(TinyCfg(16));
-  const uint64_t a = w.suvm->Malloc(512);
-  ASSERT_NE(a, kInvalidAddr);
+  const uint64_t a = ValueOrThrow(w.suvm->Malloc(512));
   const auto pattern = Pattern(512, 7);
-  w.suvm->Write(nullptr, a, pattern.data(), pattern.size());
+  ASSERT_OK(w.suvm->Write(nullptr, a, pattern.data(), pattern.size()));
   w.suvm->Free(a);
 
   // The buddy allocator hands the same bytes to the next allocation.
-  const uint64_t b = w.suvm->Malloc(8192);
+  const uint64_t b = ValueOrThrow(w.suvm->Malloc(8192));
   ASSERT_EQ(b, a) << "buddy allocator no longer reuses the freed block; "
                      "the test premise is broken";
   std::vector<uint8_t> back(8192, 0xaa);
-  w.suvm->Read(nullptr, b, back.data(), back.size());
+  ASSERT_OK(w.suvm->Read(nullptr, b, back.data(), back.size()));
   EXPECT_EQ(back, std::vector<uint8_t>(8192, 0))
       << "freed allocation's plaintext leaked into the new owner";
 }
 
 TEST(SuvmFree, ScrubPreservesNeighborSharingThePage) {
   World w(TinyCfg(16));
-  const uint64_t a = w.suvm->Malloc(512);
-  const uint64_t b = w.suvm->Malloc(512);
-  ASSERT_NE(a, kInvalidAddr);
-  ASSERT_NE(b, kInvalidAddr);
+  const uint64_t a = ValueOrThrow(w.suvm->Malloc(512));
+  const uint64_t b = ValueOrThrow(w.suvm->Malloc(512));
   ASSERT_EQ(a / sim::kPageSize, b / sim::kPageSize)
       << "allocations no longer share a page; the test premise is broken";
   const auto pa = Pattern(512, 11);
   const auto pb = Pattern(512, 13);
-  w.suvm->Write(nullptr, a, pa.data(), pa.size());
-  w.suvm->Write(nullptr, b, pb.data(), pb.size());
+  ASSERT_OK(w.suvm->Write(nullptr, a, pa.data(), pa.size()));
+  ASSERT_OK(w.suvm->Write(nullptr, b, pb.data(), pb.size()));
 
   w.suvm->Free(a);
 
   // The neighbor's bytes survive the scrub untouched...
   std::vector<uint8_t> back(512);
-  w.suvm->Read(nullptr, b, back.data(), back.size());
+  ASSERT_OK(w.suvm->Read(nullptr, b, back.data(), back.size()));
   EXPECT_EQ(back, pb);
   // ...and the freed half reads as zeros for its next owner.
-  const uint64_t c = w.suvm->Malloc(512);
+  const uint64_t c = ValueOrThrow(w.suvm->Malloc(512));
   ASSERT_EQ(c, a);
-  w.suvm->Read(nullptr, c, back.data(), back.size());
+  ASSERT_OK(w.suvm->Read(nullptr, c, back.data(), back.size()));
   EXPECT_EQ(back, std::vector<uint8_t>(512, 0));
 }
 
 TEST(SuvmFree, ScrubReachesSealedNonResidentEdgePage) {
   World w(TinyCfg(4));  // tiny EPC++ so the shared page gets evicted
-  const uint64_t a = w.suvm->Malloc(512);
-  const uint64_t b = w.suvm->Malloc(512);
+  const uint64_t a = ValueOrThrow(w.suvm->Malloc(512));
+  const uint64_t b = ValueOrThrow(w.suvm->Malloc(512));
   ASSERT_EQ(a / sim::kPageSize, b / sim::kPageSize);
   const auto pa = Pattern(512, 17);
   const auto pb = Pattern(512, 19);
-  w.suvm->Write(nullptr, a, pa.data(), pa.size());
-  w.suvm->Write(nullptr, b, pb.data(), pb.size());
+  ASSERT_OK(w.suvm->Write(nullptr, a, pa.data(), pa.size()));
+  ASSERT_OK(w.suvm->Write(nullptr, b, pb.data(), pb.size()));
 
   // Push the shared page out to the sealed backing store.
   const size_t churn_bytes = 8 * sim::kPageSize;
-  const uint64_t churn = w.suvm->Malloc(churn_bytes);
-  ASSERT_NE(churn, kInvalidAddr);
-  w.suvm->Memset(nullptr, churn, 0x5a, churn_bytes);
+  const uint64_t churn = ValueOrThrow(w.suvm->Malloc(churn_bytes));
+  ASSERT_OK(w.suvm->Memset(nullptr, churn, 0x5a, churn_bytes));
   ASSERT_GT(w.suvm->stats().evictions.load(), 0u);
 
   w.suvm->Free(a);  // must page the sealed edge page back in to scrub it
 
   std::vector<uint8_t> back(512);
-  w.suvm->Read(nullptr, b, back.data(), back.size());
+  ASSERT_OK(w.suvm->Read(nullptr, b, back.data(), back.size()));
   EXPECT_EQ(back, pb);
-  const uint64_t c = w.suvm->Malloc(512);
+  const uint64_t c = ValueOrThrow(w.suvm->Malloc(512));
   ASSERT_EQ(c, a);
-  w.suvm->Read(nullptr, c, back.data(), back.size());
+  ASSERT_OK(w.suvm->Read(nullptr, c, back.data(), back.size()));
   EXPECT_EQ(back, std::vector<uint8_t>(512, 0));
 }
 
 TEST(SuvmFree, FullyOwnedPagesStillDropWithoutWriteback) {
   World w(TinyCfg(16));
   const size_t n = 4 * sim::kPageSize;
-  const uint64_t a = w.suvm->Malloc(n);
-  w.suvm->Memset(nullptr, a, 0xcd, n);
+  const uint64_t a = ValueOrThrow(w.suvm->Malloc(n));
+  ASSERT_OK(w.suvm->Memset(nullptr, a, 0xcd, n));
   const uint64_t wb_before = w.suvm->stats().writebacks.load();
   w.suvm->Free(a);
   EXPECT_EQ(w.suvm->stats().writebacks.load(), wb_before)
       << "dropping a fully-owned page must not pay for a seal";
   EXPECT_EQ(w.suvm->PageTableEntries(), 0u);
 
-  const uint64_t b = w.suvm->Malloc(n);
+  const uint64_t b = ValueOrThrow(w.suvm->Malloc(n));
   ASSERT_EQ(b, a);
   std::vector<uint8_t> back(n, 0xff);
-  w.suvm->Read(nullptr, b, back.data(), back.size());
+  ASSERT_OK(w.suvm->Read(nullptr, b, back.data(), back.size()));
   EXPECT_EQ(back, std::vector<uint8_t>(n, 0));
 }
 
 TEST(SuvmFree, PinnedFullyOwnedPageStillThrows) {
   World w(TinyCfg(16));
-  const uint64_t a = w.suvm->Malloc(sim::kPageSize);
-  const int slot = w.suvm->PinPage(nullptr, a / sim::kPageSize);
+  const uint64_t a = ValueOrThrow(w.suvm->Malloc(sim::kPageSize));
+  int slot = -1;
+  ASSERT_OK(w.suvm->PinPage(nullptr, a / sim::kPageSize, &slot));
   EXPECT_THROW(w.suvm->Free(a), std::logic_error);
   w.suvm->UnpinPage(a / sim::kPageSize, slot, /*dirty=*/false);
 }
@@ -160,14 +158,13 @@ TEST(SuvmPageTable, DirectReadMissesDoNotGrowPageTable) {
   cfg.direct_mode = true;
   World w(cfg);
   const size_t n = 100 * sim::kPageSize;
-  const uint64_t addr = w.suvm->Malloc(n);
-  ASSERT_NE(addr, kInvalidAddr);
+  const uint64_t addr = ValueOrThrow(w.suvm->Malloc(n));
 
   std::vector<uint8_t> buf(256, 0xee);
   for (size_t p = 0; p < 100; ++p) {
     ASSERT_TRUE(
-        w.suvm->TryReadDirect(nullptr, addr + p * sim::kPageSize, buf.data(),
-                              buf.size())
+        w.suvm->ReadDirect(nullptr, addr + p * sim::kPageSize, buf.data(),
+                           buf.size())
             .ok());
     EXPECT_EQ(buf, std::vector<uint8_t>(256, 0));
     buf.assign(256, 0xee);
@@ -178,14 +175,16 @@ TEST(SuvmPageTable, DirectReadMissesDoNotGrowPageTable) {
 
 TEST(SuvmPageTable, ExhaustedPinDoesNotGrowPageTable) {
   World w(TinyCfg(2));
-  const uint64_t addr = w.suvm->Malloc(4 * sim::kPageSize);
+  const uint64_t addr = ValueOrThrow(w.suvm->Malloc(4 * sim::kPageSize));
   const uint64_t base = addr / sim::kPageSize;
-  const int s0 = w.suvm->PinPage(nullptr, base);
-  const int s1 = w.suvm->PinPage(nullptr, base + 1);
+  int s0 = -1;
+  ASSERT_OK(w.suvm->PinPage(nullptr, base, &s0));
+  int s1 = -1;
+  ASSERT_OK(w.suvm->PinPage(nullptr, base + 1, &s1));
   ASSERT_EQ(w.suvm->PageTableEntries(), 2u);
 
   int s2 = -1;
-  const Status st = w.suvm->TryPinPage(nullptr, base + 2, &s2);
+  const Status st = w.suvm->PinPage(nullptr, base + 2, &s2);
   EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(w.suvm->PageTableEntries(), 2u)
       << "a failed pin left a husk entry in the page table";
@@ -199,9 +198,9 @@ TEST(SuvmPageTable, ExhaustedPinDoesNotGrowPageTable) {
 TEST(SuvmMemcpy, ForwardOverlapMatchesMemmove) {
   World w(TinyCfg(16));
   const size_t n = 3 * sim::kPageSize;
-  const uint64_t addr = w.suvm->Malloc(n);
+  const uint64_t addr = ValueOrThrow(w.suvm->Malloc(n));
   auto mirror = Pattern(n, 23);
-  w.suvm->Write(nullptr, addr, mirror.data(), mirror.size());
+  ASSERT_OK(w.suvm->Write(nullptr, addr, mirror.data(), mirror.size()));
 
   // dst inside (src, src+len): forward chunked staging re-reads overwritten
   // bytes. 5000 > 512 forces multiple chunks; 700 < 512*? ensures overlap
@@ -209,43 +208,43 @@ TEST(SuvmMemcpy, ForwardOverlapMatchesMemmove) {
   const size_t len = 5000;
   const size_t src_off = 100;
   const size_t dst_off = 800;
-  w.suvm->Memcpy(nullptr, addr + dst_off, addr + src_off, len);
+  ASSERT_OK(w.suvm->Memcpy(nullptr, addr + dst_off, addr + src_off, len));
   std::memmove(mirror.data() + dst_off, mirror.data() + src_off, len);
 
   std::vector<uint8_t> back(n);
-  w.suvm->Read(nullptr, addr, back.data(), back.size());
+  ASSERT_OK(w.suvm->Read(nullptr, addr, back.data(), back.size()));
   EXPECT_EQ(back, mirror);
 }
 
 TEST(SuvmMemcpy, BackwardOverlapMatchesMemmove) {
   World w(TinyCfg(16));
   const size_t n = 3 * sim::kPageSize;
-  const uint64_t addr = w.suvm->Malloc(n);
+  const uint64_t addr = ValueOrThrow(w.suvm->Malloc(n));
   auto mirror = Pattern(n, 29);
-  w.suvm->Write(nullptr, addr, mirror.data(), mirror.size());
+  ASSERT_OK(w.suvm->Write(nullptr, addr, mirror.data(), mirror.size()));
 
   const size_t len = 5000;
-  w.suvm->Memcpy(nullptr, addr + 100, addr + 800, len);
+  ASSERT_OK(w.suvm->Memcpy(nullptr, addr + 100, addr + 800, len));
   std::memmove(mirror.data() + 100, mirror.data() + 800, len);
 
   std::vector<uint8_t> back(n);
-  w.suvm->Read(nullptr, addr, back.data(), back.size());
+  ASSERT_OK(w.suvm->Read(nullptr, addr, back.data(), back.size()));
   EXPECT_EQ(back, mirror);
 }
 
 TEST(SuvmMemcpy, DisjointCopyUnchanged) {
   World w(TinyCfg(16));
   const size_t n = 4 * sim::kPageSize;
-  const uint64_t addr = w.suvm->Malloc(n);
+  const uint64_t addr = ValueOrThrow(w.suvm->Malloc(n));
   auto mirror = Pattern(n, 31);
-  w.suvm->Write(nullptr, addr, mirror.data(), mirror.size());
+  ASSERT_OK(w.suvm->Write(nullptr, addr, mirror.data(), mirror.size()));
 
   const size_t len = 2 * sim::kPageSize - 77;
-  w.suvm->Memcpy(nullptr, addr + 2 * sim::kPageSize, addr, len);
+  ASSERT_OK(w.suvm->Memcpy(nullptr, addr + 2 * sim::kPageSize, addr, len));
   std::memmove(mirror.data() + 2 * sim::kPageSize, mirror.data(), len);
 
   std::vector<uint8_t> back(n);
-  w.suvm->Read(nullptr, addr, back.data(), back.size());
+  ASSERT_OK(w.suvm->Read(nullptr, addr, back.data(), back.size()));
   EXPECT_EQ(back, mirror);
 }
 

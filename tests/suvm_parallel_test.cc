@@ -24,6 +24,7 @@
 #include "src/common/rng.h"
 #include "src/sim/fault_injector.h"
 #include "src/suvm/suvm.h"
+#include "tests/test_status.h"
 
 namespace eleos::suvm {
 namespace {
@@ -76,8 +77,7 @@ TEST(SuvmParallel, FourThreadPinUnpinSwapperBalloonStress) {
   constexpr int kWorkers = 3;  // + 1 maintenance thread = 4
   constexpr size_t kPages = 96;  // 3x the cache: every thread faults steadily
   constexpr int kOpsPerThread = 4000;
-  const uint64_t base = suvm.Malloc(kPages * sim::kPageSize);
-  ASSERT_NE(base, kInvalidAddr);
+  const uint64_t base = ValueOrThrow(suvm.Malloc(kPages * sim::kPageSize));
   const uint64_t first_page = base / sim::kPageSize;
 
   std::atomic<int> errors{0};
@@ -91,7 +91,7 @@ TEST(SuvmParallel, FourThreadPinUnpinSwapperBalloonStress) {
       for (int i = 0; i < kOpsPerThread; ++i) {
         const uint64_t page = first_page + rng.NextBelow(kPages);
         int slot = -1;
-        const Status status = suvm.TryPinPage(cpu, page, &slot);
+        const Status status = suvm.PinPage(cpu, page, &slot);
         if (!status.ok()) {
           // Transient exhaustion while the balloon thread shrinks is legal;
           // anything else is a bug.
@@ -138,7 +138,8 @@ TEST(SuvmParallel, FourThreadPinUnpinSwapperBalloonStress) {
   // Every worker's last write must have survived the churn.
   for (uint64_t p = 0; p < kPages; ++p) {
     uint8_t bytes[kWorkers];
-    suvm.Read(nullptr, base + p * sim::kPageSize, bytes, sizeof(bytes));
+    ASSERT_OK(suvm.Read(nullptr, base + p * sim::kPageSize, bytes,
+                        sizeof(bytes)));
     for (int t = 0; t < kWorkers; ++t) {
       if (bytes[t] != 0) {
         EXPECT_EQ(bytes[t], static_cast<uint8_t>(0x40 + t))
@@ -160,11 +161,10 @@ TEST(SuvmParallel, CoalescedFaultsShareOneFill) {
   World w(TinyCfg(8));
   sim::Machine& machine = *w.machine;
   Suvm& suvm = *w.suvm;
-  const uint64_t base = suvm.Malloc(4 * sim::kPageSize);
-  ASSERT_NE(base, kInvalidAddr);
+  const uint64_t base = ValueOrThrow(suvm.Malloc(4 * sim::kPageSize));
   const uint64_t page = base / sim::kPageSize;
   const uint64_t marker = 0x9e3779b97f4a7c15ull;
-  suvm.Write(nullptr, base, &marker, sizeof(marker));
+  ASSERT_OK(suvm.Write(nullptr, base, &marker, sizeof(marker)));
   suvm.ResetStats();  // the zero-fill fault above is not part of the count
 
   constexpr int kThreads = 4;
@@ -184,7 +184,7 @@ TEST(SuvmParallel, CoalescedFaultsShareOneFill) {
         while (ready.load(std::memory_order_acquire) < kThreads) {
         }
         int slot = -1;
-        if (!suvm.TryPinPage(cpu, page, &slot).ok()) {
+        if (!suvm.PinPage(cpu, page, &slot).ok()) {
           errors.fetch_add(1);
           return;
         }
@@ -219,10 +219,9 @@ TEST(SuvmParallel, QuarantineFailsClosedUnderContention) {
   World w(TinyCfg(4));
   sim::Machine& machine = *w.machine;
   Suvm& suvm = *w.suvm;
-  const uint64_t base = suvm.Malloc(8 * sim::kPageSize);
-  ASSERT_NE(base, kInvalidAddr);
+  const uint64_t base = ValueOrThrow(suvm.Malloc(8 * sim::kPageSize));
   std::vector<uint8_t> data(sim::kPageSize, 0xab);
-  suvm.Write(nullptr, base, data.data(), data.size());
+  ASSERT_OK(suvm.Write(nullptr, base, data.data(), data.size()));
   suvm.ResizeEpcPp(nullptr, 0);  // seal the page out
   suvm.page_cache().set_target_pages(4);
 
@@ -237,7 +236,7 @@ TEST(SuvmParallel, QuarantineFailsClosedUnderContention) {
       sim::CpuContext* cpu = &machine.cpu(static_cast<size_t>(t));
       uint8_t buf[16];
       for (int i = 0; i < 50; ++i) {
-        const Status status = suvm.TryRead(cpu, base, buf, sizeof(buf));
+        const Status status = suvm.Read(cpu, base, buf, sizeof(buf));
         if (status.ok()) {
           ok_reads.fetch_add(1);
         } else if (status.code() != StatusCode::kDataCorruption) {
@@ -271,15 +270,13 @@ TEST(SuvmParallel, CrashRecoveryUnderConcurrentWriters) {
   sim::CpuContext& cpu0 = machine.cpu(0);
 
   // Region A: sealed into the checkpoint, never touched again.
-  const uint64_t stable = suvm.Malloc(16 * sim::kPageSize);
-  ASSERT_NE(stable, kInvalidAddr);
+  const uint64_t stable = ValueOrThrow(suvm.Malloc(16 * sim::kPageSize));
   std::vector<uint8_t> want(16 * sim::kPageSize);
   Xoshiro256 fill(0xc0ffee);
   fill.FillBytes(want.data(), want.size());
-  suvm.Write(&cpu0, stable, want.data(), want.size());
+  ASSERT_OK(suvm.Write(&cpu0, stable, want.data(), want.size()));
   // Region B: the concurrent writers' scratch space.
-  const uint64_t scratch = suvm.Malloc(32 * sim::kPageSize);
-  ASSERT_NE(scratch, kInvalidAddr);
+  const uint64_t scratch = ValueOrThrow(suvm.Malloc(32 * sim::kPageSize));
 
   StatusOr<sim::SgxDriver::SealedBlob> root = suvm.SealCheckpoint(&cpu0);
   ASSERT_TRUE(root.ok()) << root.status().message();
@@ -296,7 +293,7 @@ TEST(SuvmParallel, CrashRecoveryUnderConcurrentWriters) {
       while (!suvm.crashed()) {
         const uint64_t off = rng.NextBelow(32 * sim::kPageSize - 8);
         ++v;
-        if (suvm.TryWrite(cpu, scratch + off, &v, sizeof(v)).code() ==
+        if (suvm.Write(cpu, scratch + off, &v, sizeof(v)).code() ==
             StatusCode::kUnavailable) {
           break;
         }
@@ -322,7 +319,7 @@ TEST(SuvmParallel, CrashRecoveryUnderConcurrentWriters) {
   EXPECT_GT(report.pages_verified, 0u);
 
   std::vector<uint8_t> got(want.size());
-  recovered->Read(&cpu0, stable, got.data(), got.size());
+  ASSERT_OK(recovered->Read(&cpu0, stable, got.data(), got.size()));
   EXPECT_EQ(got, want) << "checkpointed region corrupted by the crash";
 }
 
@@ -334,11 +331,10 @@ TEST(SuvmParallel, EagerReserveKeepsFreeSlotsAtWatermark) {
   cfg.swapper_low_watermark = 3;
   World w(cfg);
   Suvm& suvm = *w.suvm;
-  const uint64_t base = suvm.Malloc(32 * sim::kPageSize);
-  ASSERT_NE(base, kInvalidAddr);
+  const uint64_t base = ValueOrThrow(suvm.Malloc(32 * sim::kPageSize));
   uint8_t byte = 1;
   for (uint64_t p = 0; p < 32; ++p) {
-    suvm.Write(nullptr, base + p * sim::kPageSize, &byte, 1);
+    ASSERT_OK(suvm.Write(nullptr, base + p * sim::kPageSize, &byte, 1));
     EXPECT_GE(suvm.page_cache().free_slots(), 3u)
         << "reserve not replenished after fault on page " << p;
   }
@@ -354,12 +350,11 @@ TEST(SuvmParallel, PrefetchServesSequentialStream) {
   World w(cfg);
   Suvm& suvm = *w.suvm;
   constexpr size_t kPages = 48;
-  const uint64_t base = suvm.Malloc(kPages * sim::kPageSize);
-  ASSERT_NE(base, kInvalidAddr);
+  const uint64_t base = ValueOrThrow(suvm.Malloc(kPages * sim::kPageSize));
   std::vector<uint8_t> data(kPages * sim::kPageSize);
   Xoshiro256 rng(0x5eed);
   rng.FillBytes(data.data(), data.size());
-  suvm.Write(nullptr, base, data.data(), data.size());
+  ASSERT_OK(suvm.Write(nullptr, base, data.data(), data.size()));
   suvm.ResizeEpcPp(nullptr, 0);  // everything sealed out
   suvm.page_cache().set_target_pages(16);
   suvm.ResetStats();
@@ -368,7 +363,8 @@ TEST(SuvmParallel, PrefetchServesSequentialStream) {
   // Pin with a real CPU so the per-CPU stream tracker sees the stride.
   sim::CpuContext& cpu = w.machine->cpu(0);
   for (uint64_t p = 0; p < kPages; ++p) {
-    const int slot = suvm.PinPage(&cpu, base / sim::kPageSize + p);
+    int slot = -1;
+    ASSERT_OK(suvm.PinPage(&cpu, base / sim::kPageSize + p, &slot));
     std::memcpy(got.data() + p * sim::kPageSize,
                 suvm.SlotData(&cpu, slot, 0, sim::kPageSize, false),
                 sim::kPageSize);
@@ -390,12 +386,12 @@ TEST(SuvmParallel, PrefetchServesSequentialStream) {
 TEST(SuvmParallel, PrefetchDisabledLeavesCountersZero) {
   World w(TinyCfg(16));
   Suvm& suvm = *w.suvm;
-  const uint64_t base = suvm.Malloc(32 * sim::kPageSize);
-  ASSERT_NE(base, kInvalidAddr);
+  const uint64_t base = ValueOrThrow(suvm.Malloc(32 * sim::kPageSize));
   sim::CpuContext& cpu = w.machine->cpu(0);
   std::vector<uint8_t> buf(sim::kPageSize);
   for (uint64_t p = 0; p < 32; ++p) {
-    suvm.Read(&cpu, base + p * sim::kPageSize, buf.data(), buf.size());
+    ASSERT_OK(suvm.Read(&cpu, base + p * sim::kPageSize, buf.data(),
+                        buf.size()));
   }
   EXPECT_EQ(suvm.stats().prefetch_issued.load(), 0u);
   EXPECT_EQ(suvm.stats().prefetch_hits.load(), 0u);

@@ -14,6 +14,7 @@
 
 #include "src/common/rng.h"
 #include "src/suvm/suvm.h"
+#include "tests/test_status.h"
 
 namespace eleos::suvm {
 namespace {
@@ -54,8 +55,7 @@ TEST_P(SuvmFuzz, MatchesReferenceModel) {
   Suvm suvm(enclave, cfg);
 
   const size_t kRegion = 48 * sim::kPageSize;  // 24x a tiny cache
-  const uint64_t base = suvm.Malloc(kRegion);
-  ASSERT_NE(base, kInvalidAddr);
+  const uint64_t base = ValueOrThrow(suvm.Malloc(kRegion));
   std::vector<uint8_t> reference(kRegion, 0);
 
   Xoshiro256 rng(param.seed);
@@ -67,23 +67,23 @@ TEST_P(SuvmFuzz, MatchesReferenceModel) {
 
     if (op < 35) {  // write
       rng.FillBytes(buf.data(), len);
-      suvm.Write(nullptr, base + off, buf.data(), len);
+      ASSERT_OK(suvm.Write(nullptr, base + off, buf.data(), len));
       std::memcpy(reference.data() + off, buf.data(), len);
     } else if (op < 70) {  // read + compare
-      suvm.Read(nullptr, base + off, buf.data(), len);
+      ASSERT_OK(suvm.Read(nullptr, base + off, buf.data(), len));
       ASSERT_EQ(0, std::memcmp(buf.data(), reference.data() + off, len))
           << "step " << step << " off " << off << " len " << len;
     } else if (op < 80) {  // memset
       const uint8_t v = static_cast<uint8_t>(rng.Next());
-      suvm.Memset(nullptr, base + off, v, len);
+      ASSERT_OK(suvm.Memset(nullptr, base + off, v, len));
       std::memset(reference.data() + off, v, len);
     } else if (op < 90 && param.direct_mode) {  // direct read
-      suvm.ReadDirect(nullptr, base + off, buf.data(), len);
+      ASSERT_OK(suvm.ReadDirect(nullptr, base + off, buf.data(), len));
       ASSERT_EQ(0, std::memcmp(buf.data(), reference.data() + off, len))
           << "direct read, step " << step;
     } else if (op < 95 && param.direct_mode) {  // direct write
       rng.FillBytes(buf.data(), len);
-      suvm.WriteDirect(nullptr, base + off, buf.data(), len);
+      ASSERT_OK(suvm.WriteDirect(nullptr, base + off, buf.data(), len));
       std::memcpy(reference.data() + off, buf.data(), len);
     } else if (op < 97) {  // swapper pass
       suvm.SwapperPass(nullptr);
@@ -95,7 +95,7 @@ TEST_P(SuvmFuzz, MatchesReferenceModel) {
 
   // Final full sweep.
   std::vector<uint8_t> all(kRegion);
-  suvm.Read(nullptr, base, all.data(), kRegion);
+  ASSERT_OK(suvm.Read(nullptr, base, all.data(), kRegion));
   EXPECT_EQ(0, std::memcmp(all.data(), reference.data(), kRegion));
   EXPECT_GT(suvm.stats().major_faults.load(), 0u);
   EXPECT_GT(suvm.stats().evictions.load(), 0u);
@@ -127,19 +127,21 @@ TEST(EvictionPolicy, ClockProtectsReReferencedPages) {
     cfg.eviction = policy;
     cfg.swapper_low_watermark = 0;
     Suvm suvm(enclave, cfg);
-    const uint64_t a = suvm.Malloc(16 * sim::kPageSize);
+    const uint64_t a = ValueOrThrow(suvm.Malloc(16 * sim::kPageSize));
     uint8_t b = 0;
     for (uint64_t p = 0; p < 16; ++p) {
-      suvm.Write(nullptr, a + p * sim::kPageSize, &b, 1);
+      EXPECT_OK(suvm.Write(nullptr, a + p * sim::kPageSize, &b, 1));
     }
     suvm.ResetStats();
     // Loop: hammer pages 0..3 (hot), sweep 4..15 (cold scan).
     Xoshiro256 rng(9);
     for (int round = 0; round < 60; ++round) {
       for (int hot = 0; hot < 6; ++hot) {
-        suvm.Read(nullptr, a + rng.NextBelow(4) * sim::kPageSize, &b, 1);
+        EXPECT_OK(suvm.Read(nullptr, a + rng.NextBelow(4) * sim::kPageSize, &b,
+                            1));
       }
-      suvm.Read(nullptr, a + (4 + rng.NextBelow(12)) * sim::kPageSize, &b, 1);
+      EXPECT_OK(suvm.Read(nullptr, a + (4 + rng.NextBelow(12)) * sim::kPageSize,
+                          &b, 1));
     }
     return suvm.stats().major_faults.load();
   };
@@ -159,14 +161,14 @@ TEST(EvictionPolicy, AllPoliciesPreserveData) {
     cfg.eviction = policy;
     cfg.swapper_low_watermark = 0;
     Suvm suvm(enclave, cfg);
-    const uint64_t a = suvm.Malloc(32 * sim::kPageSize);
+    const uint64_t a = ValueOrThrow(suvm.Malloc(32 * sim::kPageSize));
     for (uint64_t p = 0; p < 32; ++p) {
       const uint64_t v = p * 31 + 7;
-      suvm.Write(nullptr, a + p * sim::kPageSize, &v, sizeof(v));
+      ASSERT_OK(suvm.Write(nullptr, a + p * sim::kPageSize, &v, sizeof(v)));
     }
     for (uint64_t p = 0; p < 32; ++p) {
       uint64_t got = 0;
-      suvm.Read(nullptr, a + p * sim::kPageSize, &got, sizeof(got));
+      ASSERT_OK(suvm.Read(nullptr, a + p * sim::kPageSize, &got, sizeof(got)));
       ASSERT_EQ(got, p * 31 + 7) << static_cast<int>(policy) << " page " << p;
     }
   }

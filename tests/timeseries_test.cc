@@ -373,8 +373,7 @@ void RunSuvmWorkload(sim::Machine& machine) {
   cfg.swapper_low_watermark = 0;
   suvm::Suvm suvm(enclave, cfg);
   sim::CpuContext& cpu = machine.cpu(0);
-  const uint64_t base = suvm.Malloc(24 * sim::kPageSize);
-  ASSERT_NE(base, suvm::kInvalidAddr);
+  const uint64_t base = ValueOrThrow(suvm.Malloc(24 * sim::kPageSize));
   uint8_t buf[256];
   Xoshiro256 rng(7);
   enclave.Enter(cpu);
@@ -383,9 +382,9 @@ void RunSuvmWorkload(sim::Machine& machine) {
                           rng.NextBelow(sim::kPageSize - sizeof(buf));
     if (i % 3 == 0) {
       rng.FillBytes(buf, sizeof(buf));
-      ASSERT_TRUE(suvm.TryWrite(&cpu, addr, buf, sizeof(buf)).ok());
+      ASSERT_TRUE(suvm.Write(&cpu, addr, buf, sizeof(buf)).ok());
     } else {
-      ASSERT_TRUE(suvm.TryRead(&cpu, addr, buf, sizeof(buf)).ok());
+      ASSERT_TRUE(suvm.Read(&cpu, addr, buf, sizeof(buf)).ok());
     }
   }
   enclave.Exit(cpu);

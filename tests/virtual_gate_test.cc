@@ -21,6 +21,7 @@
 #include "src/common/rng.h"
 #include "src/common/spinlock.h"
 #include "src/suvm/suvm.h"
+#include "tests/test_status.h"
 
 namespace eleos {
 namespace {
@@ -207,10 +208,11 @@ TEST(VirtualGate, SuvmFaultBehindAFutureFaultDoesNotQueue) {
   cfg.swapper_low_watermark = 0;
   suvm::Suvm suvm(enclave, cfg);
   constexpr size_t kPages = 32;
-  const uint64_t base = suvm.Malloc(kPages * sim::kPageSize);
+  const uint64_t base = ValueOrThrow(suvm.Malloc(kPages * sim::kPageSize));
   std::vector<uint8_t> buf(64, 0x5a);
   for (size_t p = 0; p < kPages; ++p) {  // seal everything out via null CPU
-    suvm.Write(nullptr, base + p * sim::kPageSize, buf.data(), buf.size());
+    ASSERT_OK(suvm.Write(nullptr, base + p * sim::kPageSize, buf.data(),
+                         buf.size()));
   }
   sim::CpuContext& ahead = machine.cpu(1);
   sim::CpuContext& behind = machine.cpu(0);
@@ -218,11 +220,12 @@ TEST(VirtualGate, SuvmFaultBehindAFutureFaultDoesNotQueue) {
   enclave.Enter(behind);
   ahead.clock.Advance(100000000);
   for (size_t p = 0; p < kPages; ++p) {
-    suvm.Read(&ahead, base + p * sim::kPageSize, buf.data(), buf.size());
-    suvm.Read(nullptr, base + ((p + 7) % kPages) * sim::kPageSize, buf.data(),
-              buf.size());
-    suvm.Read(&behind, base + ((p + 16) % kPages) * sim::kPageSize, buf.data(),
-              buf.size());
+    ASSERT_OK(suvm.Read(&ahead, base + p * sim::kPageSize, buf.data(),
+                        buf.size()));
+    ASSERT_OK(suvm.Read(nullptr, base + ((p + 7) % kPages) * sim::kPageSize,
+                        buf.data(), buf.size()));
+    ASSERT_OK(suvm.Read(&behind, base + ((p + 16) % kPages) * sim::kPageSize,
+                        buf.data(), buf.size()));
   }
   EXPECT_GT(suvm.stats().major_faults.load(), 2 * kPages);
   EXPECT_LT(behind.clock.now(), 100000000u);
