@@ -42,7 +42,7 @@ constexpr size_t kKeyLen = 20;
 constexpr size_t kRequests = 10000;
 
 std::string KeyFor(size_t i) {
-  char buf[kKeyLen + 1];
+  char buf[32];  // room for any size_t; every key used here is 20 bytes
   snprintf(buf, sizeof(buf), "key-%016zu", i);
   return std::string(buf, kKeyLen);
 }

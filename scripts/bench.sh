@@ -6,10 +6,11 @@
 #
 # Each bench also records a span trace (TRACE_rpc.json / TRACE_suvm.json,
 # each with .folded flamegraph and .timeline.json siblings) — the CI trace
-# artifacts — and both are validated with scripts/validate_trace.py; the RPC
-# trace must prove the cross-boundary link (worker-execution spans parented
-# by enclave calls), and both traces' counter tracks are cross-checked
-# against the timeline windows they were exported from.
+# artifacts, regenerated on every run and never committed — and both are
+# validated with scripts/validate_trace.py; the RPC trace must prove the
+# cross-boundary link (worker-execution spans parented by enclave calls), and
+# both traces' counter tracks are cross-checked against the timeline windows
+# they were exported from.
 #
 # When OUT_DIR points somewhere other than the repo root (CI does this), the
 # freshly emitted BENCH_*.json are additionally diffed against the committed

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 verification.
 #
-# 1. Full build + the whole test suite (the seed's tier-1 gate). The long
-#    chaos soak (label `soak`) is excluded here — its smoke variant runs as a
-#    normal test; the full-length run is scripts/soak.sh.
+# 1. Full build, warnings as errors, + the whole test suite (the seed's
+#    tier-1 gate). The long chaos soak (label `soak`) is excluded here — its
+#    smoke variant runs as a normal test; the full-length run is
+#    scripts/soak.sh.
 # 2. A ThreadSanitizer build (-DELEOS_SANITIZE=thread) re-running the
 #    concurrency-sensitive suites: the lock-free job queue / worker pool /
 #    watchdog, SUVM's striped paging locks, the relaxed-atomic telemetry
@@ -17,7 +18,8 @@
 #    arena), the secure channel, and the boundary fuzz — the paths that poke
 #    at lifetimes (abandoned jobs, quarantined pages, dead enclave
 #    instances, tampered/scribbled slots), plus the paging gate's section
-#    record (a bounded vector spliced on every release).
+#    record (a bounded vector spliced on every release), plus the crypto
+#    suites, whose SIMD kernels must never load past a buffer's last byte.
 # 4. A benchmark smoke stage: runs the baseline benches end-to-end and
 #    validates the emitted BENCH_*.json (fails on malformed/empty output,
 #    including the schema-v2 timeline block) plus the TRACE_*.json span
@@ -35,7 +37,7 @@ cd "$(dirname "$0")/.."
 export ELEOS_FLIGHT_DIR="${ELEOS_FLIGHT_DIR:-$PWD/flight}"
 mkdir -p "$ELEOS_FLIGHT_DIR"
 
-cmake -B build -S .
+cmake -B build -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build build -j
 (cd build && ctest --output-on-failure -j"$(nproc)" -LE soak)
 
@@ -49,12 +51,12 @@ cmake --build build-tsan -j --target \
   crash_recovery_test boundary_fuzz_test
 (cd build-tsan && ctest --output-on-failure -R "$TSAN_TESTS")
 
-ASAN_TESTS='^(fault_injection_test|chaos_soak_test|crash_recovery_test|secure_channel_test|boundary_fuzz_test|flight_recorder_test|suvm_parallel_test|virtual_gate_test)$'
+ASAN_TESTS='^(fault_injection_test|chaos_soak_test|crash_recovery_test|secure_channel_test|boundary_fuzz_test|flight_recorder_test|suvm_parallel_test|virtual_gate_test|crypto_test|crypto_extra_test)$'
 cmake -B build-asan -S . -DELEOS_SANITIZE=address,undefined
 cmake --build build-asan -j --target \
   fault_injection_test chaos_soak_test crash_recovery_test \
   secure_channel_test boundary_fuzz_test flight_recorder_test \
-  suvm_parallel_test virtual_gate_test
+  suvm_parallel_test virtual_gate_test crypto_test crypto_extra_test
 (cd build-asan && ctest --output-on-failure -R "$ASAN_TESTS")
 
 OUT_DIR="$(mktemp -d)" scripts/bench.sh --smoke

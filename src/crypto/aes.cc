@@ -2,6 +2,8 @@
 
 #include "src/crypto/aes.h"
 
+#include "src/crypto/aesni.h"
+
 namespace eleos::crypto {
 namespace {
 
@@ -91,7 +93,11 @@ uint32_t RotWord(uint32_t w) { return (w << 8) | (w >> 24); }
 
 }  // namespace
 
-Aes128::Aes128(const uint8_t key[kAes128KeySize]) {
+Aes128::Aes128(const uint8_t key[kAes128KeySize])
+    : Aes128(key, internal::CpuHasAesClmul()) {}
+
+Aes128::Aes128(const uint8_t key[kAes128KeySize], bool hardware)
+    : hardware_(hardware) {
   for (int i = 0; i < 4; ++i) {
     round_keys_[i] = LoadBe32(key + 4 * i);
   }
@@ -106,6 +112,10 @@ Aes128::Aes128(const uint8_t key[kAes128KeySize]) {
 
 void Aes128::EncryptBlock(const uint8_t in[kAesBlockSize],
                           uint8_t out[kAesBlockSize]) const {
+  if (hardware_) {
+    internal::AesniEncryptBlock(round_keys_.data(), in, out);
+    return;
+  }
   const Tables& t = T();
   const uint32_t* rk = round_keys_.data();
 

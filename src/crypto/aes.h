@@ -1,17 +1,19 @@
 // Copyright (c) Eleos reproduction authors. MIT license.
 //
-// AES-128, encrypt-direction only, table based (four 32-bit T-tables built at
-// static-init time from the S-box).
+// AES-128, encrypt direction only (GCM and CTR encrypt counter blocks for
+// either direction).
 //
-// Eleos on real hardware uses AES-NI through the SGX SDK's IPPCP library for
+// Eleos on real hardware runs AES-NI through the SGX SDK's IPPCP library for
 // both SUVM backing-store pages (AES-GCM, like the EWB instruction) and
-// client request payloads (AES-CTR). This environment has no SGX SDK, so the
-// primitives are implemented from scratch. Only the encrypt direction is
-// needed: both GCM and CTR encrypt counter blocks for either direction.
+// client request payloads (AES-CTR). Here each object runs the AES-NI kernels
+// in aesni.cc when CPUID reports AES-NI and PCLMULQDQ, and otherwise a
+// portable T-table AES (four 32-bit tables built at static-init time from the
+// S-box). The choice is made once per process; the T-table code is also the
+// reference the tests hold the kernels to.
 //
-// This implementation prioritizes clarity + reasonable speed; the *simulated*
-// cycle costs charged for in-enclave crypto use AES-NI per-byte rates (see
-// sim::CostModel), independent of how fast this software path runs.
+// Host speed never reaches the simulation: the *simulated* cycle costs
+// charged for in-enclave crypto use AES-NI per-byte rates (see
+// sim::CostModel) whichever path runs.
 
 #ifndef ELEOS_SRC_CRYPTO_AES_H_
 #define ELEOS_SRC_CRYPTO_AES_H_
@@ -25,6 +27,10 @@ namespace eleos::crypto {
 inline constexpr size_t kAesBlockSize = 16;
 inline constexpr size_t kAes128KeySize = 16;
 
+namespace internal {
+struct Portable;
+}  // namespace internal
+
 // An expanded AES-128 key. Cheap to copy; safe to share across threads for
 // encryption (the schedule is immutable after construction).
 class Aes128 {
@@ -36,7 +42,16 @@ class Aes128 {
                     uint8_t out[kAesBlockSize]) const;
 
  private:
+  friend class AesGcm;
+  friend struct internal::Portable;
+  friend void AesCtrCrypt(const Aes128& aes, const uint8_t iv[12],
+                          uint32_t initial_counter, const uint8_t* in,
+                          uint8_t* out, size_t n);
+
+  Aes128(const uint8_t key[kAes128KeySize], bool hardware);
+
   std::array<uint32_t, 44> round_keys_;  // 11 round keys x 4 words
+  bool hardware_;  // AES-NI kernels, else the T-table rounds
 };
 
 }  // namespace eleos::crypto

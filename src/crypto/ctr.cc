@@ -4,10 +4,16 @@
 
 #include <cstring>
 
+#include "src/crypto/aesni.h"
+
 namespace eleos::crypto {
 
 void AesCtrCrypt(const Aes128& aes, const uint8_t iv[12], uint32_t initial_counter,
                  const uint8_t* in, uint8_t* out, size_t n) {
+  if (aes.hardware_) {
+    internal::AesniCtr(aes.round_keys_.data(), iv, initial_counter, in, out, n);
+    return;
+  }
   uint8_t counter_block[kAesBlockSize];
   uint8_t keystream[kAesBlockSize];
   std::memcpy(counter_block, iv, 12);

@@ -17,7 +17,8 @@ namespace eleos::crypto {
 
 // XOR-crypts `n` bytes of `in` into `out` (encrypt == decrypt). The 16-byte
 // counter block is built from a 12-byte IV and a 32-bit big-endian block
-// counter starting at `initial_counter`. in/out may alias.
+// counter starting at `initial_counter` (wrapping mod 2^32). in/out may alias.
+// This is the one CTR loop: AesGcm encrypts through it too.
 void AesCtrCrypt(const Aes128& aes, const uint8_t iv[12], uint32_t initial_counter,
                  const uint8_t* in, uint8_t* out, size_t n);
 

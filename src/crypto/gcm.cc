@@ -4,6 +4,9 @@
 
 #include <cstring>
 
+#include "src/crypto/aesni.h"
+#include "src/crypto/ctr.h"
+
 namespace eleos::crypto {
 namespace {
 
@@ -22,13 +25,6 @@ void StoreBe64(uint8_t* p, uint64_t v) {
   }
 }
 
-void StoreBe32(uint8_t* p, uint32_t v) {
-  p[0] = static_cast<uint8_t>(v >> 24);
-  p[1] = static_cast<uint8_t>(v >> 16);
-  p[2] = static_cast<uint8_t>(v >> 8);
-  p[3] = static_cast<uint8_t>(v);
-}
-
 // Reduction constants for the 4-bit Shoup table walk (mbedTLS layout).
 constexpr uint64_t kLast4[16] = {
     0x0000, 0x1c20, 0x3840, 0x2460, 0x7080, 0x6ca0, 0x48c0, 0x54e0,
@@ -45,7 +41,9 @@ bool ConstantTimeEqual16(const uint8_t* a, const uint8_t* b) {
 
 }  // namespace
 
-AesGcm::AesGcm(const uint8_t key[kAes128KeySize]) : aes_(key) {
+AesGcm::AesGcm(const uint8_t key[kAes128KeySize]) : AesGcm(Aes128(key)) {}
+
+AesGcm::AesGcm(const Aes128& aes) : aes_(aes) {
   uint8_t h_block[16] = {0};
   aes_.EncryptBlock(h_block, h_block);
 
@@ -65,6 +63,15 @@ AesGcm::AesGcm(const uint8_t key[kAes128KeySize]) : aes_(key) {
     }
   }
   htable_[0] = {0, 0};
+
+  U128 power{LoadBe64(h_block), LoadBe64(h_block + 8)};
+  for (int i = 0; i < 4; ++i) {
+    if (i > 0) {
+      power = GhashMul(power);
+    }
+    StoreBe64(h_powers_ + 16 * i, power.hi);
+    StoreBe64(h_powers_ + 16 * i + 8, power.lo);
+  }
 }
 
 AesGcm::U128 AesGcm::GhashMul(const U128& x) const {
@@ -100,6 +107,10 @@ AesGcm::U128 AesGcm::GhashMul(const U128& x) const {
 
 void AesGcm::Ghash(const uint8_t* aad, size_t aad_len, const uint8_t* ct,
                    size_t ct_len, uint8_t out[16]) const {
+  if (aes_.hardware_) {
+    internal::ClmulGhash(h_powers_, aad, aad_len, ct, ct_len, out);
+    return;
+  }
   U128 y{0, 0};
 
   auto absorb = [&](const uint8_t* data, size_t len) {
@@ -131,73 +142,26 @@ void AesGcm::Ghash(const uint8_t* aad, size_t aad_len, const uint8_t* ct,
   StoreBe64(out + 8, y.lo);
 }
 
-void AesGcm::CtrCrypt(const uint8_t j0[16], const uint8_t* in, uint8_t* out,
-                      size_t n) const {
-  uint8_t counter_block[16];
-  uint8_t keystream[16];
-  std::memcpy(counter_block, j0, 16);
-  uint32_t counter = (static_cast<uint32_t>(j0[12]) << 24) |
-                     (static_cast<uint32_t>(j0[13]) << 16) |
-                     (static_cast<uint32_t>(j0[14]) << 8) | j0[15];
-
-  size_t off = 0;
-  while (off < n) {
-    ++counter;  // data blocks start at J0 + 1
-    StoreBe32(counter_block + 12, counter);
-    aes_.EncryptBlock(counter_block, keystream);
-    const size_t chunk = (n - off < 16) ? n - off : 16;
-    for (size_t i = 0; i < chunk; ++i) {
-      out[off + i] = static_cast<uint8_t>(in[off + i] ^ keystream[i]);
-    }
-    off += chunk;
-  }
-}
-
 void AesGcm::Seal(const uint8_t nonce[kGcmNonceSize], const uint8_t* aad,
                   size_t aad_len, const uint8_t* plaintext, size_t n,
                   uint8_t* ciphertext, uint8_t tag[kGcmTagSize]) const {
-  uint8_t j0[16];
-  std::memcpy(j0, nonce, kGcmNonceSize);
-  j0[12] = 0;
-  j0[13] = 0;
-  j0[14] = 0;
-  j0[15] = 1;
-
-  CtrCrypt(j0, plaintext, ciphertext, n);
-
+  AesCtrCrypt(aes_, nonce, 2, plaintext, ciphertext, n);
   uint8_t s[16];
   Ghash(aad, aad_len, ciphertext, n, s);
-
-  uint8_t ekj0[16];
-  aes_.EncryptBlock(j0, ekj0);
-  for (int i = 0; i < 16; ++i) {
-    tag[i] = static_cast<uint8_t>(s[i] ^ ekj0[i]);
-  }
+  // tag = S xor E(K, J0), J0 = nonce || 1: one CTR block at counter 1.
+  AesCtrCrypt(aes_, nonce, 1, s, tag, kGcmTagSize);
 }
 
 bool AesGcm::Open(const uint8_t nonce[kGcmNonceSize], const uint8_t* aad,
                   size_t aad_len, const uint8_t* ciphertext, size_t n,
                   const uint8_t tag[kGcmTagSize], uint8_t* plaintext) const {
-  uint8_t j0[16];
-  std::memcpy(j0, nonce, kGcmNonceSize);
-  j0[12] = 0;
-  j0[13] = 0;
-  j0[14] = 0;
-  j0[15] = 1;
-
-  uint8_t s[16];
-  Ghash(aad, aad_len, ciphertext, n, s);
-
   uint8_t expected[16];
-  aes_.EncryptBlock(j0, expected);
-  for (int i = 0; i < 16; ++i) {
-    expected[i] = static_cast<uint8_t>(s[i] ^ expected[i]);
-  }
+  Ghash(aad, aad_len, ciphertext, n, expected);
+  AesCtrCrypt(aes_, nonce, 1, expected, expected, kGcmTagSize);
   if (!ConstantTimeEqual16(expected, tag)) {
     return false;
   }
-
-  CtrCrypt(j0, ciphertext, plaintext, n);
+  AesCtrCrypt(aes_, nonce, 2, ciphertext, plaintext, n);
   return true;
 }
 

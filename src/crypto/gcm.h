@@ -9,6 +9,12 @@
 // validation operations use AES-GCM just like the EWB SGX instruction."
 // Both the simulated SGX driver and SUVM in this repository seal pages with
 // this implementation.
+//
+// Encryption runs through the one CTR loop (AesCtrCrypt, from counter 2 =
+// J0 + 1; counter 1 masks the tag). GHASH runs on PCLMULQDQ, four blocks per
+// reduction over precomputed H..H^4, when the Aes128 inside picked the AES-NI
+// kernels from CPUID; otherwise on Shoup's 4-bit tables, which also serve as
+// the tests' reference.
 
 #ifndef ELEOS_SRC_CRYPTO_GCM_H_
 #define ELEOS_SRC_CRYPTO_GCM_H_
@@ -23,8 +29,8 @@ namespace eleos::crypto {
 inline constexpr size_t kGcmNonceSize = 12;
 inline constexpr size_t kGcmTagSize = 16;
 
-// AES-128-GCM context. Construction precomputes the GHASH key tables; the
-// object is immutable afterwards and safe to share across threads.
+// AES-128-GCM context. Construction precomputes the GHASH key tables and
+// powers; the object is immutable afterwards and safe to share across threads.
 class AesGcm {
  public:
   explicit AesGcm(const uint8_t key[kAes128KeySize]);
@@ -37,9 +43,9 @@ class AesGcm {
             const uint8_t* plaintext, size_t n, uint8_t* ciphertext,
             uint8_t tag[kGcmTagSize]) const;
 
-  // Verifies the tag and, on success, decrypts into `plaintext` (may alias)
-  // and returns true. On tag mismatch returns false and leaves `plaintext`
-  // unspecified.
+  // Verifies the tag (in constant time, before decrypting anything) and, on
+  // success, decrypts into `plaintext` (may alias) and returns true. On tag
+  // mismatch returns false and leaves `plaintext` unspecified.
   [[nodiscard]] bool Open(const uint8_t nonce[kGcmNonceSize], const uint8_t* aad,
                           size_t aad_len, const uint8_t* ciphertext, size_t n,
                           const uint8_t tag[kGcmTagSize], uint8_t* plaintext) const;
@@ -50,14 +56,20 @@ class AesGcm {
     uint64_t lo = 0;
   };
 
+  friend struct internal::Portable;
+
+  // Runs on whichever path `aes` picked.
+  explicit AesGcm(const Aes128& aes);
+
   U128 GhashMul(const U128& x) const;
   void Ghash(const uint8_t* aad, size_t aad_len, const uint8_t* ct, size_t ct_len,
              uint8_t out[16]) const;
-  void CtrCrypt(const uint8_t j0[16], const uint8_t* in, uint8_t* out, size_t n) const;
 
   Aes128 aes_;
   // Shoup's 4-bit table: htable_[i] = (i as 4-bit poly) * H in GF(2^128).
   U128 htable_[16];
+  // H, H^2, H^3, H^4 as GCM blocks, for the PCLMULQDQ GHASH.
+  uint8_t h_powers_[64];
 };
 
 }  // namespace eleos::crypto

@@ -28,12 +28,12 @@ RpcManager::RpcManager(sim::Enclave& enclave, Options options)
           // threshold 0 disables the FSM: Admit() always allows.
           options.breaker_enabled ? options.breaker_failure_threshold : 0,
           options.breaker_probe_interval}),
+      rejected_inputs_metric_(enclave.machine().metrics().GetCounter(
+          "boundary.rejected_inputs")),
       call_cycles_(enclave.machine().metrics().GetHistogram("rpc.call_cycles")),
       batch_size_(enclave.machine().metrics().GetHistogram("rpc.batch_size")),
       breaker_state_gauge_(
-          enclave.machine().metrics().GetGauge("rpc.breaker_state")),
-      rejected_inputs_metric_(enclave.machine().metrics().GetCounter(
-          "boundary.rejected_inputs")) {
+          enclave.machine().metrics().GetGauge("rpc.breaker_state")) {
   // Register the double-fetch counter too, so both boundary.* metrics are
   // present (as zero) in every snapshot of a benign run — validate_bench.py
   // keys on their presence, not just their values.

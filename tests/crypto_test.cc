@@ -1,8 +1,10 @@
 // Copyright (c) Eleos reproduction authors. MIT license.
 //
 // Known-answer tests (FIPS-197, NIST GCM spec, SP 800-38A, FIPS 180-4) and
-// property tests for the from-scratch crypto used by the simulated EWB path
-// and SUVM's backing-store sealing.
+// property tests for the crypto used by the simulated EWB path and SUVM's
+// backing-store sealing. The AES and GCM vectors run on the path CPUID picks
+// and on the portable reference; a differential test holds the AES-NI +
+// PCLMULQDQ kernels to that reference byte for byte.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +14,7 @@
 
 #include "src/common/rng.h"
 #include "src/crypto/aes.h"
+#include "src/crypto/aesni.h"
 #include "src/crypto/ctr.h"
 #include "src/crypto/gcm.h"
 #include "src/crypto/sha256.h"
@@ -37,18 +40,41 @@ std::string ToHex(const uint8_t* data, size_t n) {
   return s;
 }
 
-TEST(Aes128, Fips197Vector) {
+// The path CPUID picks (the AES-NI + PCLMULQDQ kernels where present) and
+// the portable T-table/Shoup reference.
+enum class Path { kCpuid, kPortable };
+
+class Vectors : public ::testing::TestWithParam<Path> {
+ protected:
+  Aes128 MakeAes(const std::vector<uint8_t>& key) const {
+    return GetParam() == Path::kPortable ? internal::Portable::Aes(key.data())
+                                         : Aes128(key.data());
+  }
+  AesGcm MakeGcm(const std::vector<uint8_t>& key) const {
+    return GetParam() == Path::kPortable ? internal::Portable::Gcm(key.data())
+                                         : AesGcm(key.data());
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(Paths, Vectors,
+                         ::testing::Values(Path::kCpuid, Path::kPortable),
+                         [](const ::testing::TestParamInfo<Path>& path) {
+                           return path.param == Path::kPortable ? "portable"
+                                                                : "cpuid";
+                         });
+
+TEST_P(Vectors, Aes128Fips197) {
   const auto key = FromHex("000102030405060708090a0b0c0d0e0f");
   const auto pt = FromHex("00112233445566778899aabbccddeeff");
-  Aes128 aes(key.data());
+  const Aes128 aes = MakeAes(key);
   uint8_t ct[16];
   aes.EncryptBlock(pt.data(), ct);
   EXPECT_EQ(ToHex(ct, 16), "69c4e0d86a7b0430d8cdb78070b4c55a");
 }
 
-TEST(Aes128, InPlaceEncryption) {
+TEST_P(Vectors, Aes128InPlace) {
   const auto key = FromHex("2b7e151628aed2a6abf7158809cf4f3c");
-  Aes128 aes(key.data());
+  const Aes128 aes = MakeAes(key);
   uint8_t a[16] = {1, 2, 3};
   uint8_t b[16] = {1, 2, 3};
   uint8_t out[16];
@@ -57,14 +83,72 @@ TEST(Aes128, InPlaceEncryption) {
   EXPECT_EQ(0, std::memcmp(out, b, 16));
 }
 
-TEST(AesCtr, Sp800_38aVector) {
+TEST_P(Vectors, AesCtrSp800_38a) {
   const auto key = FromHex("2b7e151628aed2a6abf7158809cf4f3c");
   const auto iv = FromHex("f0f1f2f3f4f5f6f7f8f9fafb");
   const auto pt = FromHex("6bc1bee22e409f96e93d7e117393172a");
-  Aes128 aes(key.data());
+  const Aes128 aes = MakeAes(key);
   uint8_t ct[16];
   AesCtrCrypt(aes, iv.data(), 0xfcfdfeff, pt.data(), ct, 16);
   EXPECT_EQ(ToHex(ct, 16), "874d6191b620e3261bef6864990db6ce");
+}
+
+TEST_P(Vectors, GcmNistCase1_EmptyPlaintext) {
+  const auto key = FromHex("00000000000000000000000000000000");
+  const auto iv = FromHex("000000000000000000000000");
+  const AesGcm gcm = MakeGcm(key);
+  uint8_t tag[16];
+  gcm.Seal(iv.data(), nullptr, 0, nullptr, 0, nullptr, tag);
+  EXPECT_EQ(ToHex(tag, 16), "58e2fccefa7e3061367f1d57a4e7455a");
+}
+
+TEST_P(Vectors, GcmNistCase2_OneBlock) {
+  const auto key = FromHex("00000000000000000000000000000000");
+  const auto iv = FromHex("000000000000000000000000");
+  const auto pt = FromHex("00000000000000000000000000000000");
+  const AesGcm gcm = MakeGcm(key);
+  uint8_t ct[16], tag[16];
+  gcm.Seal(iv.data(), nullptr, 0, pt.data(), 16, ct, tag);
+  EXPECT_EQ(ToHex(ct, 16), "0388dace60b6a392f328c2b971b2fe78");
+  EXPECT_EQ(ToHex(tag, 16), "ab6e47d42cec13bdf53a67b21257bddf");
+}
+
+TEST_P(Vectors, GcmNistCase3_FourBlocks) {
+  const auto key = FromHex("feffe9928665731c6d6a8f9467308308");
+  const auto iv = FromHex("cafebabefacedbaddecaf888");
+  const auto pt = FromHex(
+      "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
+      "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b391aafd255");
+  const AesGcm gcm = MakeGcm(key);
+  std::vector<uint8_t> ct(pt.size());
+  uint8_t tag[16];
+  gcm.Seal(iv.data(), nullptr, 0, pt.data(), pt.size(), ct.data(), tag);
+  EXPECT_EQ(ToHex(ct.data(), ct.size()),
+            "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e"
+            "21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091473f5985");
+  EXPECT_EQ(ToHex(tag, 16), "4d5c2af327cd64a62cf35abd2ba6fab4");
+}
+
+TEST_P(Vectors, GcmNistCase4_WithAad) {
+  const auto key = FromHex("feffe9928665731c6d6a8f9467308308");
+  const auto iv = FromHex("cafebabefacedbaddecaf888");
+  const auto pt = FromHex(
+      "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
+      "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b39");
+  const auto aad = FromHex("feedfacedeadbeeffeedfacedeadbeefabaddad2");
+  const AesGcm gcm = MakeGcm(key);
+  std::vector<uint8_t> ct(pt.size());
+  uint8_t tag[16];
+  gcm.Seal(iv.data(), aad.data(), aad.size(), pt.data(), pt.size(), ct.data(), tag);
+  EXPECT_EQ(ToHex(ct.data(), ct.size()),
+            "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e"
+            "21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091");
+  EXPECT_EQ(ToHex(tag, 16), "5bc94fbc3221a5db94fae95ae7121a47");
+
+  std::vector<uint8_t> back(pt.size());
+  ASSERT_TRUE(gcm.Open(iv.data(), aad.data(), aad.size(), ct.data(), ct.size(),
+                       tag, back.data()));
+  EXPECT_EQ(back, pt);
 }
 
 TEST(AesCtr, RoundTripOddSizes) {
@@ -82,64 +166,6 @@ TEST(AesCtr, RoundTripOddSizes) {
       EXPECT_NE(0, std::memcmp(pt.data(), ct.data(), n));
     }
   }
-}
-
-TEST(AesGcm, NistTestCase1_EmptyPlaintext) {
-  const auto key = FromHex("00000000000000000000000000000000");
-  const auto iv = FromHex("000000000000000000000000");
-  AesGcm gcm(key.data());
-  uint8_t tag[16];
-  gcm.Seal(iv.data(), nullptr, 0, nullptr, 0, nullptr, tag);
-  EXPECT_EQ(ToHex(tag, 16), "58e2fccefa7e3061367f1d57a4e7455a");
-}
-
-TEST(AesGcm, NistTestCase2_OneBlock) {
-  const auto key = FromHex("00000000000000000000000000000000");
-  const auto iv = FromHex("000000000000000000000000");
-  const auto pt = FromHex("00000000000000000000000000000000");
-  AesGcm gcm(key.data());
-  uint8_t ct[16], tag[16];
-  gcm.Seal(iv.data(), nullptr, 0, pt.data(), 16, ct, tag);
-  EXPECT_EQ(ToHex(ct, 16), "0388dace60b6a392f328c2b971b2fe78");
-  EXPECT_EQ(ToHex(tag, 16), "ab6e47d42cec13bdf53a67b21257bddf");
-}
-
-TEST(AesGcm, NistTestCase3_FourBlocks) {
-  const auto key = FromHex("feffe9928665731c6d6a8f9467308308");
-  const auto iv = FromHex("cafebabefacedbaddecaf888");
-  const auto pt = FromHex(
-      "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
-      "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b391aafd255");
-  AesGcm gcm(key.data());
-  std::vector<uint8_t> ct(pt.size());
-  uint8_t tag[16];
-  gcm.Seal(iv.data(), nullptr, 0, pt.data(), pt.size(), ct.data(), tag);
-  EXPECT_EQ(ToHex(ct.data(), ct.size()),
-            "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e"
-            "21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091473f5985");
-  EXPECT_EQ(ToHex(tag, 16), "4d5c2af327cd64a62cf35abd2ba6fab4");
-}
-
-TEST(AesGcm, NistTestCase4_WithAad) {
-  const auto key = FromHex("feffe9928665731c6d6a8f9467308308");
-  const auto iv = FromHex("cafebabefacedbaddecaf888");
-  const auto pt = FromHex(
-      "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
-      "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b39");
-  const auto aad = FromHex("feedfacedeadbeeffeedfacedeadbeefabaddad2");
-  AesGcm gcm(key.data());
-  std::vector<uint8_t> ct(pt.size());
-  uint8_t tag[16];
-  gcm.Seal(iv.data(), aad.data(), aad.size(), pt.data(), pt.size(), ct.data(), tag);
-  EXPECT_EQ(ToHex(ct.data(), ct.size()),
-            "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e"
-            "21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091");
-  EXPECT_EQ(ToHex(tag, 16), "5bc94fbc3221a5db94fae95ae7121a47");
-
-  std::vector<uint8_t> back(pt.size());
-  ASSERT_TRUE(gcm.Open(iv.data(), aad.data(), aad.size(), ct.data(), ct.size(),
-                       tag, back.data()));
-  EXPECT_EQ(back, pt);
 }
 
 TEST(AesGcm, TamperDetection) {
@@ -194,6 +220,108 @@ TEST_P(GcmRoundTrip, SealOpen) {
 INSTANTIATE_TEST_SUITE_P(Sizes, GcmRoundTrip,
                          ::testing::Values(0, 1, 15, 16, 17, 63, 64, 100, 1024,
                                            4096, 10000));
+
+// The hardware kernels against the portable reference. The plaintext lengths
+// 0-300 plus 4095, 4096, 4097 and 9000 cover every residue mod 16 (partial
+// blocks), 64 (the four-block GHASH fold) and 128 (the eight-block CTR loop);
+// the AAD lengths cycle through 0-80.
+TEST(HardwareVsPortable, GcmSealAndOpenAgree) {
+  if (!internal::CpuHasAesClmul()) {
+    GTEST_SKIP() << "no AES-NI/PCLMULQDQ: the portable path is the only one";
+  }
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 300; ++n) {
+    lengths.push_back(n);
+  }
+  for (size_t n : {4095u, 4096u, 4097u, 9000u}) {
+    lengths.push_back(n);
+  }
+  Xoshiro256 rng(14);
+  size_t cases = 0;
+  for (size_t n : lengths) {
+    for (bool in_place : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " in_place=" << in_place);
+      uint8_t key[16], nonce[12];
+      rng.FillBytes(key, sizeof(key));
+      rng.FillBytes(nonce, sizeof(nonce));
+      std::vector<uint8_t> aad(cases++ % 81), pt(n);
+      rng.FillBytes(aad.data(), aad.size());
+      rng.FillBytes(pt.data(), n);
+      const AesGcm hw(key);
+      const AesGcm ref = internal::Portable::Gcm(key);
+
+      // Each side seals into a buffer of exactly n bytes, so a kernel that
+      // touches a byte past either end trips ASan.
+      auto seal = [&](const AesGcm& gcm, uint8_t tag[16]) {
+        std::vector<uint8_t> ct = in_place ? pt : std::vector<uint8_t>(n);
+        gcm.Seal(nonce, aad.data(), aad.size(), in_place ? ct.data() : pt.data(),
+                 n, ct.data(), tag);
+        return ct;
+      };
+      uint8_t hw_tag[16], ref_tag[16];
+      std::vector<uint8_t> ct = seal(hw, hw_tag);
+      ASSERT_EQ(ct, seal(ref, ref_tag));
+      ASSERT_EQ(0, std::memcmp(hw_tag, ref_tag, 16));
+
+      for (const AesGcm* gcm : {&hw, &ref}) {
+        std::vector<uint8_t> back = in_place ? ct : std::vector<uint8_t>(n);
+        ASSERT_TRUE(gcm->Open(nonce, aad.data(), aad.size(),
+                              in_place ? back.data() : ct.data(), n, hw_tag,
+                              back.data()));
+        ASSERT_EQ(back, pt);
+
+        std::vector<uint8_t> sink(n);
+        if (n > 0) {
+          std::vector<uint8_t> bad = ct;
+          bad[rng.NextBelow(n)] ^= 1u << rng.NextBelow(8);
+          EXPECT_FALSE(gcm->Open(nonce, aad.data(), aad.size(), bad.data(), n,
+                                 hw_tag, sink.data()));
+        }
+        uint8_t bad_tag[16];
+        std::memcpy(bad_tag, hw_tag, 16);
+        bad_tag[rng.NextBelow(16)] ^= 1u << rng.NextBelow(8);
+        EXPECT_FALSE(gcm->Open(nonce, aad.data(), aad.size(), ct.data(), n,
+                               bad_tag, sink.data()));
+        if (!aad.empty()) {
+          std::vector<uint8_t> bad_aad = aad;
+          bad_aad[rng.NextBelow(aad.size())] ^= 1u << rng.NextBelow(8);
+          EXPECT_FALSE(gcm->Open(nonce, bad_aad.data(), bad_aad.size(), ct.data(),
+                                 n, hw_tag, sink.data()));
+        }
+      }
+    }
+  }
+}
+
+// Single blocks, and the CTR loop with its 32-bit counter wrapping inside and
+// across eight-block groups.
+TEST(HardwareVsPortable, AesBlocksAndCtrAgree) {
+  if (!internal::CpuHasAesClmul()) {
+    GTEST_SKIP() << "no AES-NI/PCLMULQDQ: the portable path is the only one";
+  }
+  Xoshiro256 rng(15);
+  uint8_t key[16];
+  rng.FillBytes(key, sizeof(key));
+  const Aes128 hw(key);
+  const Aes128 ref = internal::Portable::Aes(key);
+  for (int i = 0; i < 64; ++i) {
+    uint8_t in[16], a[16], b[16];
+    rng.FillBytes(in, sizeof(in));
+    hw.EncryptBlock(in, a);
+    ref.EncryptBlock(in, b);
+    ASSERT_EQ(0, std::memcmp(a, b, 16));
+  }
+  const uint8_t iv[12] = {0xa5, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11};
+  for (uint32_t c0 : {0u, 1u, 0xfffffff9u, 0xfffffffcu, 0xffffffffu}) {
+    for (size_t n : {0u, 1u, 16u, 127u, 128u, 129u, 300u, 4096u}) {
+      std::vector<uint8_t> pt(n), a(n), b(n);
+      rng.FillBytes(pt.data(), n);
+      AesCtrCrypt(hw, iv, c0, pt.data(), a.data(), n);
+      AesCtrCrypt(ref, iv, c0, pt.data(), b.data(), n);
+      EXPECT_EQ(a, b) << "c0=" << c0 << " n=" << n;
+    }
+  }
+}
 
 TEST(Sha256, KnownAnswers) {
   auto d1 = Sha256::Digest("abc", 3);

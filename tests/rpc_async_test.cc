@@ -286,6 +286,10 @@ TEST(JobQueueAsyncStress, NoLostOrDoubleRunAcrossRevokeAbandonKill) {
           case JobQueue::WaitResult::kAbandoned:
             outcomes[idx] = Outcome::kAbandoned;
             break;
+          case JobQueue::WaitResult::kHostile:
+            // No scribbler is armed: a hostile verdict here is a bug.
+            ADD_FAILURE() << "job " << idx << " awaited as hostile";
+            break;
         }
       }
     });
