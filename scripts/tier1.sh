@@ -19,7 +19,8 @@
 #    at lifetimes (abandoned jobs, quarantined pages, dead enclave
 #    instances, tampered/scribbled slots), plus the paging gate's section
 #    record (a bounded vector spliced on every release), plus the crypto
-#    suites, whose SIMD kernels must never load past a buffer's last byte.
+#    suites and the face-verification kernels, whose SIMD loads must never
+#    pass a buffer's last byte.
 # 4. A benchmark smoke stage: runs the baseline benches end-to-end and
 #    validates the emitted BENCH_*.json (fails on malformed/empty output,
 #    including the schema-v2 timeline block) plus the TRACE_*.json span
@@ -28,6 +29,9 @@
 #    trace, and counter tracks cross-checked against the .timeline.json
 #    sibling), then diffs the smoke numbers against the committed baselines
 #    with scripts/bench_diff.py.
+# 5. The end-to-end benchmark's smoke check: eleos_bench/run.py builds
+#    bench_eleos from its own CMakeLists and runs all four workloads at smoke
+#    sizes, untraced and traced, checking every verdict and metric.
 #
 # ELEOS_FLIGHT_DIR is exported for the suite runs: any soak/chaos harness
 # that fails dumps a post-mortem flight bundle there (CI uploads it).
@@ -51,12 +55,15 @@ cmake --build build-tsan -j --target \
   crash_recovery_test boundary_fuzz_test
 (cd build-tsan && ctest --output-on-failure -R "$TSAN_TESTS")
 
-ASAN_TESTS='^(fault_injection_test|chaos_soak_test|crash_recovery_test|secure_channel_test|boundary_fuzz_test|flight_recorder_test|suvm_parallel_test|virtual_gate_test|crypto_test|crypto_extra_test)$'
+ASAN_TESTS='^(fault_injection_test|chaos_soak_test|crash_recovery_test|secure_channel_test|boundary_fuzz_test|flight_recorder_test|suvm_parallel_test|virtual_gate_test|crypto_test|crypto_extra_test|faceverif_test)$'
 cmake -B build-asan -S . -DELEOS_SANITIZE=address,undefined
 cmake --build build-asan -j --target \
   fault_injection_test chaos_soak_test crash_recovery_test \
   secure_channel_test boundary_fuzz_test flight_recorder_test \
-  suvm_parallel_test virtual_gate_test crypto_test crypto_extra_test
+  suvm_parallel_test virtual_gate_test crypto_test crypto_extra_test \
+  faceverif_test
 (cd build-asan && ctest --output-on-failure -R "$ASAN_TESTS")
 
 OUT_DIR="$(mktemp -d)" scripts/bench.sh --smoke
+
+python3 eleos_bench/run.py --smoke

@@ -2,11 +2,19 @@
 
 #include "src/apps/faceverif.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <stdexcept>
 
 namespace eleos::apps {
 namespace {
+
+// GCC/Clang vector extensions: SSE2 on x86-64, portable code elsewhere.
+typedef uint8_t U8x16 __attribute__((vector_size(16)));
+typedef float F32x2 __attribute__((vector_size(8)));
+typedef double F64x2 __attribute__((vector_size(16)));
 
 // Uniform-pattern LBP lookup: maps each 8-bit LBP code to one of 58 uniform
 // patterns or the shared "non-uniform" bin 58 (Ahonen et al., the paper's
@@ -34,6 +42,60 @@ const UniformLut& Lut() {
   return lut;
 }
 
+U8x16 Load16(const uint8_t* p) {
+  U8x16 v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+F32x2 Load2(const float* p) {
+  F32x2 v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+// Bit `bit` of each lane where neighbour >= centre (unsigned).
+U8x16 NeighbourBit(const uint8_t* neighbour, U8x16 centre, uint8_t bit) {
+  return reinterpret_cast<U8x16>(Load16(neighbour) >= centre) & bit;
+}
+
+// Writes the LBP codes of the interior pixels of the image row at `row` to
+// codes[1 .. kFaceImageDim-2], 16 per step. The last step is moved back so
+// that it ends at column kFaceImageDim-2 (recomputing a few codes): no load
+// reaches past the neighbouring rows, so none passes the image's last byte.
+void LbpRowCodes(const uint8_t* row, uint8_t* codes) {
+  constexpr size_t dim = kFaceImageDim;
+  constexpr size_t kLanes = sizeof(U8x16);
+  constexpr size_t kLastStep = dim - 1 - kLanes;
+  const uint8_t* up = row - dim;
+  const uint8_t* down = row + dim;
+  for (size_t step = 0; step * kLanes < dim - 2; ++step) {
+    const size_t x = std::min(1 + step * kLanes, kLastStep);
+    const U8x16 c = Load16(row + x);
+    const U8x16 code =
+        NeighbourBit(up + x - 1, c, 1) | NeighbourBit(up + x, c, 2) |
+        NeighbourBit(up + x + 1, c, 4) | NeighbourBit(row + x + 1, c, 8) |
+        NeighbourBit(down + x + 1, c, 16) | NeighbourBit(down + x, c, 32) |
+        NeighbourBit(down + x - 1, c, 64) | NeighbourBit(row + x - 1, c, 128);
+    std::memcpy(codes + x, &code, kLanes);
+  }
+}
+
+// Adds the chi-square terms of two bins to `d`, in index order. A bin whose
+// float sum is not > 0 (empty in both histograms) adds +0.0, which leaves `d`
+// unchanged: `d` starts at +0.0 and every term is >= +0.0.
+double AddChiSquareTerms(double d, F32x2 a, F32x2 b) {
+  // Sum and difference are float operations, widened afterwards: widening
+  // first would round differently.
+  const F64x2 s = __builtin_convertvector(a + b, F64x2);
+  const F64x2 diff = __builtin_convertvector(a - b, F64x2);
+  const auto live = s > 0.0;
+  const F64x2 term = live ? diff * diff / (live ? s : 1.0) : 0.0;
+  d += term[0];
+  d += term[1];
+  return d;
+}
+
 }  // namespace
 
 FaceImage SynthesizeFace(uint64_t person_id, uint64_t variant) {
@@ -46,12 +108,19 @@ FaceImage SynthesizeFace(uint64_t person_id, uint64_t variant) {
   const double fy = 3.0 + static_cast<double>(rng.NextBelow(6));
   const double px = rng.NextDouble() * 6.28;
   const double py = rng.NextDouble() * 6.28;
+  // The texture is separable: the sine depends on the column only and the
+  // cosine on the row only.
+  double col_sin[kFaceImageDim] = {};
+  double row_cos[kFaceImageDim] = {};
+  for (size_t i = 0; i < kFaceImageDim; ++i) {
+    const double t = static_cast<double>(i) / kFaceImageDim;
+    col_sin[i] = std::sin(fx * 6.28 * t + px);
+    row_cos[i] = std::cos(fy * 6.28 * t + py);
+  }
   Xoshiro256 noise(person_id ^ (variant * 0x9e3779b97f4a7c15ull) ^ 0xface);
   for (size_t y = 0; y < kFaceImageDim; ++y) {
     for (size_t x = 0; x < kFaceImageDim; ++x) {
-      const double u = static_cast<double>(x) / kFaceImageDim;
-      const double v = static_cast<double>(y) / kFaceImageDim;
-      const double s = std::sin(fx * 6.28 * u + px) * std::cos(fy * 6.28 * v + py);
+      const double s = col_sin[x] * row_cos[y];
       const int base = static_cast<int>(128 + 90 * s);
       const int jitter = static_cast<int>(noise.NextBelow(11)) - 5;
       int val = base + jitter;
@@ -64,34 +133,36 @@ FaceImage SynthesizeFace(uint64_t person_id, uint64_t variant) {
 
 Histogram ComputeLbpHistogram(sim::CpuContext* cpu, const sim::CostModel& costs,
                               const FaceImage& image) {
+  constexpr size_t dim = kFaceImageDim;
+  if (image.size() != dim * dim) {
+    throw std::invalid_argument(
+        "ComputeLbpHistogram: image must hold kFaceImageDim^2 bytes");
+  }
   Histogram hist(kHistogramFloats, 0.0f);
   const UniformLut& lut = Lut();
-  const size_t dim = kFaceImageDim;
-  for (size_t y = 1; y + 1 < dim; ++y) {
-    for (size_t x = 1; x + 1 < dim; ++x) {
-      const uint8_t c = image[y * dim + x];
-      int code = 0;
-      code |= (image[(y - 1) * dim + (x - 1)] >= c) << 0;
-      code |= (image[(y - 1) * dim + x] >= c) << 1;
-      code |= (image[(y - 1) * dim + (x + 1)] >= c) << 2;
-      code |= (image[y * dim + (x + 1)] >= c) << 3;
-      code |= (image[(y + 1) * dim + (x + 1)] >= c) << 4;
-      code |= (image[(y + 1) * dim + x] >= c) << 5;
-      code |= (image[(y + 1) * dim + (x - 1)] >= c) << 6;
-      code |= (image[y * dim + (x - 1)] >= c) << 7;
-      const size_t cell = (y / kFaceCellDim) * kFaceGrid + (x / kFaceCellDim);
-      hist[cell * kLbpBins + lut.bin[code]] += 1.0f;
+  uint8_t codes[dim] = {};
+  for (size_t band = 0; band < kFaceGrid; ++band) {
+    // One row of cells, counted in integers: a cell holds at most 64 pixels.
+    uint8_t counts[kFaceGrid][kLbpBins] = {};
+    const size_t y_end = std::min((band + 1) * kFaceCellDim, dim - 1);
+    for (size_t y = std::max<size_t>(band * kFaceCellDim, 1); y < y_end; ++y) {
+      LbpRowCodes(image.data() + y * dim, codes);
+      for (size_t x = 1; x + 1 < dim; ++x) {
+        ++counts[x / kFaceCellDim][lut.bin[codes[x]]];
+      }
     }
-  }
-  // Normalize per cell so distances are scale-free.
-  for (size_t cell = 0; cell < kFaceGrid * kFaceGrid; ++cell) {
-    float sum = 0.0f;
-    for (size_t b = 0; b < kLbpBins; ++b) {
-      sum += hist[cell * kLbpBins + b];
-    }
-    if (sum > 0) {
+    // Normalize per cell so distances are scale-free. A count and its
+    // cell's sum are at most 64, so both are exact in float.
+    for (size_t cx = 0; cx < kFaceGrid; ++cx) {
+      unsigned sum = 0;
       for (size_t b = 0; b < kLbpBins; ++b) {
-        hist[cell * kLbpBins + b] /= sum;
+        sum += counts[cx][b];
+      }
+      if (sum > 0) {
+        float* cell = &hist[(band * kFaceGrid + cx) * kLbpBins];
+        for (size_t b = 0; b < kLbpBins; ++b) {
+          cell[b] = static_cast<float>(counts[cx][b]) / static_cast<float>(sum);
+        }
       }
     }
   }
@@ -103,13 +174,14 @@ Histogram ComputeLbpHistogram(sim::CpuContext* cpu, const sim::CostModel& costs,
 }
 
 double ChiSquareDistance(const Histogram& a, const Histogram& b) {
+  const size_t n = std::min(a.size(), b.size());
   double d = 0.0;
-  for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
-    const double s = a[i] + b[i];
-    if (s > 0) {
-      const double diff = a[i] - b[i];
-      d += diff * diff / s;
-    }
+  size_t i = 0;
+  for (; i + 2 <= n; i += 2) {
+    d = AddChiSquareTerms(d, Load2(a.data() + i), Load2(b.data() + i));
+  }
+  if (i < n) {  // odd length: pad with an empty bin
+    d = AddChiSquareTerms(d, F32x2{a[i], 0.0f}, F32x2{b[i], 0.0f});
   }
   return d;
 }
@@ -143,6 +215,12 @@ void FaceVerifServer::BuildDatabase() {
 
 bool FaceVerifServer::Verify(sim::CpuContext* cpu, uint64_t person_id,
                              const Histogram& query, double* distance_out) {
+  if (person_id >= n_people_) {  // not enrolled: nothing to compare against
+    if (distance_out != nullptr) {
+      *distance_out = std::numeric_limits<double>::infinity();
+    }
+    return false;
+  }
   // Fetch the stored histogram from secure memory — the paging-heavy part.
   Histogram stored(kHistogramFloats);
   region_->Read(cpu, EntryOff(person_id), stored.data(), kHistogramBytes);

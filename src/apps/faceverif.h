@@ -39,7 +39,8 @@ using Histogram = std::vector<float>;    // kHistogramFloats
 FaceImage SynthesizeFace(uint64_t person_id, uint64_t variant = 0);
 
 // Uniform-LBP histogram over an 8-neighbor LBP code map, per cell. `cpu` is
-// charged lbp_cycles_per_pixel per pixel.
+// charged lbp_cycles_per_pixel per pixel. The image comes from the client:
+// throws std::invalid_argument unless it holds exactly kFaceImageDim^2 bytes.
 Histogram ComputeLbpHistogram(sim::CpuContext* cpu, const sim::CostModel& costs,
                               const FaceImage& image);
 
@@ -56,6 +57,8 @@ class FaceVerifServer {
 
   // The measured op: histogram of the query image is already computed by the
   // caller (the request handler); fetch + compare against person_id's entry.
+  // An id that is not enrolled (>= n_people) is rejected without reading the
+  // region, with an infinite distance.
   bool Verify(sim::CpuContext* cpu, uint64_t person_id, const Histogram& query,
               double* distance_out = nullptr);
 
@@ -64,7 +67,7 @@ class FaceVerifServer {
 
  private:
   uint64_t EntryOff(uint64_t person_id) const {
-    return (person_id % n_people_) * kHistogramBytes;
+    return person_id * kHistogramBytes;
   }
 
   sim::Machine* machine_;
