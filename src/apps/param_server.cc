@@ -2,6 +2,7 @@
 
 #include "src/apps/param_server.h"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -88,6 +89,29 @@ bool PsHashTable::Insert(sim::CpuContext* cpu, uint64_t key, uint64_t value) {
   region_->Write(cpu, NodeOff(node), rec, sizeof(rec));
   region_->Store<uint64_t>(cpu, HeadOff(bucket), node + 1);
   return true;
+}
+
+void PsHashTable::Fill(uint64_t n) {
+  if (layout_ != HashLayout::kOpenAddressing || !identity_hash_ ||
+      num_keys_ != 0 || n > buckets_) {
+    for (uint64_t key = 0; key < n; ++key) {
+      Insert(nullptr, key, key);
+    }
+    return;
+  }
+  // Key k lands in slot k as {k+1, k}: one Write per page, ascending, as
+  // the per-key path first touches the pages.
+  constexpr uint64_t kSlotsPerPage = sim::kPageSize / 16;
+  uint64_t page[2 * kSlotsPerPage] = {};
+  for (uint64_t first = 0; first < n; first += kSlotsPerPage) {
+    const uint64_t count = std::min(kSlotsPerPage, n - first);
+    for (uint64_t i = 0; i < count; ++i) {
+      page[2 * i] = first + i + 1;
+      page[2 * i + 1] = first + i;
+    }
+    region_->Write(nullptr, SlotOff(first), page, count * 16);
+  }
+  num_keys_ = n;
 }
 
 bool PsHashTable::Update(sim::CpuContext* cpu, uint64_t key, uint64_t delta) {
@@ -249,12 +273,7 @@ ParamServer::~ParamServer() {
   suvm_.reset();
 }
 
-void ParamServer::Populate() {
-  const size_t n = table_->buckets() / 2;
-  for (uint64_t key = 0; key < n; ++key) {
-    table_->Insert(nullptr, key, key);
-  }
-}
+void ParamServer::Populate() { table_->Fill(table_->buckets() / 2); }
 
 void ParamServer::EnterServing(sim::CpuContext& cpu) {
   if (enclave_ != nullptr) {

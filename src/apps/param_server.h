@@ -46,6 +46,11 @@ class PsHashTable {
 
   // Inserts `key` with `value`; returns false when full.
   bool Insert(sim::CpuContext* cpu, uint64_t key, uint64_t value);
+  // Inserts keys 0..n-1, each with value = key, charging no CPU (the
+  // unmeasured build). An empty identity-hashed open-addressing table with
+  // n <= buckets is written a page at a time, which leaves the same bytes and
+  // paging state as n Inserts (DESIGN.md §15); any other table takes Insert.
+  void Fill(uint64_t n);
   // In-place update (the parameter-server op). Returns false if absent.
   bool Update(sim::CpuContext* cpu, uint64_t key, uint64_t delta);
   bool Get(sim::CpuContext* cpu, uint64_t key, uint64_t* value);
@@ -135,6 +140,8 @@ class ParamServer {
   void ExitServing(sim::CpuContext& cpu);
 
   size_t num_keys() const { return table_->keys(); }
+  PsHashTable& table() { return *table_; }
+  MemRegion& region() { return *region_; }
   uint64_t handler_cycles() const { return handler_cycles_; }
   uint64_t requests_served() const { return requests_served_; }
   suvm::Suvm* suvm() { return suvm_.get(); }

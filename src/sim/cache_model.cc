@@ -2,15 +2,37 @@
 
 #include "src/sim/cache_model.h"
 
+#include <bit>
 #include <cmath>
+#include <stdexcept>
 
 namespace eleos::sim {
+namespace {
+
+// log2 of the LLC's set count; throws for a geometry the model cannot
+// represent (see the constructor's comment).
+size_t SetShift(const CostModel& c) {
+  if (c.llc_line != 64) {
+    throw std::invalid_argument("CacheModel: llc_line must be 64 bytes");
+  }
+  if (c.llc_ways < 1 || c.llc_ways > 64) {
+    throw std::invalid_argument("CacheModel: llc_ways must be 1-64");
+  }
+  const size_t sets = c.llc_bytes / (c.llc_line * c.llc_ways);
+  if (!std::has_single_bit(sets)) {
+    throw std::invalid_argument(
+        "CacheModel: the set count must be a nonzero power of two");
+  }
+  return static_cast<size_t>(std::countr_zero(sets));
+}
+
+}  // namespace
 
 CacheModel::CacheModel(const CostModel& costs)
     : costs_(costs),
       ways_(costs.llc_ways),
-      sets_(costs.llc_bytes / (costs.llc_line * costs.llc_ways)),
-      lines_(sets_ * ways_),
+      set_shift_(SetShift(costs)),
+      lines_(num_sets() * ways_),
       mee_pages_(costs.mee_tree_cache_pages, UINT64_MAX),
       mee_used_(costs.mee_tree_cache_pages, 0) {
   const uint64_t all = (ways_ >= 64) ? ~0ull : ((1ull << ways_) - 1);
@@ -63,8 +85,30 @@ bool CacheModel::MeeTreeAccess(uint64_t page) {
 
 uint64_t CacheModel::Access(uint64_t line_addr, bool write, MemKind kind, int cos) {
   std::lock_guard guard(lock_);
-  const size_t set = static_cast<size_t>(line_addr) % sets_;
-  const uint64_t tag = line_addr / sets_;
+  return AccessLocked(line_addr, write, kind, cos);
+}
+
+uint64_t CacheModel::AccessRange(uint64_t first_line, uint64_t last_line,
+                                 bool write, MemKind kind, int cos) {
+  const uint64_t streamed = kind == MemKind::kEpc
+                                ? costs_.stream_epc_line_cycles
+                                : costs_.stream_line_cycles;
+  uint64_t total = 0;
+  std::lock_guard guard(lock_);
+  for (uint64_t line = first_line; line <= last_line; ++line) {
+    const uint64_t cost = AccessLocked(line, write, kind, cos);
+    total += (line - first_line >= 2 && cost >= costs_.llc_miss_cycles)
+                 ? streamed
+                 : cost;
+  }
+  return total;
+}
+
+uint64_t CacheModel::AccessLocked(uint64_t line_addr, bool write, MemKind kind,
+                                  int cos) {
+  const size_t set =
+      static_cast<size_t>(line_addr & ((uint64_t{1} << set_shift_) - 1));
+  const uint64_t tag = line_addr >> set_shift_;
   Line* base = &lines_[set * ways_];
   ++tick_;
 

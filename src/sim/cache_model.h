@@ -39,6 +39,11 @@ inline constexpr int kNumCos = 3;
 
 class CacheModel {
  public:
+  // Throws std::invalid_argument for a geometry the model cannot represent:
+  // a line other than 64 bytes (Machine maps addresses to lines and pages
+  // with fixed shifts), ways outside 1-64 (a way mask is one uint64_t), or a
+  // set count that is zero or not a power of two (sets are indexed by mask
+  // and shift).
   explicit CacheModel(const CostModel& costs);
 
   // Sets the fill mask (bit i = way i usable) for a class of service.
@@ -55,6 +60,15 @@ class CacheModel {
   // runs stay deterministic).
   uint64_t Access(uint64_t line_addr, bool write, MemKind kind, int cos);
 
+  // One contiguous access to lines first_line..last_line: each line goes
+  // through the model as Access would take it, in ascending order, under one
+  // acquisition of the lock, so racing CPUs see a range enter the LLC as one
+  // unit. Returns the summed cost, where a line past the first two that costs
+  // at least an LLC miss is charged the streaming rate instead: hardware
+  // prefetch hides random-miss latency on sequential lines.
+  uint64_t AccessRange(uint64_t first_line, uint64_t last_line, bool write,
+                       MemKind kind, int cos);
+
   // Stats.
   uint64_t hits() const {
     std::lock_guard guard(lock_);
@@ -66,7 +80,7 @@ class CacheModel {
   }
   void ResetStats();
 
-  size_t num_sets() const { return sets_; }
+  size_t num_sets() const { return size_t{1} << set_shift_; }
   size_t num_ways() const { return ways_; }
 
  private:
@@ -76,12 +90,14 @@ class CacheModel {
     bool valid = false;
   };
 
-  bool MeeTreeAccess(uint64_t page);  // returns hit; requires lock_ held
+  // Both require lock_ held; MeeTreeAccess returns hit.
+  uint64_t AccessLocked(uint64_t line_addr, bool write, MemKind kind, int cos);
+  bool MeeTreeAccess(uint64_t page);
 
   mutable Spinlock lock_;  // guards lines_/tick_/hits_/misses_ and the MEE LRU
   const CostModel& costs_;
   size_t ways_;
-  size_t sets_;
+  size_t set_shift_;  // log2 of the set count
   std::vector<Line> lines_;
   uint64_t way_mask_[kNumCos];
   uint64_t tick_ = 0;

@@ -13,6 +13,26 @@ namespace {
 constexpr uint64_t kScratchBase = 0x3f00'0000'0000ull;
 constexpr uint64_t kDefaultScratchPool = 4ull << 20;  // recycled kernel buffers
 
+// 64-byte lines (CacheModel rejects any other size), 64 lines per 4 KiB page.
+constexpr int kLineShift = 6;
+constexpr int kLinesPerPageShift = 6;
+
+// TLB walk cycles of touching the pages under lines first_line..last_line,
+// one TLB lookup per page in ascending order.
+uint64_t TlbWalkCycles(const CostModel& c, CpuContext* cpu, uint64_t first_line,
+                       uint64_t last_line, MemKind kind) {
+  const uint64_t walk =
+      kind == MemKind::kEpc ? c.tlb_walk_epc_cycles : c.tlb_walk_cycles;
+  uint64_t cycles = 0;
+  for (uint64_t vpn = first_line >> kLinesPerPageShift;
+       vpn <= last_line >> kLinesPerPageShift; ++vpn) {
+    if (!cpu->tlb.Access(vpn)) {
+      cycles += walk;
+    }
+  }
+  return cycles;
+}
+
 }  // namespace
 
 Machine::Machine(MachineConfig cfg)
@@ -54,30 +74,11 @@ void Machine::Access(CpuContext* cpu, uint64_t addr, size_t len, bool write,
   if (cpu == nullptr || len == 0) {
     return;
   }
-  const uint64_t first_line = addr >> 6;
-  const uint64_t last_line = (addr + len - 1) >> 6;
-  uint64_t prev_vpn = UINT64_MAX;
-  uint64_t charged = 0;
-  size_t line_index = 0;
-  for (uint64_t line = first_line; line <= last_line; ++line, ++line_index) {
-    const uint64_t vpn = line >> 6;  // 64 lines per 4 KiB page
-    if (vpn != prev_vpn) {
-      prev_vpn = vpn;
-      if (!cpu->tlb.Access(vpn)) {
-        charged += kind == MemKind::kEpc ? costs_.tlb_walk_epc_cycles
-                                         : costs_.tlb_walk_cycles;
-      }
-    }
-    uint64_t cost = llc_.Access(line, write, kind, cpu->cos);
-    // Hardware prefetch: within one contiguous access, misses past the first
-    // two lines are streamed, not paid at random-miss latency.
-    if (line_index >= 2 && cost >= costs_.llc_miss_cycles) {
-      cost = kind == MemKind::kEpc ? costs_.stream_epc_line_cycles
-                                   : costs_.stream_line_cycles;
-    }
-    charged += cost;
-  }
-  ChargeCost(cpu, telemetry::CostCategory::kCache, charged);
+  const uint64_t first_line = addr >> kLineShift;
+  const uint64_t last_line = (addr + len - 1) >> kLineShift;
+  ChargeCost(cpu, telemetry::CostCategory::kCache,
+             TlbWalkCycles(costs_, cpu, first_line, last_line, kind) +
+                 llc_.AccessRange(first_line, last_line, write, kind, cpu->cos));
 }
 
 void Machine::StreamAccess(CpuContext* cpu, uint64_t addr, size_t len, bool write,
@@ -85,24 +86,14 @@ void Machine::StreamAccess(CpuContext* cpu, uint64_t addr, size_t len, bool writ
   if (cpu == nullptr || len == 0) {
     return;
   }
-  const uint64_t first_line = addr >> 6;
-  const uint64_t last_line = (addr + len - 1) >> 6;
-  uint64_t prev_vpn = UINT64_MAX;
-  uint64_t charged = 0;
-  for (uint64_t line = first_line; line <= last_line; ++line) {
-    const uint64_t vpn = line >> 6;
-    if (vpn != prev_vpn) {
-      prev_vpn = vpn;
-      if (!cpu->tlb.Access(vpn)) {
-        charged += kind == MemKind::kEpc ? costs_.tlb_walk_epc_cycles
-                                         : costs_.tlb_walk_cycles;
-      }
-    }
-    llc_.Access(line, write, kind, cpu->cos);  // state effect only
-    charged += kind == MemKind::kEpc ? costs_.stream_epc_line_cycles
-                                     : costs_.stream_line_cycles;
-  }
-  ChargeCost(cpu, telemetry::CostCategory::kCache, charged);
+  const uint64_t first_line = addr >> kLineShift;
+  const uint64_t last_line = (addr + len - 1) >> kLineShift;
+  llc_.AccessRange(first_line, last_line, write, kind, cpu->cos);  // state only
+  const uint64_t per_line = kind == MemKind::kEpc ? costs_.stream_epc_line_cycles
+                                                  : costs_.stream_line_cycles;
+  ChargeCost(cpu, telemetry::CostCategory::kCache,
+             TlbWalkCycles(costs_, cpu, first_line, last_line, kind) +
+                 (last_line - first_line + 1) * per_line);
 }
 
 void Machine::PolluteCache(size_t bytes, int cos, size_t pool_bytes) {
@@ -113,11 +104,8 @@ void Machine::PolluteCache(size_t bytes, int cos, size_t pool_bytes) {
   const uint64_t cursor =
       scratch_cursor_.fetch_add(bytes, std::memory_order_relaxed);
   const uint64_t addr = kScratchBase + (cursor % pool);
-  const uint64_t first_line = addr >> 6;
-  const uint64_t last_line = (addr + bytes - 1) >> 6;
-  for (uint64_t line = first_line; line <= last_line; ++line) {
-    llc_.Access(line, /*write=*/true, MemKind::kUntrusted, cos);
-  }
+  llc_.AccessRange(addr >> kLineShift, (addr + bytes - 1) >> kLineShift,
+                   /*write=*/true, MemKind::kUntrusted, cos);
 }
 
 void Machine::TouchScratch(CpuContext* cpu, size_t bytes, size_t pool_bytes) {

@@ -2,6 +2,7 @@
 
 #include "src/sim/sgx_driver.h"
 
+#include <algorithm>
 #include <mutex>
 #include <stdexcept>
 
@@ -106,16 +107,19 @@ void SgxDriver::NoteTlbPresence(Enclave& enclave, uint64_t vpage, CpuContext& cp
 
 size_t SgxDriver::AvailableFramesFor(EnclaveId /*id*/) const {
   // Today's driver splits PRM evenly among active enclaves (paper §4.1).
-  const size_t n = enclaves_.empty() ? 1 : enclaves_.size();
+  const size_t n = std::max<size_t>(enclave_count(), 1);
   return machine_->epc().total_frames() / n;
+}
+
+size_t SgxDriver::enclave_count() const {
+  std::lock_guard guard(lock_);
+  return enclaves_.size();
 }
 
 void SgxDriver::ConfigureSwapper(size_t low_watermark, size_t batch) {
   swapper_low_watermark_ = low_watermark;
   swapper_batch_ = batch;
 }
-
-size_t SgxDriver::free_frames() const { return machine_->epc().free_frames(); }
 
 uint8_t* SgxDriver::Touch(CpuContext* cpu, Enclave& enclave, uint64_t vpage,
                           bool /*write*/) {

@@ -120,8 +120,7 @@ class SgxDriver {
   const Stats& stats() const { return stats_; }
   void ResetStats() { stats_ = Stats{}; }
 
-  size_t free_frames() const;
-  size_t enclave_count() const { return enclaves_.size(); }
+  size_t enclave_count() const;
 
  private:
   struct PageState {

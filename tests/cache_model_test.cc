@@ -2,11 +2,270 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cmath>
+#include <mutex>
+#include <stdexcept>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "src/common/rng.h"
+#include "src/common/spinlock.h"
 #include "src/sim/cache_model.h"
 #include "src/sim/cost_model.h"
+#include "src/sim/machine.h"
+#include "src/sim/tlb_model.h"
 
 namespace eleos::sim {
 namespace {
+
+// The per-line CacheModel and Machine access loops that the mask-and-shift
+// model with one lock per range replaced, verbatim. Every virtual number of
+// the benchmarks flows through the LLC model, so only these oracles can see
+// the model drift from the original hits, misses and costs.
+namespace reference {
+
+class CacheModel {
+ public:
+  explicit CacheModel(const CostModel& costs);
+
+  void SetWayMask(int cos, uint64_t mask);
+  void EnablePartitioning(double enclave_fraction = 0.75);
+  void DisablePartitioning();
+
+  uint64_t Access(uint64_t line_addr, bool write, MemKind kind, int cos);
+
+  uint64_t hits() const {
+    std::lock_guard guard(lock_);
+    return hits_;
+  }
+  uint64_t misses() const {
+    std::lock_guard guard(lock_);
+    return misses_;
+  }
+
+ private:
+  struct Line {
+    uint64_t tag = 0;
+    uint64_t last_used = 0;
+    bool valid = false;
+  };
+
+  bool MeeTreeAccess(uint64_t page);  // returns hit; requires lock_ held
+
+  mutable Spinlock lock_;  // guards lines_/tick_/hits_/misses_ and the MEE LRU
+  const CostModel& costs_;
+  size_t ways_;
+  size_t sets_;
+  std::vector<Line> lines_;
+  uint64_t way_mask_[kNumCos];
+  uint64_t tick_ = 0;
+  uint64_t hits_ = 0;
+  uint64_t misses_ = 0;
+
+  // Tiny fully-associative LRU of integrity-tree nodes (one node per page).
+  std::vector<uint64_t> mee_pages_;
+  std::vector<uint64_t> mee_used_;
+  uint64_t mee_tick_ = 0;
+};
+
+CacheModel::CacheModel(const CostModel& costs)
+    : costs_(costs),
+      ways_(costs.llc_ways),
+      sets_(costs.llc_bytes / (costs.llc_line * costs.llc_ways)),
+      lines_(sets_ * ways_),
+      mee_pages_(costs.mee_tree_cache_pages, UINT64_MAX),
+      mee_used_(costs.mee_tree_cache_pages, 0) {
+  const uint64_t all = (ways_ >= 64) ? ~0ull : ((1ull << ways_) - 1);
+  for (int i = 0; i < kNumCos; ++i) {
+    way_mask_[i] = all;
+  }
+}
+
+void CacheModel::SetWayMask(int cos, uint64_t mask) {
+  if (cos >= 0 && cos < kNumCos && mask != 0) {
+    way_mask_[cos] = mask;
+  }
+}
+
+void CacheModel::EnablePartitioning(double enclave_fraction) {
+  const size_t enclave_ways =
+      static_cast<size_t>(std::lround(enclave_fraction * static_cast<double>(ways_)));
+  const size_t clamped = enclave_ways == 0 ? 1 : (enclave_ways >= ways_ ? ways_ - 1 : enclave_ways);
+  const uint64_t enclave_mask = (1ull << clamped) - 1;
+  const uint64_t all = (ways_ >= 64) ? ~0ull : ((1ull << ways_) - 1);
+  SetWayMask(kCosEnclave, enclave_mask);
+  SetWayMask(kCosRpcWorker, all & ~enclave_mask);
+}
+
+void CacheModel::DisablePartitioning() {
+  const uint64_t all = (ways_ >= 64) ? ~0ull : ((1ull << ways_) - 1);
+  for (int i = 0; i < kNumCos; ++i) {
+    way_mask_[i] = all;
+  }
+}
+
+bool CacheModel::MeeTreeAccess(uint64_t page) {
+  ++mee_tick_;
+  size_t victim = 0;
+  uint64_t oldest = UINT64_MAX;
+  for (size_t i = 0; i < mee_pages_.size(); ++i) {
+    if (mee_pages_[i] == page) {
+      mee_used_[i] = mee_tick_;
+      return true;
+    }
+    if (mee_used_[i] < oldest) {
+      oldest = mee_used_[i];
+      victim = i;
+    }
+  }
+  mee_pages_[victim] = page;
+  mee_used_[victim] = mee_tick_;
+  return false;
+}
+
+uint64_t CacheModel::Access(uint64_t line_addr, bool write, MemKind kind, int cos) {
+  std::lock_guard guard(lock_);
+  const size_t set = static_cast<size_t>(line_addr) % sets_;
+  const uint64_t tag = line_addr / sets_;
+  Line* base = &lines_[set * ways_];
+  ++tick_;
+
+  // Lookup: all ways, regardless of CAT mask.
+  for (size_t w = 0; w < ways_; ++w) {
+    if (base[w].valid && base[w].tag == tag) {
+      base[w].last_used = tick_;
+      ++hits_;
+      // Rough split: treat a fraction of hits as L1-served. The model has no
+      // L1, so every 4th access pays the LLC-hit latency, the rest L1.
+      return (tick_ & 3) == 0 ? costs_.llc_hit_cycles : costs_.l1_hit_cycles;
+    }
+  }
+  ++misses_;
+
+  // Fill: restricted to the CAT mask of this class of service.
+  const uint64_t mask = (cos >= 0 && cos < kNumCos) ? way_mask_[cos] : way_mask_[0];
+  size_t victim = ways_;  // invalid
+  uint64_t oldest = UINT64_MAX;
+  for (size_t w = 0; w < ways_; ++w) {
+    if ((mask & (1ull << w)) == 0) {
+      continue;
+    }
+    if (!base[w].valid) {
+      victim = w;
+      break;
+    }
+    if (base[w].last_used < oldest) {
+      oldest = base[w].last_used;
+      victim = w;
+    }
+  }
+  if (victim < ways_) {
+    base[victim] = {tag, tick_, true};
+  }
+
+  if (kind == MemKind::kUntrusted) {
+    return costs_.llc_miss_cycles;
+  }
+  // EPC miss: the MEE decrypts the line and walks the integrity tree.
+  double factor;
+  if (write) {
+    const bool tree_hit = MeeTreeAccess(line_addr >> 6);  // line -> page
+    factor = tree_hit ? costs_.epc_miss_write_factor_tree_hit
+                      : costs_.epc_miss_write_factor_tree_miss;
+  } else {
+    factor = costs_.epc_miss_read_factor;
+  }
+  return static_cast<uint64_t>(static_cast<double>(costs_.llc_miss_cycles) * factor);
+}
+
+// Machine::Access, StreamAccess and PolluteCache over one CPU, with the
+// charge that ChargeCost would add to its clock.
+constexpr uint64_t kScratchBase = 0x3f00'0000'0000ull;
+constexpr uint64_t kDefaultScratchPool = 4ull << 20;  // recycled kernel buffers
+
+struct Machine {
+  explicit Machine(const CostModel& costs) : costs_(costs), llc_(costs_) {}
+
+  void Access(uint64_t addr, size_t len, bool write, MemKind kind) {
+    if (len == 0) {
+      return;
+    }
+    const uint64_t first_line = addr >> 6;
+    const uint64_t last_line = (addr + len - 1) >> 6;
+    uint64_t prev_vpn = UINT64_MAX;
+    uint64_t charged = 0;
+    size_t line_index = 0;
+    for (uint64_t line = first_line; line <= last_line; ++line, ++line_index) {
+      const uint64_t vpn = line >> 6;  // 64 lines per 4 KiB page
+      if (vpn != prev_vpn) {
+        prev_vpn = vpn;
+        if (!tlb.Access(vpn)) {
+          charged += kind == MemKind::kEpc ? costs_.tlb_walk_epc_cycles
+                                           : costs_.tlb_walk_cycles;
+        }
+      }
+      uint64_t cost = llc_.Access(line, write, kind, cos);
+      // Hardware prefetch: within one contiguous access, misses past the first
+      // two lines are streamed, not paid at random-miss latency.
+      if (line_index >= 2 && cost >= costs_.llc_miss_cycles) {
+        cost = kind == MemKind::kEpc ? costs_.stream_epc_line_cycles
+                                     : costs_.stream_line_cycles;
+      }
+      charged += cost;
+    }
+    clock += charged;
+  }
+
+  void StreamAccess(uint64_t addr, size_t len, bool write, MemKind kind) {
+    if (len == 0) {
+      return;
+    }
+    const uint64_t first_line = addr >> 6;
+    const uint64_t last_line = (addr + len - 1) >> 6;
+    uint64_t prev_vpn = UINT64_MAX;
+    uint64_t charged = 0;
+    for (uint64_t line = first_line; line <= last_line; ++line) {
+      const uint64_t vpn = line >> 6;
+      if (vpn != prev_vpn) {
+        prev_vpn = vpn;
+        if (!tlb.Access(vpn)) {
+          charged += kind == MemKind::kEpc ? costs_.tlb_walk_epc_cycles
+                                           : costs_.tlb_walk_cycles;
+        }
+      }
+      llc_.Access(line, write, kind, cos);  // state effect only
+      charged += kind == MemKind::kEpc ? costs_.stream_epc_line_cycles
+                                       : costs_.stream_line_cycles;
+    }
+    clock += charged;
+  }
+
+  void PolluteCache(size_t bytes, int pollute_cos, size_t pool_bytes) {
+    if (bytes == 0) {
+      return;
+    }
+    const uint64_t pool = pool_bytes == 0 ? kDefaultScratchPool : pool_bytes;
+    const uint64_t cursor = scratch_cursor_.fetch_add(bytes, std::memory_order_relaxed);
+    const uint64_t addr = kScratchBase + (cursor % pool);
+    const uint64_t first_line = addr >> 6;
+    const uint64_t last_line = (addr + bytes - 1) >> 6;
+    for (uint64_t line = first_line; line <= last_line; ++line) {
+      llc_.Access(line, /*write=*/true, MemKind::kUntrusted, pollute_cos);
+    }
+  }
+
+  CostModel costs_;
+  CacheModel llc_;
+  TlbModel tlb;
+  int cos = kCosShared;
+  uint64_t clock = 0;
+  std::atomic<uint64_t> scratch_cursor_{0};
+};
+
+}  // namespace reference
 
 CostModel SmallCache() {
   CostModel c;
@@ -107,6 +366,180 @@ TEST(CacheModel, PartitionFractionClamped) {
   EXPECT_GT(llc.Access(7, false, MemKind::kUntrusted, kCosEnclave), 0u);
   EXPECT_GT(llc.Access(9, false, MemKind::kUntrusted, kCosRpcWorker), 0u);
 }
+
+// --- Geometry the model cannot represent ---
+
+TEST(CacheModelGeometry, RejectsZeroSets) {
+  CostModel c;
+  c.llc_bytes = 512;  // below one line per way
+  EXPECT_THROW(CacheModel{c}, std::invalid_argument);
+}
+
+TEST(CacheModelGeometry, RejectsSetCountNotPowerOfTwo) {
+  CostModel c;
+  c.llc_ways = 12;  // 8 MiB / (64 B x 12) = 10922.67 sets
+  EXPECT_THROW(CacheModel{c}, std::invalid_argument);
+  c.llc_ways = 16;
+  c.llc_bytes = 3 << 20;  // 3072 sets
+  EXPECT_THROW(CacheModel{c}, std::invalid_argument);
+}
+
+TEST(CacheModelGeometry, RejectsWaysOutsideOneTo64) {
+  CostModel c;
+  c.llc_ways = 0;
+  EXPECT_THROW(CacheModel{c}, std::invalid_argument);
+  c.llc_ways = 128;  // 1024 sets: a power of two, but past a uint64_t mask
+  EXPECT_THROW(CacheModel{c}, std::invalid_argument);
+  c.llc_ways = 64;
+  CacheModel widest(c);
+  EXPECT_EQ(widest.num_ways(), 64u);
+  EXPECT_EQ(widest.num_sets(), 2048u);
+  widest.EnablePartitioning(0.75);
+  EXPECT_EQ(widest.Access(5, true, MemKind::kEpc, kCosRpcWorker),
+            static_cast<uint64_t>(c.llc_miss_cycles *
+                                  c.epc_miss_write_factor_tree_miss));
+}
+
+TEST(CacheModelGeometry, RejectsLinesOtherThan64Bytes) {
+  for (size_t line : {32, 128}) {
+    CostModel c;
+    c.llc_line = line;  // 4096 or 1024 sets: only the line size is wrong
+    EXPECT_THROW(CacheModel{c}, std::invalid_argument) << line;
+  }
+  MachineConfig mc;
+  mc.costs.llc_line = 128;
+  EXPECT_THROW(Machine{mc}, std::invalid_argument);
+}
+
+// --- Oracle: the model against the per-line reference ---
+
+struct Geometry {
+  const char* name;
+  size_t llc_bytes;
+};
+constexpr Geometry kGeometries[] = {{"8MiB", 8ull << 20}, {"64KiB", 64 << 10}};
+
+using OracleParam = std::tuple<Geometry, bool /*partitioned*/, MemKind>;
+
+class LlcOracle : public ::testing::TestWithParam<OracleParam> {
+ protected:
+  CostModel Costs() const {
+    CostModel c;
+    c.llc_bytes = std::get<0>(GetParam()).llc_bytes;
+    return c;
+  }
+  bool partitioned() const { return std::get<1>(GetParam()); }
+  MemKind kind() const { return std::get<2>(GetParam()); }
+
+  // A line in one of the first 512 sets (all 64 of the small geometry), so
+  // sets overflow their ways and EPC writes both hit and miss the MEE node
+  // cache; one line in eight sits near the top of the address space.
+  static uint64_t RandomLine(Xoshiro256& rng, size_t sets) {
+    const uint64_t set = rng.NextBelow(std::min<size_t>(sets, 512));
+    const uint64_t high = rng.NextBelow(8) == 0 ? 1ull << 40 : 0;
+    return (high + rng.NextBelow(48)) * sets + set;
+  }
+
+  // Mostly the three classes of service; one pick in eight is out of range
+  // and fills through class 0's mask.
+  static int RandomCos(Xoshiro256& rng) {
+    const int cos = static_cast<int>(rng.NextBelow(8));
+    return cos < kNumCos ? cos : (cos == 7 ? -1 : cos % kNumCos);
+  }
+};
+
+TEST_P(LlcOracle, CostsHitsAndMissesMatchPerLineReference) {
+  const CostModel costs = Costs();
+  CacheModel llc(costs);
+  reference::CacheModel ref(costs);
+  if (partitioned()) {
+    llc.EnablePartitioning(0.75);
+    ref.EnablePartitioning(0.75);
+  }
+  const uint64_t streamed = kind() == MemKind::kEpc ? costs.stream_epc_line_cycles
+                                                    : costs.stream_line_cycles;
+  Xoshiro256 rng(0x11c0 + llc.num_sets());
+  for (int op = 0; op < 6000; ++op) {
+    if (op == 3000 && partitioned()) {  // the second half runs shared
+      llc.DisablePartitioning();
+      ref.DisablePartitioning();
+    }
+    const uint64_t first = RandomLine(rng, llc.num_sets());
+    const bool write = rng.NextBelow(2) == 0;
+    const int cos = RandomCos(rng);
+    if (rng.NextBelow(2) == 0) {
+      ASSERT_EQ(llc.Access(first, write, kind(), cos),
+                ref.Access(first, write, kind(), cos))
+          << "op " << op;
+      continue;
+    }
+    const uint64_t last = first + rng.NextBelow(100);
+    uint64_t want = 0;
+    for (uint64_t line = first; line <= last; ++line) {
+      const uint64_t cost = ref.Access(line, write, kind(), cos);
+      want += line - first >= 2 && cost >= costs.llc_miss_cycles ? streamed : cost;
+    }
+    ASSERT_EQ(llc.AccessRange(first, last, write, kind(), cos), want)
+        << "op " << op;
+  }
+  EXPECT_EQ(llc.hits(), ref.hits());
+  EXPECT_EQ(llc.misses(), ref.misses());
+  EXPECT_GT(llc.hits(), 5000u);
+  EXPECT_GT(llc.misses(), 5000u);
+}
+
+TEST_P(LlcOracle, MachineClocksAndCountersMatchPerLineReference) {
+  MachineConfig mc;
+  mc.costs = Costs();
+  Machine m(mc);
+  reference::Machine ref(mc.costs);
+  if (partitioned()) {
+    m.llc().EnablePartitioning(0.75);
+    ref.llc_.EnablePartitioning(0.75);
+  }
+  CpuContext& cpu = m.cpu(0);
+  Xoshiro256 rng(0x3ac1 + m.llc().num_sets());
+  for (int op = 0; op < 2500; ++op) {
+    const uint64_t addr =
+        RandomLine(rng, m.llc().num_sets()) * 64 + rng.NextBelow(64);
+    const size_t len = 1 + rng.NextBelow(3 * 4096);
+    const bool write = rng.NextBelow(2) == 0;
+    cpu.cos = ref.cos = RandomCos(rng);
+    switch (rng.NextBelow(3)) {
+      case 0:
+        m.Access(&cpu, addr, len, write, kind());
+        ref.Access(addr, len, write, kind());
+        break;
+      case 1:
+        m.StreamAccess(&cpu, addr, len, write, kind());
+        ref.StreamAccess(addr, len, write, kind());
+        break;
+      default: {
+        const size_t pool = rng.NextBelow(2) == 0 ? 0 : 256 << 10;
+        m.PolluteCache(len, cpu.cos, pool);
+        ref.PolluteCache(len, cpu.cos, pool);
+        break;
+      }
+    }
+    ASSERT_EQ(cpu.clock.now(), ref.clock) << "op " << op;
+  }
+  EXPECT_EQ(m.llc().hits(), ref.llc_.hits());
+  EXPECT_EQ(m.llc().misses(), ref.llc_.misses());
+  EXPECT_EQ(cpu.tlb.hits(), ref.tlb.hits());
+  EXPECT_EQ(cpu.tlb.misses(), ref.tlb.misses());
+  EXPECT_EQ(m.metrics().GetCounter("sim.cycles.cache")->value(), ref.clock);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Streams, LlcOracle,
+    ::testing::Combine(::testing::ValuesIn(kGeometries),
+                       ::testing::Bool(),
+                       ::testing::Values(MemKind::kUntrusted, MemKind::kEpc)),
+    [](const ::testing::TestParamInfo<OracleParam>& p) {
+      return std::string(std::get<0>(p.param).name) +
+             (std::get<1>(p.param) ? "_Cat" : "_Shared") +
+             (std::get<2>(p.param) == MemKind::kEpc ? "_Epc" : "_Untrusted");
+    });
 
 }  // namespace
 }  // namespace eleos::sim

@@ -5,10 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
+#include <thread>
 
 #include "src/sim/enclave.h"
 #include "src/sim/machine.h"
+#include "src/suvm/suvm.h"
 
 namespace eleos::sim {
 namespace {
@@ -125,6 +128,39 @@ TEST(SgxDriver, FairShareIoctl) {
     }
   }
   EXPECT_EQ(m.driver().AvailableFramesFor(a.id()), 100u);
+}
+
+// The fair-share ioctl and enclave_count read the enclave table under the
+// driver lock: a SUVM balloon pass may run on any thread while others create
+// and destroy enclaves (ThreadSanitizer reports the unlocked read).
+TEST(SgxDriver, FairShareReadsRaceEnclaveChurn) {
+  Machine m(TinyMachine(1000));
+  Enclave host(m);
+  suvm::SuvmConfig cfg;
+  cfg.epc_pp_pages = 64;
+  cfg.backing_bytes = 1 << 20;
+  suvm::Suvm suvm(host, cfg);
+  std::atomic<bool> ballooning{false};
+  std::atomic<bool> done{false};
+  std::thread churn([&] {
+    while (!ballooning.load()) {
+      std::this_thread::yield();
+    }
+    for (int i = 0; i < 500; ++i) {
+      Enclave guest(m);
+    }
+    done.store(true);
+  });
+  ballooning.store(true);
+  do {
+    const size_t target = suvm.BalloonPass(nullptr);
+    EXPECT_GE(target, 1u);
+    EXPECT_LE(target, cfg.epc_pp_pages);
+    EXPECT_GE(m.driver().enclave_count(), 1u);
+  } while (!done.load());
+  churn.join();
+  EXPECT_EQ(m.driver().enclave_count(), 1u);
+  EXPECT_EQ(m.driver().AvailableFramesFor(host.id()), 1000u);
 }
 
 TEST(SgxDriver, ShootdownIpisForInEnclaveThreads) {

@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/apps/param_server.h"
 #include "src/crypto/sha256.h"
@@ -172,6 +175,223 @@ TEST(ParamServer, SuvmBackendServesCorrectlyUnderPaging) {
   const PsRunResult r = RunPsWorkload(machine, cfg, 2, 0, 200);
   EXPECT_EQ(r.requests, 200u);
   EXPECT_GT(r.total_cycles, 0u);
+}
+
+// --- Page-at-a-time fill ---
+//
+// Populate fills an identity-hashed open-addressing table a page at a time.
+// Each test below builds two identical machines and servers: one populates,
+// the other gets the same keys from per-key Inserts, the path every other
+// table takes. Their bytes, SUVM and driver state must agree, and so must
+// every clock after one charged update stream.
+
+using Named = std::vector<std::pair<std::string, uint64_t>>;
+
+// Every Suvm::Stats field but minor_faults: the fill merges the repeated
+// pins of one page that the per-key path counts as minor faults.
+Named SuvmStatsSansMinorFaults(const suvm::Suvm& suvm) {
+  const suvm::Suvm::Stats& s = suvm.stats();
+  return {
+      {"major_faults", s.major_faults},
+      {"evictions", s.evictions},
+      {"writebacks", s.writebacks},
+      {"clean_drops", s.clean_drops},
+      {"direct_reads", s.direct_reads},
+      {"direct_writes", s.direct_writes},
+      {"mac_failures", s.mac_failures},
+      {"rollbacks_detected", s.rollbacks_detected},
+      {"retries", s.retries},
+      {"alloc_failures", s.alloc_failures},
+      {"pages_quarantined", s.pages_quarantined},
+      {"quarantine_hits", s.quarantine_hits},
+      {"pages_restored", s.pages_restored},
+      {"degraded_rejects", s.degraded_rejects},
+      {"journal_appends", s.journal_appends},
+      {"journal_commits", s.journal_commits},
+      {"checkpoints", s.checkpoints},
+      {"host_crashes", s.host_crashes},
+      {"recovery_attempts", s.recovery_attempts},
+      {"recovery_pages_verified", s.recovery_pages_verified},
+      {"recovery_pages_quarantined", s.recovery_pages_quarantined},
+      {"recovery_journal_replayed", s.recovery_journal_replayed},
+      {"recovery_journal_torn", s.recovery_journal_torn},
+      {"recovery_rollbacks", s.recovery_rollbacks},
+      {"fault_coalesced", s.fault_coalesced},
+      {"gate_wait_cycles", s.gate_wait_cycles},
+      {"prefetch_issued", s.prefetch_issued},
+      {"prefetch_hits", s.prefetch_hits},
+      {"prefetch_wasted", s.prefetch_wasted},
+  };
+}
+
+Named DriverStats(sim::Machine& m) {
+  const sim::SgxDriver::Stats& s = m.driver().stats();
+  return {{"faults", s.faults},         {"evictions", s.evictions},
+          {"writebacks", s.writebacks}, {"page_ins", s.page_ins},
+          {"zero_fills", s.zero_fills}, {"ipis", s.ipis},
+          {"shootdown_aexes", s.shootdown_aexes}};
+}
+
+// Every CPU clock, the sim.cycles.* counters and the LLC and TLB counters.
+Named Clocks(sim::Machine& m) {
+  Named out;
+  for (size_t i = 0; i < m.num_cpus(); ++i) {
+    out.emplace_back("cpu" + std::to_string(i), m.cpu(i).clock.now());
+    out.emplace_back("tlb_misses" + std::to_string(i), m.cpu(i).tlb.misses());
+  }
+  for (size_t c = 0; c < telemetry::kNumCostCategories; ++c) {
+    const std::string name =
+        std::string("sim.cycles.") +
+        telemetry::CostCategoryName(static_cast<telemetry::CostCategory>(c));
+    out.emplace_back(name, m.metrics().GetCounter(name)->value());
+  }
+  out.emplace_back("llc_hits", m.llc().hits());
+  out.emplace_back("llc_misses", m.llc().misses());
+  return out;
+}
+
+std::vector<uint8_t> RegionBytes(MemRegion& region) {
+  std::vector<uint8_t> bytes(region.size());
+  region.Read(nullptr, 0, bytes.data(), bytes.size());
+  return bytes;
+}
+
+// One machine + server; `populate` picks the fill under test, otherwise the
+// table gets per-key Inserts.
+struct FillRig {
+  FillRig(PsBackend backend, bool populate)
+      : machine(MachineFor(backend)), server(machine, ConfigFor(backend)) {
+    if (populate) {
+      server.Populate();
+    } else {
+      for (uint64_t k = 0; k < server.table().buckets() / 2; ++k) {
+        server.table().Insert(nullptr, k, k);
+      }
+    }
+  }
+
+  // A charged stream of 4-update requests over every key.
+  void Serve(size_t requests) {
+    PsLoadGenerator gen(server.num_keys(), 0, 4, 5, PsConfig{}.crypto_seed);
+    std::vector<uint8_t> wire(gen.request_bytes());
+    sim::CpuContext& cpu = machine.cpu(0);
+    server.EnterServing(cpu);
+    for (uint64_t i = 0; i < requests; ++i) {
+      gen.MakeRequest(i, wire.data());
+      server.HandleRequest(&cpu, wire.data(), wire.size());
+    }
+    server.ExitServing(cpu);
+  }
+
+  static sim::MachineConfig MachineFor(PsBackend backend) {
+    sim::MachineConfig mc;
+    if (backend == PsBackend::kEnclave) {
+      mc.epc_frames = 128;  // the fill's 256 table pages overflow the EPC
+    }
+    return mc;
+  }
+
+  static PsConfig ConfigFor(PsBackend backend) {
+    PsConfig cfg;
+    cfg.data_bytes = 2 << 20;  // 131072 slots; the fill writes 256 pages
+    cfg.backend = backend;
+    cfg.mode = backend == PsBackend::kUntrusted ? PsExecMode::kNativeUntrusted
+                                                : PsExecMode::kSgxRpcCat;
+    cfg.suvm.epc_pp_pages = 64;  // a quarter of the fill: it evicts
+    cfg.cluster_hot_keys = true;
+    return cfg;
+  }
+
+  sim::Machine machine;
+  ParamServer server;
+};
+
+class PageFill : public ::testing::TestWithParam<PsBackend> {};
+
+TEST_P(PageFill, MatchesPerKeyInserts) {
+  const PsBackend backend = GetParam();
+  FillRig fill(backend, /*populate=*/true);
+  FillRig ref(backend, /*populate=*/false);
+  const size_t n = ref.server.table().buckets() / 2;
+  ASSERT_EQ(fill.server.num_keys(), n);
+  ASSERT_EQ(ref.server.num_keys(), n);
+
+  EXPECT_EQ(DriverStats(fill.machine), DriverStats(ref.machine));
+  if (backend == PsBackend::kSuvm) {
+    EXPECT_EQ(SuvmStatsSansMinorFaults(*fill.server.suvm()),
+              SuvmStatsSansMinorFaults(*ref.server.suvm()));
+    EXPECT_GT(fill.server.suvm()->stats().evictions.load(), 0u);
+    EXPECT_LT(fill.server.suvm()->stats().minor_faults.load(),
+              ref.server.suvm()->stats().minor_faults.load());
+  }
+  if (backend == PsBackend::kEnclave) {
+    EXPECT_GT(fill.machine.driver().stats().evictions, 0u);
+  }
+
+  if (backend == PsBackend::kUntrusted) {
+    // UntrustedRegion charges at its host heap address (ROADMAP item 2), so
+    // two servers' clocks are comparable only for the enclave backends.
+    // Neither fill charges or touches the machine.
+    sim::Machine fresh;
+    EXPECT_EQ(Clocks(fill.machine), Clocks(fresh));
+    EXPECT_EQ(Clocks(ref.machine), Clocks(fresh));
+  } else {
+    fill.Serve(300);
+    ref.Serve(300);
+    EXPECT_EQ(Clocks(fill.machine), Clocks(ref.machine));
+    EXPECT_EQ(DriverStats(fill.machine), DriverStats(ref.machine));
+    if (backend == PsBackend::kSuvm) {
+      EXPECT_EQ(SuvmStatsSansMinorFaults(*fill.server.suvm()),
+                SuvmStatsSansMinorFaults(*ref.server.suvm()));
+    }
+  }
+  EXPECT_TRUE(RegionBytes(fill.server.region()) ==
+              RegionBytes(ref.server.region()));
+}
+
+TEST_P(PageFill, SecondPopulateKeepsKeyCount) {
+  FillRig rig(GetParam(), /*populate=*/true);
+  const size_t n = rig.server.num_keys();
+  rig.server.Populate();
+  EXPECT_EQ(rig.server.num_keys(), n);
+  for (uint64_t k = 0; k < n; k += 97) {
+    uint64_t v = ~0ull;
+    ASSERT_TRUE(rig.server.table().Get(nullptr, k, &v)) << k;
+    EXPECT_EQ(v, k);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, PageFill,
+    ::testing::Values(PsBackend::kUntrusted, PsBackend::kEnclave,
+                      PsBackend::kSuvm),
+    [](const ::testing::TestParamInfo<PsBackend>& p) {
+      return p.param == PsBackend::kUntrusted ? "Untrusted"
+             : p.param == PsBackend::kEnclave ? "Enclave"
+                                              : "Suvm";
+    });
+
+// Hashed and chaining tables keep the per-key path: every key is present.
+TEST(PerKeyFill, HashedAndChainingTablesHoldEveryKey) {
+  for (const auto& [layout, identity] :
+       {std::pair{HashLayout::kOpenAddressing, false},
+        std::pair{HashLayout::kChaining, false},
+        std::pair{HashLayout::kChaining, true}}) {
+    sim::Machine machine;
+    PsConfig cfg;
+    cfg.data_bytes = 1 << 20;
+    cfg.layout = layout;
+    cfg.cluster_hot_keys = identity;
+    ParamServer server(machine, cfg);
+    server.Populate();
+    const size_t n = server.table().buckets() / 2;
+    EXPECT_EQ(server.num_keys(), n);
+    for (uint64_t k = 0; k < n; ++k) {
+      uint64_t v = ~0ull;
+      ASSERT_TRUE(server.table().Get(nullptr, k, &v)) << k;
+      ASSERT_EQ(v, k);
+    }
+  }
 }
 
 }  // namespace
