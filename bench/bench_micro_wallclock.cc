@@ -3,8 +3,8 @@
 // Wall-clock micro-benchmarks (google-benchmark) of the hot primitives.
 // Unlike the figure benches these measure *real* time of this
 // implementation, as a sanity check that the functional substrate is fast
-// enough to run the simulations (crypto throughput, allocator, spointer
-// dereference, RPC queue round-trip).
+// enough to run the simulations (crypto throughput, the LLC model, allocator,
+// spointer dereference, RPC queue round-trip).
 
 #include <benchmark/benchmark.h>
 
@@ -17,6 +17,7 @@
 #include "src/crypto/sha256.h"
 #include "src/rpc/job_queue.h"
 #include "src/rpc/worker_pool.h"
+#include "src/sim/cache_model.h"
 #include "src/suvm/backing_store.h"
 #include "src/suvm/spointer.h"
 #include "src/suvm/suvm.h"
@@ -73,6 +74,39 @@ void BM_Sha256_4K(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 4096);
 }
 BENCHMARK(BM_Sha256_4K);
+
+// The LLC traffic of one SUVM fault with a dirty victim, as
+// Machine::StreamAccess hands it to the model: the victim page streams out
+// (EPC read, backing-store write), then a random page streams in
+// (backing-store read, EPC write), all through the enclave's CAT ways. Pages
+// come from 32x the LLC, so nearly every line misses and replaces the least
+// recent allowed way. `line` reads as host time per cache line.
+void BM_LlcPageInStream(benchmark::State& state) {
+  const sim::CostModel costs;
+  sim::CacheModel llc(costs);
+  llc.EnablePartitioning();
+  constexpr uint64_t kPages = 1 << 16;                  // 256 MiB of pages
+  constexpr uint64_t kLinesPerPage = 64;
+  constexpr uint64_t kBackingLine = (1ull << 47) >> 6;  // SUVM backing-store base
+  Xoshiro256 rng(1);
+  const auto stream_page = [&](uint64_t first, bool write, sim::MemKind kind) {
+    const uint64_t cycles = llc.AccessRange(first, first + kLinesPerPage - 1,
+                                            write, kind, sim::kCosEnclave);
+    benchmark::DoNotOptimize(cycles);
+  };
+  for (auto _ : state) {
+    const uint64_t victim = rng.NextBelow(kPages) * kLinesPerPage;
+    const uint64_t target = rng.NextBelow(kPages) * kLinesPerPage;
+    stream_page(victim, /*write=*/false, sim::MemKind::kEpc);
+    stream_page(kBackingLine + victim, /*write=*/true, sim::MemKind::kUntrusted);
+    stream_page(kBackingLine + target, /*write=*/false, sim::MemKind::kUntrusted);
+    stream_page(target, /*write=*/true, sim::MemKind::kEpc);
+  }
+  state.counters["line"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * 4 * kLinesPerPage),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_LlcPageInStream);
 
 void BM_BuddyAllocFree(benchmark::State& state) {
   suvm::BackingStore bs({.capacity_bytes = 64ull << 20});

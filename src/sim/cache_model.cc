@@ -30,15 +30,10 @@ size_t SetShift(const CostModel& c) {
 
 CacheModel::CacheModel(const CostModel& costs)
     : costs_(costs),
-      ways_(costs.llc_ways),
       set_shift_(SetShift(costs)),
-      lines_(num_sets() * ways_),
-      mee_pages_(costs.mee_tree_cache_pages, UINT64_MAX),
-      mee_used_(costs.mee_tree_cache_pages, 0) {
-  const uint64_t all = (ways_ >= 64) ? ~0ull : ((1ull << ways_) - 1);
-  for (int i = 0; i < kNumCos; ++i) {
-    way_mask_[i] = all;
-  }
+      lines_(size_t{1} << set_shift_, costs.llc_ways),
+      mee_nodes_(1, costs.mee_tree_cache_pages) {
+  DisablePartitioning();
 }
 
 void CacheModel::SetWayMask(int cos, uint64_t mask) {
@@ -48,39 +43,19 @@ void CacheModel::SetWayMask(int cos, uint64_t mask) {
 }
 
 void CacheModel::EnablePartitioning(double enclave_fraction) {
+  const size_t ways = num_ways();
   const size_t enclave_ways =
-      static_cast<size_t>(std::lround(enclave_fraction * static_cast<double>(ways_)));
-  const size_t clamped = enclave_ways == 0 ? 1 : (enclave_ways >= ways_ ? ways_ - 1 : enclave_ways);
+      static_cast<size_t>(std::lround(enclave_fraction * static_cast<double>(ways)));
+  const size_t clamped = enclave_ways == 0 ? 1 : (enclave_ways >= ways ? ways - 1 : enclave_ways);
   const uint64_t enclave_mask = (1ull << clamped) - 1;
-  const uint64_t all = (ways_ >= 64) ? ~0ull : ((1ull << ways_) - 1);
   SetWayMask(kCosEnclave, enclave_mask);
-  SetWayMask(kCosRpcWorker, all & ~enclave_mask);
+  SetWayMask(kCosRpcWorker, lines_.all_ways() & ~enclave_mask);
 }
 
 void CacheModel::DisablePartitioning() {
-  const uint64_t all = (ways_ >= 64) ? ~0ull : ((1ull << ways_) - 1);
   for (int i = 0; i < kNumCos; ++i) {
-    way_mask_[i] = all;
+    way_mask_[i] = lines_.all_ways();
   }
-}
-
-bool CacheModel::MeeTreeAccess(uint64_t page) {
-  ++mee_tick_;
-  size_t victim = 0;
-  uint64_t oldest = UINT64_MAX;
-  for (size_t i = 0; i < mee_pages_.size(); ++i) {
-    if (mee_pages_[i] == page) {
-      mee_used_[i] = mee_tick_;
-      return true;
-    }
-    if (mee_used_[i] < oldest) {
-      oldest = mee_used_[i];
-      victim = i;
-    }
-  }
-  mee_pages_[victim] = page;
-  mee_used_[victim] = mee_tick_;
-  return false;
 }
 
 uint64_t CacheModel::Access(uint64_t line_addr, bool write, MemKind kind, int cos) {
@@ -108,42 +83,16 @@ uint64_t CacheModel::AccessLocked(uint64_t line_addr, bool write, MemKind kind,
                                   int cos) {
   const size_t set =
       static_cast<size_t>(line_addr & ((uint64_t{1} << set_shift_) - 1));
-  const uint64_t tag = line_addr >> set_shift_;
-  Line* base = &lines_[set * ways_];
+  // Lookups hit all ways; fills are restricted to the class's CAT mask.
+  const uint64_t mask = (cos >= 0 && cos < kNumCos) ? way_mask_[cos] : way_mask_[0];
   ++tick_;
-
-  // Lookup: all ways, regardless of CAT mask.
-  for (size_t w = 0; w < ways_; ++w) {
-    if (base[w].valid && base[w].tag == tag) {
-      base[w].last_used = tick_;
-      ++hits_;
-      // Rough split: treat a fraction of hits as L1-served. The model has no
-      // L1, so every 4th access pays the LLC-hit latency, the rest L1.
-      return (tick_ & 3) == 0 ? costs_.llc_hit_cycles : costs_.l1_hit_cycles;
-    }
+  if (lines_.Access(set, line_addr >> set_shift_, mask)) {
+    ++hits_;
+    // Rough split: treat a fraction of hits as L1-served. The model has no
+    // L1, so every 4th access pays the LLC-hit latency, the rest L1.
+    return (tick_ & 3) == 0 ? costs_.llc_hit_cycles : costs_.l1_hit_cycles;
   }
   ++misses_;
-
-  // Fill: restricted to the CAT mask of this class of service.
-  const uint64_t mask = (cos >= 0 && cos < kNumCos) ? way_mask_[cos] : way_mask_[0];
-  size_t victim = ways_;  // invalid
-  uint64_t oldest = UINT64_MAX;
-  for (size_t w = 0; w < ways_; ++w) {
-    if ((mask & (1ull << w)) == 0) {
-      continue;
-    }
-    if (!base[w].valid) {
-      victim = w;
-      break;
-    }
-    if (base[w].last_used < oldest) {
-      oldest = base[w].last_used;
-      victim = w;
-    }
-  }
-  if (victim < ways_) {
-    base[victim] = {tag, tick_, true};
-  }
 
   if (kind == MemKind::kUntrusted) {
     return costs_.llc_miss_cycles;
@@ -151,7 +100,7 @@ uint64_t CacheModel::AccessLocked(uint64_t line_addr, bool write, MemKind kind,
   // EPC miss: the MEE decrypts the line and walks the integrity tree.
   double factor;
   if (write) {
-    const bool tree_hit = MeeTreeAccess(line_addr >> 6);  // line -> page
+    const bool tree_hit = mee_nodes_.Access(0, line_addr >> 6);  // line -> page
     factor = tree_hit ? costs_.epc_miss_write_factor_tree_hit
                       : costs_.epc_miss_write_factor_tree_miss;
   } else {

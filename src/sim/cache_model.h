@@ -18,10 +18,10 @@
 
 #include <cstdint>
 #include <mutex>
-#include <vector>
 
 #include "src/common/spinlock.h"
 #include "src/sim/cost_model.h"
+#include "src/sim/lru_tag_store.h"
 
 namespace eleos::sim {
 
@@ -41,9 +41,9 @@ class CacheModel {
  public:
   // Throws std::invalid_argument for a geometry the model cannot represent:
   // a line other than 64 bytes (Machine maps addresses to lines and pages
-  // with fixed shifts), ways outside 1-64 (a way mask is one uint64_t), or a
+  // with fixed shifts), ways outside 1-64 (a way mask is one uint64_t), a
   // set count that is zero or not a power of two (sets are indexed by mask
-  // and shift).
+  // and shift), or an MEE node cache outside 1-64 pages (one set of ways).
   explicit CacheModel(const CostModel& costs);
 
   // Sets the fill mask (bit i = way i usable) for a class of service.
@@ -80,34 +80,24 @@ class CacheModel {
   }
   void ResetStats();
 
-  size_t num_sets() const { return size_t{1} << set_shift_; }
-  size_t num_ways() const { return ways_; }
+  size_t num_sets() const { return lines_.sets(); }
+  size_t num_ways() const { return lines_.ways(); }
 
  private:
-  struct Line {
-    uint64_t tag = 0;
-    uint64_t last_used = 0;
-    bool valid = false;
-  };
-
-  // Both require lock_ held; MeeTreeAccess returns hit.
+  // Requires lock_ held.
   uint64_t AccessLocked(uint64_t line_addr, bool write, MemKind kind, int cos);
-  bool MeeTreeAccess(uint64_t page);
 
-  mutable Spinlock lock_;  // guards lines_/tick_/hits_/misses_ and the MEE LRU
+  mutable Spinlock lock_;  // guards lines_/tick_/hits_/misses_/mee_nodes_
   const CostModel& costs_;
-  size_t ways_;
   size_t set_shift_;  // log2 of the set count
-  std::vector<Line> lines_;
+  LruTagStore lines_;
   uint64_t way_mask_[kNumCos];
-  uint64_t tick_ = 0;
+  uint64_t tick_ = 0;  // accesses, for the L1/LLC split of hits
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
 
   // Tiny fully-associative LRU of integrity-tree nodes (one node per page).
-  std::vector<uint64_t> mee_pages_;
-  std::vector<uint64_t> mee_used_;
-  uint64_t mee_tick_ = 0;
+  LruTagStore mee_nodes_;
 };
 
 }  // namespace eleos::sim

@@ -11,64 +11,38 @@
 #define ELEOS_SRC_SIM_TLB_MODEL_H_
 
 #include <cstdint>
-#include <vector>
+
+#include "src/sim/lru_tag_store.h"
 
 namespace eleos::sim {
 
 class TlbModel {
  public:
-  // Skylake STLB: 1536 entries, 12-way. Defaults chosen to match.
+  // Skylake STLB: 1536 entries, 12-way. Defaults chosen to match. Throws
+  // std::invalid_argument unless ways is 1-64 and entries >= ways.
   explicit TlbModel(size_t entries = 1536, size_t ways = 12)
-      : ways_(ways), sets_(entries / ways), slots_(entries), tick_(0) {}
+      : slots_(ways == 0 ? 0 : entries / ways, ways) {}
 
-  // Looks up a virtual page number; inserts it on miss. Returns hit/miss.
+  // Looks up a virtual page number; inserts it on miss, over the lowest
+  // invalid way of its set or else the least recently used one. Returns
+  // hit/miss.
   bool Access(uint64_t vpn) {
-    const size_t set = static_cast<size_t>(vpn) % sets_;
-    Slot* base = &slots_[set * ways_];
-    ++tick_;
-    for (size_t w = 0; w < ways_; ++w) {
-      if (base[w].valid && base[w].vpn == vpn) {
-        base[w].last_used = tick_;
-        ++hits_;
-        return true;
-      }
+    if (slots_.Access(SetOf(vpn), vpn)) {
+      ++hits_;
+      return true;
     }
-    // Miss: install over invalid or LRU way.
-    size_t victim = 0;
-    uint64_t oldest = UINT64_MAX;
-    for (size_t w = 0; w < ways_; ++w) {
-      if (!base[w].valid) {
-        victim = w;
-        break;
-      }
-      if (base[w].last_used < oldest) {
-        oldest = base[w].last_used;
-        victim = w;
-      }
-    }
-    base[victim] = {vpn, tick_, true};
     ++misses_;
     return false;
   }
 
   // Full flush, as performed by enclave exits.
   void FlushAll() {
-    for (auto& s : slots_) {
-      s.valid = false;
-    }
+    slots_.InvalidateAll();
     ++flushes_;
   }
 
   // Single-page shootdown (driver-initiated EPC eviction).
-  void Invalidate(uint64_t vpn) {
-    const size_t set = static_cast<size_t>(vpn) % sets_;
-    Slot* base = &slots_[set * ways_];
-    for (size_t w = 0; w < ways_; ++w) {
-      if (base[w].valid && base[w].vpn == vpn) {
-        base[w].valid = false;
-      }
-    }
-  }
+  void Invalidate(uint64_t vpn) { slots_.Invalidate(SetOf(vpn), vpn); }
 
   uint64_t hits() const { return hits_; }
   uint64_t misses() const { return misses_; }
@@ -81,16 +55,11 @@ class TlbModel {
   }
 
  private:
-  struct Slot {
-    uint64_t vpn = 0;
-    uint64_t last_used = 0;
-    bool valid = false;
-  };
+  size_t SetOf(uint64_t vpn) const {
+    return static_cast<size_t>(vpn % slots_.sets());
+  }
 
-  size_t ways_;
-  size_t sets_;
-  std::vector<Slot> slots_;
-  uint64_t tick_;
+  LruTagStore slots_;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
   uint64_t flushes_ = 0;

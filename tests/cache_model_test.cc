@@ -16,15 +16,16 @@
 #include "src/sim/cache_model.h"
 #include "src/sim/cost_model.h"
 #include "src/sim/machine.h"
-#include "src/sim/tlb_model.h"
+#include "tests/reference_tlb_model.h"
 
 namespace eleos::sim {
-namespace {
 
-// The per-line CacheModel and Machine access loops that the mask-and-shift
-// model with one lock per range replaced, verbatim. Every virtual number of
-// the benchmarks flows through the LLC model, so only these oracles can see
-// the model drift from the original hits, misses and costs.
+// The per-line, per-way-timestamp CacheModel and the per-line Machine access
+// loops that the mask-and-shift model with one lock per range and the
+// exact-LRU tag store replaced, verbatim; Machine charges TLB walks through
+// the timestamp TLB of reference_tlb_model.h. Every virtual number of the
+// benchmarks flows through the LLC model, so only these oracles can see the
+// model drift from the original hits, misses and costs.
 namespace reference {
 
 class CacheModel {
@@ -267,6 +268,8 @@ struct Machine {
 
 }  // namespace reference
 
+namespace {
+
 CostModel SmallCache() {
   CostModel c;
   c.llc_bytes = 64 * 1024;  // 64 sets x 16 ways x 64 B
@@ -411,33 +414,107 @@ TEST(CacheModelGeometry, RejectsLinesOtherThan64Bytes) {
   EXPECT_THROW(Machine{mc}, std::invalid_argument);
 }
 
+TEST(CacheModelGeometry, RejectsMeeCacheOutsideOneTo64) {
+  for (size_t pages : {0, 65}) {
+    CostModel c;
+    c.mee_tree_cache_pages = pages;  // the MEE node cache is one set of ways
+    EXPECT_THROW(
+        {
+          CacheModel llc(c);
+          llc.Access(0, /*write=*/true, MemKind::kEpc, kCosShared);
+        },
+        std::invalid_argument)
+        << pages;
+    MachineConfig mc;
+    mc.costs = c;
+    EXPECT_THROW(Machine{mc}, std::invalid_argument) << pages;
+  }
+  CostModel c;
+  c.mee_tree_cache_pages = 1;
+  CacheModel one(c);
+  const auto write_miss = [&](uint64_t line) {
+    return one.Access(line, true, MemKind::kEpc, kCosShared);
+  };
+  const uint64_t tree_miss =
+      static_cast<uint64_t>(c.llc_miss_cycles * c.epc_miss_write_factor_tree_miss);
+  const uint64_t tree_hit =
+      static_cast<uint64_t>(c.llc_miss_cycles * c.epc_miss_write_factor_tree_hit);
+  EXPECT_EQ(write_miss(0), tree_miss);   // page 0's node fills the one way
+  EXPECT_EQ(write_miss(1), tree_hit);    // same page
+  EXPECT_EQ(write_miss(64), tree_miss);  // page 1 evicts page 0's node
+  EXPECT_EQ(write_miss(2), tree_miss);
+}
+
 // --- Oracle: the model against the per-line reference ---
 
+// The 64-way geometry uses way 63 and the all-ones mask and has a one-page
+// MEE node cache; the others keep the default 64 pages.
 struct Geometry {
   const char* name;
   size_t llc_bytes;
+  size_t ways;
+  size_t mee_pages;
 };
-constexpr Geometry kGeometries[] = {{"8MiB", 8ull << 20}, {"64KiB", 64 << 10}};
+constexpr Geometry kGeometries[] = {{"8MiB", 8ull << 20, 16, 64},
+                                    {"64KiB", 64 << 10, 16, 64},
+                                    {"64Way", 256 << 10, 64, 1},
+                                    {"1Way", 32 << 10, 1, 64}};
 
-using OracleParam = std::tuple<Geometry, bool /*partitioned*/, MemKind>;
+// Class-of-service fill masks: none; Eleos's 75/25 split (dropped halfway
+// through the CacheModel stream); or, every 500 ops, a fresh random (mostly
+// non-contiguous) or single-bit mask for each class.
+enum class Masks { kShared, kCat, kSparse, kOneBit };
+
+using OracleParam = std::tuple<Geometry, Masks, MemKind>;
 
 class LlcOracle : public ::testing::TestWithParam<OracleParam> {
  protected:
   CostModel Costs() const {
+    const Geometry& g = std::get<0>(GetParam());
     CostModel c;
-    c.llc_bytes = std::get<0>(GetParam()).llc_bytes;
+    c.llc_bytes = g.llc_bytes;
+    c.llc_ways = g.ways;
+    c.mee_tree_cache_pages = g.mee_pages;
     return c;
   }
-  bool partitioned() const { return std::get<1>(GetParam()); }
   MemKind kind() const { return std::get<2>(GetParam()); }
 
-  // A line in one of the first 512 sets (all 64 of the small geometry), so
-  // sets overflow their ways and EPC writes both hit and miss the MEE node
-  // cache; one line in eight sits near the top of the address space.
-  static uint64_t RandomLine(Xoshiro256& rng, size_t sets) {
-    const uint64_t set = rng.NextBelow(std::min<size_t>(sets, 512));
+  // Sets the same masks on both models before op `op`; with CAT the split
+  // ends at op `shared_from`.
+  void SetMasks(int op, int shared_from, CacheModel& llc,
+                reference::CacheModel& ref) {
+    const Masks masks = std::get<1>(GetParam());
+    if (masks == Masks::kCat) {
+      if (op == 0) {
+        llc.EnablePartitioning(0.75);
+        ref.EnablePartitioning(0.75);
+      } else if (op == shared_from) {
+        llc.DisablePartitioning();
+        ref.DisablePartitioning();
+      }
+      return;
+    }
+    if (masks == Masks::kShared || op % 500 != 0) {
+      return;
+    }
+    for (int cos = 0; cos < kNumCos; ++cos) {
+      const uint64_t mask = masks == Masks::kSparse
+                                ? mask_rng_.Next()
+                                : uint64_t{1} << mask_rng_.NextBelow(llc.num_ways());
+      llc.SetWayMask(cos, mask);
+      ref.SetWayMask(cos, mask);
+    }
+  }
+
+  // A line in one of the first 512 sets (all of a small geometry), with one
+  // of 3 x ways tags, so sets overflow their ways and EPC writes both hit and
+  // miss the MEE node cache; one line in eight sits near the top of the
+  // address space.
+  static uint64_t RandomLine(Xoshiro256& rng, const CacheModel& llc) {
+    const uint64_t sets = llc.num_sets();
+    const uint64_t set = rng.NextBelow(std::min<uint64_t>(sets, 512));
     const uint64_t high = rng.NextBelow(8) == 0 ? 1ull << 40 : 0;
-    return (high + rng.NextBelow(48)) * sets + set;
+    return (high + rng.NextBelow(3 * llc.num_ways())) * sets + set;
   }
 
   // Mostly the three classes of service; one pick in eight is out of range
@@ -446,25 +523,21 @@ class LlcOracle : public ::testing::TestWithParam<OracleParam> {
     const int cos = static_cast<int>(rng.NextBelow(8));
     return cos < kNumCos ? cos : (cos == 7 ? -1 : cos % kNumCos);
   }
+
+ private:
+  Xoshiro256 mask_rng_{0x3a5c};
 };
 
 TEST_P(LlcOracle, CostsHitsAndMissesMatchPerLineReference) {
   const CostModel costs = Costs();
   CacheModel llc(costs);
   reference::CacheModel ref(costs);
-  if (partitioned()) {
-    llc.EnablePartitioning(0.75);
-    ref.EnablePartitioning(0.75);
-  }
   const uint64_t streamed = kind() == MemKind::kEpc ? costs.stream_epc_line_cycles
                                                     : costs.stream_line_cycles;
   Xoshiro256 rng(0x11c0 + llc.num_sets());
   for (int op = 0; op < 6000; ++op) {
-    if (op == 3000 && partitioned()) {  // the second half runs shared
-      llc.DisablePartitioning();
-      ref.DisablePartitioning();
-    }
-    const uint64_t first = RandomLine(rng, llc.num_sets());
+    SetMasks(op, /*shared_from=*/3000, llc, ref);
+    const uint64_t first = RandomLine(rng, llc);
     const bool write = rng.NextBelow(2) == 0;
     const int cos = RandomCos(rng);
     if (rng.NextBelow(2) == 0) {
@@ -493,15 +566,11 @@ TEST_P(LlcOracle, MachineClocksAndCountersMatchPerLineReference) {
   mc.costs = Costs();
   Machine m(mc);
   reference::Machine ref(mc.costs);
-  if (partitioned()) {
-    m.llc().EnablePartitioning(0.75);
-    ref.llc_.EnablePartitioning(0.75);
-  }
   CpuContext& cpu = m.cpu(0);
   Xoshiro256 rng(0x3ac1 + m.llc().num_sets());
   for (int op = 0; op < 2500; ++op) {
-    const uint64_t addr =
-        RandomLine(rng, m.llc().num_sets()) * 64 + rng.NextBelow(64);
+    SetMasks(op, /*shared_from=*/-1, m.llc(), ref.llc_);
+    const uint64_t addr = RandomLine(rng, m.llc()) * 64 + rng.NextBelow(64);
     const size_t len = 1 + rng.NextBelow(3 * 4096);
     const bool write = rng.NextBelow(2) == 0;
     cpu.cos = ref.cos = RandomCos(rng);
@@ -530,14 +599,17 @@ TEST_P(LlcOracle, MachineClocksAndCountersMatchPerLineReference) {
   EXPECT_EQ(m.metrics().GetCounter("sim.cycles.cache")->value(), ref.clock);
 }
 
+constexpr const char* kMaskNames[] = {"_Shared", "_Cat", "_Sparse", "_OneBit"};
+
 INSTANTIATE_TEST_SUITE_P(
     Streams, LlcOracle,
     ::testing::Combine(::testing::ValuesIn(kGeometries),
-                       ::testing::Bool(),
+                       ::testing::Values(Masks::kShared, Masks::kCat,
+                                         Masks::kSparse, Masks::kOneBit),
                        ::testing::Values(MemKind::kUntrusted, MemKind::kEpc)),
     [](const ::testing::TestParamInfo<OracleParam>& p) {
       return std::string(std::get<0>(p.param).name) +
-             (std::get<1>(p.param) ? "_Cat" : "_Shared") +
+             kMaskNames[static_cast<int>(std::get<1>(p.param))] +
              (std::get<2>(p.param) == MemKind::kEpc ? "_Epc" : "_Untrusted");
     });
 

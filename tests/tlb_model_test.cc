@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <utility>
+
+#include "src/common/rng.h"
 #include "src/sim/tlb_model.h"
+#include "tests/reference_tlb_model.h"
 
 namespace eleos::sim {
 namespace {
@@ -58,6 +64,75 @@ TEST(TlbModel, WorkingSetWithinCapacityAllHits) {
   EXPECT_EQ(tlb.misses(), 1000u);
   EXPECT_EQ(tlb.hits(), 2000u);
 }
+
+TEST(TlbModel, RejectsGeometryWithoutSets) {
+  // {entries, ways}: fewer entries than ways and zero ways leave no set to
+  // index; 65 ways do not fit a set's 64-bit valid mask.
+  for (const auto& [entries, ways] : {std::pair<size_t, size_t>{3, 4},
+                                      {64, 0},
+                                      {130, 65}}) {
+    EXPECT_THROW(
+        {
+          TlbModel tlb(entries, ways);
+          tlb.Access(1);
+        },
+        std::invalid_argument)
+        << entries << "x" << ways;
+  }
+  TlbModel widest(64, 64);
+  EXPECT_FALSE(widest.Access(9));
+  EXPECT_TRUE(widest.Access(9));
+}
+
+// --- Oracle: the model against the per-way timestamp reference ---
+
+struct TlbGeometry {
+  const char* name;
+  size_t entries;
+  size_t ways;
+};
+constexpr TlbGeometry kTlbGeometries[] = {
+    {"Stlb", 1536, 12}, {"64x4", 64, 4}, {"16x4", 16, 4}, {"64x1", 64, 1}};
+
+class TlbOracle : public ::testing::TestWithParam<TlbGeometry> {};
+
+TEST_P(TlbOracle, ResultsAndCountersMatchTimestampReference) {
+  const TlbGeometry g = GetParam();
+  TlbModel tlb(g.entries, g.ways);
+  reference::TlbModel ref(g.entries, g.ways);
+  Xoshiro256 rng(0x71b0 + g.entries + g.ways);
+  for (int op = 0; op < 40000; ++op) {
+    // Half the pages come from a hot set of half the capacity, half from
+    // three times the capacity, so sets both hit and overflow their ways;
+    // one page in eight sits near the top of the address space.
+    uint64_t vpn = rng.NextBelow(2) == 0 ? rng.NextBelow(g.entries / 2 + 1)
+                                         : rng.NextBelow(3 * g.entries);
+    if (rng.NextBelow(8) == 0) {
+      vpn += 1ull << 40;
+    }
+    const uint64_t action = rng.NextBelow(4096);
+    if (action == 0) {
+      tlb.FlushAll();
+      ref.FlushAll();
+    } else if (action < 256) {
+      tlb.Invalidate(vpn);
+      ref.Invalidate(vpn);
+    } else {
+      ASSERT_EQ(tlb.Access(vpn), ref.Access(vpn)) << "op " << op;
+    }
+  }
+  EXPECT_EQ(tlb.hits(), ref.hits());
+  EXPECT_EQ(tlb.misses(), ref.misses());
+  EXPECT_EQ(tlb.flushes(), ref.flushes());
+  EXPECT_GT(tlb.hits(), 5000u);
+  EXPECT_GT(tlb.misses(), 5000u);
+  EXPECT_GT(tlb.flushes(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Streams, TlbOracle, ::testing::ValuesIn(kTlbGeometries),
+                         [](const ::testing::TestParamInfo<TlbGeometry>& p) {
+                           return std::string(p.param.name);
+                         });
 
 }  // namespace
 }  // namespace eleos::sim
