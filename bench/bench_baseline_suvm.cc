@@ -12,10 +12,7 @@
 // cycles-per-fault per thread count and the 1->4 `speedup` ratio), a
 // request-sized variant of it (`request_step`: each thread runs several
 // reads plus non-gated work per turn, the shape under which a trailing
-// thread could be charged for gate sections it never overlapped), and a
-// prefetch demo (sequential walk with the stride prefetcher enabled, so the
-// suvm.prefetch.* counters have a non-zero witness while the main profile
-// keeps them at zero).
+// thread could be charged for gate sections it never overlapped).
 //
 // With --trace-out, span tracing is enabled for the whole workload and a
 // Chrome trace-event JSON (plus a .folded flamegraph next to it) is written
@@ -255,44 +252,6 @@ int main(int argc, char** argv) {
   constexpr uint64_t kReqWork = 8000;
   const ParResult req4 = run_parallel(4, kReqReads, kReqWork);
 
-  // Prefetch demo: a linear walk over a sealed-out region with the
-  // sequential-stride prefetcher on (off everywhere else). Contributes the
-  // issued/hits evidence validate_bench.py requires; the main profile above
-  // must keep its suvm.prefetch.* counters at exactly zero.
-  const size_t kPfPages = smoke ? 64 : 512;
-  uint64_t pf_issued = 0, pf_hits = 0, pf_wasted = 0, pf_majors = 0;
-  {
-    sim::Machine fm(bench::FastMachine());
-    sim::Enclave fe(fm);
-    suvm::SuvmConfig fcfg;
-    fcfg.epc_pp_pages = kPfPages / 4;
-    fcfg.backing_bytes = 64ull << 20;
-    fcfg.prefetch_pages = 4;
-    fcfg.prefetch_min_run = 2;
-    // Prefetch consumes free slots only (it never evicts to make room), so
-    // pair it with the eager reserve: every fault tops the free pool back up
-    // to the watermark, which is what keeps the prefetcher fed mid-stream.
-    fcfg.eager_reserve = true;
-    fcfg.swapper_low_watermark = 8;
-    suvm::Suvm fs(fe, fcfg);
-    sim::CpuContext& fcpu = fm.cpu(0);
-    const uint64_t fbase = ValueOrThrow(fs.Malloc(kPfPages * sim::kPageSize));
-    fe.Enter(fcpu);
-    for (size_t p = 0; p < kPfPages; ++p) {  // seal out (early pages evict)
-      ThrowIfError(fs.Write(&fcpu, fbase + p * sim::kPageSize, buf.data(),
-                            buf.size()));
-    }
-    for (size_t p = 0; p < kPfPages; ++p) {  // the stream the prefetcher feeds
-      ThrowIfError(fs.Read(&fcpu, fbase + p * sim::kPageSize, buf.data(),
-                           buf.size()));
-    }
-    fe.Exit(fcpu);
-    pf_issued = fs.stats().prefetch_issued.load();
-    pf_hits = fs.stats().prefetch_hits.load();
-    pf_wasted = fs.stats().prefetch_wasted.load();
-    pf_majors = fs.stats().major_faults.load();
-  }
-
   machine.CutTimeline();  // PublishAll + flush the open window
 
   const telemetry::Histogram* major =
@@ -341,13 +300,7 @@ int main(int argc, char** argv) {
           bench::JsonKv("gate_wait_per_fault",
                         static_cast<double>(req4.gate_wait_cycles) /
                             static_cast<double>(req4.major_faults)) +
-          ", \"threads_4\": " + par_json(req4) + "},\n";
-  json += "    \"prefetch_demo\": {" +
-          bench::JsonKv("pages", static_cast<uint64_t>(kPfPages)) + ", " +
-          bench::JsonKv("issued", pf_issued) + ", " +
-          bench::JsonKv("hits", pf_hits) + ", " +
-          bench::JsonKv("wasted", pf_wasted) + ", " +
-          bench::JsonKv("major_faults", pf_majors) + "}\n";
+          ", \"threads_4\": " + par_json(req4) + "}\n";
   json += "  },\n";
   json += "  \"latency_cycles\": " + bench::LatencyJson(*major) + ",\n";
   json += "  \"timeline\": " + machine.metrics().timeline().ToJson() + ",\n";
@@ -388,13 +341,10 @@ int main(int argc, char** argv) {
       recover->Percentile(50), out.c_str());
   std::printf(
       "bench_baseline_suvm: parallel_fault cpf(1)=%.0f cpf(2)=%.0f "
-      "cpf(4)=%.0f speedup=%.2fx, request_step gate wait/fault=%.1f, "
-      "prefetch issued=%llu hits=%llu\n",
+      "cpf(4)=%.0f speedup=%.2fx, request_step gate wait/fault=%.1f\n",
       par1.cycles_per_fault, par2.cycles_per_fault, par4.cycles_per_fault,
       par_speedup,
       static_cast<double>(req4.gate_wait_cycles) /
-          static_cast<double>(req4.major_faults),
-      static_cast<unsigned long long>(pf_issued),
-      static_cast<unsigned long long>(pf_hits));
+          static_cast<double>(req4.major_faults));
   return 0;
 }

@@ -7,8 +7,10 @@ Usage:
 Compares the *scale-invariant* numeric leaves of the two documents — latency
 percentiles/means, cycles-per-call figures, and speedups — and prints the
 per-metric % delta for each. Exits nonzero when any metric regressed by more
-than --threshold (fractional, default 0.10 = 10%); improvements are printed
-but never fatal.
+than --threshold (fractional, default 0.10 = 10%), or when a compared leaf of
+the baseline is missing from the candidate (each one is listed: a gate that
+loses a metric must not pass silently); improvements are printed but never
+fatal.
 
 Why only scale-invariant keys: smoke and full runs execute very different
 operation counts, so raw counts (counters, op totals, timeline windows)
@@ -103,8 +105,9 @@ def main():
             return 1
     base, cand = (collect(d) for d in docs)
 
-    shared = sorted(
-        p for p in base if p in cand and comparable(p, args.all))
+    gated = sorted(p for p in base if comparable(p, args.all))
+    shared = [p for p in gated if p in cand]
+    missing = [p for p in gated if p not in cand]
     if not shared:
         print("bench_diff: FAIL: no comparable metrics shared between "
               f"{args.baseline} and {args.candidate}", file=sys.stderr)
@@ -131,6 +134,11 @@ def main():
         if fatal:
             regressions.append((path, delta))
 
+    if missing:
+        print(f"bench_diff: FAIL: {len(missing)} baseline metric(s) missing "
+              f"from {args.candidate}:", file=sys.stderr)
+        for path in missing:
+            print(f"bench_diff:   {path}", file=sys.stderr)
     if regressions:
         print(f"bench_diff: FAIL: {len(regressions)} metric(s) regressed "
               f"beyond {args.threshold * 100.0:.1f}% "
@@ -138,6 +146,7 @@ def main():
         for path, delta in regressions:
             print(f"bench_diff:   {path}: {delta * 100.0:+.2f}%",
                   file=sys.stderr)
+    if missing or regressions:
         return 1
     print(f"bench_diff: OK: {len(shared)} metrics within "
           f"{args.threshold * 100.0:.1f}% "

@@ -17,7 +17,7 @@
 #    a balloon pass while another thread creates and destroys enclaves.
 # 3. An ASan+UBSan build re-running the hostile-host suites: fault injection,
 #    the chaos-soak smoke, crash recovery (kill/restart over a surviving
-#    arena), the secure channel, and the boundary fuzz — the paths that poke
+#    arena) and the boundary fuzz — the paths that poke
 #    at lifetimes (abandoned jobs, quarantined pages, dead enclave
 #    instances, tampered/scribbled slots), plus the paging gate's section
 #    record (a bounded vector spliced on every release), plus the crypto
@@ -59,11 +59,11 @@ cmake --build build-tsan -j --target \
   crash_recovery_test boundary_fuzz_test cache_model_test epc_driver_test
 (cd build-tsan && ctest --output-on-failure -R "$TSAN_TESTS")
 
-ASAN_TESTS='^(fault_injection_test|chaos_soak_test|crash_recovery_test|secure_channel_test|boundary_fuzz_test|flight_recorder_test|suvm_parallel_test|virtual_gate_test|crypto_test|crypto_extra_test|faceverif_test|param_server_test|cache_model_test|tlb_model_test)$'
+ASAN_TESTS='^(fault_injection_test|chaos_soak_test|crash_recovery_test|boundary_fuzz_test|flight_recorder_test|suvm_parallel_test|virtual_gate_test|crypto_test|crypto_extra_test|faceverif_test|param_server_test|cache_model_test|tlb_model_test)$'
 cmake -B build-asan -S . -DELEOS_SANITIZE=address,undefined
 cmake --build build-asan -j --target \
   fault_injection_test chaos_soak_test crash_recovery_test \
-  secure_channel_test boundary_fuzz_test flight_recorder_test \
+  boundary_fuzz_test flight_recorder_test \
   suvm_parallel_test virtual_gate_test crypto_test crypto_extra_test \
   faceverif_test param_server_test cache_model_test tlb_model_test
 (cd build-asan && ctest --output-on-failure -R "$ASAN_TESTS")

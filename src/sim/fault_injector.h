@@ -38,17 +38,15 @@ enum class Fault : size_t {
   kCiphertextFlip = 4, // bit-flip in the sealed page before decryption
   kRollback = 5,       // host replays a stale-but-once-valid sealed page
   kBackingAllocFail = 6,  // host refuses to grow the backing arena
-  // Inter-enclave secure channel (untrusted message ring).
-  kChannelTamper = 7,  // bit-flip in a sealed message before the receiver opens it
   // Crash consistency (journaled backing store).
-  kHostCrash = 8,   // host process dies mid-operation; enclave state is lost
-  kTornWrite = 9,   // the write in flight at the crash lands partially
-  // RPC layer, continued (appended to keep earlier fault ids stable).
-  kWorkerDeathWithClaim = 10,  // worker dies between claiming and completing
+  kHostCrash = 7,   // host process dies mid-operation; enclave state is lost
+  kTornWrite = 8,   // the write in flight at the crash lands partially
+  // RPC layer, continued.
+  kWorkerDeathWithClaim = 9,  // worker dies between claiming and completing
   // Untrusted-memory boundary (TOCTOU / Iago adversaries, DESIGN.md §12).
-  kSharedMemScribbler = 11,  // concurrent thread flips bytes in live shared state
-  kIagoReturn = 12,          // host syscall returns out-of-range sizes/statuses
-  kCount = 13,
+  kSharedMemScribbler = 10,  // concurrent thread flips bytes in live shared state
+  kIagoReturn = 11,          // host syscall returns out-of-range sizes/statuses
+  kCount = 12,
 };
 
 inline const char* FaultName(Fault f) {
@@ -60,7 +58,6 @@ inline const char* FaultName(Fault f) {
     case Fault::kCiphertextFlip: return "ciphertext_flip";
     case Fault::kRollback: return "rollback";
     case Fault::kBackingAllocFail: return "backing_alloc_fail";
-    case Fault::kChannelTamper: return "channel_tamper";
     case Fault::kHostCrash: return "host_crash";
     case Fault::kTornWrite: return "torn_write";
     case Fault::kWorkerDeathWithClaim: return "worker_death_with_claim";

@@ -54,23 +54,6 @@ class PageCache {
     return slot;
   }
 
-  // Batch variant for the prefetch path: claims up to `n` free slots in one
-  // lock acquisition. Never evicts and never over-allocates past the balloon
-  // target — returns however many slots were actually free (possibly none).
-  std::vector<int> TryAllocBatch(size_t n) {
-    std::vector<int> slots;
-    std::lock_guard guard(lock_);
-    while (slots.size() < n && !free_list_.empty() &&
-           in_use_ < target_pages_) {
-      const int slot = free_list_.back();
-      free_list_.pop_back();
-      is_free_[static_cast<size_t>(slot)] = false;
-      ++in_use_;
-      slots.push_back(slot);
-    }
-    return slots;
-  }
-
   // Double-free here is always a caller bug (two PageMeta entries claiming
   // the same slot), and a silently duplicated free-list entry later hands the
   // same slot to two pages — data corruption far from the root cause. Fail
@@ -86,25 +69,6 @@ class PageCache {
     is_free_[static_cast<size_t>(slot)] = true;
     free_list_.push_back(slot);
     --in_use_;
-  }
-
-  // Batch variant for the swapper reserve: returns several evicted slots in
-  // one lock acquisition. Same double-free detection as FreeSlot — a slot
-  // repeated within the batch trips it too, because each release marks the
-  // slot free before the next is examined.
-  void FreeBatch(const std::vector<int>& slots) {
-    std::lock_guard guard(lock_);
-    for (const int slot : slots) {
-      if (slot < 0 || static_cast<size_t>(slot) >= max_pages_) {
-        throw std::logic_error("PageCache::FreeBatch: slot out of range");
-      }
-      if (is_free_[static_cast<size_t>(slot)]) {
-        throw std::logic_error("PageCache::FreeBatch: double free of slot");
-      }
-      is_free_[static_cast<size_t>(slot)] = true;
-      free_list_.push_back(slot);
-      --in_use_;
-    }
   }
 
   uint64_t SlotVaddr(int slot) const {

@@ -189,9 +189,6 @@ void Suvm::ResetStats() {
   stats_.recovery_rollbacks = 0;
   stats_.fault_coalesced = 0;
   stats_.gate_wait_cycles = 0;
-  stats_.prefetch_issued = 0;
-  stats_.prefetch_hits = 0;
-  stats_.prefetch_wasted = 0;
 }
 
 size_t Suvm::PageTableEntries() const {
@@ -237,9 +234,6 @@ void Suvm::PublishTelemetry() {
       ->Set(stats_.recovery_rollbacks.load());
   r.GetCounter("suvm.fault_coalesced")->Set(stats_.fault_coalesced.load());
   r.GetCounter("suvm.gate_wait_cycles")->Set(stats_.gate_wait_cycles.load());
-  r.GetCounter("suvm.prefetch.issued")->Set(stats_.prefetch_issued.load());
-  r.GetCounter("suvm.prefetch.hits")->Set(stats_.prefetch_hits.load());
-  r.GetCounter("suvm.prefetch.wasted")->Set(stats_.prefetch_wasted.load());
   r.GetCounter("suvm.backing_bad_frees")->Set(store_->bad_frees());
   r.GetGauge("suvm.journal_bytes")
       ->Set(static_cast<int64_t>(store_->journal_bytes()));
@@ -443,10 +437,6 @@ Status Suvm::PinOnce(sim::CpuContext* cpu, uint64_t bs_page, int* slot_out) {
                           "suvm.minor_fault");
       ++m.refcount;
       m.ref_bit = true;
-      if (m.prefetched) {
-        m.prefetched = false;
-        stats_.prefetch_hits.fetch_add(1, std::memory_order_relaxed);
-      }
       stats_.minor_faults.fetch_add(1, std::memory_order_relaxed);
       *slot_out = m.slot;
       // One inverse-page-table lookup (reference-count update).
@@ -455,7 +445,6 @@ Status Suvm::PinOnce(sim::CpuContext* cpu, uint64_t bs_page, int* slot_out) {
         minor_fault_cycles_->Record(cpu->clock.now() - t0);
       }
       sl.unlock();
-      NotePinForPrefetch(cpu, bs_page);
       return Status::Ok();
     }
     if (m.state == Residency::kAbsent) {
@@ -492,59 +481,52 @@ Status Suvm::PinOnce(sim::CpuContext* cpu, uint64_t bs_page, int* slot_out) {
     sl.unlock();
   };
 
-  {
-    // Opened here, not earlier: a coalesced pin above is a minor fault and
-    // must not be labelled major.
-    sim::SpanScope major_span(&enclave_->machine().metrics().spans(), cpu,
-                              "suvm.major_fault");
-    const int slot = AcquireSlot(cpu);
-    if (slot < 0) {
-      rollback();
-      return Status::ResourceExhausted(
-          "Suvm: EPC++ exhausted — every cached page is pinned");
-    }
-
-    stats_.major_faults.fetch_add(1, std::memory_order_relaxed);
-    // The serialized page-table manipulation slice of the fault. Decrypt
-    // (LoadPage) stays outside the gate — that is the whole point.
-    const uint64_t logic = enclave_->machine().costs().suvm_fault_logic_cycles;
-    GateEnter(cpu, logic);
-    enclave_->machine().ChargeCost(cpu, telemetry::CostCategory::kSuvmPaging,
-                                   logic);
-    GateExit(cpu);
-    const Status status = LoadPage(cpu, bs_page, m, slot);
-    if (!status.ok()) {
-      // Integrity failure on page-in: return the slot so the cache stays
-      // consistent (the page remains non-resident; retrying is safe).
-      cache_.FreeSlot(slot);
-      rollback();
-      return status;
-    }
-    TouchIpt(cpu);
-    TouchCryptoMeta(cpu, bs_page, /*write=*/false);
-    sl.lock();
-    m.slot = slot;
-    m.refcount = 1;
-    m.ref_bit = true;
-    m.dirty = false;
-    m.fill_done_vclock = cpu != nullptr ? cpu->clock.now() : 0;
-    m.state = Residency::kResident;
-    slot_to_page_[static_cast<size_t>(slot)].store(bs_page,
-                                                   std::memory_order_release);
-    sl.unlock();
-    *slot_out = slot;
-    trace_->Record(telemetry::TraceKind::kSuvmMajorFault,
-                   cpu != nullptr ? cpu->clock.now() : 0, bs_page,
-                   static_cast<uint64_t>(slot));
-    if (cpu != nullptr) {
-      major_fault_cycles_->Record(cpu->clock.now() - t0);
-    }
+  // Opened here, not earlier: a coalesced pin above is a minor fault and
+  // must not be labelled major.
+  sim::SpanScope major_span(&enclave_->machine().metrics().spans(), cpu,
+                            "suvm.major_fault");
+  const int slot = AcquireSlot(cpu);
+  if (slot < 0) {
+    rollback();
+    return Status::ResourceExhausted(
+        "Suvm: EPC++ exhausted — every cached page is pinned");
   }
-  // Post-fault housekeeping, charged after the fault's latency was recorded:
-  // refilling the reserve and speculating on the access stream are
-  // throughput work, not part of this fault's critical path.
-  ReplenishReserve(cpu);
-  NotePinForPrefetch(cpu, bs_page);
+
+  stats_.major_faults.fetch_add(1, std::memory_order_relaxed);
+  // The serialized page-table manipulation slice of the fault. Decrypt
+  // (LoadPage) stays outside the gate — that is the whole point.
+  const uint64_t logic = enclave_->machine().costs().suvm_fault_logic_cycles;
+  GateEnter(cpu, logic);
+  enclave_->machine().ChargeCost(cpu, telemetry::CostCategory::kSuvmPaging,
+                                 logic);
+  GateExit(cpu);
+  const Status status = LoadPage(cpu, bs_page, m, slot);
+  if (!status.ok()) {
+    // Integrity failure on page-in: return the slot so the cache stays
+    // consistent (the page remains non-resident; retrying is safe).
+    cache_.FreeSlot(slot);
+    rollback();
+    return status;
+  }
+  TouchIpt(cpu);
+  TouchCryptoMeta(cpu, bs_page, /*write=*/false);
+  sl.lock();
+  m.slot = slot;
+  m.refcount = 1;
+  m.ref_bit = true;
+  m.dirty = false;
+  m.fill_done_vclock = cpu != nullptr ? cpu->clock.now() : 0;
+  m.state = Residency::kResident;
+  slot_to_page_[static_cast<size_t>(slot)].store(bs_page,
+                                                 std::memory_order_release);
+  sl.unlock();
+  *slot_out = slot;
+  trace_->Record(telemetry::TraceKind::kSuvmMajorFault,
+                 cpu != nullptr ? cpu->clock.now() : 0, bs_page,
+                 static_cast<uint64_t>(slot));
+  if (cpu != nullptr) {
+    major_fault_cycles_->Record(cpu->clock.now() - t0);
+  }
   return Status::Ok();
 }
 
@@ -653,16 +635,10 @@ bool Suvm::SelectVictim(sim::CpuContext* cpu, Victim* out) {
   GateEnter(cpu, /*hold=*/0);  // the scan charges nothing inside the gate
   const size_t n = cache_.max_pages();
   for (size_t scanned = 0; scanned < 2 * n; ++scanned) {
-    size_t slot;
-    if (config_.eviction == EvictionPolicy::kRandom) {
-      std::lock_guard ng(nonce_lock_);
-      slot = static_cast<size_t>(nonce_rng_.NextBelow(n));
-    } else {
-      if (clock_hand_ >= n) {
-        clock_hand_ = 0;
-      }
-      slot = clock_hand_++;
+    if (clock_hand_ >= n) {
+      clock_hand_ = 0;
     }
+    const size_t slot = clock_hand_++;
     const uint64_t bs_page = slot_to_page_[slot].load(std::memory_order_acquire);
     if (bs_page == kInvalidAddr) {
       continue;
@@ -678,7 +654,7 @@ bool Suvm::SelectVictim(sim::CpuContext* cpu, Victim* out) {
       continue;
     }
     PageMeta& m = it->second;
-    if (config_.eviction == EvictionPolicy::kClock && m.ref_bit) {
+    if (m.ref_bit) {
       m.ref_bit = false;  // second chance
       continue;
     }
@@ -702,7 +678,7 @@ bool Suvm::SelectVictim(sim::CpuContext* cpu, Victim* out) {
   return false;
 }
 
-bool Suvm::EvictOne(sim::CpuContext* cpu, std::vector<int>* deferred_free) {
+bool Suvm::EvictOne(sim::CpuContext* cpu) {
   Victim v;
   if (!SelectVictim(cpu, &v)) {
     return false;
@@ -729,17 +705,9 @@ bool Suvm::EvictOne(sim::CpuContext* cpu, std::vector<int>* deferred_free) {
     std::lock_guard sl(st.lock);
     m.slot = -1;
     m.dirty = false;
-    if (m.prefetched) {
-      m.prefetched = false;
-      stats_.prefetch_wasted.fetch_add(1, std::memory_order_relaxed);
-    }
     m.state = Residency::kAbsent;
   }
-  if (deferred_free != nullptr) {
-    deferred_free->push_back(v.slot);
-  } else {
-    cache_.FreeSlot(v.slot);
-  }
+  cache_.FreeSlot(v.slot);
   stats_.evictions.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
@@ -755,130 +723,6 @@ int Suvm::AcquireSlot(sim::CpuContext* cpu) {
     slot = cache_.AllocSlot();
   }
   return slot;
-}
-
-void Suvm::ReplenishReserve(sim::CpuContext* cpu) {
-  if (!config_.eager_reserve || config_.swapper_low_watermark == 0) {
-    return;
-  }
-  if (cache_.free_slots() >= config_.swapper_low_watermark) {
-    return;
-  }
-  sim::SpanScope span(&enclave_->machine().metrics().spans(), cpu,
-                      "suvm.reserve_fill");
-  // Seals run per victim (outside all locks); the slot releases batch into
-  // one free-list lock acquisition.
-  std::vector<int> freed;
-  while (cache_.free_slots() + freed.size() < config_.swapper_low_watermark) {
-    if (!EvictOne(cpu, &freed)) {
-      break;
-    }
-  }
-  if (!freed.empty()) {
-    cache_.FreeBatch(freed);
-  }
-}
-
-void Suvm::NotePinForPrefetch(sim::CpuContext* cpu, uint64_t bs_page) {
-  if (config_.prefetch_pages == 0 || cpu == nullptr ||
-      cpu->id < 0 || cpu->id >= sim::kMaxCpus) {
-    return;
-  }
-  StreamTracker& trk = streams_[cpu->id];
-  if (trk.run > 0 && bs_page == trk.last_page + 1) {
-    ++trk.run;
-  } else {
-    trk.run = 1;
-  }
-  trk.last_page = bs_page;
-  if (trk.run >= config_.prefetch_min_run) {
-    PrefetchRun(cpu, bs_page);
-  }
-}
-
-void Suvm::PrefetchRun(sim::CpuContext* cpu, uint64_t bs_page) {
-  // Candidates: the next N *sealed* pages (a batched decrypt needs
-  // ciphertext; zero-fill faults are too cheap to speculate on, and skipping
-  // never-written pages keeps the page table from growing on speculation).
-  // Each candidate is claimed as kFilling so concurrent faults on it coalesce
-  // behind this batch.
-  struct Claim {
-    uint64_t page;
-    PageMeta* meta;
-  };
-  std::vector<Claim> claims;
-  const uint64_t last_page = store_->capacity() / sim::kPageSize;
-  for (uint64_t page = bs_page + 1;
-       page <= bs_page + config_.prefetch_pages && page < last_page; ++page) {
-    Stripe& st = StripeFor(page);
-    std::lock_guard sl(st.lock);
-    auto it = st.map.find(page);
-    if (it == st.map.end() || it->second.state != Residency::kAbsent ||
-        it->second.poisoned || !it->second.has_data) {
-      continue;
-    }
-    it->second.state = Residency::kFilling;
-    claims.push_back({page, &it->second});
-  }
-  if (claims.empty()) {
-    return;
-  }
-  // Free slots only: prefetch must never evict real pages to make room.
-  std::vector<int> slots = cache_.TryAllocBatch(claims.size());
-  const auto release = [&](size_t from) {
-    for (size_t i = from; i < claims.size(); ++i) {
-      Stripe& st = StripeFor(claims[i].page);
-      std::lock_guard sl(st.lock);
-      claims[i].meta->state = Residency::kAbsent;
-    }
-  };
-  if (slots.empty()) {
-    release(0);
-    return;
-  }
-  if (slots.size() < claims.size()) {
-    release(slots.size());
-    claims.resize(slots.size());
-  }
-
-  sim::SpanScope span(&enclave_->machine().metrics().spans(), cpu,
-                      "suvm.prefetch");
-  // One gate rendezvous + one page-table charge for the whole batch — the
-  // amortization a real fault per page would not get.
-  const uint64_t logic = enclave_->machine().costs().suvm_fault_logic_cycles;
-  GateEnter(cpu, logic);
-  enclave_->machine().ChargeCost(cpu, telemetry::CostCategory::kSuvmPaging,
-                                 logic);
-  GateExit(cpu);
-  for (size_t i = 0; i < claims.size(); ++i) {
-    PageMeta& m = *claims[i].meta;
-    const uint64_t page = claims[i].page;
-    const int slot = slots[i];
-    if (!LoadPage(cpu, page, m, slot).ok()) {
-      // Speculative load of a tampered seal: quietly abandon (mac_failures
-      // already counted); the page stays absent and a real access will run
-      // the retry/quarantine protocol.
-      cache_.FreeSlot(slot);
-      Stripe& st = StripeFor(page);
-      std::lock_guard sl(st.lock);
-      m.state = Residency::kAbsent;
-      continue;
-    }
-    TouchIpt(cpu);
-    TouchCryptoMeta(cpu, page, /*write=*/false);
-    Stripe& st = StripeFor(page);
-    std::lock_guard sl(st.lock);
-    m.slot = slot;
-    m.refcount = 0;
-    m.ref_bit = false;  // cheapest victims: speculation never displaces reuse
-    m.dirty = false;
-    m.prefetched = true;
-    m.fill_done_vclock = cpu->clock.now();
-    m.state = Residency::kResident;
-    slot_to_page_[static_cast<size_t>(slot)].store(page,
-                                                   std::memory_order_release);
-    stats_.prefetch_issued.fetch_add(1, std::memory_order_relaxed);
-  }
 }
 
 Status Suvm::LoadPage(sim::CpuContext* cpu, uint64_t bs_page, PageMeta& m,
@@ -1390,10 +1234,6 @@ size_t Suvm::BalloonPass(sim::CpuContext* cpu) {
                    cpu != nullptr ? cpu->clock.now() : 0, before,
                    cache_.target_pages());
   }
-  // Opportunistic reserve top-up: the balloon pass already holds the "pay
-  // background paging costs now" budget, so refill the free-slot reserve
-  // here rather than on a later fault's critical path.
-  ReplenishReserve(cpu);
   return cache_.target_pages();
 }
 

@@ -42,37 +42,15 @@
 
 namespace eleos::suvm {
 
-// Application-tailored eviction policies (§3.2.1: "user code has full
-// control over the spointer's page table, page size, and eviction policy").
-enum class EvictionPolicy {
-  kClock,   // second chance (default; what the paper's prototype uses)
-  kFifo,    // ignore reference bits: evict in scan order
-  kRandom,  // uniformly random victim
-};
-
 struct SuvmConfig {
   size_t epc_pp_pages = (60ull << 20) / sim::kPageSize;  // paper's default 60 MiB
   size_t backing_bytes = 256ull << 20;                   // power of two
-  EvictionPolicy eviction = EvictionPolicy::kClock;
   bool clean_page_skip = true;   // §3.2.4: don't write back unmodified pages
   bool direct_mode = false;      // §3.2.4: per-sub-page sealing + direct access
   size_t subpage_size = 1024;    // direct-mode sub-page granularity
-  size_t swapper_low_watermark = 16;  // free-pool size the swapper maintains
-  // Eager swapper reserve: after each major fault (and each balloon pass) the
-  // free pool is opportunistically refilled to swapper_low_watermark, so the
-  // common fault pops a pre-evicted slot instead of paying a synchronous
-  // evict+seal on its latency path. The refill is charged *after* the fault's
-  // latency is recorded — it is throughput work, not fault critical path.
-  // Off by default: the benign path keeps its exact historical charge
-  // sequence.
-  bool eager_reserve = false;
-  // Sequential-stride prefetch: when a CPU's pin stream walks backing-store
-  // pages in ascending order for prefetch_min_run consecutive pages, the next
-  // `prefetch_pages` non-resident pages are paged in as one batch (single
-  // gate rendezvous + one fault-logic charge, decrypts still per page).
-  // 0 disables prefetch entirely (default; keeps charges byte-identical).
-  size_t prefetch_pages = 0;
-  uint32_t prefetch_min_run = 2;
+  // Free-pool size SwapperPass restores by evicting; BalloonPass also leaves
+  // this many pages of slack below the driver's fair share.
+  size_t swapper_low_watermark = 16;
   // Per-application sealing key seed. Whether seals are AES-GCM or memcpy
   // follows the machine (MachineConfig::seal_mode).
   uint64_t key_seed = 0xe1e05;
@@ -251,9 +229,6 @@ class Suvm {
                                                 // in-flight fill of this page
     std::atomic<uint64_t> gate_wait_cycles{0};  // virtual cycles queued on the
                                                 // paging gate (serial slice)
-    std::atomic<uint64_t> prefetch_issued{0};   // pages speculatively paged in
-    std::atomic<uint64_t> prefetch_hits{0};     // prefetched page later pinned
-    std::atomic<uint64_t> prefetch_wasted{0};   // evicted before any pin
   };
   const Stats& stats() const { return stats_; }
   void ResetStats();
@@ -311,7 +286,6 @@ class Suvm {
     bool ref_bit = false;     // second chance for the EPC++ clock
     bool has_data = false;    // whole-page seal in the backing store is valid
     bool poisoned = false;    // quarantined: accesses fast-fail, no crypto
-    bool prefetched = false;  // speculatively filled, not yet pinned
     uint64_t version = 0;     // monotonic seal version (crash consistency)
     // Leader's virtual clock at fill publication: a coalesced waiter
     // fast-forwards its own clock to this point (it "waited" for the fill).
@@ -342,21 +316,14 @@ class Suvm {
     bool write_back = false;
     size_t scanned = 0;  // candidates examined (evict_scan_len histogram)
   };
-  // Picks one victim under the paging gate and detaches it (kEvicting,
-  // slot_to_page_ cleared). False when every resident page is pinned.
+  // Picks one victim with the clock (second-chance) scan under the paging
+  // gate and detaches it (kEvicting, slot_to_page_ cleared). False when every
+  // resident page is pinned.
   bool SelectVictim(sim::CpuContext* cpu, Victim* out);
-  // SelectVictim + seal + teardown. When `deferred_free` is non-null the
-  // freed slot is pushed there instead of returned to the cache (the reserve
-  // path batches the FreeSlot calls).
-  bool EvictOne(sim::CpuContext* cpu, std::vector<int>* deferred_free = nullptr);
+  // SelectVictim + seal + teardown; the slot returns to the cache.
+  bool EvictOne(sim::CpuContext* cpu);
   // AllocSlot, evicting as needed; -1 when every cached page is pinned.
   int AcquireSlot(sim::CpuContext* cpu);
-  // Eager reserve (config.eager_reserve): refill the free pool to
-  // swapper_low_watermark, batching the slot releases via FreeBatch.
-  void ReplenishReserve(sim::CpuContext* cpu);
-  // Sequential-stride detection + batch prefetch (config.prefetch_pages).
-  void NotePinForPrefetch(sim::CpuContext* cpu, uint64_t bs_page);
-  void PrefetchRun(sim::CpuContext* cpu, uint64_t bs_page);
   // Paging-gate entry/exit: Enter charges the queueing delay before the
   // first gap that fits a `hold`-cycle section (kSuvmPaging +
   // stats.gate_wait_cycles); Exit records the holder's section.
@@ -453,15 +420,6 @@ class Suvm {
   // PageMeta before trusting a reading.
   std::vector<std::atomic<uint64_t>> slot_to_page_;
   size_t clock_hand_ = 0;  // guarded by paging_gate_
-
-  // Per-CPU sequential-stream tracker for prefetch. Each entry is touched
-  // only by the thread driving that CpuContext (the simulator's one-thread-
-  // per-CPU contract), so no locking.
-  struct StreamTracker {
-    uint64_t last_page = kInvalidAddr;
-    uint32_t run = 0;
-  };
-  StreamTracker streams_[sim::kMaxCpus];
 
   // Metadata accounting regions (enclave memory; evictable by native SGX
   // paging, which is exactly the paper's >1 GiB working-set effect).

@@ -65,74 +65,6 @@ TEST(PageCache, FreeingNeverAllocatedSlotThrows) {
   EXPECT_THROW(pc.FreeSlot(4), std::logic_error);  // out of range
 }
 
-TEST(PageCache, TryAllocBatchClaimsUpToN) {
-  Bare b;
-  PageCache pc(*b.enclave, 4);
-  const std::vector<int> got = pc.TryAllocBatch(3);
-  EXPECT_EQ(got.size(), 3u);
-  EXPECT_EQ(pc.in_use(), 3u);
-  EXPECT_EQ(pc.free_slots(), 1u);
-  // Short pool: asks for 3, gets the 1 remaining slot, never blocks/evicts.
-  const std::vector<int> rest = pc.TryAllocBatch(3);
-  EXPECT_EQ(rest.size(), 1u);
-  EXPECT_TRUE(pc.TryAllocBatch(2).empty());
-  pc.FreeBatch(got);
-  pc.FreeBatch(rest);
-  EXPECT_EQ(pc.in_use(), 0u);
-  EXPECT_EQ(pc.free_slots(), 4u);
-}
-
-TEST(PageCache, TryAllocBatchRespectsBalloonTarget) {
-  Bare b;
-  PageCache pc(*b.enclave, 4);
-  pc.set_target_pages(2);
-  const std::vector<int> got = pc.TryAllocBatch(4);
-  EXPECT_EQ(got.size(), 2u) << "batch alloc must stop at the balloon target";
-  EXPECT_TRUE(pc.TryAllocBatch(1).empty());
-  pc.FreeBatch(got);
-}
-
-TEST(PageCache, FreeBatchDetectsDoubleFreeAcrossPaths) {
-  Bare b;
-  PageCache pc(*b.enclave, 4);
-  std::vector<int> got = pc.TryAllocBatch(2);
-  ASSERT_EQ(got.size(), 2u);
-  // Batch free after a scalar free of the same slot: the batch throws at
-  // got[0] before got[1] is examined, so got[1] stays allocated.
-  pc.FreeSlot(got[0]);
-  EXPECT_THROW(pc.FreeBatch(got), std::logic_error);
-  pc.FreeSlot(got[1]);
-  EXPECT_EQ(pc.in_use(), 0u);
-  EXPECT_EQ(pc.free_slots(), 4u);
-}
-
-TEST(PageCache, FreeBatchDetectsDuplicateWithinBatch) {
-  Bare b;
-  PageCache pc(*b.enclave, 4);
-  const int s = pc.AllocSlot();
-  ASSERT_GE(s, 0);
-  EXPECT_THROW(pc.FreeBatch({s, s}), std::logic_error);
-  // First occurrence was released before the duplicate tripped the check.
-  EXPECT_EQ(pc.in_use(), 0u);
-}
-
-TEST(PageCache, FreeBatchRejectsOutOfRange) {
-  Bare b;
-  PageCache pc(*b.enclave, 4);
-  EXPECT_THROW(pc.FreeBatch({-1}), std::logic_error);
-  EXPECT_THROW(pc.FreeBatch({4}), std::logic_error);
-}
-
-TEST(PageCache, ScalarFreeDetectsBatchAllocatedDoubleFree) {
-  Bare b;
-  PageCache pc(*b.enclave, 4);
-  const std::vector<int> got = pc.TryAllocBatch(1);
-  ASSERT_EQ(got.size(), 1u);
-  pc.FreeBatch(got);
-  EXPECT_THROW(pc.FreeSlot(got[0]), std::logic_error);
-  EXPECT_EQ(pc.free_slots(), 4u);
-}
-
 TEST(PageCache, TargetClampsToMaxPages) {
   Bare b;
   PageCache pc(*b.enclave, 4);

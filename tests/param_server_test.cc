@@ -218,9 +218,6 @@ Named SuvmStatsSansMinorFaults(const suvm::Suvm& suvm) {
       {"recovery_rollbacks", s.recovery_rollbacks},
       {"fault_coalesced", s.fault_coalesced},
       {"gate_wait_cycles", s.gate_wait_cycles},
-      {"prefetch_issued", s.prefetch_issued},
-      {"prefetch_hits", s.prefetch_hits},
-      {"prefetch_wasted", s.prefetch_wasted},
   };
 }
 
