@@ -82,19 +82,21 @@ LinkingResult LinkingAblation() {
   for (size_t i = 0; i < count; ++i) {
     (void)p.GetAt(static_cast<ptrdiff_t>(i));
   }
+  const auto pt_lookups = [&suvm] {
+    return suvm.stats().minor_faults.load() + suvm.stats().major_faults.load();
+  };
   // Linked: sequential sweep through a spointer — one PT lookup per page.
-  suvm.ResetStats();
+  uint64_t lookups0 = pt_lookups();
   uint64_t t0 = cpu.clock.now();
   uint64_t sum = 0;
   for (size_t i = 0; i < count; ++i) {
     sum += p.GetAt(static_cast<ptrdiff_t>(i));
   }
   r.linked_cycles = cpu.clock.now() - t0;
-  r.linked_pt_lookups =
-      suvm.stats().minor_faults.load() + suvm.stats().major_faults.load();
+  r.linked_pt_lookups = pt_lookups() - lookups0;
 
   // Unlinked: the same sweep through one-shot reads — a lookup per access.
-  suvm.ResetStats();
+  lookups0 = pt_lookups();
   t0 = cpu.clock.now();
   for (size_t i = 0; i < count; ++i) {
     uint32_t v;
@@ -102,8 +104,7 @@ LinkingResult LinkingAblation() {
     sum += v;
   }
   r.unlinked_cycles = cpu.clock.now() - t0;
-  r.unlinked_pt_lookups =
-      suvm.stats().minor_faults.load() + suvm.stats().major_faults.load();
+  r.unlinked_pt_lookups = pt_lookups() - lookups0;
   (void)sum;
   bench::SnapshotMetrics(machine, "spointer_linking");
   return r;

@@ -66,7 +66,6 @@ HostileResult RunHostile(size_t calls, size_t io_bytes, bool breaker) {
   }
   enclave.Exit(cpu);
   machine.fault_injector().Disarm(sim::Fault::kQueueFull);
-  machine.PublishAll();
 
   const telemetry::Histogram* lat =
       machine.metrics().GetHistogram("rpc.call_cycles");
@@ -148,12 +147,11 @@ BoundaryResult RunBoundaryHostile(size_t calls) {
   }
   fs.Close(&cpu, fd);
   enclave.Exit(cpu);
-  machine.PublishAll();
 
   r.rejected_inputs =
       machine.metrics().GetCounter("boundary.rejected_inputs")->value();
   r.double_fetch_races =
-      machine.metrics().GetCounter("boundary.double_fetch_races")->value();
+      machine.metrics().CounterValue("boundary.double_fetch_races");
   r.iago_rejects = fs.iago_rejects();
   return r;
 }
@@ -347,7 +345,7 @@ int main(int argc, char** argv) {
     sink += rpc.Call(&cpu, kIoBytes, [i] { return i ^ 0x5aull; });
   }
   enclave.Exit(cpu);
-  machine.CutTimeline();  // PublishAll + flush the open window
+  machine.CutTimeline();  // flush the open window
 
   const HostileResult stat =
       RunHostile(kHostileCalls, kIoBytes, /*breaker=*/false);

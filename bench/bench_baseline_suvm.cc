@@ -96,9 +96,9 @@ int main(int argc, char** argv) {
   enclave.Exit(cpu);
 
   // Recovery profile: checkpoint/restore round-trips over a crash-consistent
-  // region. Runs on its own machine — a second Suvm publishing into the main
-  // registry would overwrite the paging profile's counters — and contributes
-  // the suvm.checkpoint_cycles / suvm.recover_cycles histograms below.
+  // region. Runs on its own machine, so the main registry's counters and
+  // timeline describe the paging profile alone, and contributes the
+  // suvm.checkpoint_cycles / suvm.recover_cycles histograms below.
   const size_t kRecRounds = smoke ? 4 : 24;
   const size_t kRecPages = smoke ? 128 : 1024;
   sim::Machine rec_machine(bench::FastMachine());
@@ -252,7 +252,7 @@ int main(int argc, char** argv) {
   constexpr uint64_t kReqWork = 8000;
   const ParResult req4 = run_parallel(4, kReqReads, kReqWork);
 
-  machine.CutTimeline();  // PublishAll + flush the open window
+  machine.CutTimeline();  // flush the open window
 
   const telemetry::Histogram* major =
       machine.metrics().GetHistogram("suvm.major_fault_cycles");

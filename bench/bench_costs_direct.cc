@@ -124,12 +124,12 @@ SuvmFaultCosts MeasureSuvmFaults() {
     for (size_t p = 0; p < pages; ++p) {
       ThrowIfError(s.Read(nullptr, a + p * 4096, page, 8));
     }
-    s.ResetStats();
+    const uint64_t faults0 = s.stats().major_faults.load();
     const uint64_t t0 = cpu.clock.now();
     for (size_t i = 0; i < kProbes; ++i) {
       ThrowIfError(s.Read(&cpu, a + ((i * 37) % pages) * 4096, page, 8));
     }
-    const uint64_t faults = s.stats().major_faults.load();
+    const uint64_t faults = s.stats().major_faults.load() - faults0;
     out.pagein_only = (cpu.clock.now() - t0) / (faults == 0 ? 1 : faults);
     bench::SnapshotMetrics(m, "suvm_fault_read");
   }
@@ -147,12 +147,12 @@ SuvmFaultCosts MeasureSuvmFaults() {
     for (size_t p = 0; p < pages; ++p) {
       ThrowIfError(s.Write(nullptr, a + p * 4096, page, 4096));
     }
-    s.ResetStats();
+    const uint64_t faults0 = s.stats().major_faults.load();
     const uint64_t t0 = cpu.clock.now();
     for (size_t i = 0; i < kProbes; ++i) {
       ThrowIfError(s.Write(&cpu, a + ((i * 61) % pages) * 4096, page, 8));
     }
-    const uint64_t faults = s.stats().major_faults.load();
+    const uint64_t faults = s.stats().major_faults.load() - faults0;
     out.evict_and_pagein = (cpu.clock.now() - t0) / (faults == 0 ? 1 : faults);
     bench::SnapshotMetrics(m, "suvm_fault_write");
   }

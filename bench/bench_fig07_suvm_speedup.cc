@@ -88,7 +88,7 @@ RunResult RunSuvm(size_t buffer_bytes, bool write, size_t threads) {
     enclave.Enter(machine.cpu(t));
   }
   machine.driver().ResetStats();
-  suvm.ResetStats();
+  const uint64_t sw_faults_before = suvm.stats().major_faults.load();
   Xoshiro256 rng(99);
   for (size_t i = 0; i < kAccesses; ++i) {
     sim::CpuContext& cpu = machine.cpu(i % threads);
@@ -105,7 +105,7 @@ RunResult RunSuvm(size_t buffer_bytes, bool write, size_t threads) {
     enclave.Exit(machine.cpu(t));
   }
   r.hw_faults = machine.driver().stats().faults;
-  r.sw_faults = suvm.stats().major_faults.load();
+  r.sw_faults = suvm.stats().major_faults.load() - sw_faults_before;
   char label[64];
   std::snprintf(label, sizeof(label), "suvm_%zumib_%s_t%zu", buffer_bytes >> 20,
                 write ? "write" : "read", threads);

@@ -74,13 +74,14 @@ Row RunSuvm(size_t threads) {
     enclave.Enter(machine.cpu(t));
   }
   machine.driver().ResetStats();
-  suvm.ResetStats();
+  const uint64_t sw_faults_before = suvm.stats().major_faults.load();
   Xoshiro256 rng(5);
   for (size_t i = 0; i < kAccesses; ++i) {
     ThrowIfError(suvm.Read(&machine.cpu(i % threads),
                            addr + rng.NextBelow(pages) * 4096, page, 4096));
   }
-  Row r{0, machine.driver().stats().ipis, suvm.stats().major_faults.load()};
+  Row r{0, machine.driver().stats().ipis,
+        suvm.stats().major_faults.load() - sw_faults_before};
   for (size_t t = 0; t < threads; ++t) {
     r.cycles = std::max(r.cycles, machine.cpu(t).clock.now());
     enclave.Exit(machine.cpu(t));

@@ -77,9 +77,8 @@ inline void SnapshotMetrics(sim::Machine& machine, const std::string& label) {
   if (g_metrics_out_path.empty()) {
     return;
   }
-  // Refresh publish-time mirrors and flush any open timeline window so the
-  // snapshot is complete (CutTimeline runs PublishAll; the cut itself is a
-  // no-op when the sampler is off).
+  // Flush any open timeline window so the snapshot is complete (a no-op
+  // when the sampler is off).
   machine.CutTimeline();
   if (g_metrics_out_count++ != 0) {
     g_metrics_out_body += ",\n";

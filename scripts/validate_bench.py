@@ -7,6 +7,12 @@ Checks (per file):
     positive window_cycles, non-empty windows with monotonically increasing
     indices and end_tsc, per-window counter deltas/rates that agree, ordered
     histogram percentiles, and well-formed SLO evaluations
+  * the timeline windows are true: in every retained window, each paired
+    counter present in the file (suvm.major_faults, suvm.minor_faults,
+    rpc.calls) moves with its latency histogram (suvm.major_fault_cycles,
+    suvm.minor_fault_cycles, rpc.call_cycles) — delta and sample count differ
+    by at most 1, the one event a cut may split on a one-CPU machine — and
+    every gauge of the final snapshot is present in every retained window
   * latency_cycles has count > 0 and p50 <= p95 <= p99
   * every embedded histogram block is internally consistent
   * metrics.counters is present, non-empty, and strictly non-negative
@@ -17,8 +23,7 @@ Checks (per file):
     exceed the static-budget p99 (the tail-latency cap the breaker buys)
   * rpc_baseline: the async_batch profile is present, batched dispatch is
     >= 1.5x the serial cycles-per-call, the rpc.batch_size histogram was
-    recorded, and the split late-completion counter family survived
-    PublishTelemetry
+    recorded, and the split late-completion counter family is exported
   * rpc_baseline: the hostile boundary profile is present with
     rejected_inputs > 0 and iago_rejects > 0 (the Iago validation layer
     fired), while the benign main snapshot holds boundary.rejected_inputs
@@ -26,8 +31,7 @@ Checks (per file):
     honest host)
   * suvm_baseline: the quarantine counters are present in the snapshot
   * suvm_baseline: the parallel paging counter family
-    (suvm.fault_coalesced, suvm.gate_wait_cycles) and the
-    suvm.epcpp_free_slots gauge are present
+    (suvm.fault_coalesced, suvm.gate_wait_cycles) is present
   * suvm_baseline: the parallel_fault block is present with per-thread-count
     sub-blocks, and its 1->4 thread speedup is >= 1.8x (crypto escaped the
     paging gate's serial slice)
@@ -42,6 +46,14 @@ fails on malformed or empty output.
 
 import json
 import sys
+
+# (counter, histogram) pairs that count the same events: one counter
+# increment and one histogram sample per fault or call.
+PAIRED = (
+    ("suvm.major_faults", "suvm.major_fault_cycles"),
+    ("suvm.minor_faults", "suvm.minor_fault_cycles"),
+    ("rpc.calls", "rpc.call_cycles"),
+)
 
 
 def check_latency_block(path: str, name: str, block: dict) -> None:
@@ -115,6 +127,24 @@ def check_timeline(path: str, doc: dict) -> None:
                     fail(f"{path}: {where}.slo[{j}] is missing '{key}'")
             if not isinstance(e["violated"], bool):
                 fail(f"{path}: {where}.slo[{j}].violated must be a bool")
+
+
+def check_timeline_truth(path: str, doc: dict) -> None:
+    """Each window holds what happened in it, not what was copied in later."""
+    metrics = doc["metrics"]
+    pairs = [(c, h) for c, h in PAIRED
+             if c in metrics["counters"] and h in metrics.get("histograms", {})]
+    for i, w in enumerate(doc["timeline"]["windows"]):
+        where = f"timeline.windows[{i}] (index {w['index']})"
+        for counter, hist in pairs:
+            delta = w["counters"].get(counter, {}).get("delta", 0)
+            count = w["histograms"].get(hist, {}).get("count", 0)
+            if abs(delta - count) > 1:
+                fail(f"{path}: {where}: {counter} delta {delta} does not "
+                     f"match {hist} count {count}")
+        for name in metrics["gauges"]:
+            if name not in w["gauges"]:
+                fail(f"{path}: {where} is missing gauge '{name}'")
 
 
 def check_rpc_hostile(path: str, doc: dict) -> None:
@@ -195,8 +225,6 @@ def check_suvm_parallel(path: str, doc: dict) -> None:
     for key in ("suvm.fault_coalesced", "suvm.gate_wait_cycles"):
         if key not in counters:
             fail(f"{path}: metrics.counters is missing '{key}'")
-    if "suvm.epcpp_free_slots" not in doc["metrics"]["gauges"]:
-        fail(f"{path}: metrics.gauges is missing 'suvm.epcpp_free_slots'")
 
     pf = doc.get("parallel_fault")
     if not isinstance(pf, dict):
@@ -285,6 +313,7 @@ def validate(path: str) -> None:
         fail(f"{path}: metrics.gauges is missing (gauge migration regressed?)")
     if any(not isinstance(v, int) for v in gauges.values()):
         fail(f"{path}: metrics.gauges has non-integer values")
+    check_timeline_truth(path, doc)
 
     if doc["bench"] == "rpc_baseline":
         check_rpc_hostile(path, doc)
@@ -295,10 +324,9 @@ def validate(path: str) -> None:
         for key in (
             # Split late-completion family (stale-generation drops vs
             # abandoned-slot self-recycles) plus the liveness-fix counters;
-            # absence means PublishTelemetry regressed.
+            # an inline manager exports them at zero.
             "rpc.stale_completions",
             "rpc.abandoned_recycles",
-            "rpc.late_completions",
             "rpc.abandoned_slots",
             "rpc.terminal_abandons",
             "rpc.abandoned_scrubs",
@@ -315,7 +343,7 @@ def validate(path: str) -> None:
             "suvm.pages_restored",
             # Crash-consistency counters (zero when the profile ran without
             # crash_consistency, but the keys must exist: their absence means
-            # PublishTelemetry lost the recovery block).
+            # Suvm stopped listing the recovery block).
             "suvm.journal_appends",
             "suvm.journal_commits",
             "suvm.checkpoints",

@@ -78,6 +78,9 @@ class HealthFsm {
 
   HealthState state() const { return state_.load(std::memory_order_relaxed); }
   bool healthy() const { return state() == HealthState::kHealthy; }
+  // The atomics behind state() and probes(), for lock-free metric reads.
+  const std::atomic<HealthState>& state_cell() const { return state_; }
+  const std::atomic<uint64_t>& probes_cell() const { return probes_; }
 
   // Admission decision for one operation. kProbe hands the caller the
   // half-open slot: it MUST follow up with RecordSuccess or RecordFailure.
@@ -91,16 +94,14 @@ class HealthFsm {
       case HealthState::kHealthy:
         return Gate::kAllow;  // raced with a concurrent recovery
       case HealthState::kProbing:
-        ++denied_;  // someone else owns the in-flight probe
-        return Gate::kDeny;
+        return Gate::kDeny;  // someone else owns the in-flight probe
       case HealthState::kDegraded:
         if (++denied_since_trip_ >= options_.probe_interval) {
           denied_since_trip_ = 0;
           Transition(HealthState::kProbing);
-          ++probes_;
+          probes_.fetch_add(1, std::memory_order_relaxed);
           return Gate::kProbe;
         }
-        ++denied_;
         return Gate::kDeny;
     }
     return Gate::kAllow;
@@ -167,14 +168,7 @@ class HealthFsm {
     std::lock_guard guard(lock_);
     return trips_;
   }
-  uint64_t probes() const {
-    std::lock_guard guard(lock_);
-    return probes_;
-  }
-  uint64_t denied() const {
-    std::lock_guard guard(lock_);
-    return denied_;
-  }
+  uint64_t probes() const { return probes_.load(std::memory_order_relaxed); }
   uint64_t transitions() const {
     std::lock_guard guard(lock_);
     return transitions_;
@@ -194,8 +188,7 @@ class HealthFsm {
   uint32_t fail_streak_ = 0;       // guarded by lock_
   uint64_t denied_since_trip_ = 0; // guarded by lock_
   uint64_t trips_ = 0;
-  uint64_t probes_ = 0;
-  uint64_t denied_ = 0;
+  std::atomic<uint64_t> probes_{0};  // written under lock_, read lock-free
   uint64_t transitions_ = 0;
 };
 

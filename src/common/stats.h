@@ -26,6 +26,8 @@ class Counter {
   void Inc(uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
   uint64_t value() const { return value_.load(std::memory_order_relaxed); }
   void Reset() { value_.store(0, std::memory_order_relaxed); }
+  // The atomic itself, for a metric registry that reads it in place.
+  const std::atomic<uint64_t>& cell() const { return value_; }
 
  private:
   std::atomic<uint64_t> value_{0};

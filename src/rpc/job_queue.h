@@ -56,13 +56,16 @@
 #include <atomic>
 #include <cstdint>
 #include <random>
+#include <span>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/common/spinlock.h"
 #include "src/common/stats.h"
 #include "src/common/untrusted.h"
 #include "src/sim/fault_injector.h"
+#include "src/telemetry/telemetry.h"
 
 namespace eleos::rpc {
 
@@ -132,11 +135,19 @@ class JobQueue {
     uint64_t submit_tsc = 0;
   };
 
-  explicit JobQueue(size_t capacity = 64, sim::FaultInjector* faults = nullptr)
+  // `metrics` (optional) lists the queue's counters (Metrics()) with that
+  // registry for the queue's lifetime.
+  explicit JobQueue(size_t capacity = 64, sim::FaultInjector* faults = nullptr,
+                    telemetry::Registry* metrics = nullptr)
       : slots_(capacity),
         shadows_(capacity),
         faults_(faults),
-        secret_(EntropySecret()) {}
+        secret_(EntropySecret()),
+        cells_(metrics) {
+    for (const auto& [name, counter] : Metrics()) {
+      cells_.AddCounter(name, (this->*counter).cell());
+    }
+  }
 
   JobQueue(const JobQueue&) = delete;
   JobQueue& operator=(const JobQueue&) = delete;
@@ -506,9 +517,6 @@ class JobQueue {
   // abandoned slot (recycled by the worker itself).
   uint64_t stale_completions() const { return stale_completions_.value(); }
   uint64_t abandoned_recycles() const { return abandoned_recycles_.value(); }
-  uint64_t late_completions() const {  // legacy aggregate of the two above
-    return stale_completions_.value() + abandoned_recycles_.value();
-  }
   // Awaits that exhausted the bounded terminal re-check and force-abandoned
   // host-controlled slot state (hostile hosts only; always 0 honest).
   uint64_t terminal_abandons() const { return terminal_abandons_.value(); }
@@ -525,6 +533,28 @@ class JobQueue {
   uint64_t hostile_gen_races() const { return hostile_gen_races_.value(); }
   // and kHostile parks reclaimed by their submitter.
   uint64_t hostile_reclaims() const { return hostile_reclaims_.value(); }
+
+  // The queue's counters by registry name; boundary.double_fetch_races
+  // (DESIGN.md §12) sums the three double-fetch detections.
+  using Metric = std::pair<const char*, Counter JobQueue::*>;
+  static std::span<const Metric> Metrics() {
+    static constexpr Metric kMetrics[] = {
+        {"rpc.queue_full_spins", &JobQueue::queue_full_spins_},
+        {"rpc.stale_completions", &JobQueue::stale_completions_},
+        {"rpc.abandoned_recycles", &JobQueue::abandoned_recycles_},
+        {"rpc.abandoned_slots", &JobQueue::abandoned_slots_},
+        {"rpc.terminal_abandons", &JobQueue::terminal_abandons_},
+        {"rpc.abandoned_scrubs", &JobQueue::abandoned_scrubs_},
+        {"rpc.integrity_rejects", &JobQueue::integrity_rejects_},
+        {"rpc.claim_replays", &JobQueue::claim_replays_},
+        {"rpc.hostile_gen_races", &JobQueue::hostile_gen_races_},
+        {"rpc.hostile_reclaims", &JobQueue::hostile_reclaims_},
+        {"boundary.double_fetch_races", &JobQueue::integrity_rejects_},
+        {"boundary.double_fetch_races", &JobQueue::claim_replays_},
+        {"boundary.double_fetch_races", &JobQueue::hostile_gen_races_},
+    };
+    return kMetrics;
+  }
 
  private:
   // Enclave-private authority for one slot's live publication. The host can
@@ -717,6 +747,7 @@ class JobQueue {
   Counter claim_replays_;
   Counter hostile_gen_races_;
   Counter hostile_reclaims_;
+  telemetry::CellList cells_;  // after the counters it lists
 };
 
 }  // namespace eleos::rpc

@@ -32,41 +32,54 @@ RpcManager::RpcManager(sim::Enclave& enclave, Options options)
           "boundary.rejected_inputs")),
       call_cycles_(enclave.machine().metrics().GetHistogram("rpc.call_cycles")),
       batch_size_(enclave.machine().metrics().GetHistogram("rpc.batch_size")),
-      breaker_state_gauge_(
-          enclave.machine().metrics().GetGauge("rpc.breaker_state")) {
-  // Register the double-fetch counter too, so both boundary.* metrics are
-  // present (as zero) in every snapshot of a benign run — validate_bench.py
-  // keys on their presence, not just their values.
-  enclave.machine().metrics().GetCounter("boundary.double_fetch_races");
+      cells_(&enclave.machine().metrics()) {
+  telemetry::Registry& metrics = enclave.machine().metrics();
   if (use_cat_) {
     enclave_->machine().llc().EnablePartitioning(0.75);
   }
   if (mode_ == Mode::kThreaded) {
     sim::FaultInjector* faults = &enclave_->machine().fault_injector();
-    queue_ = std::make_unique<JobQueue>(options.queue_capacity, faults);
+    queue_ = std::make_unique<JobQueue>(options.queue_capacity, faults,
+                                        &metrics);
     // Workers synthesize their execution spans from the slot's submit_tsc:
     // the modeled execution window is `syscall_cycles` long and ends
     // `rpc_dequeue_cycles` before the submitter reads the result back (see
     // ChargeSubmit's enqueue+poll+syscall+dequeue charge).
     const sim::CostModel& c = enclave_->machine().costs();
     pool_ = std::make_unique<WorkerPool>(
-        *queue_, options.workers, faults,
-        &enclave_->machine().metrics().trace(),
-        &enclave_->machine().metrics().spans(),
+        *queue_, options.workers, faults, &metrics,
         c.syscall_cycles + c.rpc_dequeue_cycles, c.syscall_cycles);
+  } else {
+    // No queue, but its counters still export (at zero): every snapshot
+    // carries the whole rpc.* and boundary.* family, and validate_bench.py
+    // keys on their presence.
+    for (const JobQueue::Metric& m : JobQueue::Metrics()) {
+      metrics.GetCounter(m.first);
+    }
   }
-  fallback_metric_ = enclave.machine().metrics().GetCounter("rpc.fallback");
-  publisher_id_ =
-      enclave_->machine().AddPublisher([this] { PublishTelemetry(); });
+  cells_.AddCounter("rpc.calls", calls_.cell());
+  cells_.AddCounter("rpc.async_calls", async_calls_.cell());
+  cells_.AddCounter("rpc.fallback_ocalls", fallback_ocalls_.cell());
+  cells_.AddCounter("rpc.submit_timeouts", submit_timeouts_.cell());
+  cells_.AddCounter("rpc.await_timeouts", await_timeouts_.cell());
+  cells_.AddCounter("rpc.breaker_opens", breaker_opens_.cell());
+  cells_.AddCounter("rpc.breaker_short_circuits",
+                    breaker_short_circuits_.cell());
+  cells_.AddCounter("rpc.breaker_probes", breaker_.probes_cell());
+  cells_.AddCounter("rpc.forged_completions", forged_completions_.cell());
+  cells_.AddCounter("rpc.hostile_rejects", hostile_rejects_.cell());
+  cells_.AddGauge("rpc.breaker_state", breaker_.state_cell());
+  cells_.AddGauge("rpc.submit_spin_budget", submit_spin_budget_);
+  cells_.AddGauge("rpc.await_spin_budget", await_spin_budget_);
+  cells_.AddGauge("rpc.quarantined_jobs", quarantined_);
   // SLO watchdog rules + flight-recorder health source. Both registries are
   // owned by the machine and outlive this manager; the destructor
-  // unregisters, mirroring RemovePublisher.
-  telemetry::Registry& metrics = enclave.machine().metrics();
+  // unregisters.
   {
     telemetry::SloRule rule;
     rule.name = "rpc.fallback_rate";
     rule.kind = telemetry::SloRule::Kind::kCounterRate;
-    rule.metric = "rpc.fallback";
+    rule.metric = "rpc.fallback_ocalls";
     rule.threshold = options.slo_fallback_rate_per_mcycle;
     slo_fallback_rule_ = metrics.timeline().AddRule(rule);
   }
@@ -89,7 +102,6 @@ RpcManager::~RpcManager() {
   enclave_->machine().metrics().timeline().RemoveRule(slo_duty_rule_);
   enclave_->machine().metrics().flight().RemoveHealthSource(
       flight_health_source_);
-  enclave_->machine().RemovePublisher(publisher_id_);
   pool_.reset();  // join workers before the queue dies
   // Workers are joined, so every quarantined job is quiescent. refs==2 means
   // the trampoline never ran (never claimed, or its claimant died first):
@@ -138,7 +150,6 @@ void RpcManager::ChargeSubmit(sim::CpuContext* cpu, size_t io_bytes,
 
 void RpcManager::CountFallback(sim::CpuContext* cpu, FallbackWhy why) {
   fallback_ocalls_.Inc();
-  fallback_metric_->Add(1);  // live: windowed rates can't wait for publish
   switch (why) {
     case FallbackWhy::kSubmitTimeout:
       submit_timeouts_.Inc();
@@ -167,7 +178,6 @@ bool RpcManager::AdmitExitless(sim::CpuContext* cpu) {
     case HealthFsm::Gate::kProbe:
       if (RunCanary(cpu)) {
         if (breaker_.RecordSuccess()) {
-          breaker_state_gauge_->Set(static_cast<int64_t>(breaker_.state()));
           enclave_->machine().metrics().trace().Record(
               telemetry::TraceKind::kRpcBreakerClose,
               cpu != nullptr ? cpu->clock.now() : 0, breaker_.probes());
@@ -175,7 +185,6 @@ bool RpcManager::AdmitExitless(sim::CpuContext* cpu) {
         return true;  // the exit-less machinery is back; run the real call
       }
       breaker_.RecordFailure();  // half-open -> open, no fresh trip
-      breaker_state_gauge_->Set(static_cast<int64_t>(breaker_.state()));
       CountFallback(cpu, FallbackWhy::kBreakerOpen);
       return false;
   }
@@ -223,7 +232,6 @@ void RpcManager::OnSpinTimeout(sim::CpuContext* cpu, bool submit_side,
   }
   if (breaker_.RecordFailure()) {
     breaker_opens_.Inc();
-    breaker_state_gauge_->Set(static_cast<int64_t>(breaker_.state()));
     enclave_->machine().metrics().trace().Record(
         telemetry::TraceKind::kRpcBreakerOpen,
         cpu != nullptr ? cpu->clock.now() : 0, submit_side ? 1 : 0,
@@ -284,6 +292,7 @@ void RpcManager::QuarantineJob(JobBase* job) {
       ++quarantine_cursor_;
     }
   }
+  quarantined_.store(quarantine_.size(), std::memory_order_relaxed);
 }
 
 void RpcManager::OnHostileBoundary(sim::CpuContext* cpu, BoundarySite site) {
@@ -297,7 +306,6 @@ void RpcManager::OnHostileBoundary(sim::CpuContext* cpu, BoundarySite site) {
   // short-circuit and stops paying spin budgets to an adversary.
   if (breaker_.RecordFailure()) {
     breaker_opens_.Inc();
-    breaker_state_gauge_->Set(static_cast<int64_t>(breaker_.state()));
     enclave_->machine().metrics().trace().Record(
         telemetry::TraceKind::kRpcBreakerOpen,
         cpu != nullptr ? cpu->clock.now() : 0, /*arg0=*/2,
@@ -325,70 +333,6 @@ void RpcManager::NoteAwaitFailure(sim::CpuContext* cpu,
   // kRevoked / kAbandoned: a plain liveness timeout.
   OnSpinTimeout(cpu, /*submit_side=*/false, await_budget);
   CountFallback(cpu, FallbackWhy::kAwaitTimeout);
-}
-
-void RpcManager::PublishTelemetry() {
-  telemetry::Registry& r = enclave_->machine().metrics();
-  r.GetCounter("rpc.calls")->Set(calls_.value());
-  r.GetCounter("rpc.async_calls")->Set(async_calls_.value());
-  r.GetCounter("rpc.fallback_ocalls")->Set(fallback_ocalls_.value());
-  r.GetCounter("rpc.submit_timeouts")->Set(submit_timeouts_.value());
-  r.GetCounter("rpc.await_timeouts")->Set(await_timeouts_.value());
-  r.GetGauge("rpc.breaker_state")->Set(static_cast<int64_t>(breaker_.state()));
-  r.GetCounter("rpc.breaker_opens")->Set(breaker_opens_.value());
-  r.GetCounter("rpc.breaker_short_circuits")
-      ->Set(breaker_short_circuits_.value());
-  r.GetCounter("rpc.breaker_probes")->Set(breaker_.probes());
-  r.GetGauge("rpc.submit_spin_budget")
-      ->Set(static_cast<int64_t>(
-          submit_spin_budget_.load(std::memory_order_relaxed)));
-  r.GetGauge("rpc.await_spin_budget")
-      ->Set(static_cast<int64_t>(
-          await_spin_budget_.load(std::memory_order_relaxed)));
-  // Queue counters publish unconditionally (zero for inline managers) so
-  // every metrics snapshot carries the full rpc.* family — validate_bench.py
-  // keys on their presence.
-  r.GetCounter("rpc.queue_full_spins")
-      ->Set(queue_ != nullptr ? queue_->queue_full_spins() : 0);
-  r.GetCounter("rpc.stale_completions")
-      ->Set(queue_ != nullptr ? queue_->stale_completions() : 0);
-  r.GetCounter("rpc.abandoned_recycles")
-      ->Set(queue_ != nullptr ? queue_->abandoned_recycles() : 0);
-  r.GetCounter("rpc.late_completions")  // legacy aggregate of the two above
-      ->Set(queue_ != nullptr ? queue_->late_completions() : 0);
-  r.GetCounter("rpc.abandoned_slots")
-      ->Set(queue_ != nullptr ? queue_->abandoned_slots() : 0);
-  r.GetCounter("rpc.terminal_abandons")
-      ->Set(queue_ != nullptr ? queue_->terminal_abandons() : 0);
-  r.GetCounter("rpc.abandoned_scrubs")
-      ->Set(queue_ != nullptr ? queue_->abandoned_scrubs() : 0);
-  // Untrusted-boundary counters (DESIGN.md §12). double_fetch_races mirrors
-  // the queue's authoritative atomics (integrity-failed claims + replayed
-  // claims + generation races observed at await); rejected_inputs_metric_ is
-  // Add()ed live by every boundary site (RPC, fs, kvcache) and must not be
-  // Set here.
-  r.GetCounter("rpc.integrity_rejects")
-      ->Set(queue_ != nullptr ? queue_->integrity_rejects() : 0);
-  r.GetCounter("rpc.claim_replays")
-      ->Set(queue_ != nullptr ? queue_->claim_replays() : 0);
-  r.GetCounter("rpc.hostile_gen_races")
-      ->Set(queue_ != nullptr ? queue_->hostile_gen_races() : 0);
-  r.GetCounter("rpc.hostile_reclaims")
-      ->Set(queue_ != nullptr ? queue_->hostile_reclaims() : 0);
-  r.GetCounter("rpc.forged_completions")->Set(forged_completions_.value());
-  r.GetGauge("rpc.quarantined_jobs")
-      ->Set(static_cast<int64_t>(quarantined_jobs()));
-  r.GetCounter("boundary.double_fetch_races")
-      ->Set(queue_ != nullptr
-                ? queue_->integrity_rejects() + queue_->claim_replays() +
-                      queue_->hostile_gen_races()
-                : 0);
-  if (pool_ != nullptr) {
-    r.GetCounter("rpc.jobs_executed")->Set(pool_->jobs_executed());
-    r.GetCounter("rpc.worker_deaths")->Set(pool_->worker_deaths());
-    r.GetCounter("rpc.worker_respawns")->Set(pool_->worker_respawns());
-    r.GetCounter("rpc.completions_dropped")->Set(pool_->completions_dropped());
-  }
 }
 
 }  // namespace eleos::rpc

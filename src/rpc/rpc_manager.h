@@ -477,11 +477,6 @@ class RpcManager {
   uint64_t await_timeouts() const { return await_timeouts_.value(); }
   // Untrusted-boundary observability (DESIGN.md §12; zero in benign runs).
   uint64_t forged_completions() const { return forged_completions_.value(); }
-  uint64_t hostile_rejects() const { return hostile_rejects_.value(); }
-  size_t quarantined_jobs() const {
-    std::lock_guard guard(quarantine_lock_);
-    return quarantine_.size();
-  }
   JobQueue* queue() { return queue_.get(); }
   WorkerPool* pool() { return pool_.get(); }
 
@@ -499,10 +494,6 @@ class RpcManager {
   uint64_t await_spin_budget() const {
     return await_spin_budget_.load(std::memory_order_relaxed);
   }
-
-  // Mirrors the RPC counters (manager + queue + pool) into the machine's
-  // metric registry under rpc.*; the call-latency histogram is recorded live.
-  void PublishTelemetry();
 
  private:
   static void Trampoline(void* arg) {
@@ -674,20 +665,19 @@ class RpcManager {
   mutable Spinlock quarantine_lock_;
   std::vector<JobBase*> quarantine_;  // guarded by quarantine_lock_
   size_t quarantine_cursor_ = 0;      // amortized-drain scan position (same)
+  // quarantine_.size() (rpc.quarantined_jobs): written under
+  // quarantine_lock_, read lock-free.
+  std::atomic<size_t> quarantined_{0};
   telemetry::Counter* rejected_inputs_metric_;  // boundary.rejected_inputs
   // Telemetry (resolved from the machine's registry at construction).
   telemetry::Histogram* call_cycles_;
   telemetry::Histogram* batch_size_;  // calls per doorbell (1 for plain Call)
-  telemetry::Gauge* breaker_state_gauge_;
-  // Live hot-path twin of the publish-time rpc.fallback_ocalls mirror: the
-  // timeline sampler cuts windows from inside ChargeCost and never runs
-  // publishers, so the fallback *rate* needs a counter that is current the
-  // moment the fallback happens.
-  telemetry::Counter* fallback_metric_ = nullptr;
-  size_t publisher_id_ = 0;
   size_t slo_fallback_rule_ = 0;
   size_t slo_duty_rule_ = 0;
   size_t flight_health_source_ = 0;
+  // Lists the counters and levels above with the registry (rpc.*); declared
+  // last so it unlists before any of them dies.
+  telemetry::CellList cells_;
 };
 
 }  // namespace eleos::rpc

@@ -10,15 +10,19 @@ namespace eleos::rpc {
 
 WorkerPool::WorkerPool(JobQueue& queue, size_t num_workers,
                        sim::FaultInjector* faults,
-                       telemetry::TraceRing* trace,
-                       telemetry::SpanTracer* spans,
+                       telemetry::Registry* metrics,
                        uint64_t exec_lead_cycles, uint64_t exec_cycles)
     : queue_(queue),
       faults_(faults),
-      trace_(trace),
-      spans_(spans),
+      trace_(metrics != nullptr ? &metrics->trace() : nullptr),
+      spans_(metrics != nullptr ? &metrics->spans() : nullptr),
       exec_lead_cycles_(exec_lead_cycles),
-      exec_cycles_(exec_cycles) {
+      exec_cycles_(exec_cycles),
+      cells_(metrics) {
+  cells_.AddCounter("rpc.jobs_executed", jobs_executed_.cell());
+  cells_.AddCounter("rpc.worker_deaths", worker_deaths_.cell());
+  cells_.AddCounter("rpc.worker_respawns", worker_respawns_.cell());
+  cells_.AddCounter("rpc.completions_dropped", completions_dropped_.cell());
   workers_.reserve(num_workers);
   for (size_t i = 0; i < num_workers; ++i) {
     auto worker = std::make_unique<Worker>();

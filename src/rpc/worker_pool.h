@@ -41,7 +41,8 @@ inline constexpr size_t kWorkerDrainMax = 8;
 
 class WorkerPool {
  public:
-  // `spans` (optional) lets workers emit their execution as child spans of
+  // `metrics` (optional) lists the pool's counters, receives its respawn
+  // trace events, and lets workers emit their execution as child spans of
   // the submitting enclave call. Workers have no virtual clock, so the span's
   // window is synthesized from the slot's submit_tsc: it starts
   // `exec_lead_cycles` before it and lasts `exec_cycles` — the RpcManager
@@ -49,8 +50,7 @@ class WorkerPool {
   // modeled syscall portion of ChargeSubmit's enqueue+poll+syscall+dequeue).
   WorkerPool(JobQueue& queue, size_t num_workers,
              sim::FaultInjector* faults = nullptr,
-             telemetry::TraceRing* trace = nullptr,
-             telemetry::SpanTracer* spans = nullptr,
+             telemetry::Registry* metrics = nullptr,
              uint64_t exec_lead_cycles = 0, uint64_t exec_cycles = 0);
   ~WorkerPool();
 
@@ -93,6 +93,7 @@ class WorkerPool {
   Counter worker_deaths_;
   Counter worker_respawns_;
   Counter completions_dropped_;
+  telemetry::CellList cells_;  // lists the counters above
   mutable std::mutex respawn_mutex_;  // guards the thread objects, not the loop
   std::vector<std::unique_ptr<Worker>> workers_;
   std::thread watchdog_;

@@ -14,9 +14,7 @@
 #include <atomic>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <utility>
-#include <vector>
 
 #include "src/sim/cache_model.h"
 #include "src/sim/cost_model.h"
@@ -57,32 +55,6 @@ class Machine {
   // "Telemetry" for the metric catalogue.
   telemetry::Registry& metrics() { return metrics_; }
   const telemetry::Registry& metrics() const { return metrics_; }
-
-  // Registry snapshots are only as fresh as the last PublishTelemetry() of
-  // each component (they keep authoritative atomics and mirror them in on
-  // demand). Components register their publisher at construction so a single
-  // PublishAll() before any ToJson/metric read can't observe stale zeros.
-  size_t AddPublisher(std::function<void()> fn) {
-    std::lock_guard guard(publishers_mutex_);
-    publishers_.emplace_back(next_publisher_id_, std::move(fn));
-    return next_publisher_id_++;
-  }
-  void RemovePublisher(size_t id) {
-    std::lock_guard guard(publishers_mutex_);
-    for (size_t i = 0; i < publishers_.size(); ++i) {
-      if (publishers_[i].first == id) {
-        publishers_.erase(publishers_.begin() + static_cast<ptrdiff_t>(i));
-        return;
-      }
-    }
-  }
-  // Runs every live component's PublishTelemetry (registration order).
-  void PublishAll() {
-    std::lock_guard guard(publishers_mutex_);
-    for (const auto& [id, fn] : publishers_) {
-      fn();
-    }
-  }
 
   // Simulated hardware threads (created eagerly; addresses are stable).
   CpuContext& cpu(size_t i) { return *cpus_[i]; }
@@ -139,15 +111,11 @@ class Machine {
     metrics_.timeline().Enable(options, MaxClock());
   }
 
-  // Flushes the open partial timeline window at the maximum virtual clock
-  // and refreshes publish-time-only counter mirrors first, so the final
-  // window sees them. Call after the workload quiesced, before exporting.
-  void CutTimeline() {
-    PublishAll();
-    metrics_.timeline().ForceCut(MaxClock());
-  }
+  // Flushes the open partial timeline window at the maximum virtual clock.
+  // Call after the workload quiesced, before exporting.
+  void CutTimeline() { metrics_.timeline().ForceCut(MaxClock()); }
 
-  // Post-mortem flight bundle: publish, flush the timeline, dump. Returns
+  // Post-mortem flight bundle: flush the timeline, dump. Returns
   // the bundle path, or "" when no flight dir is configured (ELEOS_FLIGHT_DIR
   // unset and flight().set_dir not called) — so harness hooks are free on
   // passing runs. See src/telemetry/flight_recorder.h.
@@ -196,9 +164,6 @@ class Machine {
   // Atomic: TouchScratch/PolluteCache may run from concurrently faulting
   // threads (their window claims race, but each claim stays exclusive).
   std::atomic<uint64_t> scratch_cursor_{0};
-  std::mutex publishers_mutex_;
-  std::vector<std::pair<size_t, std::function<void()>>> publishers_;
-  size_t next_publisher_id_ = 0;
 };
 
 // RAII harness hook for the flight recorder: on scope exit, if `failed()`

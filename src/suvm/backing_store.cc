@@ -81,7 +81,7 @@ void BackingStore::Free(uint64_t offset) {
     // Never allocated or double-freed: tolerated no-op (see header). Throwing
     // here would let a confused caller abort the enclave; silently merging a
     // bogus block would corrupt the buddy metadata. Count and refuse both.
-    ++bad_frees_;
+    bad_frees_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   int order = it->second;
@@ -114,8 +114,7 @@ size_t BackingStore::BlockSize(uint64_t offset) const {
 }
 
 uint64_t BackingStore::bad_frees() const {
-  std::lock_guard guard(lock_);
-  return bad_frees_;
+  return bad_frees_.load(std::memory_order_relaxed);
 }
 
 // --- Write-ahead journal ---
@@ -141,7 +140,8 @@ uint64_t BackingStore::JournalCrc(const JournalRecord& rec) {
 uint64_t BackingStore::JournalAppend(JournalRecord rec) {
   std::lock_guard guard(journal_lock_);
   rec.seq = journal_next_seq_++;
-  journal_bytes_ += sizeof(JournalRecord) + rec.payload.size();
+  journal_bytes_.fetch_add(sizeof(JournalRecord) + rec.payload.size(),
+                           std::memory_order_relaxed);
   journal_.push_back(std::move(rec));
   return journal_.back().seq;
 }
@@ -171,7 +171,8 @@ void BackingStore::JournalTruncate(uint64_t up_to_seq) {
     return;
   }
   for (size_t i = 0; i < keep; ++i) {
-    journal_bytes_ -= sizeof(JournalRecord) + journal_[i].payload.size();
+    journal_bytes_.fetch_sub(sizeof(JournalRecord) + journal_[i].payload.size(),
+                             std::memory_order_relaxed);
   }
   journal_.erase(journal_.begin(),
                  journal_.begin() + static_cast<ptrdiff_t>(keep));
@@ -200,8 +201,7 @@ size_t BackingStore::journal_records() const {
 }
 
 size_t BackingStore::journal_bytes() const {
-  std::lock_guard guard(journal_lock_);
-  return journal_bytes_;
+  return journal_bytes_.load(std::memory_order_relaxed);
 }
 
 }  // namespace eleos::suvm

@@ -12,6 +12,7 @@
 #ifndef ELEOS_SRC_SUVM_BACKING_STORE_H_
 #define ELEOS_SRC_SUVM_BACKING_STORE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -72,6 +73,12 @@ class BackingStore {
 
   // Misuse accounting: Free calls that named no live allocation.
   uint64_t bad_frees() const;
+  // The atomics behind bad_frees() and journal_bytes(), read in place by the
+  // metric registry (suvm.backing_bad_frees, suvm.journal_bytes).
+  const std::atomic<uint64_t>& bad_frees_cell() const { return bad_frees_; }
+  const std::atomic<size_t>& journal_bytes_cell() const {
+    return journal_bytes_;
+  }
 
   // --- Write-ahead journal (crash consistency) ---
   // Two-phase commit for sealed page writes: the caller appends the full
@@ -113,12 +120,13 @@ class BackingStore {
   std::vector<std::unordered_set<uint64_t>> free_sets_;
   std::unordered_map<uint64_t, int> alloc_order_;  // offset -> order
   size_t allocated_bytes_ = 0;
-  uint64_t bad_frees_ = 0;
+  std::atomic<uint64_t> bad_frees_{0};  // written under lock_, read lock-free
 
   mutable Spinlock journal_lock_;
   std::vector<JournalRecord> journal_;
   uint64_t journal_next_seq_ = 0;
-  size_t journal_bytes_ = 0;
+  // Written under journal_lock_, read lock-free.
+  std::atomic<size_t> journal_bytes_{0};
 };
 
 }  // namespace eleos::suvm

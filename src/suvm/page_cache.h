@@ -11,6 +11,7 @@
 #ifndef ELEOS_SRC_SUVM_PAGE_CACHE_H_
 #define ELEOS_SRC_SUVM_PAGE_CACHE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <stdexcept>
@@ -44,13 +45,13 @@ class PageCache {
   // reached (the caller must evict first).
   int AllocSlot() {
     std::lock_guard guard(lock_);
-    if (free_list_.empty() || in_use_ >= target_pages_) {
+    if (free_list_.empty() || in_use() >= target_pages()) {
       return -1;
     }
     const int slot = free_list_.back();
     free_list_.pop_back();
     is_free_[static_cast<size_t>(slot)] = false;
-    ++in_use_;
+    in_use_.fetch_add(1, std::memory_order_relaxed);
     return slot;
   }
 
@@ -68,7 +69,7 @@ class PageCache {
     }
     is_free_[static_cast<size_t>(slot)] = true;
     free_list_.push_back(slot);
-    --in_use_;
+    in_use_.fetch_sub(1, std::memory_order_relaxed);
   }
 
   uint64_t SlotVaddr(int slot) const {
@@ -79,32 +80,33 @@ class PageCache {
   // the current occupancy requires the caller (Suvm) to evict first.
   void set_target_pages(size_t target) {
     std::lock_guard guard(lock_);
-    target_pages_ = target > max_pages_ ? max_pages_ : target;
+    target_pages_.store(target > max_pages_ ? max_pages_ : target,
+                        std::memory_order_relaxed);
   }
   size_t target_pages() const {
-    std::lock_guard guard(lock_);
-    return target_pages_;
+    return target_pages_.load(std::memory_order_relaxed);
   }
 
   size_t max_pages() const { return max_pages_; }
-  size_t in_use() const {
-    std::lock_guard guard(lock_);
-    return in_use_;
-  }
+  size_t in_use() const { return in_use_.load(std::memory_order_relaxed); }
   size_t free_slots() const {
     std::lock_guard guard(lock_);
-    return target_pages_ > in_use_ ? target_pages_ - in_use_ : 0;
+    return target_pages() > in_use() ? target_pages() - in_use() : 0;
   }
+
+  // The atomics behind in_use() and target_pages(), for the registry.
+  const std::atomic<size_t>& in_use_cell() const { return in_use_; }
+  const std::atomic<size_t>& target_pages_cell() const { return target_pages_; }
 
  private:
   sim::Enclave* enclave_;
   size_t max_pages_;
-  size_t target_pages_;
+  std::atomic<size_t> target_pages_;  // written under lock_, read lock-free
   uint64_t base_vaddr_;
   mutable Spinlock lock_;
   std::vector<int> free_list_;
   std::vector<bool> is_free_;  // per-slot free state for double-free detection
-  size_t in_use_ = 0;
+  std::atomic<size_t> in_use_{0};  // written under lock_, read lock-free
 };
 
 }  // namespace eleos::suvm

@@ -113,7 +113,8 @@ Suvm::Suvm(sim::Enclave& enclave, SuvmConfig config,
           enclave.machine().metrics().GetCounter("suvm.direct_read_bytes")),
       direct_write_bytes_(
           enclave.machine().metrics().GetCounter("suvm.direct_write_bytes")),
-      trace_(&enclave.machine().metrics().trace()) {
+      trace_(&enclave.machine().metrics().trace()),
+      cells_(&enclave.machine().metrics()) {
   if (sim::kPageSize % config.subpage_size != 0) {
     throw std::invalid_argument("Suvm: subpage_size must divide the page size");
   }
@@ -135,8 +136,45 @@ Suvm::Suvm(sim::Enclave& enclave, SuvmConfig config,
   meta_entries_ = config.backing_bytes / sim::kPageSize;
   const size_t meta_entry_bytes = config.direct_mode ? 160 : 48;
   meta_region_vaddr_ = enclave_->Alloc(meta_entries_ * meta_entry_bytes);
-  publisher_id_ =
-      enclave_->machine().AddPublisher([this] { PublishTelemetry(); });
+  cells_.AddCounter("suvm.major_faults", stats_.major_faults);
+  cells_.AddCounter("suvm.minor_faults", stats_.minor_faults);
+  cells_.AddCounter("suvm.evictions", stats_.evictions);
+  cells_.AddCounter("suvm.writebacks", stats_.writebacks);
+  cells_.AddCounter("suvm.clean_drops", stats_.clean_drops);
+  cells_.AddCounter("suvm.direct_reads", stats_.direct_reads);
+  cells_.AddCounter("suvm.direct_writes", stats_.direct_writes);
+  cells_.AddCounter("suvm.mac_failures", stats_.mac_failures);
+  cells_.AddCounter("suvm.rollbacks_detected", stats_.rollbacks_detected);
+  cells_.AddCounter("suvm.retries", stats_.retries);
+  cells_.AddCounter("suvm.alloc_failures", stats_.alloc_failures);
+  cells_.AddCounter("suvm.pages_quarantined", stats_.pages_quarantined);
+  cells_.AddCounter("suvm.quarantine_hits", stats_.quarantine_hits);
+  cells_.AddCounter("suvm.pages_restored", stats_.pages_restored);
+  cells_.AddCounter("suvm.degraded_rejects", stats_.degraded_rejects);
+  cells_.AddCounter("suvm.journal_appends", stats_.journal_appends);
+  cells_.AddCounter("suvm.journal_commits", stats_.journal_commits);
+  cells_.AddCounter("suvm.checkpoints", stats_.checkpoints);
+  cells_.AddCounter("suvm.host_crashes", stats_.host_crashes);
+  cells_.AddCounter("suvm.recovery.attempts", stats_.recovery_attempts);
+  cells_.AddCounter("suvm.recovery.pages_verified",
+                    stats_.recovery_pages_verified);
+  cells_.AddCounter("suvm.recovery.pages_quarantined",
+                    stats_.recovery_pages_quarantined);
+  cells_.AddCounter("suvm.recovery.journal_replayed",
+                    stats_.recovery_journal_replayed);
+  cells_.AddCounter("suvm.recovery.journal_torn", stats_.recovery_journal_torn);
+  cells_.AddCounter("suvm.recovery.rollbacks_detected",
+                    stats_.recovery_rollbacks);
+  cells_.AddCounter("suvm.fault_coalesced", stats_.fault_coalesced);
+  cells_.AddCounter("suvm.gate_wait_cycles", stats_.gate_wait_cycles);
+  // The arena outlives this instance when a restarted Suvm adopts it; the
+  // registry counts each of its cells once (telemetry::CellList).
+  cells_.AddCounter("suvm.backing_bad_frees", store_->bad_frees_cell());
+  cells_.AddGauge("suvm.journal_bytes", store_->journal_bytes_cell());
+  cells_.AddGauge("suvm.health_state", alloc_health_.state_cell());
+  cells_.AddGauge("suvm.page_table_entries", page_table_entries_);
+  cells_.AddGauge("suvm.epc_pp_in_use", cache_.in_use_cell());
+  cells_.AddGauge("suvm.epc_pp_target", cache_.target_pages_cell());
   // SLO watchdog rule + flight-recorder health source (both machine-owned
   // registries outlive this object; the destructor unregisters).
   {
@@ -158,94 +196,20 @@ Suvm::~Suvm() {
   enclave_->machine().metrics().timeline().RemoveRule(slo_fault_rule_);
   enclave_->machine().metrics().flight().RemoveHealthSource(
       flight_health_source_);
-  enclave_->machine().RemovePublisher(publisher_id_);
 }
 
-void Suvm::ResetStats() {
-  stats_.major_faults = 0;
-  stats_.minor_faults = 0;
-  stats_.evictions = 0;
-  stats_.writebacks = 0;
-  stats_.clean_drops = 0;
-  stats_.direct_reads = 0;
-  stats_.direct_writes = 0;
-  stats_.mac_failures = 0;
-  stats_.rollbacks_detected = 0;
-  stats_.retries = 0;
-  stats_.alloc_failures = 0;
-  stats_.pages_quarantined = 0;
-  stats_.quarantine_hits = 0;
-  stats_.pages_restored = 0;
-  stats_.degraded_rejects = 0;
-  stats_.journal_appends = 0;
-  stats_.journal_commits = 0;
-  stats_.checkpoints = 0;
-  stats_.host_crashes = 0;
-  stats_.recovery_attempts = 0;
-  stats_.recovery_pages_verified = 0;
-  stats_.recovery_pages_quarantined = 0;
-  stats_.recovery_journal_replayed = 0;
-  stats_.recovery_journal_torn = 0;
-  stats_.recovery_rollbacks = 0;
-  stats_.fault_coalesced = 0;
-  stats_.gate_wait_cycles = 0;
-}
-
-size_t Suvm::PageTableEntries() const {
-  size_t n = 0;
-  for (const Stripe& st : stripes_) {
-    std::lock_guard sl(st.lock);
-    n += st.map.size();
+std::pair<Suvm::PageTable::iterator, bool> Suvm::EmplaceEntry(
+    Stripe& st, uint64_t bs_page) {
+  auto result = st.map.try_emplace(bs_page);
+  if (result.second) {
+    page_table_entries_.fetch_add(1, std::memory_order_relaxed);
   }
-  return n;
+  return result;
 }
 
-void Suvm::PublishTelemetry() {
-  telemetry::Registry& r = enclave_->machine().metrics();
-  r.GetCounter("suvm.major_faults")->Set(stats_.major_faults.load());
-  r.GetCounter("suvm.minor_faults")->Set(stats_.minor_faults.load());
-  r.GetCounter("suvm.evictions")->Set(stats_.evictions.load());
-  r.GetCounter("suvm.writebacks")->Set(stats_.writebacks.load());
-  r.GetCounter("suvm.clean_drops")->Set(stats_.clean_drops.load());
-  r.GetCounter("suvm.direct_reads")->Set(stats_.direct_reads.load());
-  r.GetCounter("suvm.direct_writes")->Set(stats_.direct_writes.load());
-  r.GetCounter("suvm.mac_failures")->Set(stats_.mac_failures.load());
-  r.GetCounter("suvm.rollbacks_detected")->Set(stats_.rollbacks_detected.load());
-  r.GetCounter("suvm.retries")->Set(stats_.retries.load());
-  r.GetCounter("suvm.alloc_failures")->Set(stats_.alloc_failures.load());
-  r.GetCounter("suvm.pages_quarantined")->Set(stats_.pages_quarantined.load());
-  r.GetCounter("suvm.quarantine_hits")->Set(stats_.quarantine_hits.load());
-  r.GetCounter("suvm.pages_restored")->Set(stats_.pages_restored.load());
-  r.GetCounter("suvm.degraded_rejects")->Set(stats_.degraded_rejects.load());
-  r.GetCounter("suvm.journal_appends")->Set(stats_.journal_appends.load());
-  r.GetCounter("suvm.journal_commits")->Set(stats_.journal_commits.load());
-  r.GetCounter("suvm.checkpoints")->Set(stats_.checkpoints.load());
-  r.GetCounter("suvm.host_crashes")->Set(stats_.host_crashes.load());
-  r.GetCounter("suvm.recovery.attempts")->Set(stats_.recovery_attempts.load());
-  r.GetCounter("suvm.recovery.pages_verified")
-      ->Set(stats_.recovery_pages_verified.load());
-  r.GetCounter("suvm.recovery.pages_quarantined")
-      ->Set(stats_.recovery_pages_quarantined.load());
-  r.GetCounter("suvm.recovery.journal_replayed")
-      ->Set(stats_.recovery_journal_replayed.load());
-  r.GetCounter("suvm.recovery.journal_torn")
-      ->Set(stats_.recovery_journal_torn.load());
-  r.GetCounter("suvm.recovery.rollbacks_detected")
-      ->Set(stats_.recovery_rollbacks.load());
-  r.GetCounter("suvm.fault_coalesced")->Set(stats_.fault_coalesced.load());
-  r.GetCounter("suvm.gate_wait_cycles")->Set(stats_.gate_wait_cycles.load());
-  r.GetCounter("suvm.backing_bad_frees")->Set(store_->bad_frees());
-  r.GetGauge("suvm.journal_bytes")
-      ->Set(static_cast<int64_t>(store_->journal_bytes()));
-  r.GetGauge("suvm.health_state")
-      ->Set(static_cast<int64_t>(alloc_health_.state()));
-  r.GetGauge("suvm.page_table_entries")
-      ->Set(static_cast<int64_t>(PageTableEntries()));
-  r.GetGauge("suvm.epc_pp_in_use")->Set(static_cast<int64_t>(cache_.in_use()));
-  r.GetGauge("suvm.epc_pp_target")
-      ->Set(static_cast<int64_t>(cache_.target_pages()));
-  r.GetGauge("suvm.epcpp_free_slots")
-      ->Set(static_cast<int64_t>(cache_.free_slots()));
+void Suvm::EraseEntry(Stripe& st, PageTable::iterator it) {
+  st.map.erase(it);
+  page_table_entries_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 void Suvm::NoteMacFailure(sim::CpuContext* cpu, uint64_t bs_page) {
@@ -333,7 +297,7 @@ void Suvm::Free(uint64_t addr) {
               kInvalidAddr, std::memory_order_relaxed);
           cache_.FreeSlot(m.slot);
         }
-        st.map.erase(it);
+        EraseEntry(st, it);
         continue;
       }
       // Edge page shared with a live neighbor: scrub the freed range through
@@ -463,7 +427,7 @@ Status Suvm::PinOnce(sim::CpuContext* cpu, uint64_t bs_page, int* slot_out) {
   // Leader path: claim the entry so same-page faults coalesce behind us,
   // then fill it with no lock held — only the slot acquisition and the
   // page-table charge serialize on the paging gate.
-  const auto [it, inserted] = st.map.try_emplace(bs_page);
+  const auto [it, inserted] = EmplaceEntry(st, bs_page);
   PageMeta& m = it->second;
   m.state = Residency::kFilling;
   sl.unlock();
@@ -474,7 +438,7 @@ Status Suvm::PinOnce(sim::CpuContext* cpu, uint64_t bs_page, int* slot_out) {
   const auto rollback = [&] {
     sl.lock();
     if (inserted && !m.has_data && !m.poisoned && m.subs == nullptr) {
-      st.map.erase(it);
+      EraseEntry(st, it);
     } else {
       m.state = Residency::kAbsent;
     }
@@ -547,7 +511,8 @@ Status Suvm::PinPage(sim::CpuContext* cpu, uint64_t bs_page, int* slot_out) {
     // the page had sealed data, so its entry normally exists already.
     Stripe& st = StripeFor(bs_page);
     std::lock_guard sl(st.lock);
-    MarkQuarantinedLocked(cpu, bs_page, st.map[bs_page]);
+    MarkQuarantinedLocked(cpu, bs_page,
+                          EmplaceEntry(st, bs_page).first->second);
   }
   return status;
 }
@@ -1055,7 +1020,7 @@ Status Suvm::WalkDirect(sim::CpuContext* cpu, uint64_t addr, uint8_t* out,
     auto it = Settle(st, sl, page);
     bool inserted = false;
     if (write) {
-      std::tie(it, inserted) = st.map.try_emplace(page);
+      std::tie(it, inserted) = EmplaceEntry(st, page);
       stats_.direct_writes.fetch_add(1, std::memory_order_relaxed);
       direct_write_bytes_->Add(chunk);
     } else {
@@ -1100,7 +1065,7 @@ Status Suvm::WalkDirect(sim::CpuContext* cpu, uint64_t addr, uint8_t* out,
       }
       if (!status.ok()) {
         if (inserted) {
-          st.map.erase(it);
+          EraseEntry(st, it);
         }
         return status;
       }
@@ -1491,7 +1456,7 @@ Status Suvm::TryRecover(sim::CpuContext* cpu,
     // Install the entry (verified, quarantined, or a root-carried verdict).
     Stripe& st = StripeFor(bs_page);
     std::lock_guard sl(st.lock);
-    PageMeta& m = st.map[bs_page];  // fresh instance: always a new entry
+    PageMeta& m = EmplaceEntry(st, bs_page).first->second;  // always new
     m.version = r.version;
     m.has_data = r.has_data;
     m.poisoned = r.poisoned;

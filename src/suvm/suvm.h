@@ -230,8 +230,9 @@ class Suvm {
     std::atomic<uint64_t> gate_wait_cycles{0};  // virtual cycles queued on the
                                                 // paging gate (serial slice)
   };
+  // The store of the suvm.* counters: the machine's registry reads these
+  // atomics in place (summed over every Suvm on the machine).
   const Stats& stats() const { return stats_; }
-  void ResetStats();
 
   // Allocation health (self-healing): repeated backing_alloc_fail degrades
   // the region to "read-mostly" — existing pages stay fully readable and
@@ -243,11 +244,9 @@ class Suvm {
   // Live page-table footprint: the number of PageMeta entries across all
   // stripes. Bounded by the touched working set — read-only misses must NOT
   // grow it (regression guard for the default-insert bug).
-  size_t PageTableEntries() const;
-
-  // Mirrors Stats and the page-table gauge into the machine's metric
-  // registry under suvm.*; latency/scan histograms are recorded live.
-  void PublishTelemetry();
+  size_t PageTableEntries() const {
+    return page_table_entries_.load(std::memory_order_relaxed);
+  }
 
   sim::Enclave& enclave() { return *enclave_; }
   const SuvmConfig& config() const { return config_; }
@@ -295,10 +294,11 @@ class Suvm {
     std::unique_ptr<SubMeta[]> subs;  // direct mode: per-sub-page metadata
   };
 
+  using PageTable = std::unordered_map<uint64_t, PageMeta>;
   static constexpr size_t kStripes = 64;
   struct Stripe {
     mutable Spinlock lock;
-    std::unordered_map<uint64_t, PageMeta> map;
+    PageTable map;
   };
 
   Stripe& StripeFor(uint64_t bs_page) { return stripes_[bs_page % kStripes]; }
@@ -306,6 +306,11 @@ class Suvm {
     return stripes_[bs_page % kStripes];
   }
   static size_t StripeIndex(uint64_t bs_page) { return bs_page % kStripes; }
+  // Page-table entry insert/erase, stripe lock held: they keep
+  // page_table_entries_ in step with the maps.
+  std::pair<PageTable::iterator, bool> EmplaceEntry(Stripe& st,
+                                                    uint64_t bs_page);
+  void EraseEntry(Stripe& st, PageTable::iterator it);
 
   // Paging internals (DESIGN.md §14). Victim selection serializes on the
   // paging gate; the seal runs afterwards with only kEvicting ownership.
@@ -430,8 +435,10 @@ class Suvm {
   Spinlock nonce_lock_;
   Xoshiro256 nonce_rng_;
   Stats stats_;
+  // Entries across all stripe maps (suvm.page_table_entries); written under
+  // the stripe lock of the changed map, read lock-free.
+  std::atomic<uint64_t> page_table_entries_{0};
   HealthFsm alloc_health_;
-  size_t publisher_id_ = 0;
   size_t slo_fault_rule_ = 0;
   size_t flight_health_source_ = 0;
 
@@ -446,6 +453,9 @@ class Suvm {
   telemetry::Counter* direct_read_bytes_;
   telemetry::Counter* direct_write_bytes_;
   telemetry::TraceRing* trace_;
+  // Lists stats_ and the paging levels with the registry; declared last so
+  // it unlists before any of them dies.
+  telemetry::CellList cells_;
 };
 
 }  // namespace eleos::suvm

@@ -20,9 +20,8 @@
 // an unconfigured recorder returns "" and writes nothing, so wiring the
 // harness hooks costs passing runs nothing.
 //
-// Callers should prefer sim::Machine::DumpFlight, which runs PublishAll and
-// flushes the open timeline window first; a bare Dump() serializes whatever
-// is already live. The open-span stacks are owner-thread data read without
+// Callers should prefer sim::Machine::DumpFlight, which flushes the open
+// timeline window first; a bare Dump() leaves it out. The open-span stacks are owner-thread data read without
 // the owner's cooperation — a post-mortem best-effort view, valid when the
 // workload is dead or quiesced (which is when flight dumps happen).
 
@@ -62,9 +61,8 @@ class FlightRecorder {
   bool configured() const { return !dir().empty(); }
 
   // Components register a named health-state source (e.g. "rpc.breaker" →
-  // HealthStateName(fsm.state())); remove it in the destructor, exactly like
-  // Machine::RemovePublisher. The bundle's "health" object is built from
-  // these at dump time.
+  // HealthStateName(fsm.state())); remove it in the destructor. The bundle's
+  // "health" object is built from these at dump time.
   size_t AddHealthSource(std::string name, std::function<std::string()> fn);
   void RemoveHealthSource(size_t id);
 

@@ -6,6 +6,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <mutex>
+#include <type_traits>
 
 #include "src/telemetry/flight_recorder.h"
 #include "src/telemetry/timeseries.h"
@@ -40,6 +41,58 @@ std::string JsonEscape(const std::string& s) {
     }
   }
   return out;
+}
+
+// One histogram as a JSON object: count/sum/mean/p50/p95/p99 and the
+// non-empty buckets.
+std::string HistogramToJson(const HistogramState& h) {
+  std::string out = "{";
+  const double mean = h.count == 0 ? 0.0
+                                   : static_cast<double>(h.sum) /
+                                         static_cast<double>(h.count);
+  AppendF(out, "\"count\":%" PRIu64 ",\"sum\":%" PRIu64 ",\"mean\":%.1f",
+          h.count, h.sum, mean);
+  AppendF(out, ",\"p50\":%.1f,\"p95\":%.1f,\"p99\":%.1f",
+          PercentileFromBuckets(h.buckets, 50),
+          PercentileFromBuckets(h.buckets, 95),
+          PercentileFromBuckets(h.buckets, 99));
+  out += ",\"buckets\":[";
+  bool first = true;
+  for (size_t b = 0; b < Histogram::kBuckets; ++b) {
+    const uint64_t c = h.buckets[b];
+    if (c == 0) {
+      continue;
+    }
+    if (!first) {
+      out += ',';
+    }
+    first = false;
+    AppendF(out, "{\"lower\":%" PRIu64 ",\"count\":%" PRIu64 "}",
+            Histogram::BucketLower(b), c);
+  }
+  out += "]}";
+  return out;
+}
+
+// The `"name":value,...` body of one name-sorted snapshot section.
+template <typename T>
+void AppendSection(std::string& out,
+                   const std::vector<std::pair<std::string, T>>& section) {
+  bool first = true;
+  for (const auto& [name, value] : section) {
+    if (!first) {
+      out += ',';
+    }
+    first = false;
+    AppendF(out, "\"%s\":", JsonEscape(name).c_str());
+    if constexpr (std::is_same_v<T, HistogramState>) {
+      out += HistogramToJson(value);
+    } else if constexpr (std::is_signed_v<T>) {
+      AppendF(out, "%" PRId64, value);
+    } else {
+      AppendF(out, "%" PRIu64, value);
+    }
+  }
 }
 
 }  // namespace
@@ -89,14 +142,6 @@ double Histogram::Percentile(double p) const {
     counts[b] = bucket(b);
   }
   return PercentileFromBuckets(counts, p);
-}
-
-void Histogram::Reset() {
-  for (auto& b : buckets_) {
-    b.store(0, std::memory_order_relaxed);
-  }
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
 }
 
 const char* TraceKindName(TraceKind kind) {
@@ -203,16 +248,24 @@ const TimeSeriesSampler& Registry::timeline() const { return *timeline_; }
 FlightRecorder& Registry::flight() { return *flight_; }
 const FlightRecorder& Registry::flight() const { return *flight_; }
 
+uint64_t Registry::Sum(const std::vector<Listed>& listed) {
+  uint64_t v = 0;
+  for (const Listed& l : listed) {
+    v += l.cell.load() - l.base;
+  }
+  return v;
+}
+
 MetricsSnapshot Registry::TakeSnapshot() const {
   std::lock_guard guard(mutex_);
   MetricsSnapshot snap;
   snap.counters.reserve(counters_.size());
   for (const auto& [name, c] : counters_) {
-    snap.counters.emplace_back(name, c->value());
+    snap.counters.emplace_back(name, c.owned.value() + Sum(c.listed));
   }
   snap.gauges.reserve(gauges_.size());
-  for (const auto& [name, g] : gauges_) {
-    snap.gauges.emplace_back(name, g->value());
+  for (const auto& [name, listed] : gauges_) {
+    snap.gauges.emplace_back(name, static_cast<int64_t>(Sum(listed)));
   }
   snap.histograms.reserve(histograms_.size());
   for (const auto& [name, h] : histograms_) {
@@ -227,22 +280,18 @@ MetricsSnapshot Registry::TakeSnapshot() const {
   return snap;
 }
 
-Counter* Registry::GetCounter(const std::string& name) {
+uint64_t Registry::CounterValue(const std::string& name) const {
   std::lock_guard guard(mutex_);
-  auto& slot = counters_[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<Counter>();
+  const auto it = counters_.find(name);
+  if (it == counters_.end()) {
+    return 0;
   }
-  return slot.get();
+  return it->second.owned.value() + Sum(it->second.listed);
 }
 
-Gauge* Registry::GetGauge(const std::string& name) {
+Counter* Registry::GetCounter(const std::string& name) {
   std::lock_guard guard(mutex_);
-  auto& slot = gauges_[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<Gauge>();
-  }
-  return slot.get();
+  return &counters_[name].owned;
 }
 
 Histogram* Registry::GetHistogram(const std::string& name) {
@@ -254,60 +303,57 @@ Histogram* Registry::GetHistogram(const std::string& name) {
   return slot.get();
 }
 
-std::string HistogramToJson(const Histogram& h) {
-  std::string out = "{";
-  AppendF(out, "\"count\":%" PRIu64 ",\"sum\":%" PRIu64 ",\"mean\":%.1f",
-          h.count(), h.sum(), h.mean());
-  AppendF(out, ",\"p50\":%.1f,\"p95\":%.1f,\"p99\":%.1f", h.Percentile(50),
-          h.Percentile(95), h.Percentile(99));
-  out += ",\"buckets\":[";
-  bool first = true;
-  for (size_t b = 0; b < Histogram::kBuckets; ++b) {
-    const uint64_t c = h.bucket(b);
-    if (c == 0) {
+void Registry::List(const std::string& name, Cell cell, bool gauge) {
+  std::lock_guard guard(mutex_);
+  std::vector<Listed>& listed = gauge ? gauges_[name] : counters_[name].listed;
+  for (Listed& l : listed) {
+    if (l.cell.ptr() == cell.ptr()) {
+      ++l.refs;
+      return;
+    }
+  }
+  listed.push_back(Listed{cell, gauge ? 0 : cell.load(), 1});
+}
+
+void Registry::Unlist(const std::string& name, Cell cell, bool gauge) {
+  std::lock_guard guard(mutex_);
+  std::vector<Listed>& listed = gauge ? gauges_[name] : counters_[name].listed;
+  for (auto it = listed.begin(); it != listed.end(); ++it) {
+    if (it->cell.ptr() != cell.ptr() || --it->refs != 0) {
       continue;
     }
-    if (!first) {
-      out += ',';
+    if (!gauge) {  // fold the gain in: the machine-wide value stays put
+      counters_[name].owned.Add(it->cell.load() - it->base);
     }
-    first = false;
-    AppendF(out, "{\"lower\":%" PRIu64 ",\"count\":%" PRIu64 "}",
-            Histogram::BucketLower(b), c);
+    listed.erase(it);
+    if (gauge && listed.empty()) {
+      gauges_.erase(name);  // no component holds this level any more
+    }
+    return;
   }
-  out += "]}";
-  return out;
+}
+
+void CellList::Add(const char* name, Cell cell, bool gauge) {
+  if (registry_ != nullptr) {
+    registry_->List(name, cell, gauge);
+    entries_.push_back(Entry{name, cell, gauge});
+  }
+}
+
+CellList::~CellList() {
+  for (const Entry& e : entries_) {
+    registry_->Unlist(e.name, e.cell, e.gauge);
+  }
 }
 
 std::string Registry::ToJson(size_t trace_events) const {
-  std::lock_guard guard(mutex_);
+  const MetricsSnapshot snap = TakeSnapshot();
   std::string out = "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, c] : counters_) {
-    if (!first) {
-      out += ',';
-    }
-    first = false;
-    AppendF(out, "\"%s\":%" PRIu64, JsonEscape(name).c_str(), c->value());
-  }
+  AppendSection(out, snap.counters);
   out += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, g] : gauges_) {
-    if (!first) {
-      out += ',';
-    }
-    first = false;
-    AppendF(out, "\"%s\":%" PRId64, JsonEscape(name).c_str(), g->value());
-  }
+  AppendSection(out, snap.gauges);
   out += "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, h] : histograms_) {
-    if (!first) {
-      out += ',';
-    }
-    first = false;
-    AppendF(out, "\"%s\":", JsonEscape(name).c_str());
-    out += HistogramToJson(*h);
-  }
+  AppendSection(out, snap.histograms);
   out += "},\"trace\":{";
   AppendF(out, "\"recorded\":%" PRIu64 ",\"dropped\":%" PRIu64 ",\"events\":[",
           trace_.recorded(), trace_.dropped());
@@ -328,20 +374,6 @@ std::string Registry::ToJson(size_t trace_events) const {
   }
   out += "]}}";
   return out;
-}
-
-void Registry::ResetAll() {
-  std::lock_guard guard(mutex_);
-  for (auto& [name, c] : counters_) {
-    c->Reset();
-  }
-  for (auto& [name, g] : gauges_) {
-    g->Reset();
-  }
-  for (auto& [name, h] : histograms_) {
-    h->Reset();
-  }
-  trace_.Reset();
 }
 
 }  // namespace eleos::telemetry

@@ -13,12 +13,15 @@
 //    and keep them for their lifetime. Pointers are stable until the Registry
 //    dies (the Registry must outlive every component that records into it —
 //    in practice it is owned by sim::Machine, the root object).
+//  * A component that keeps the atomic behind a metric (Suvm::Stats, the RPC
+//    queue counters, occupancy levels) lists it (CellList) instead of copying
+//    it: snapshots read it in place, so each metric has one store.
 //  * The trace ring is bounded (overwrites oldest) and spinlocked: trace
 //    events are rare (major faults, evictions, RPC fallbacks), never
 //    per-memory-access.
 //
-// Snapshots (ToJson) are racy-but-consistent-enough: relaxed loads of
-// monotonic values, which is all the benchmark harness needs.
+// Snapshots (TakeSnapshot, ToJson) are racy-but-consistent-enough: relaxed
+// loads of monotonic values and levels, which is all the harness needs.
 
 #ifndef ELEOS_SRC_TELEMETRY_TELEMETRY_H_
 #define ELEOS_SRC_TELEMETRY_TELEMETRY_H_
@@ -40,9 +43,10 @@ namespace eleos::telemetry {
 class TimeSeriesSampler;  // src/telemetry/timeseries.h
 class FlightRecorder;     // src/telemetry/flight_recorder.h
 
-// Monotonic named counter. `Set` exists so components that already keep
-// authoritative atomics (e.g. Suvm::Stats) can mirror them into the registry
-// at snapshot time without double-counting the hot path.
+// Monotonic named counter owned by the Registry (GetCounter). value() is this
+// cell alone; Registry::CounterValue adds the cells components list under the
+// name. Levels that move both ways are gauges: always component cells, in a
+// JSON section of their own, so counters can be checked for monotonicity.
 class Counter {
  public:
   Counter() = default;
@@ -50,32 +54,10 @@ class Counter {
   Counter& operator=(const Counter&) = delete;
 
   void Add(uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
-  void Set(uint64_t v) { value_.store(v, std::memory_order_relaxed); }
   uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<uint64_t> value_{0};
-};
-
-// Point-in-time level that may go up or down (breaker state, spin budgets,
-// EPC++ occupancy). Same relaxed-atomic implementation as Counter, but a
-// distinct type and a separate JSON section, so consumers (validate_bench.py)
-// can check counters for monotonic non-negativity without special-casing
-// which "counters" may legally decrease.
-class Gauge {
- public:
-  Gauge() = default;
-  Gauge(const Gauge&) = delete;
-  Gauge& operator=(const Gauge&) = delete;
-
-  void Set(int64_t v) { value_.store(v, std::memory_order_relaxed); }
-  void Add(int64_t n) { value_.fetch_add(n, std::memory_order_relaxed); }
-  int64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<int64_t> value_{0};
 };
 
 // Log2-bucketed histogram: bucket b counts samples v with bit_width(v) == b,
@@ -111,8 +93,6 @@ class Histogram {
   // Percentile estimate (p in [0, 100]) from the bucket counts.
   // Equivalent to PercentileFromBuckets over a relaxed snapshot of buckets_.
   double Percentile(double p) const;
-
-  void Reset();
 
   static size_t BucketFor(uint64_t v) {
     size_t b = 0;
@@ -216,15 +196,37 @@ struct HistogramState {
   uint64_t sum = 0;
 };
 
-// Point-in-time copy of every registered metric. Vectors are name-sorted
-// (registry map order). Racy-but-consistent-enough, like ToJson.
+// Point-in-time copy of every registered metric, each name's cells summed.
+// Vectors are name-sorted (registry map order). Racy-but-consistent-enough.
 struct MetricsSnapshot {
   std::vector<std::pair<std::string, uint64_t>> counters;
   std::vector<std::pair<std::string, int64_t>> gauges;
   std::vector<std::pair<std::string, HistogramState>> histograms;
 };
 
-// The metric registry: owns every metric; names are stable identifiers (see
+// A component-owned atomic that the Registry reads in place. Reading is one
+// relaxed load, so a snapshot never takes a component lock. Any std::atomic
+// of an integral or enum type converts to a Cell implicitly, so listing reads
+// AddCounter("name", atomic).
+class Cell {
+ public:
+  template <typename T>
+  Cell(const std::atomic<T>& a)
+      : ptr_(&a), load_([](const void* p) {
+          return static_cast<uint64_t>(static_cast<const std::atomic<T>*>(p)
+                                           ->load(std::memory_order_relaxed));
+        }) {}
+
+  uint64_t load() const { return load_(ptr_); }
+  const void* ptr() const { return ptr_; }
+
+ private:
+  const void* ptr_;
+  uint64_t (*load_)(const void*);
+};
+
+// The metric registry: owns its counters and histograms and reads the cells
+// components list with it (CellList); names are stable identifiers (see
 // DESIGN.md "Telemetry" for the catalogue). Lookup interns by name, so two
 // components asking for the same name share the metric.
 class Registry {
@@ -236,7 +238,6 @@ class Registry {
   Registry& operator=(const Registry&) = delete;
 
   Counter* GetCounter(const std::string& name);
-  Gauge* GetGauge(const std::string& name);
   Histogram* GetHistogram(const std::string& name);
   TraceRing& trace() { return trace_; }
   const TraceRing& trace() const { return trace_; }
@@ -251,25 +252,45 @@ class Registry {
   FlightRecorder& flight();
   const FlightRecorder& flight() const;
 
-  // Copies every metric's current value (relaxed loads) under the
-  // registration mutex only — safe to call from inside ChargeCost, i.e.
-  // potentially under component locks. Never runs publishers.
+  // Machine-wide value of one counter name: the registry-owned counter plus
+  // every cell listed under it (0 for an unknown name).
+  uint64_t CounterValue(const std::string& name) const;
+
+  // Copies every metric's current value (relaxed loads, listed cells summed
+  // into their name) under the registration mutex only — safe to call from
+  // inside ChargeCost, i.e. potentially under component locks.
   MetricsSnapshot TakeSnapshot() const;
 
   // JSON object {"counters":{...},"gauges":{...},"histograms":{...},
-  // "trace":{...}} with keys sorted by name. `trace_events` bounds the
-  // number of (most recent) events embedded in the snapshot.
+  // "trace":{...}} built from TakeSnapshot, keys sorted by name.
+  // `trace_events` bounds the number of (most recent) events embedded.
   std::string ToJson(size_t trace_events = 64) const;
 
-  // Zeroes every metric and the ring (bench harness phase separation).
-  // Does not touch the span tracer: spans are a per-run artifact exported
-  // whole, not a resettable metric.
-  void ResetAll();
-
  private:
+  friend class CellList;
+
+  // One cell listed under a name (see CellList for the rules). A counter
+  // cell's `base` is its value when first listed, so a cell that outlives
+  // its lister (an adopted backing store) never counts twice; a gauge's is 0.
+  // Listing a cell again while it is listed takes another reference.
+  struct Listed {
+    Cell cell;
+    uint64_t base;
+    size_t refs;
+  };
+  struct CounterCells {
+    Counter owned;  // GetCounter's cell; also keeps unlisted cells' gains
+    std::vector<Listed> listed;
+  };
+
+  void List(const std::string& name, Cell cell, bool gauge);
+  void Unlist(const std::string& name, Cell cell, bool gauge);
+  // What the cells gained since listing, summed (wraps for negative levels).
+  static uint64_t Sum(const std::vector<Listed>& listed);
+
   mutable std::mutex mutex_;  // registration + snapshot iteration only
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
+  std::map<std::string, CounterCells> counters_;
+  std::map<std::string, std::vector<Listed>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
   // Declared before trace_: the ring holds a pointer into the tracer, so the
   // tracer must be constructed first and destroyed last.
@@ -282,9 +303,36 @@ class Registry {
   std::unique_ptr<FlightRecorder> flight_;
 };
 
-// Serializes one histogram as a JSON object (count/sum/mean/p50/p95/p99 and
-// the non-empty buckets). Shared by Registry::ToJson and tests.
-std::string HistogramToJson(const Histogram& h);
+// The cells one component lists with a Registry. Snapshots sum the cells
+// that share a name (two Suvms on one machine add up). A counter cell counts
+// what it gained while listed and unlisting folds that into the name, so a
+// machine-wide counter never goes backwards; an unlisted gauge drops out; a
+// cell listed twice under one name counts once. The list unlists all when it
+// dies: declare it after its cells, and join their writer threads first. A
+// null registry makes it inert (a bare JobQueue in a test).
+class CellList {
+ public:
+  explicit CellList(Registry* registry) : registry_(registry) {}
+  ~CellList();
+
+  CellList(const CellList&) = delete;
+  CellList& operator=(const CellList&) = delete;
+
+  // `name` must outlive the list (a string literal).
+  void AddCounter(const char* name, Cell cell) { Add(name, cell, false); }
+  void AddGauge(const char* name, Cell cell) { Add(name, cell, true); }
+
+ private:
+  struct Entry {
+    const char* name;
+    Cell cell;
+    bool gauge;
+  };
+  void Add(const char* name, Cell cell, bool gauge);
+
+  Registry* const registry_;
+  std::vector<Entry> entries_;
+};
 
 // Percentile estimate (p in [0, 100]) from plain log2 bucket counts with
 // Histogram's bucket semantics: linear interpolation inside the winning

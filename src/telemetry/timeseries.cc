@@ -145,13 +145,12 @@ void TimeSeriesSampler::CutLocked(uint64_t now) {
   w.end_tsc = now;
 
   // Counter deltas. Both snapshots are name-sorted; a counter registered
-  // mid-window simply has no baseline (prev = 0). Counters are monotonic by
-  // contract, but phase-separating harnesses may ResetAll mid-run — clamp
-  // instead of wrapping so a reset reads as "no events", not 2^64.
+  // mid-window simply has no baseline (prev = 0). A machine-wide counter
+  // never goes backwards (no Set, no reset, and an unlisted cell folds into
+  // its name), so the difference is the window's delta.
   for (const auto& [name, value] : cur.counters) {
     const uint64_t* prev = FindSorted(last_.counters, name);
-    const uint64_t base = prev == nullptr ? 0 : *prev;
-    const uint64_t delta = value >= base ? value - base : 0;
+    const uint64_t delta = value - (prev == nullptr ? 0 : *prev);
     if (delta != 0) {
       w.counters.emplace_back(name, delta);
     }
@@ -166,8 +165,7 @@ void TimeSeriesSampler::CutLocked(uint64_t now) {
     uint64_t deltas[Histogram::kBuckets];
     uint64_t count = 0;
     for (size_t b = 0; b < Histogram::kBuckets; ++b) {
-      const uint64_t base = prev == nullptr ? 0 : prev->buckets[b];
-      deltas[b] = state.buckets[b] >= base ? state.buckets[b] - base : 0;
+      deltas[b] = state.buckets[b] - (prev == nullptr ? 0 : prev->buckets[b]);
       count += deltas[b];
     }
     if (count == 0) {

@@ -26,11 +26,11 @@
 // failure.
 //
 // Deadlock rule: Cut runs inside Machine::ChargeCost, i.e. potentially under
-// component locks (SUVM stripes, job-queue slots). It therefore reads only
-// live Registry metrics (TakeSnapshot takes the registration mutex only) and
-// never calls component publishers. Publish-time-only mirrors show up in the
-// final window cut by Machine::DumpFlight / CutTimeline, which run PublishAll
-// first from a safe (lock-free) context.
+// component locks (SUVM stripes, job-queue slots). It therefore reads the
+// Registry only through TakeSnapshot, which takes the registration mutex and
+// relaxed-loads every metric, the component cells listed with it included,
+// and never calls into a component. Every window thus carries each metric's
+// true delta and level, whichever window it happened in.
 
 #ifndef ELEOS_SRC_TELEMETRY_TIMESERIES_H_
 #define ELEOS_SRC_TELEMETRY_TIMESERIES_H_
@@ -107,7 +107,7 @@ struct SloRule {
   size_t duty_windows = 8;  // kGaugeDuty lookback (>= 1)
   // Opt-in health hook: violation => RecordFailure, clean window =>
   // RecordSuccess. The FSM must outlive the rule (remove the rule in the
-  // owner's destructor, exactly like RemovePublisher).
+  // owner's destructor).
   HealthFsm* health = nullptr;
 };
 

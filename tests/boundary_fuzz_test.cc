@@ -251,7 +251,6 @@ TEST_P(BoundaryFuzz, EveryOpEndsCorrectOrFailClosedUnderLiveScribbler) {
   fs.Close(&cpu, fd);
 
   // Every Iago mangle was caught: rejected_inputs covers at least them.
-  machine.PublishAll();
   const uint64_t rejected =
       machine.metrics().GetCounter("boundary.rejected_inputs")->value();
   EXPECT_GT(rejected, 0u);
@@ -260,7 +259,7 @@ TEST_P(BoundaryFuzz, EveryOpEndsCorrectOrFailClosedUnderLiveScribbler) {
   // re-runs late on a worker mangles a result nobody ever validates.)
   EXPECT_GE(rejected, fs.iago_rejects());
   EXPECT_EQ(
-      machine.metrics().GetCounter("boundary.double_fetch_races")->value(),
+      machine.metrics().CounterValue("boundary.double_fetch_races"),
       rpc.queue()->integrity_rejects() + rpc.queue()->claim_replays() +
           rpc.queue()->hostile_gen_races());
 

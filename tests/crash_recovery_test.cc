@@ -635,14 +635,13 @@ TEST_P(CrashSoak, KillRestartRoundsConvergeToShadow) {
   EXPECT_GT(crashes, 0u) << "seed " << seed;
   EXPECT_EQ(crashes, recoveries);
   // Stats are per-incarnation: the surviving instance was built by the last
-  // recover() call, so it carries exactly one recovery attempt.
-  inc->suvm->PublishTelemetry();
-  EXPECT_EQ(machine.metrics().GetCounter("suvm.recovery.attempts")->value(),
-            1u);
-  EXPECT_GE(machine.metrics().GetCounter("suvm.recovery.pages_verified")->value() +
-                machine.metrics()
-                    .GetCounter("suvm.recovery.pages_quarantined")
-                    ->value(),
+  // recover() call, so it carries exactly one recovery attempt. The registry
+  // sums every incarnation on the machine: one attempt per recovery.
+  EXPECT_EQ(inc->suvm->stats().recovery_attempts.load(), 1u);
+  EXPECT_EQ(machine.metrics().CounterValue("suvm.recovery.attempts"),
+            recoveries);
+  EXPECT_GE(inc->suvm->stats().recovery_pages_verified.load() +
+                inc->suvm->stats().recovery_pages_quarantined.load(),
             1u);
 
   // Cycle attribution stays balanced through checkpoint/replay/recovery.

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -67,7 +68,9 @@ TEST(FlightRecorder, SetDirDumpsASanitizedParseableBundle) {
   ClearFlightEnv();
   const std::string dir = MakeTempDir();
   Registry r;
-  r.GetGauge("level")->Set(-3);
+  std::atomic<int64_t> level{-3};
+  CellList cells(&r);
+  cells.AddGauge("level", level);
   r.GetHistogram("lat")->Record(100);
   r.trace().Record(TraceKind::kRpcFallbackOcall, /*tsc=*/500);
   TimeSeriesSampler& tl = r.timeline();
@@ -253,8 +256,8 @@ TEST(FlightRecorder, MachineDumpFlightOnInjectedHostCrash) {
   // ...the component health sources report in (the SUVM alloc FSM registers
   // itself at construction)...
   EXPECT_NE(doc.Find("health")->Find("suvm.alloc"), nullptr);
-  // ...and the metric snapshot agrees the host crashed exactly once
-  // (DumpFlight ran PublishAll, so the mirror is fresh).
+  // ...and the metric snapshot, which reads the Suvm's counters in place,
+  // agrees the host crashed exactly once.
   EXPECT_EQ(doc.Find("metrics")->Find("counters")->Num("suvm.host_crashes"),
             1.0);
   // The timeline rode along, cut up to the dump timestamp.
@@ -268,7 +271,7 @@ TEST(FlightRecorder, MachineDumpFlightOnInjectedHostCrash) {
 // The ISSUE 9 acceptance scenario end to end: a seeded hostile run whose
 // RPC layer is falling back under queue-full backpressure, then an injected
 // host crash — the post-mortem bundle must carry the pre-crash story: a
-// timeline window with a nonzero rpc.fallback rate *before* the crash
+// timeline window with a nonzero rpc.fallback_ocalls rate *before* the crash
 // event, and the rpc.fallback_rate SLO watchdog firing on that ramp.
 TEST(FlightRecorder, CrashBundleShowsFallbackRampBeforeHostCrash) {
   ClearFlightEnv();
@@ -288,7 +291,7 @@ TEST(FlightRecorder, CrashBundleShowsFallbackRampBeforeHostCrash) {
   sim::CpuContext& cpu = machine.cpu(0);
 
   // Phase 1: queue-full backpressure — every call burns its submit budget
-  // and falls back to OCALL, ramping the live rpc.fallback counter across
+  // and falls back to OCALL, ramping the rpc.fallback_ocalls counter across
   // several timeline windows.
   machine.fault_injector().Arm(sim::Fault::kQueueFull, 1.0);
   enclave.Enter(cpu);
@@ -331,9 +334,9 @@ TEST(FlightRecorder, CrashBundleShowsFallbackRampBeforeHostCrash) {
   }
   ASSERT_GT(crash_tsc, 0u) << "host crash must be in the trace tail";
 
-  // At least one pre-crash window carries a nonzero rpc.fallback rate, and
-  // the declarative rpc.fallback_rate SLO rule (RpcManager registers it at
-  // construction) flagged the ramp.
+  // At least one pre-crash window carries a nonzero rpc.fallback_ocalls
+  // rate, and the declarative rpc.fallback_rate SLO rule (RpcManager
+  // registers it at construction) flagged the ramp.
   bool fallback_window_before_crash = false;
   bool slo_fired = false;
   for (const testjson::Value& w :
@@ -341,7 +344,8 @@ TEST(FlightRecorder, CrashBundleShowsFallbackRampBeforeHostCrash) {
     if (static_cast<uint64_t>(w.Num("end_tsc")) > crash_tsc) {
       continue;
     }
-    const testjson::Value* fb = w.Find("counters")->Find("rpc.fallback");
+    const testjson::Value* fb =
+        w.Find("counters")->Find("rpc.fallback_ocalls");
     if (fb != nullptr && fb->Num("delta") > 0.0 &&
         fb->Num("rate_per_mcycle") > 0.0) {
       fallback_window_before_crash = true;

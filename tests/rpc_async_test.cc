@@ -461,7 +461,6 @@ TEST(RpcAsync, BatchChargeIsDeterministicAndAmortized) {
   EXPECT_LT(batch_delta, 8 * serial_delta) << "batching must amortize";
   enclave.Exit(cpu);
 
-  machine.PublishAll();
   const telemetry::Histogram* hist =
       machine.metrics().GetHistogram("rpc.batch_size");
   EXPECT_EQ(hist->count(), 2u);  // one batch-8 doorbell + one serial call

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,16 +16,12 @@
 namespace eleos::telemetry {
 namespace {
 
-TEST(Counter, AddSetReset) {
+TEST(Counter, AddAccumulates) {
   Counter c;
   EXPECT_EQ(c.value(), 0u);
   c.Add();
   c.Add(41);
   EXPECT_EQ(c.value(), 42u);
-  c.Set(7);
-  EXPECT_EQ(c.value(), 7u);
-  c.Reset();
-  EXPECT_EQ(c.value(), 0u);
 }
 
 TEST(Histogram, BucketBoundaries) {
@@ -69,9 +66,7 @@ TEST(Histogram, PercentilesAreOrderedAndBucketAccurate) {
   EXPECT_LT(p50, 128.0);
   EXPECT_GE(p99, 65536.0);
   EXPECT_LT(p99, 131072.0);
-  h.Reset();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_DOUBLE_EQ(h.Percentile(99), 0.0);
+  EXPECT_DOUBLE_EQ(Histogram().Percentile(99), 0.0);
 }
 
 TEST(Histogram, ConcurrentRecordsAllLand) {
@@ -108,18 +103,6 @@ TEST(TraceRing, BoundedOverwriteOldestFirst) {
   ring.Reset();
   EXPECT_EQ(ring.recorded(), 0u);
   EXPECT_TRUE(ring.Snapshot().empty());
-}
-
-TEST(Gauge, SetAddGoesBothWays) {
-  Gauge g;
-  EXPECT_EQ(g.value(), 0);
-  g.Set(5);
-  g.Add(-8);
-  EXPECT_EQ(g.value(), -3) << "gauges may legally go negative";
-  g.Set(2);
-  EXPECT_EQ(g.value(), 2);
-  g.Reset();
-  EXPECT_EQ(g.value(), 0);
 }
 
 TEST(TraceRing, DroppedIsExactUnderConcurrentRecorders) {
@@ -198,18 +181,14 @@ TEST(Registry, InternsByName) {
   Histogram* h1 = r.GetHistogram("x.lat");
   Histogram* h2 = r.GetHistogram("x.lat");
   EXPECT_EQ(h1, h2);
-  Gauge* g1 = r.GetGauge("x.level");
-  Gauge* g2 = r.GetGauge("x.level");
-  EXPECT_EQ(g1, g2);
-  // Counters and gauges are separate namespaces (and separate JSON sections).
-  EXPECT_NE(static_cast<void*>(r.GetCounter("x.level")),
-            static_cast<void*>(g1));
 }
 
 TEST(Registry, ToJsonContainsMetricsAndTrace) {
   Registry r;
-  r.GetCounter("suvm.major_faults")->Set(3);
-  r.GetGauge("rpc.breaker_state")->Set(-2);
+  std::atomic<int64_t> level{-2};
+  CellList cells(&r);
+  cells.AddGauge("rpc.breaker_state", level);
+  r.GetCounter("suvm.major_faults")->Add(3);
   r.GetHistogram("rpc.call_cycles")->Record(1000);
   r.trace().Record(TraceKind::kRpcFallbackOcall, 42, 1);
   const std::string json = r.ToJson();
@@ -237,17 +216,44 @@ TEST(Registry, ToJsonContainsMetricsAndTrace) {
   EXPECT_EQ(depth, 0);
 }
 
-TEST(Registry, ResetAllZeroesEverything) {
+TEST(Registry, ListedCellsAreReadInPlaceAndSummedByName) {
   Registry r;
-  r.GetCounter("a")->Add(5);
-  r.GetGauge("g")->Set(-7);
-  r.GetHistogram("b")->Record(9);
-  r.trace().Record(TraceKind::kSuvmEvictWriteback, 1);
-  r.ResetAll();
-  EXPECT_EQ(r.GetCounter("a")->value(), 0u);
-  EXPECT_EQ(r.GetGauge("g")->value(), 0);
-  EXPECT_EQ(r.GetHistogram("b")->count(), 0u);
-  EXPECT_EQ(r.trace().recorded(), 0u);
+  std::atomic<uint64_t> a{0};
+  std::atomic<uint64_t> b{0};
+  std::atomic<int64_t> level{0};
+  r.GetCounter("ops")->Add(2);  // a registry-owned cell of the same name
+  {
+    CellList first(&r);
+    first.AddCounter("ops", a);
+    first.AddGauge("level", level);
+    CellList second(&r);
+    second.AddCounter("ops", b);
+    second.AddGauge("level", level);  // the same cell again: counted once
+    second.AddCounter("level", b);    // counters and gauges never mix
+    a += 5;
+    b += 7;
+    level = -3;
+    EXPECT_EQ(r.CounterValue("ops"), 14u) << "read in place, summed";
+    const std::string json = r.ToJson();
+    EXPECT_NE(json.find("{\"counters\":{\"level\":7,\"ops\":14}"),
+              std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\"gauges\":{\"level\":-3}"), std::string::npos)
+        << json;
+  }
+  // Unlisting folds each counter cell into its name; gauges drop out.
+  a += 100;  // after unlisting: no longer counted
+  EXPECT_EQ(r.CounterValue("ops"), 14u);
+  EXPECT_NE(r.ToJson().find("\"gauges\":{}"), std::string::npos);
+  // A cell listed again counts only what it gains from then on.
+  CellList again(&r);
+  again.AddCounter("ops", a);
+  EXPECT_EQ(r.CounterValue("ops"), 14u);
+  a += 1;
+  EXPECT_EQ(r.CounterValue("ops"), 15u);
+  CellList inert(nullptr);  // no registry: listing is a no-op
+  inert.AddCounter("ops", b);
+  EXPECT_EQ(r.CounterValue("ops"), 15u);
 }
 
 TEST(TraceKindNames, AllDistinct) {

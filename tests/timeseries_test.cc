@@ -9,8 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/common/health.h"
@@ -95,15 +98,17 @@ TEST(TimeSeries, WindowsHoldPerWindowCounterDeltasAndRates) {
   Registry r;
   Counter* hot = r.GetCounter("hot");
   r.GetCounter("idle");  // registered but never moved: must be omitted
-  Gauge* level = r.GetGauge("level");
+  std::atomic<int64_t> level{0};
+  CellList cells(&r);
+  cells.AddGauge("level", level);
   TimeSeriesSampler& tl = r.timeline();
   tl.Enable({.window_cycles = 1000, .ring_windows = 8}, 0);
 
   hot->Add(10);
-  level->Set(7);
+  level = 7;
   tl.MaybeSample(1000);
   hot->Add(3);
-  level->Set(-2);
+  level = -2;
   tl.MaybeSample(2000);
 
   const std::vector<TimelineWindow> w = tl.Windows();
@@ -307,7 +312,9 @@ TEST(TimeSeriesSlo, HistogramP99RuleIgnoresEmptyWindows) {
 
 TEST(TimeSeriesSlo, GaugeDutyRuleLooksAcrossTrailingWindows) {
   Registry r;
-  Gauge* open = r.GetGauge("breaker");
+  std::atomic<int64_t> open{0};
+  CellList cells(&r);
+  cells.AddGauge("breaker", open);
   TimeSeriesSampler& tl = r.timeline();
   SloRule rule;
   rule.name = "breaker_duty";
@@ -322,7 +329,7 @@ TEST(TimeSeriesSlo, GaugeDutyRuleLooksAcrossTrailingWindows) {
   // crosses 0.5 only at window 4 (open in 3 of the last 4).
   tl.MaybeSample(1000);
   tl.MaybeSample(2000);
-  open->Set(1);
+  open = 1;
   tl.MaybeSample(3000);  // duty 1/3 over {0,1,2}... (window incl.)
   tl.MaybeSample(4000);  // duty 2/4
   tl.MaybeSample(5000);  // duty 3/4 -> violated
@@ -388,7 +395,6 @@ void RunSuvmWorkload(sim::Machine& machine) {
     }
   }
   enclave.Exit(cpu);
-  machine.PublishAll();
 }
 
 TEST(TimeSeriesMachine, ChargeCostDrivesWindowCuts) {
@@ -413,25 +419,127 @@ TEST(TimeSeriesMachine, ChargeCostDrivesWindowCuts) {
   for (const TimelineWindow& win : w) {
     EXPECT_FALSE(win.counters.empty()) << "window " << win.index;
   }
-  // ...interior windows see the live major-fault latency histogram (recorded
-  // at fault time, not publish time)...
-  bool interior_hist = false;
+  // ...and interior windows see the major-fault latency histogram and the
+  // suvm.major_faults counter move together: the registry reads
+  // Suvm::Stats in place, so a window's counter delta is its histogram count
+  // (one CPU, so at most one fault straddles a cut).
+  uint64_t interior_faults = 0;
   for (size_t i = 0; i + 1 < w.size(); ++i) {
+    uint64_t recorded = 0;
     for (const auto& hd : w[i].histograms) {
-      if (hd.name == "suvm.major_fault_cycles" && hd.count > 0) {
-        interior_hist = true;
+      if (hd.name == "suvm.major_fault_cycles") {
+        recorded = hd.count;
         EXPECT_GT(hd.p99, 0.0);
       }
     }
+    const uint64_t delta = w[i].CounterDelta("suvm.major_faults");
+    EXPECT_LE(delta, recorded + 1) << "window " << i;
+    EXPECT_LE(recorded, delta + 1) << "window " << i;
+    interior_faults += delta;
   }
-  EXPECT_TRUE(interior_hist);
-  // ...and the publish-time suvm.* mirrors land in the final CutTimeline
-  // window (PublishAll runs right before the ForceCut).
-  uint64_t faults = 0;
-  for (const TimelineWindow& win : w) {
-    faults += win.CounterDelta("suvm.major_faults");
+  EXPECT_GT(interior_faults, 0u);
+}
+
+uint64_t SnapshotCounter(const Registry& r, const std::string& name) {
+  for (const auto& [n, v] : r.TakeSnapshot().counters) {
+    if (n == name) {
+      return v;
+    }
   }
-  EXPECT_GT(faults, 0u);
+  return 0;
+}
+
+// Two enclaves on one Machine, each with its own Suvm, take faults on two OS
+// threads while a third snapshots the registry in a loop. No export call
+// runs in between: every snapshot's suvm.major_faults is at least the
+// previous one, at quiescence it is the sum of both instances, and
+// destroying one instance leaves it unchanged.
+TEST(TimeSeriesMachine, TwoEnclavesSumLiveAndNeverGoBackwards) {
+  sim::Machine machine;
+  sim::Enclave e1(machine);
+  sim::Enclave e2(machine);
+  suvm::SuvmConfig cfg;
+  cfg.epc_pp_pages = 8;
+  cfg.backing_bytes = 1 << 20;
+  cfg.swapper_low_watermark = 0;
+  auto s1 = std::make_unique<suvm::Suvm>(e1, cfg);
+  auto s2 = std::make_unique<suvm::Suvm>(e2, cfg);
+
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> snapshots{0};
+  std::atomic<bool> went_backwards{false};
+  std::thread snapshotter([&] {
+    uint64_t prev = 0;
+    while (!done.load(std::memory_order_acquire)) {
+      const uint64_t v = SnapshotCounter(machine.metrics(), "suvm.major_faults");
+      if (v < prev) {
+        went_backwards.store(true);
+      }
+      prev = v;
+      snapshots.fetch_add(1);
+    }
+  });
+  const auto fault = [&machine](suvm::Suvm& s, size_t cpu_id, uint64_t seed) {
+    sim::CpuContext& cpu = machine.cpu(cpu_id);
+    const uint64_t base = ValueOrThrow(s.Malloc(24 * sim::kPageSize));
+    uint8_t buf[64] = {};
+    Xoshiro256 rng(seed);
+    for (int i = 0; i < 1500; ++i) {
+      const uint64_t addr = base + rng.NextBelow(24) * sim::kPageSize;
+      ThrowIfError(i % 3 == 0 ? s.Write(&cpu, addr, buf, sizeof(buf))
+                              : s.Read(&cpu, addr, buf, sizeof(buf)));
+    }
+  };
+  std::thread t1([&] { fault(*s1, 0, 11); });
+  std::thread t2([&] { fault(*s2, 1, 12); });
+  t1.join();
+  t2.join();
+  while (snapshots.load() < 2) {
+    std::this_thread::yield();
+  }
+  done.store(true, std::memory_order_release);
+  snapshotter.join();
+  EXPECT_FALSE(went_backwards.load()) << "a snapshot went backwards";
+
+  const uint64_t f1 = s1->stats().major_faults.load();
+  const uint64_t f2 = s2->stats().major_faults.load();
+  ASSERT_GT(f1, 0u);
+  ASSERT_GT(f2, 0u);
+  EXPECT_EQ(SnapshotCounter(machine.metrics(), "suvm.major_faults"), f1 + f2)
+      << "both instances, summed, with no export call";
+  s1.reset();
+  EXPECT_EQ(SnapshotCounter(machine.metrics(), "suvm.major_faults"), f1 + f2)
+      << "a destroyed instance's faults stay counted";
+}
+
+// A restarted Suvm adopts its predecessor's backing store, whose
+// suvm.backing_bad_frees cell outlives the instance that listed it. The
+// registry counts each bad free once, whether the instances' lives overlap
+// or follow each other.
+TEST(TimeSeriesMachine, AdoptedBackingStoreCountsOnce) {
+  sim::Machine machine;
+  sim::Enclave enclave(machine);
+  suvm::SuvmConfig cfg;
+  cfg.epc_pp_pages = 8;
+  cfg.backing_bytes = 1 << 20;
+  const uint64_t kBogus = 12345;  // names no live allocation
+  const auto bad_frees = [&machine] {
+    return SnapshotCounter(machine.metrics(), "suvm.backing_bad_frees");
+  };
+  auto first = std::make_unique<suvm::Suvm>(enclave, cfg);
+  first->Free(kBogus);
+  std::shared_ptr<suvm::BackingStore> store = first->shared_backing_store();
+  auto second = std::make_unique<suvm::Suvm>(enclave, cfg, store);
+  second->Free(kBogus);
+  EXPECT_EQ(bad_frees(), 2u) << "overlapping lives";
+  first.reset();
+  second.reset();
+  EXPECT_EQ(bad_frees(), 2u) << "both listers gone";
+  auto third = std::make_unique<suvm::Suvm>(enclave, cfg, store);
+  EXPECT_EQ(bad_frees(), 2u) << "adopted after its listers died";
+  third->Free(kBogus);
+  EXPECT_EQ(store->bad_frees(), 3u);
+  EXPECT_EQ(bad_frees(), 3u);
 }
 
 TEST(TimeSeriesMachine, SamplerOnIsByteIdenticalToSamplerOff) {
