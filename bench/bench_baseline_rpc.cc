@@ -158,15 +158,15 @@ BoundaryResult RunBoundaryHostile(size_t calls) {
 
 struct AsyncBatchResult {
   double serial_cpc = 0.0;  // virtual cycles per completed call, serial Call
-  double batch_cpc = 0.0;   // same, CallAsyncBatch at the configured size
+  double batch_cpc = 0.0;   // same, CallBatch at the configured size
   double speedup = 0.0;
   uint64_t fallback_ocalls = 0;  // across both runs; 0 on a healthy host
   std::string batch_hist_json;
 };
 
-// The throughput profile the async/batch rewrite is for: a serial threaded
-// Call loop vs. CallAsyncBatch+AwaitAll at `batch` jobs per doorbell, each on
-// a fresh machine. Healthy host, so every call completes exit-less and the
+// The throughput profile batching is for (the async_batch block): a serial
+// threaded Call loop vs. a CallBatch loop at `batch` jobs per doorbell, each
+// on a fresh machine. Healthy host, so every call completes exit-less and the
 // per-call virtual-cycle cost is exactly the deterministic ChargeSubmit
 // charge — the batched run amortizes the rendezvous + read-back across the
 // batch (see RpcManager::ChargeSubmit).
@@ -214,8 +214,7 @@ AsyncBatchResult RunAsyncBatch(size_t calls, size_t batch, size_t io_bytes) {
       for (size_t j = 0; j < batch; ++j) {
         ops[j].i = g * batch + j;
       }
-      auto handles = rpc.CallAsyncBatch(&cpu, io_bytes, ops);
-      for (uint64_t v : rpc.AwaitAll(&cpu, handles)) {
+      for (uint64_t v : rpc.CallBatch(&cpu, io_bytes, ops)) {
         sink += v;
       }
     }
@@ -252,21 +251,14 @@ bool RunTracedDemo(const std::string& trace_out) {
     for (size_t i = 0; i < 256; ++i) {
       sink += rpc.Call(&cpu, 256, [i] { return i ^ 0x5aull; });
     }
-    // Async phase: singles awaited out of order, then batches — exercises
-    // the rpc.call_async/rpc.await linked spans under the cycle audit.
-    for (size_t i = 0; i < 16; ++i) {
-      auto a = rpc.CallAsync(&cpu, 256, XorOp{2 * i});
-      auto b = rpc.CallAsync(&cpu, 256, XorOp{2 * i + 1});
-      sink += rpc.Await(&cpu, b);
-      sink += rpc.Await(&cpu, a);
-    }
+    // Batch phase: the workers' executions link under rpc.call_batch spans
+    // as well as under rpc.call, both under the cycle audit.
     std::vector<XorOp> ops(8);
     for (size_t g = 0; g < 8; ++g) {
       for (size_t j = 0; j < ops.size(); ++j) {
         ops[j].i = g * ops.size() + j;
       }
-      auto handles = rpc.CallAsyncBatch(&cpu, 256, ops);
-      for (uint64_t v : rpc.AwaitAll(&cpu, handles)) {
+      for (uint64_t v : rpc.CallBatch(&cpu, 256, ops)) {
         sink += v;
       }
     }

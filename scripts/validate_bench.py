@@ -330,7 +330,6 @@ def validate(path: str) -> None:
             "rpc.abandoned_slots",
             "rpc.terminal_abandons",
             "rpc.abandoned_scrubs",
-            "rpc.async_calls",
         ):
             if key not in counters:
                 fail(f"{path}: metrics.counters is missing '{key}'")

@@ -14,8 +14,10 @@ Globally:
   * every "X" span's args.parent (when nonzero) exists too.
 
 --require-worker-child additionally asserts the cross-boundary causal link
-the exit-less RPC path promises: at least one "rpc.worker_exec" complete
-event whose args.parent is an "rpc.call" span on a *different* track.
+the exit-less RPC path promises, for single and batched calls alike: at least
+one "rpc.worker_exec" complete event whose args.parent is an "rpc.call" span
+on a *different* track, and at least one whose parent is such an
+"rpc.call_batch" span.
 
 --timeline-from=<json> cross-checks the trace's "C" (counter-track) events
 against the time-series windows they were exported from: every C event named
@@ -107,17 +109,19 @@ def validate(path, require_worker_child, timeline=None):
             fail(path, f"instant event {i}: span_id {sid} not in trace")
 
     if require_worker_child:
-        linked = 0
+        linked = {"rpc.call": 0, "rpc.call_batch": 0}
         for sid, ev in span_ids.items():
             if ev.get("name") != "rpc.worker_exec":
                 continue
             parent = span_ids.get(ev.get("args", {}).get("parent", 0))
-            if (parent is not None and parent.get("name") == "rpc.call"
+            if (parent is not None and parent.get("name") in linked
                     and parent.get("tid") != ev.get("tid")):
-                linked += 1
-        if linked == 0:
-            fail(path, "no rpc.worker_exec span with an rpc.call parent on "
-                       "another track (cross-boundary propagation broken)")
+                linked[parent["name"]] += 1
+        for name, count in linked.items():
+            if count == 0:
+                fail(path, f"no rpc.worker_exec span with an {name} parent "
+                           f"on another track (cross-boundary propagation "
+                           f"broken)")
 
     if timeline is not None:
         check_counter_tracks(path, counters, timeline)

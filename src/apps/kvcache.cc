@@ -380,9 +380,7 @@ void KvCache::SendResponses(sim::CpuContext* cpu,
     sends.push_back(SendResponseOp{bytes});
     total += bytes;
   }
-  auto handles = options_.rpc->CallAsyncBatch(
-      cpu, total / response_bytes.size(), sends);
-  options_.rpc->AwaitAll(cpu, handles);
+  options_.rpc->CallBatch(cpu, total / response_bytes.size(), sends);
 }
 
 size_t KvCache::MultiGet(sim::CpuContext* cpu,

@@ -81,7 +81,7 @@ class KvCache {
     // the optimized cleartext-metadata split (3-7% slower in §6.2.2).
     bool metadata_in_secure_memory = false;
     // When set, MultiGet/MultiSet push their per-request network responses
-    // through one batched exit-less doorbell (RpcManager::CallAsyncBatch)
+    // through one batched exit-less doorbell (RpcManager::CallBatch)
     // instead of one boundary crossing per request — the serving-loop
     // amortization the paper's memcached integration is after. Null keeps
     // the multi ops purely local (no response I/O modeled).

@@ -161,8 +161,8 @@ int64_t EnclaveFs::Preadv(sim::CpuContext* cpu, int fd, const IoSlice* slices,
     for (size_t i = 0; i < n; ++i) {
       ops.push_back(PreadOp{this, fd, slices[i]});
     }
-    auto handles = rpc_->CallAsyncBatch(cpu, total_bytes / n, ops);
-    std::vector<int64_t> results = rpc_->AwaitAll(cpu, handles);
+    const std::vector<int64_t> results =
+        rpc_->CallBatch(cpu, total_bytes / n, ops);
     for (size_t i = 0; i < results.size(); ++i) {
       // Per-slice Iago validation: each count is clamped to ITS request.
       const int64_t r = ValidateCount(cpu, results[i], slices[i].len);
@@ -209,8 +209,8 @@ int64_t EnclaveFs::Pwritev(sim::CpuContext* cpu, int fd,
     for (size_t i = 0; i < n; ++i) {
       ops.push_back(PwriteOp{this, fd, slices[i]});
     }
-    auto handles = rpc_->CallAsyncBatch(cpu, total_bytes / n, ops);
-    std::vector<int64_t> results = rpc_->AwaitAll(cpu, handles);
+    const std::vector<int64_t> results =
+        rpc_->CallBatch(cpu, total_bytes / n, ops);
     for (size_t i = 0; i < results.size(); ++i) {
       const int64_t r = ValidateCount(cpu, results[i], slices[i].len);
       if (r < 0) {

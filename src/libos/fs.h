@@ -81,7 +81,7 @@ class EnclaveFs {
 
   // Vectored positional I/O: still one host syscall per slice, but in RPC
   // mode all slices are published under a single exit-less doorbell
-  // (RpcManager::CallAsyncBatch) so the rendezvous cost is paid once per
+  // (RpcManager::CallBatch) so the rendezvous cost is paid once per
   // vector instead of once per slice. Returns the total bytes transferred,
   // or the first slice's error (kMemFsError) if any slice fails.
   int64_t Preadv(sim::CpuContext* cpu, int fd, const IoSlice* slices,

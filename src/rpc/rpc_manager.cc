@@ -9,6 +9,17 @@ namespace {
 
 void CanaryNop(void*) {}
 
+// SLO watchdog thresholds (DESIGN.md §13). The rules are registered
+// unconditionally at construction: they are inert until the machine's
+// timeline sampler is enabled, and registering either way keeps metric
+// registration — and thus snapshot bytes — identical whether or not sampling
+// is on. Violations emit kSloViolation traces and slo.violations counters;
+// they never feed the breaker itself (the breaker already reacts per call,
+// and fallback storms opening it would feed back into this very rule).
+constexpr double kSloFallbackRatePerMcycle = 50.0;  // rpc.fallback_ocalls
+constexpr double kSloBreakerOpenDuty = 0.5;  // breaker_state != 0 duty
+constexpr size_t kSloDutyWindows = 8;        // duty-cycle lookback
+
 }  // namespace
 
 RpcManager::RpcManager(sim::Enclave& enclave, Options options)
@@ -58,7 +69,6 @@ RpcManager::RpcManager(sim::Enclave& enclave, Options options)
     }
   }
   cells_.AddCounter("rpc.calls", calls_.cell());
-  cells_.AddCounter("rpc.async_calls", async_calls_.cell());
   cells_.AddCounter("rpc.fallback_ocalls", fallback_ocalls_.cell());
   cells_.AddCounter("rpc.submit_timeouts", submit_timeouts_.cell());
   cells_.AddCounter("rpc.await_timeouts", await_timeouts_.cell());
@@ -80,7 +90,7 @@ RpcManager::RpcManager(sim::Enclave& enclave, Options options)
     rule.name = "rpc.fallback_rate";
     rule.kind = telemetry::SloRule::Kind::kCounterRate;
     rule.metric = "rpc.fallback_ocalls";
-    rule.threshold = options.slo_fallback_rate_per_mcycle;
+    rule.threshold = kSloFallbackRatePerMcycle;
     slo_fallback_rule_ = metrics.timeline().AddRule(rule);
   }
   {
@@ -88,8 +98,8 @@ RpcManager::RpcManager(sim::Enclave& enclave, Options options)
     rule.name = "rpc.breaker_duty";
     rule.kind = telemetry::SloRule::Kind::kGaugeDuty;
     rule.metric = "rpc.breaker_state";
-    rule.threshold = options.slo_breaker_open_duty;
-    rule.duty_windows = options.slo_duty_windows;
+    rule.threshold = kSloBreakerOpenDuty;
+    rule.duty_windows = kSloDutyWindows;
     slo_duty_rule_ = metrics.timeline().AddRule(rule);
   }
   flight_health_source_ = metrics.flight().AddHealthSource(
@@ -173,7 +183,6 @@ bool RpcManager::AdmitExitless(sim::CpuContext* cpu) {
       return true;
     case HealthFsm::Gate::kDeny:
       breaker_short_circuits_.Inc();
-      CountFallback(cpu, FallbackWhy::kBreakerOpen);
       return false;
     case HealthFsm::Gate::kProbe:
       if (RunCanary(cpu)) {
@@ -185,7 +194,6 @@ bool RpcManager::AdmitExitless(sim::CpuContext* cpu) {
         return true;  // the exit-less machinery is back; run the real call
       }
       breaker_.RecordFailure();  // half-open -> open, no fresh trip
-      CountFallback(cpu, FallbackWhy::kBreakerOpen);
       return false;
   }
   return true;

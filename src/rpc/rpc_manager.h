@@ -4,7 +4,10 @@
 //
 // `Call` delegates an untrusted function to a worker thread without exiting
 // the enclave: no EEXIT/EENTER cycles, no TLB flush, and — with CAT enabled —
-// the worker's I/O buffers only pollute its 25% LLC partition. Long-running
+// the worker's I/O buffers only pollute its 25% LLC partition. `CallBatch`
+// does the same for several functions under one doorbell, paying the
+// rendezvous once. Both are synchronous, as in the paper: the enclave thread
+// publishes its jobs and spin-polls until they complete. Long-running
 // blocking calls (poll() and friends) still use the plain OCALL so a worker
 // is not parked forever (paper §3.1).
 //
@@ -41,10 +44,12 @@
 #ifndef ELEOS_SRC_RPC_RPC_MANAGER_H_
 #define ELEOS_SRC_RPC_RPC_MANAGER_H_
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <memory>
+#include <memory_resource>
 #include <mutex>
-#include <optional>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -61,14 +66,21 @@
 namespace eleos::rpc {
 
 // RAII helper: records the virtual-cycle delta of a scope into a latency
-// histogram (no-op without a bound CPU — functional-only calls).
+// histogram, once for each of the `calls` calls the scope covers (no-op
+// without a bound CPU — functional-only calls).
 class LatencyScope {
  public:
-  LatencyScope(sim::CpuContext* cpu, telemetry::Histogram* histo)
-      : cpu_(cpu), histo_(histo), t0_(cpu != nullptr ? cpu->clock.now() : 0) {}
+  LatencyScope(sim::CpuContext* cpu, telemetry::Histogram* histo, size_t calls)
+      : cpu_(cpu),
+        histo_(histo),
+        calls_(calls),
+        t0_(cpu != nullptr ? cpu->clock.now() : 0) {}
   ~LatencyScope() {
     if (cpu_ != nullptr) {
-      histo_->Record(cpu_->clock.now() - t0_);
+      const uint64_t delta = cpu_->clock.now() - t0_;
+      for (size_t i = 0; i < calls_; ++i) {
+        histo_->Record(delta);
+      }
     }
   }
   LatencyScope(const LatencyScope&) = delete;
@@ -77,112 +89,13 @@ class LatencyScope {
  private:
   sim::CpuContext* cpu_;
   telemetry::Histogram* histo_;
+  size_t calls_;
   uint64_t t0_;
 };
 
 class RpcManager {
-  // Type-erased, reference-counted job context. Two owners: the submitting
-  // enclave thread and the (potential) worker execution. Whoever drops the
-  // last reference frees it, so a worker running an abandoned job after the
-  // caller moved on never touches dead stack frames. (Declared before the
-  // public section so AsyncCall below can name JobImpl in its members.)
-  struct JobBase {
-    std::atomic<int> refs{2};
-    // Enclave-private execution evidence the host cannot forge (the slot
-    // state word CAN be forged): `ran` set after Run() is the proof a kDone
-    // completion is genuine. `started` is defense-in-depth run-once — the
-    // queue's claim-once token already guarantees at most one worker ever
-    // receives this pointer per publication (JobQueue::TryClaimBatch), which
-    // is also what makes the refcount sound: no replayed claimant can hold
-    // the raw pointer without a reference behind it.
-    std::atomic<bool> started{false};
-    std::atomic<bool> ran{false};
-    virtual void Run() = 0;
-    virtual ~JobBase() = default;
-    void Unref() {
-      if (refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        delete this;
-      }
-    }
-  };
-
-  template <typename F, typename R>
-  struct JobImpl : JobBase {
-    F fn;
-    R result{};
-    explicit JobImpl(F f) : fn(std::move(f)) {}
-    void Run() override { result = fn(); }
-  };
-
-  template <typename F>
-  struct JobImplVoid : JobBase {
-    F fn;
-    explicit JobImplVoid(F f) : fn(std::move(f)) {}
-    void Run() override { fn(); }
-  };
-
  public:
   enum class Mode { kInline, kThreaded };
-
-  // Handle for an in-flight CallAsync/CallAsyncBatch submission. Move-only;
-  // resolve it with Await (or AwaitAll) exactly once. The handle carries the
-  // pending exit-less state (refcounted job + queue ticket) or, when the call
-  // already resolved at submit time (inline mode, breaker short-circuit,
-  // submit-timeout fallback), the finished result. Destroying a still-pending
-  // handle without awaiting is memory-safe (the job is refcounted) but parks
-  // the queue slot until the worker pipeline recycles it — always await.
-  template <typename R, typename F>
-  class AsyncCall {
-   public:
-    AsyncCall() = default;
-    AsyncCall(AsyncCall&& o) noexcept
-        : fn_(std::move(o.fn_)),
-          job_(o.job_),
-          ticket_(o.ticket_),
-          io_bytes_(o.io_bytes_),
-          result_(std::move(o.result_)) {
-      o.job_ = nullptr;
-      o.fn_.reset();
-      o.result_.reset();
-    }
-    AsyncCall& operator=(AsyncCall&& o) noexcept {
-      if (this != &o) {
-        DropPending();
-        fn_ = std::move(o.fn_);
-        job_ = o.job_;
-        ticket_ = o.ticket_;
-        io_bytes_ = o.io_bytes_;
-        result_ = std::move(o.result_);
-        o.job_ = nullptr;
-        o.fn_.reset();
-        o.result_.reset();
-      }
-      return *this;
-    }
-    ~AsyncCall() { DropPending(); }
-
-    AsyncCall(const AsyncCall&) = delete;
-    AsyncCall& operator=(const AsyncCall&) = delete;
-
-    // Still waiting on the untrusted side (vs. resolved at submit time).
-    bool pending() const { return job_ != nullptr; }
-    // False once awaited (or for a default-constructed handle).
-    bool valid() const { return job_ != nullptr || result_.has_value(); }
-
-   private:
-    friend class RpcManager;
-    void DropPending() {
-      if (job_ != nullptr) {
-        job_->Unref();
-        job_ = nullptr;
-      }
-    }
-    std::optional<F> fn_;  // fallback copy, alive while pending
-    JobImpl<F, R>* job_ = nullptr;
-    JobTicket ticket_{};
-    size_t io_bytes_ = 0;
-    std::optional<R> result_;  // resolved-at-submit result
-  };
 
   struct Options {
     Mode mode = Mode::kInline;
@@ -215,17 +128,6 @@ class RpcManager {
     bool adaptive_spin = true;
     uint64_t min_submit_spin_budget = 1ull << 8;
     uint64_t min_await_spin_budget = 1ull << 10;
-    // --- Time-series SLO watchdog (DESIGN.md §13) ---
-    // Declarative per-window rules, registered unconditionally at
-    // construction (rules are inert until the machine's timeline sampler is
-    // enabled, and registering either way keeps metric registration — and
-    // thus snapshot bytes — identical whether or not sampling is on).
-    // Violations emit kSloViolation traces and slo.violations counters; they
-    // never feed the breaker itself (the breaker already reacts per call,
-    // and fallback storms opening it would feed back into this very rule).
-    double slo_fallback_rate_per_mcycle = 50.0;  // rpc.fallback deltas
-    double slo_breaker_open_duty = 0.5;          // breaker_state != 0 duty
-    size_t slo_duty_windows = 8;                 // duty-cycle lookback
   };
 
   RpcManager(sim::Enclave& enclave, Options options);
@@ -238,224 +140,45 @@ class RpcManager {
   // touches (pollutes the worker's LLC partition). Returns fn's result.
   template <typename Fn>
   std::invoke_result_t<Fn> Call(sim::CpuContext* cpu, size_t io_bytes, Fn&& fn) {
-    // The causal root of everything this call does: the worker's execution,
-    // a fallback OCALL, or a breaker short-circuit all become children.
-    sim::SpanScope span(&enclave_->machine().metrics().spans(), cpu,
-                        "rpc.call");
-    // Submit→complete latency (virtual cycles), including any fallback OCALL.
-    LatencyScope latency(cpu, call_cycles_);
-    ChargeSubmit(cpu, io_bytes);
-    if (mode_ == Mode::kThreaded) {
-      return DispatchThreaded(cpu, io_bytes, std::forward<Fn>(fn));
+    if constexpr (std::is_void_v<std::invoke_result_t<Fn>>) {
+      // A void fn rides the dispatch as one that returns 0. The adapter owns
+      // its copy of fn, as a job must: it may still run after we return.
+      auto returns_zero = [f = std::forward<Fn>(fn)]() mutable {
+        f();
+        return 0;
+      };
+      int ignored = 0;
+      Dispatch(cpu, "rpc.call", io_bytes, &returns_zero, &ignored, 1);
+    } else {
+      std::invoke_result_t<Fn> result{};
+      Dispatch(cpu, "rpc.call", io_bytes, &fn, &result, 1);
+      return result;
     }
-    return std::forward<Fn>(fn)();
+  }
+
+  // Batched exit-less call: one job per element of `fns`, charged as a
+  // single doorbell — each call still pays its enqueue and its syscall, but
+  // the rendezvous and the result read-back are paid once per batch (see
+  // ChargeSubmit and the rpc.batch_size histogram). Returns the results in
+  // order. Every element gets Call's breaker admission, spin budgets and
+  // OCALL fallback, so the at-least-once caveat applies to each: route only
+  // idempotent operations through a batch.
+  template <typename Fn>
+  std::vector<std::invoke_result_t<Fn&>> CallBatch(sim::CpuContext* cpu,
+                                                   size_t io_bytes_each,
+                                                   std::vector<Fn>& fns) {
+    std::vector<std::invoke_result_t<Fn&>> results(fns.size());
+    if (!fns.empty()) {
+      Dispatch(cpu, "rpc.call_batch", io_bytes_each, fns.data(),
+               results.data(), fns.size());
+    }
+    return results;
   }
 
   // Long-running blocking calls fall back to the classic OCALL.
   template <typename Fn>
   decltype(auto) CallLong(sim::CpuContext& cpu, size_t io_bytes, Fn&& fn) {
     return enclave_->Ocall(cpu, io_bytes, std::forward<Fn>(fn));
-  }
-
-  // Asynchronous exit-less call: submits the job and returns immediately with
-  // a handle, so one enclave thread can keep the whole worker pool busy and
-  // overlap its own work with the untrusted side. Resolve with Await /
-  // AwaitAll. Breaker, adaptive spin budgets, and fallback-to-OCALL behave
-  // exactly as in Call — a breaker-open or submit-timeout call resolves at
-  // submit time through the fallback and Await returns instantly. The
-  // at-least-once caveat applies doubly here: an abandoned async job may
-  // still run late on a worker after Await already fell back, so only route
-  // idempotent operations through this path.
-  template <typename Fn>
-  auto CallAsync(sim::CpuContext* cpu, size_t io_bytes, Fn&& fn)
-      -> AsyncCall<std::invoke_result_t<Fn>, std::decay_t<Fn>> {
-    using R = std::invoke_result_t<Fn>;
-    using F = std::decay_t<Fn>;
-    static_assert(!std::is_void_v<R>,
-                  "CallAsync needs a result to carry; use Call for void fns");
-    AsyncCall<R, F> handle;
-    handle.io_bytes_ = io_bytes;
-    // The causal root of the submission; the worker's execution becomes its
-    // child via the slot's span_id, linking submit and exec across threads.
-    sim::SpanScope span(&enclave_->machine().metrics().spans(), cpu,
-                        "rpc.call_async");
-    ChargeSubmit(cpu, io_bytes);
-    async_calls_.Inc();
-    if (mode_ != Mode::kThreaded) {
-      handle.result_.emplace(fn());
-      return handle;
-    }
-    if (!AdmitExitless(cpu)) {
-      sim::SpanScope denied(&enclave_->machine().metrics().spans(), cpu,
-                            "rpc.breaker_short_circuit");
-      handle.result_.emplace(Fallback(cpu, io_bytes, fn));
-      return handle;
-    }
-    auto* job = new JobImpl<F, R>(F(fn));
-    JobTicket ticket;
-    const uint64_t submit_budget =
-        submit_spin_budget_.load(std::memory_order_relaxed);
-    telemetry::SpanTracer& spans = enclave_->machine().metrics().spans();
-    const uint64_t span_id = spans.CurrentSpanId();
-    const uint64_t submit_tsc =
-        span_id != 0 && cpu != nullptr ? cpu->clock.now() : 0;
-    if (!queue_->TrySubmit(&Trampoline, job, &ticket, submit_budget, span_id,
-                           submit_tsc)) {
-      job->Unref();
-      job->Unref();  // never enqueued: the worker reference dies with ours
-      sim::SpanScope fallback(&enclave_->machine().metrics().spans(), cpu,
-                              "rpc.fallback_ocall");
-      OnSpinTimeout(cpu, /*submit_side=*/true, submit_budget);
-      CountFallback(cpu, FallbackWhy::kSubmitTimeout);
-      handle.result_.emplace(Fallback(cpu, io_bytes, fn));
-      return handle;
-    }
-    handle.job_ = job;
-    handle.ticket_ = ticket;
-    handle.fn_.emplace(std::forward<Fn>(fn));
-    return handle;
-  }
-
-  // Batched submission: publishes one job per element of `fns` under a
-  // single doorbell (JobQueue::TrySubmitBatch), so the rendezvous latency and
-  // the result read-back pass are paid once per batch instead of once per
-  // call — see ChargeSubmit's batch-aware charge and the rpc.batch_size
-  // histogram. Elements that do not fit the ring retry individually under the
-  // submit budget and fall back to the OCALL path on timeout. Returns one
-  // handle per element, in order.
-  template <typename Fn>
-  auto CallAsyncBatch(sim::CpuContext* cpu, size_t io_bytes_each,
-                      std::vector<Fn>& fns)
-      -> std::vector<AsyncCall<std::invoke_result_t<Fn>, std::decay_t<Fn>>> {
-    using R = std::invoke_result_t<Fn>;
-    using F = std::decay_t<Fn>;
-    static_assert(!std::is_void_v<R>,
-                  "CallAsyncBatch needs result types; use Call for void fns");
-    const size_t n = fns.size();
-    std::vector<AsyncCall<R, F>> handles(n);
-    if (n == 0) {
-      return handles;
-    }
-    for (auto& h : handles) {
-      h.io_bytes_ = io_bytes_each;
-    }
-    sim::SpanScope span(&enclave_->machine().metrics().spans(), cpu,
-                        "rpc.call_batch");
-    ChargeSubmit(cpu, io_bytes_each * n, n);
-    async_calls_.Inc(n);
-    if (mode_ != Mode::kThreaded) {
-      for (size_t i = 0; i < n; ++i) {
-        handles[i].result_.emplace(fns[i]());
-      }
-      return handles;
-    }
-    if (!AdmitExitless(cpu)) {
-      sim::SpanScope denied(&enclave_->machine().metrics().spans(), cpu,
-                            "rpc.breaker_short_circuit");
-      for (size_t i = 0; i < n; ++i) {
-        handles[i].result_.emplace(Fallback(cpu, io_bytes_each, fns[i]));
-      }
-      return handles;
-    }
-    std::vector<JobImpl<F, R>*> jobs;
-    jobs.reserve(n);
-    std::vector<UntrustedFn> trampolines(n, &Trampoline);
-    std::vector<void*> args;
-    args.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      jobs.push_back(new JobImpl<F, R>(F(fns[i])));
-      args.push_back(jobs.back());
-    }
-    std::vector<JobTicket> tickets(n);
-    telemetry::SpanTracer& spans = enclave_->machine().metrics().spans();
-    const uint64_t span_id = spans.CurrentSpanId();
-    const uint64_t submit_tsc =
-        span_id != 0 && cpu != nullptr ? cpu->clock.now() : 0;
-    const size_t published = queue_->TrySubmitBatch(
-        trampolines.data(), args.data(), tickets.data(), n, span_id,
-        submit_tsc);
-    for (size_t i = 0; i < published; ++i) {
-      handles[i].job_ = jobs[i];
-      handles[i].ticket_ = tickets[i];
-      handles[i].fn_.emplace(F(fns[i]));
-    }
-    // Remainder that missed the doorbell: individual bounded submits (with
-    // backoff), OCALL fallback on timeout — same contract as CallAsync.
-    for (size_t i = published; i < n; ++i) {
-      const uint64_t submit_budget =
-          submit_spin_budget_.load(std::memory_order_relaxed);
-      JobTicket ticket;
-      if (queue_->TrySubmit(&Trampoline, jobs[i], &ticket, submit_budget,
-                            span_id, submit_tsc)) {
-        handles[i].job_ = jobs[i];
-        handles[i].ticket_ = ticket;
-        handles[i].fn_.emplace(F(fns[i]));
-        continue;
-      }
-      jobs[i]->Unref();
-      jobs[i]->Unref();
-      sim::SpanScope fallback(&enclave_->machine().metrics().spans(), cpu,
-                              "rpc.fallback_ocall");
-      OnSpinTimeout(cpu, /*submit_side=*/true, submit_budget);
-      CountFallback(cpu, FallbackWhy::kSubmitTimeout);
-      handles[i].result_.emplace(Fallback(cpu, io_bytes_each, fns[i]));
-    }
-    return handles;
-  }
-
-  // Resolves an async handle: returns the job's result, falling back to the
-  // OCALL path (and re-running the fallback copy of fn) on await timeout.
-  // A handle that resolved at submit time returns instantly.
-  template <typename R, typename F>
-  R Await(sim::CpuContext* cpu, AsyncCall<R, F>& handle) {
-    sim::SpanScope span(&enclave_->machine().metrics().spans(), cpu,
-                        "rpc.await");
-    if (handle.job_ == nullptr) {
-      if (!handle.result_.has_value()) {
-        return R{};  // double-await / empty handle: nothing to return
-      }
-      R result = std::move(*handle.result_);
-      handle.result_.reset();
-      handle.fn_.reset();
-      return result;
-    }
-    auto* job = handle.job_;
-    handle.job_ = nullptr;
-    const uint64_t await_budget =
-        await_spin_budget_.load(std::memory_order_relaxed);
-    const JobQueue::WaitResult wait =
-        queue_->AwaitAndRelease(handle.ticket_, await_budget);
-    if (wait == JobQueue::WaitResult::kCompleted &&
-        job->ran.load(std::memory_order_acquire)) {
-      OnExitlessSuccess();
-      R result = std::move(job->result);
-      job->Unref();
-      handle.fn_.reset();
-      return result;
-    }
-    // Same contract as DispatchThreaded: anything but a genuine completion
-    // quarantines our job reference and resolves through the fallback.
-    QuarantineJob(job);
-    sim::SpanScope fallback(&enclave_->machine().metrics().spans(), cpu,
-                            "rpc.fallback_ocall");
-    NoteAwaitFailure(cpu, wait, await_budget);
-    // The job may still run late on a worker; the fallback re-runs our own
-    // copy of fn, never touching the (possibly racing) job's result.
-    R result = Fallback(cpu, handle.io_bytes_, *handle.fn_);
-    handle.fn_.reset();
-    return result;
-  }
-
-  // Resolves a batch of handles in order (submission order == await order).
-  template <typename R, typename F>
-  std::vector<R> AwaitAll(sim::CpuContext* cpu,
-                          std::vector<AsyncCall<R, F>>& handles) {
-    std::vector<R> results;
-    results.reserve(handles.size());
-    for (auto& handle : handles) {
-      results.push_back(Await(cpu, handle));
-    }
-    return results;
   }
 
   // The class of service enclave threads should run with under this manager.
@@ -468,7 +191,6 @@ class RpcManager {
   }
 
   uint64_t calls() const { return calls_.value(); }
-  uint64_t async_calls() const { return async_calls_.value(); }
   sim::Enclave& enclave() { return *enclave_; }
 
   // Hostile-host observability (threaded mode; all zero in healthy runs).
@@ -496,6 +218,38 @@ class RpcManager {
   }
 
  private:
+  // Type-erased, reference-counted job context. Two owners: the submitting
+  // enclave thread and the (potential) worker execution. Whoever drops the
+  // last reference frees it, so a worker running an abandoned job after the
+  // caller moved on never touches dead stack frames.
+  struct JobBase {
+    std::atomic<int> refs{2};
+    // Enclave-private execution evidence the host cannot forge (the slot
+    // state word CAN be forged): `ran` set after Run() is the proof a kDone
+    // completion is genuine. `started` is defense-in-depth run-once — the
+    // queue's claim-once token already guarantees at most one worker ever
+    // receives this pointer per publication (JobQueue::TryClaimBatch), which
+    // is also what makes the refcount sound: no replayed claimant can hold
+    // the raw pointer without a reference behind it.
+    std::atomic<bool> started{false};
+    std::atomic<bool> ran{false};
+    virtual void Run() = 0;
+    virtual ~JobBase() = default;
+    void Unref() {
+      if (refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        delete this;
+      }
+    }
+  };
+
+  template <typename F, typename R>
+  struct JobImpl : JobBase {
+    F fn;
+    R result{};
+    explicit JobImpl(F f) : fn(std::move(f)) {}
+    void Run() override { result = fn(); }
+  };
+
   static void Trampoline(void* arg) {
     auto* job = static_cast<JobBase*>(arg);
     if (job->started.exchange(true, std::memory_order_acq_rel)) {
@@ -521,12 +275,12 @@ class RpcManager {
 
   // Charges the submit-side cost of `batch` calls published under one
   // doorbell and records the batch size. batch == 1 is the plain Call shape.
-  void ChargeSubmit(sim::CpuContext* cpu, size_t io_bytes, size_t batch = 1);
+  void ChargeSubmit(sim::CpuContext* cpu, size_t io_bytes, size_t batch);
   void CountFallback(sim::CpuContext* cpu, FallbackWhy why);
 
-  // Breaker admission for one threaded call. True: proceed exit-less (the
-  // breaker is closed, or a half-open canary just completed and closed it).
-  // False: short-circuit to the OCALL fallback with zero spin cost.
+  // Breaker admission for one doorbell. True: proceed exit-less (the breaker
+  // is closed, or a half-open canary just completed and closed it). False:
+  // short-circuit every call to the OCALL fallback with zero spin cost.
   bool AdmitExitless(sim::CpuContext* cpu);
   // Submits + awaits a no-op canary job with the minimum spin budgets.
   bool RunCanary(sim::CpuContext* cpu);
@@ -564,74 +318,110 @@ class RpcManager {
   void NoteAwaitFailure(sim::CpuContext* cpu, JobQueue::WaitResult wait,
                         uint64_t await_budget);
 
-  template <typename Fn>
-  std::invoke_result_t<Fn> DispatchThreaded(sim::CpuContext* cpu,
-                                            size_t io_bytes, Fn&& fn) {
-    using R = std::invoke_result_t<Fn>;
-    using F = std::decay_t<Fn>;
-    constexpr bool kVoid = std::is_void_v<R>;
-    using Job = std::conditional_t<kVoid, JobImplVoid<F>,
-                                   JobImpl<F, std::conditional_t<kVoid, int, R>>>;
-    if (!AdmitExitless(cpu)) {
-      sim::SpanScope denied(&enclave_->machine().metrics().spans(), cpu,
-                            "rpc.breaker_short_circuit");
-      return Fallback(cpu, io_bytes, fn);
-    }
-    auto* job = new Job(F(fn));  // copy: `fn` is reused by the fallback path
-    JobTicket ticket;
-    const uint64_t submit_budget =
-        submit_spin_budget_.load(std::memory_order_relaxed);
-    // Propagate the causal context through the untrusted slot so the worker
-    // can emit its execution as a child span of this call.
+  // The one dispatch behind Call and CallBatch: runs fns[0..n) as a single
+  // doorbell and stores fns[i]'s result in results[i]. In threaded mode the
+  // calls go through the breaker once, then in runs: the rest of a batch is
+  // published under one TrySubmitBatch (a single call, or an element the
+  // full ring refused, under the bounded TrySubmit) and the run is awaited
+  // in order, freeing its slots, before the next run is published — so a
+  // batch larger than the free ring never waits on its own slots.
+  template <typename Fn, typename R>
+  void Dispatch(sim::CpuContext* cpu, const char* span_name, size_t io_bytes,
+                Fn* fns, R* results, size_t n) {
     telemetry::SpanTracer& spans = enclave_->machine().metrics().spans();
+    // The causal root of everything the calls do: the workers' executions,
+    // fallback OCALLs, or a breaker short-circuit all become children.
+    sim::SpanScope span(&spans, cpu, span_name);
+    // Submit→complete latency of each call, including any fallback OCALL.
+    LatencyScope latency(cpu, call_cycles_, n);
+    ChargeSubmit(cpu, io_bytes * n, n);
+    if (mode_ != Mode::kThreaded) {
+      for (size_t i = 0; i < n; ++i) {
+        results[i] = fns[i]();
+      }
+      return;
+    }
+    if (!AdmitExitless(cpu)) {
+      sim::SpanScope denied(&spans, cpu, "rpc.breaker_short_circuit");
+      for (size_t i = 0; i < n; ++i) {
+        CountFallback(cpu, FallbackWhy::kBreakerOpen);
+        results[i] = Fallback(cpu, io_bytes, fns[i]);
+      }
+      return;
+    }
+    // Publication scratch, 32 bytes per call: on the stack up to ~30 calls,
+    // so a call's only heap allocation is its job.
+    std::array<std::byte, 1024> stack;
+    std::pmr::monotonic_buffer_resource arena(stack.data(), stack.size());
+    std::pmr::vector<void*> jobs(n, &arena);
+    std::pmr::vector<JobTicket> tickets(n, &arena);
+    std::pmr::vector<UntrustedFn> trampolines(n, &Trampoline, &arena);
+    using Job = JobImpl<std::remove_cv_t<Fn>, R>;
+    for (size_t i = 0; i < n; ++i) {
+      jobs[i] = new Job(fns[i]);  // a copy: fns[i] serves the fallback path
+    }
+    // Propagate the causal context through the untrusted slots so the
+    // workers can emit their executions as child spans of this one.
     const uint64_t span_id = spans.CurrentSpanId();
     const uint64_t submit_tsc =
         span_id != 0 && cpu != nullptr ? cpu->clock.now() : 0;
-    if (!queue_->TrySubmit(&Trampoline, job, &ticket, submit_budget, span_id,
-                           submit_tsc)) {
-      job->Unref();
-      job->Unref();  // never enqueued: the worker reference dies with ours
-      sim::SpanScope fallback(&enclave_->machine().metrics().spans(), cpu,
-                              "rpc.fallback_ocall");
-      OnSpinTimeout(cpu, /*submit_side=*/true, submit_budget);
-      CountFallback(cpu, FallbackWhy::kSubmitTimeout);
-      return Fallback(cpu, io_bytes, fn);
-    }
-    const uint64_t await_budget =
-        await_spin_budget_.load(std::memory_order_relaxed);
-    const JobQueue::WaitResult wait =
-        queue_->AwaitAndRelease(ticket, await_budget);
-    if (wait == JobQueue::WaitResult::kCompleted &&
-        job->ran.load(std::memory_order_acquire)) {
-      OnExitlessSuccess();
-      if constexpr (kVoid) {
-        job->Unref();
-        return;
-      } else {
-        R result = std::move(job->result);
-        job->Unref();
-        return result;
+    for (size_t i = 0; i < n;) {
+      size_t run = n - i > 1 ? queue_->TrySubmitBatch(
+                                   &trampolines[i], &jobs[i], &tickets[i],
+                                   n - i, span_id, submit_tsc)
+                             : 0;
+      if (run == 0) {
+        const uint64_t submit_budget =
+            submit_spin_budget_.load(std::memory_order_relaxed);
+        if (!queue_->TrySubmit(&Trampoline, jobs[i], &tickets[i],
+                               submit_budget, span_id, submit_tsc)) {
+          auto* job = static_cast<Job*>(jobs[i]);
+          job->Unref();
+          job->Unref();  // never enqueued: the worker reference dies with ours
+          sim::SpanScope fallback(&spans, cpu, "rpc.fallback_ocall");
+          OnSpinTimeout(cpu, /*submit_side=*/true, submit_budget);
+          CountFallback(cpu, FallbackWhy::kSubmitTimeout);
+          results[i] = Fallback(cpu, io_bytes, fns[i]);
+          ++i;
+          continue;
+        }
+        run = 1;
+      }
+      // Await the run in order; each release frees a slot for the next run.
+      for (const size_t end = i + run; i < end; ++i) {
+        auto* job = static_cast<Job*>(jobs[i]);
+        const uint64_t await_budget =
+            await_spin_budget_.load(std::memory_order_relaxed);
+        const JobQueue::WaitResult wait =
+            queue_->AwaitAndRelease(tickets[i], await_budget);
+        if (wait == JobQueue::WaitResult::kCompleted &&
+            job->ran.load(std::memory_order_acquire)) {
+          OnExitlessSuccess();
+          results[i] = std::move(job->result);
+          job->Unref();
+          continue;
+        }
+        // Timeout (revoked/abandoned), a scribbled slot (kHostile), or a
+        // forged kDone whose job never actually ran: resolve through the
+        // OCALL fallback, which re-runs fns[i] and never touches the job's
+        // (possibly racing) result. The job may still run late on a worker —
+        // and a "revoked" job may secretly have been claimed, since kReady
+        // can be forged — so our reference parks in the quarantine ledger
+        // instead of being dropped on a never-claimed assumption.
+        QuarantineJob(job);
+        sim::SpanScope fallback(&spans, cpu, "rpc.fallback_ocall");
+        NoteAwaitFailure(cpu, wait, await_budget);
+        results[i] = Fallback(cpu, io_bytes, fns[i]);
       }
     }
-    // Timeout (revoked/abandoned), a scribbled slot (kHostile), or a forged
-    // kDone whose job never actually ran: resolve through the OCALL
-    // fallback. The job may still run late on a worker — and a "revoked" job
-    // may secretly have been claimed, since kReady can be forged — so our
-    // reference parks in the quarantine ledger instead of being dropped on
-    // a never-claimed assumption.
-    QuarantineJob(job);
-    sim::SpanScope fallback(&enclave_->machine().metrics().spans(), cpu,
-                            "rpc.fallback_ocall");
-    NoteAwaitFailure(cpu, wait, await_budget);
-    return Fallback(cpu, io_bytes, fn);
   }
 
   // The degraded path: a real OCALL (enclave exit) when the exit-less
   // machinery is unavailable. Charges genuine exit costs so hostile-host
   // pressure shows up in the virtual-cycle numbers.
   template <typename Fn>
-  std::invoke_result_t<Fn> Fallback(sim::CpuContext* cpu, size_t io_bytes,
-                                    Fn& fn) {
+  std::invoke_result_t<Fn&> Fallback(sim::CpuContext* cpu, size_t io_bytes,
+                                     Fn& fn) {
     if (cpu != nullptr && cpu->enclave == enclave_) {
       return enclave_->Ocall(*cpu, io_bytes, fn);
     }
@@ -653,7 +443,6 @@ class RpcManager {
   std::unique_ptr<WorkerPool> pool_;
   HealthFsm breaker_;
   Counter calls_;
-  Counter async_calls_;
   Counter fallback_ocalls_;
   Counter submit_timeouts_;
   Counter await_timeouts_;

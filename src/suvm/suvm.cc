@@ -27,6 +27,13 @@ struct SubAad {
 constexpr char kQuarantinedMsg[] =
     "Suvm: page quarantined (persistent corruption; TryRestorePage to recover)";
 
+// Time-series SLO: per-window p99 of suvm.major_fault_cycles above this trips
+// the rule (kSloViolation trace + slo.violations counters). The rule is
+// registered unconditionally but inert until the machine's timeline sampler
+// is enabled; the threshold sits far above a healthy page-in so benign runs
+// never violate. See DESIGN.md §13.
+constexpr double kSloMajorFaultP99Cycles = 1.0e6;
+
 // Stable synthetic vaddr for a backing-store arena offset. Cache/TLB charges
 // must be a pure function of the simulated access pattern: the host heap
 // address of the arena varies run to run (and between instances in the same
@@ -182,7 +189,7 @@ Suvm::Suvm(sim::Enclave& enclave, SuvmConfig config,
     rule.name = "suvm.major_fault_p99";
     rule.kind = telemetry::SloRule::Kind::kHistogramP99;
     rule.metric = "suvm.major_fault_cycles";
-    rule.threshold = config.slo_major_fault_p99_cycles;
+    rule.threshold = kSloMajorFaultP99Cycles;
     slo_fault_rule_ = enclave_->machine().metrics().timeline().AddRule(rule);
   }
   flight_health_source_ =

@@ -66,12 +66,6 @@ struct SuvmConfig {
   // direct path has no journal); off by default so benign-path cycle counts
   // are untouched.
   bool crash_consistency = false;
-  // Time-series SLO: per-window p99 of suvm.major_fault_cycles above this
-  // trips the rule (kSloViolation trace + slo.violations counters). The rule
-  // is registered unconditionally but inert until the machine's timeline
-  // sampler is enabled; the default sits far above a healthy page-in so
-  // benign runs never violate. See DESIGN.md §13.
-  double slo_major_fault_p99_cycles = 1.0e6;
 };
 
 class Suvm {

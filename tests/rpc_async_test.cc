@@ -1,9 +1,9 @@
 // Copyright (c) Eleos reproduction authors. MIT license.
 //
-// The async/batched exit-less RPC path and the O(1) ring rewrite of the
-// JobQueue: ring-cursor wraparound, single-doorbell batch submit/drain,
-// CallAsync/Await ordering, breaker interaction, deterministic batch
-// accounting — and the liveness fixes (bounded terminal await, watchdog
+// The batched exit-less RPC path and the O(1) ring rewrite of the JobQueue:
+// ring-cursor wraparound, single-doorbell batch submit/drain, CallBatch
+// results and run-by-run publication, breaker interaction, deterministic
+// batch accounting — and the liveness fixes (bounded terminal await, watchdog
 // scrub of claims held by killed workers) under a multi-submitter ×
 // multi-worker stress mix of revoke/abandon/kill interleavings (TSan-listed).
 
@@ -351,35 +351,29 @@ TEST(JobQueueAsyncStress, NoLostOrDoubleRunAcrossRevokeAbandonKill) {
   (void)abandoned;
 }
 
-// --- CallAsync / Await ---
+// --- CallBatch ---
 
 struct ValueOp {
   uint64_t i;
   uint64_t operator()() const { return i * 31 + 5; }
 };
 
-TEST(RpcAsync, AwaitOutOfOrderReturnsCorrectValues) {
-  sim::Machine machine;
-  sim::Enclave enclave(machine);
-  RpcManager rpc(enclave, {.mode = RpcManager::Mode::kThreaded,
-                           .use_cat = false,
-                           .workers = 2,
-                           .queue_capacity = 64});
-  std::vector<RpcManager::AsyncCall<uint64_t, ValueOp>> handles;
-  handles.reserve(16);
-  for (uint64_t i = 0; i < 16; ++i) {
-    handles.push_back(rpc.CallAsync(nullptr, 0, ValueOp{i}));
+std::vector<ValueOp> ValueOps(uint64_t first, size_t n) {
+  std::vector<ValueOp> ops(n);
+  for (size_t j = 0; j < n; ++j) {
+    ops[j].i = first + j;
   }
-  // Await in reverse submission order: results must follow the handle, not
-  // the completion order.
-  for (size_t i = 16; i-- > 0;) {
-    EXPECT_EQ(rpc.Await(nullptr, handles[i]), i * 31 + 5);
-    EXPECT_FALSE(handles[i].valid()) << "handle resolved exactly once";
-  }
-  EXPECT_EQ(rpc.async_calls(), 16u);
+  return ops;
 }
 
-TEST(RpcAsync, BatchRoundTripsThroughRealWorkers) {
+// The batch-aware ChargeSubmit formula: rendezvous (poll latency) and result
+// read-back (dequeue) paid once per doorbell, enqueue + syscall per call.
+uint64_t BatchCycles(const sim::CostModel& c, uint64_t n) {
+  return (c.rpc_enqueue_cycles + c.syscall_cycles) * n +
+         c.rpc_poll_latency_cycles + c.rpc_dequeue_cycles;
+}
+
+TEST(RpcBatch, BatchRoundTripsThroughRealWorkers) {
   sim::Machine machine;
   sim::Enclave enclave(machine);
   RpcManager rpc(enclave, {.mode = RpcManager::Mode::kThreaded,
@@ -387,49 +381,99 @@ TEST(RpcAsync, BatchRoundTripsThroughRealWorkers) {
                            .workers = 2,
                            .queue_capacity = 64});
   for (uint64_t round = 0; round < 50; ++round) {
-    std::vector<ValueOp> ops(8);
-    for (uint64_t j = 0; j < 8; ++j) {
-      ops[j].i = round * 8 + j;
-    }
-    auto handles = rpc.CallAsyncBatch(nullptr, 0, ops);
-    const std::vector<uint64_t> results = rpc.AwaitAll(nullptr, handles);
+    std::vector<ValueOp> ops = ValueOps(round * 8, 8);
+    const std::vector<uint64_t> results = rpc.CallBatch(nullptr, 0, ops);
     ASSERT_EQ(results.size(), 8u);
     for (uint64_t j = 0; j < 8; ++j) {
       EXPECT_EQ(results[j], (round * 8 + j) * 31 + 5);
     }
   }
-  EXPECT_EQ(rpc.async_calls(), 400u);
+  EXPECT_EQ(rpc.calls(), 400u);
+  EXPECT_EQ(rpc.fallback_ocalls(), 0u);
+  const telemetry::Histogram* hist =
+      machine.metrics().GetHistogram("rpc.batch_size");
+  EXPECT_EQ(hist->count(), 50u);  // one doorbell per batch
+  EXPECT_EQ(hist->sum(), 400u);
 }
 
-TEST(RpcAsync, BreakerOpenShortCircuitsAtSubmitTime) {
+TEST(RpcBatch, OversizedBatchReusesItsOwnSlots) {
+  // A batch of 8 on a 2-slot ring: each run is awaited, which frees its
+  // slots, before the next run is published. A batch that spun for slots
+  // its own finished jobs still hold (kDone until awaited) would time out
+  // and fall back on 6 of the 8.
   sim::Machine machine;
   sim::Enclave enclave(machine);
-  machine.fault_injector().Arm(sim::Fault::kQueueFull, 1.0);
   RpcManager rpc(enclave, {.mode = RpcManager::Mode::kThreaded,
                            .use_cat = false,
                            .workers = 1,
                            .queue_capacity = 2,
-                           .submit_spin_budget = 32,
-                           .breaker_failure_threshold = 3,
-                           .breaker_probe_interval = 64,
-                           .adaptive_spin = false});
-  for (uint64_t i = 0; i < 20; ++i) {
-    auto h = rpc.CallAsync(nullptr, 0, ValueOp{i});
-    if (i >= 3) {
-      EXPECT_FALSE(h.pending()) << "open breaker must resolve at submit";
-    }
-    EXPECT_EQ(rpc.Await(nullptr, h), i * 31 + 5) << "fallback still correct";
+                           .submit_spin_budget = 1 << 10});
+  sim::CpuContext& cpu = machine.cpu(0);
+  enclave.Enter(cpu);
+  std::vector<ValueOp> ops = ValueOps(0, 8);
+  const uint64_t t0 = cpu.clock.now();
+  const std::vector<uint64_t> results = rpc.CallBatch(&cpu, 0, ops);
+  const uint64_t delta = cpu.clock.now() - t0;
+  enclave.Exit(cpu);
+  for (uint64_t j = 0; j < 8; ++j) {
+    EXPECT_EQ(results[j], j * 31 + 5);
   }
-  EXPECT_EQ(rpc.submit_timeouts(), 3u);
-  EXPECT_EQ(rpc.breaker_opens(), 1u);
-  EXPECT_GE(rpc.breaker_short_circuits(), 10u);
-  EXPECT_EQ(rpc.fallback_ocalls(), 20u);
+  EXPECT_EQ(rpc.fallback_ocalls(), 0u);
+  EXPECT_EQ(rpc.submit_timeouts(), 0u);
+  EXPECT_EQ(delta, BatchCycles(machine.costs(), 8))
+      << "one doorbell charge, whatever the ring occupancy";
 }
 
-TEST(RpcAsync, BatchChargeIsDeterministicAndAmortized) {
+TEST(RpcBatch, BreakerOpenShortCircuitsAtSubmitTime) {
+  // kQueueFull on every submit: nothing is ever published, so each call
+  // falls back through the submit-timeout path until the breaker opens.
+  // With the breaker off, every element of every batch times out on its own.
+  for (const bool breaker : {true, false}) {
+    SCOPED_TRACE(breaker ? "breaker on" : "breaker off");
+    sim::Machine machine;
+    sim::Enclave enclave(machine);
+    machine.fault_injector().Arm(sim::Fault::kQueueFull, 1.0);
+    RpcManager rpc(enclave, {.mode = RpcManager::Mode::kThreaded,
+                             .use_cat = false,
+                             .workers = 1,
+                             .queue_capacity = 2,
+                             .submit_spin_budget = 32,
+                             .breaker_enabled = breaker,
+                             .breaker_failure_threshold = 3,
+                             .breaker_probe_interval = 64,
+                             .adaptive_spin = false});
+    uint64_t first_batch_spins = 0;
+    for (uint64_t b = 0; b < 5; ++b) {
+      std::vector<ValueOp> ops = ValueOps(b * 4, 4);
+      const std::vector<uint64_t> results = rpc.CallBatch(nullptr, 0, ops);
+      for (uint64_t j = 0; j < 4; ++j) {
+        EXPECT_EQ(results[j], (b * 4 + j) * 31 + 5) << "fallback still correct";
+      }
+      if (b == 0) {
+        first_batch_spins = rpc.queue()->queue_full_spins();
+      }
+    }
+    EXPECT_EQ(rpc.calls(), 20u);
+    EXPECT_EQ(rpc.fallback_ocalls(), 20u);
+    if (breaker) {
+      // The first doorbell was admitted: each element timed out on its own
+      // and the third timeout opened the breaker. Every later doorbell
+      // short-circuited at admission, before touching the ring.
+      EXPECT_EQ(rpc.submit_timeouts(), 4u);
+      EXPECT_EQ(rpc.breaker_opens(), 1u);
+      EXPECT_EQ(rpc.breaker_short_circuits(), 4u);
+      EXPECT_EQ(rpc.queue()->queue_full_spins(), first_batch_spins)
+          << "an open breaker must not spin on the ring";
+    } else {
+      EXPECT_EQ(rpc.submit_timeouts(), 20u);
+      EXPECT_EQ(rpc.breaker_opens(), 0u);
+    }
+  }
+}
+
+TEST(RpcBatch, BatchChargeIsDeterministicAndAmortized) {
   // Inline mode: no threads, so the clock delta of one batch doorbell is
-  // exactly the batch-aware ChargeSubmit formula — rendezvous (poll latency)
-  // and result read-back (dequeue) paid once, enqueue+syscall per call.
+  // exactly the batch-aware ChargeSubmit formula.
   sim::Machine machine;
   sim::Enclave enclave(machine);
   RpcManager rpc(enclave, {.mode = RpcManager::Mode::kInline, .use_cat = false});
@@ -438,37 +482,69 @@ TEST(RpcAsync, BatchChargeIsDeterministicAndAmortized) {
   enclave.Enter(cpu);
 
   const uint64_t t0 = cpu.clock.now();
-  std::vector<ValueOp> ops(8);
-  for (uint64_t j = 0; j < 8; ++j) {
-    ops[j].i = j;
-  }
-  auto handles = rpc.CallAsyncBatch(&cpu, 0, ops);
+  std::vector<ValueOp> ops = ValueOps(0, 8);
+  const std::vector<uint64_t> results = rpc.CallBatch(&cpu, 0, ops);
   const uint64_t batch_delta = cpu.clock.now() - t0;
-  const std::vector<uint64_t> results = rpc.AwaitAll(&cpu, handles);
   for (uint64_t j = 0; j < 8; ++j) {
     EXPECT_EQ(results[j], j * 31 + 5);
   }
-  EXPECT_EQ(batch_delta,
-            (c.rpc_enqueue_cycles + c.syscall_cycles) * 8 +
-                c.rpc_poll_latency_cycles + c.rpc_dequeue_cycles);
+  EXPECT_EQ(batch_delta, BatchCycles(c, 8));
 
   const uint64_t t1 = cpu.clock.now();
   rpc.Call(&cpu, 0, [] { return 1u; });
   const uint64_t serial_delta = cpu.clock.now() - t1;
-  EXPECT_EQ(serial_delta, c.rpc_enqueue_cycles + c.syscall_cycles +
-                              c.rpc_poll_latency_cycles +
-                              c.rpc_dequeue_cycles);
+  EXPECT_EQ(serial_delta, BatchCycles(c, 1));
   EXPECT_LT(batch_delta, 8 * serial_delta) << "batching must amortize";
   enclave.Exit(cpu);
 
   const telemetry::Histogram* hist =
       machine.metrics().GetHistogram("rpc.batch_size");
   EXPECT_EQ(hist->count(), 2u);  // one batch-8 doorbell + one serial call
+  EXPECT_EQ(hist->sum(), 9u);
+  EXPECT_EQ(rpc.calls(), 9u);
+}
+
+// Runs `rounds` of one Call and one CallBatch of 8 on a fresh manager and
+// returns the virtual cycles they took.
+uint64_t CallAndBatchCycles(RpcManager::Mode mode, int rounds) {
+  sim::Machine machine;
+  sim::Enclave enclave(machine);
+  RpcManager rpc(enclave, {.mode = mode, .use_cat = false, .workers = 2});
+  sim::CpuContext& cpu = machine.cpu(0);
+  enclave.Enter(cpu);
+  const uint64_t t0 = cpu.clock.now();
+  for (int r = 0; r < rounds; ++r) {
+    EXPECT_EQ(rpc.Call(&cpu, 64, [r] { return r + 1; }), r + 1);
+    std::vector<ValueOp> ops = ValueOps(static_cast<uint64_t>(r) * 8, 8);
+    EXPECT_EQ(rpc.CallBatch(&cpu, 64, ops).back(), ops.back()());
+  }
+  const uint64_t cycles = cpu.clock.now() - t0;
+  enclave.Exit(cpu);
+  EXPECT_EQ(rpc.fallback_ocalls(), 0u);
+  // rpc.calls and rpc.call_cycles count the same calls, batched ones
+  // included: validate_bench.py pairs them window by window.
+  EXPECT_EQ(rpc.calls(), static_cast<uint64_t>(rounds) * 9);
+  EXPECT_EQ(machine.metrics().GetHistogram("rpc.call_cycles")->count(),
+            rpc.calls());
+  return cycles;
+}
+
+TEST(RpcBatch, ThreadedClockMatchesInline) {
+  // A healthy host completes every call exit-less, and waiting for it is
+  // wall-clock time, never virtual time: the threaded manager's clock moves
+  // exactly as the inline one's.
+  const uint64_t inline_cycles =
+      CallAndBatchCycles(RpcManager::Mode::kInline, 32);
+  EXPECT_EQ(CallAndBatchCycles(RpcManager::Mode::kThreaded, 32),
+            inline_cycles);
+  const sim::CostModel costs;  // the default machine's
+  EXPECT_EQ(inline_cycles,
+            32 * (BatchCycles(costs, 1) + BatchCycles(costs, 8)));
 }
 
 // --- Consumers of the batched path ---
 
-TEST(RpcAsyncConsumers, EnclaveFsVectoredIoRoundTrips) {
+TEST(RpcBatchConsumers, EnclaveFsVectoredIoRoundTrips) {
   sim::Machine machine;
   sim::Enclave enclave(machine);
   RpcManager rpc(enclave, {.mode = RpcManager::Mode::kThreaded,
@@ -494,13 +570,18 @@ TEST(RpcAsyncConsumers, EnclaveFsVectoredIoRoundTrips) {
   EXPECT_EQ(0, std::memcmp(out_b, b.data(), b.size()));
   EXPECT_EQ(0, std::memcmp(out_c, c.data(), c.size()));
   EXPECT_EQ(fs.Close(nullptr, fd), 0);
-  // Each slice is still one host syscall, but the RPC layer saw batches.
-  EXPECT_EQ(rpc.async_calls(), 6u);
+  // Each slice is still one host syscall, but the RPC layer saw one doorbell
+  // per vector: open, a 3-slice write, a 3-slice read, close.
+  const telemetry::Histogram* hist =
+      machine.metrics().GetHistogram("rpc.batch_size");
+  EXPECT_EQ(hist->count(), 4u);
+  EXPECT_EQ(hist->sum(), 8u);
+  EXPECT_EQ(rpc.calls(), 8u);
   // A bad fd fails fast with the first error, not a partial total.
   EXPECT_EQ(fs.Preadv(nullptr, 99, rd, 3), libos::kMemFsError);
 }
 
-TEST(RpcAsyncConsumers, KvCacheMultiOpsUseBatchedResponses) {
+TEST(RpcBatchConsumers, KvCacheMultiOpsUseBatchedResponses) {
   sim::Machine machine;
   sim::Enclave enclave(machine);
   RpcManager rpc(enclave, {.mode = RpcManager::Mode::kThreaded,
@@ -533,7 +614,11 @@ TEST(RpcAsyncConsumers, KvCacheMultiOpsUseBatchedResponses) {
   }
   EXPECT_TRUE(values[6].empty());
   // One batched response doorbell per multi-op: 6 acks + 7 responses.
-  EXPECT_EQ(rpc.async_calls(), 13u);
+  const telemetry::Histogram* hist =
+      machine.metrics().GetHistogram("rpc.batch_size");
+  EXPECT_EQ(hist->count(), 2u);
+  EXPECT_EQ(hist->sum(), 13u);
+  EXPECT_EQ(rpc.calls(), 13u);
   EXPECT_EQ(cache.stats().get_hits, 6u);
 }
 
