@@ -32,14 +32,15 @@ double CyclesPerOp(libos::ExitMode mode, size_t io_bytes, size_t ops) {
   enclave.Enter(cpu);
   const int fd = fs.Open(&cpu, "/bench", libos::kRdWr | libos::kCreate);
   std::vector<uint8_t> buf(io_bytes, 1);
+  const uint64_t buf_vaddr = machine.ReserveRange(io_bytes);
   // Alternate write/read at rotating offsets, like a log-structured store.
   const uint64_t t0 = cpu.clock.now();
   for (size_t i = 0; i < ops; ++i) {
     const uint64_t off = (i % 64) * io_bytes;
     const bool write = (i & 1) == 0;
     // The enclave thread marshals the buffer across the boundary either way.
-    machine.StreamAccess(&cpu, reinterpret_cast<uint64_t>(buf.data()), io_bytes,
-                         write, sim::MemKind::kUntrusted);
+    machine.StreamAccess(&cpu, buf_vaddr, io_bytes, write,
+                         sim::MemKind::kUntrusted);
     if (write) {
       fs.Pwrite(&cpu, fd, buf.data(), io_bytes, off);
     } else {

@@ -108,6 +108,9 @@ KvCache::KvCache(sim::Machine& machine, MemRegion& region, Options options)
     : machine_(&machine),
       region_(&region),
       options_(options),
+      metadata_vaddr_(machine.ReserveRange(
+          (options.pool_bytes / SlabAllocator::kMinChunk + 1) *
+          sizeof(ItemMeta))),
       slab_(options.pool_bytes),
       buckets_(options.hash_buckets, 0),
       lru_head_(slab_.classes(), 0),
@@ -164,8 +167,8 @@ void KvCache::ChargeMetadataTouch(sim::CpuContext* cpu, size_t records) {
     machine_->Access(cpu, 0x3e00'0000'0000ull + metadata_probe_, 64 * records,
                      false, sim::MemKind::kEpc);
   } else {
-    machine_->Access(cpu, reinterpret_cast<uint64_t>(items_.data()), 64 * records,
-                     false, sim::MemKind::kUntrusted);
+    machine_->Access(cpu, metadata_vaddr_, 64 * records, false,
+                     sim::MemKind::kUntrusted);
   }
 }
 

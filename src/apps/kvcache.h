@@ -179,6 +179,9 @@ class KvCache {
   sim::Machine* machine_;
   MemRegion* region_;
   Options options_;
+  // Synthetic address of the cleartext metadata (Machine::ReserveRange):
+  // metadata touches are charged here, never at a host pointer.
+  uint64_t metadata_vaddr_;
   SlabAllocator slab_;
   std::vector<uint32_t> buckets_;
   std::vector<ItemMeta> items_;  // 1-based (index 0 unused)

@@ -58,21 +58,25 @@ class MemRegion {
 };
 
 // Plain host memory: the untrusted baseline. Accesses are charged at
-// untrusted-DRAM rates through the cache/TLB models.
+// untrusted-DRAM rates through the cache/TLB models, at a synthetic range
+// (Machine::ReserveRange) as large as the region.
 class UntrustedRegion : public MemRegion {
  public:
   UntrustedRegion(sim::Machine& machine, size_t bytes)
-      : machine_(&machine), bytes_(bytes), data_(new uint8_t[bytes]()) {}
+      : machine_(&machine),
+        bytes_(bytes),
+        vaddr_(machine.ReserveRange(bytes)),
+        data_(new uint8_t[bytes]()) {}
 
   void Read(sim::CpuContext* cpu, uint64_t off, void* dst, size_t n) override {
-    machine_->Access(cpu, reinterpret_cast<uint64_t>(data_.get()) + off, n,
-                     /*write=*/false, sim::MemKind::kUntrusted);
+    machine_->Access(cpu, vaddr_ + off, n, /*write=*/false,
+                     sim::MemKind::kUntrusted);
     std::memcpy(dst, data_.get() + off, n);
   }
   void Write(sim::CpuContext* cpu, uint64_t off, const void* src,
              size_t n) override {
-    machine_->Access(cpu, reinterpret_cast<uint64_t>(data_.get()) + off, n,
-                     /*write=*/true, sim::MemKind::kUntrusted);
+    machine_->Access(cpu, vaddr_ + off, n, /*write=*/true,
+                     sim::MemKind::kUntrusted);
     std::memcpy(data_.get() + off, src, n);
   }
   size_t size() const override { return bytes_; }
@@ -80,6 +84,7 @@ class UntrustedRegion : public MemRegion {
  private:
   sim::Machine* machine_;
   size_t bytes_;
+  uint64_t vaddr_;
   std::unique_ptr<uint8_t[]> data_;
 };
 

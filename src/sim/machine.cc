@@ -2,6 +2,7 @@
 
 #include "src/sim/machine.h"
 
+#include <stdexcept>
 #include <string>
 
 namespace eleos::sim {
@@ -12,6 +13,10 @@ namespace {
 // Linux heap pointers (0x55.. and up).
 constexpr uint64_t kScratchBase = 0x3f00'0000'0000ull;
 constexpr uint64_t kDefaultScratchPool = 4ull << 20;  // recycled kernel buffers
+// ReserveRange's ranges: 512 GiB above the scratch pool, below the driver's
+// sealed-blob addresses (1 << 46).
+constexpr uint64_t kRangeBase = kScratchBase + (1ull << 39);
+constexpr uint64_t kRangeLimit = 1ull << 46;
 
 // 64-byte lines (CacheModel rejects any other size), 64 lines per 4 KiB page.
 constexpr int kLineShift = 6;
@@ -106,6 +111,19 @@ void Machine::PolluteCache(size_t bytes, int cos, size_t pool_bytes) {
   const uint64_t addr = kScratchBase + (cursor % pool);
   llc_.AccessRange(addr >> kLineShift, (addr + bytes - 1) >> kLineShift,
                    /*write=*/true, MemKind::kUntrusted, cos);
+}
+
+uint64_t Machine::ReserveRange(size_t bytes) {
+  constexpr uint64_t kSpan = kRangeLimit - kRangeBase;
+  if (bytes > kSpan) {
+    throw std::length_error("Machine::ReserveRange: range too large");
+  }
+  const uint64_t len = (bytes + kPageSize - 1) & ~(kPageSize - 1);
+  const uint64_t off = range_cursor_.fetch_add(len, std::memory_order_relaxed);
+  if (off > kSpan - len) {
+    throw std::length_error("Machine::ReserveRange: synthetic ranges exhausted");
+  }
+  return kRangeBase + off;
 }
 
 void Machine::TouchScratch(CpuContext* cpu, size_t bytes, size_t pool_bytes) {

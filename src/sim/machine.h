@@ -82,6 +82,13 @@ class Machine {
   // that only affects the shared LLC. Same pool semantics as TouchScratch.
   void PolluteCache(size_t bytes, int cos, size_t pool_bytes = 0);
 
+  // Reserves a synthetic address range of `bytes` for a host buffer whose
+  // accesses are charged through Access/StreamAccess, and returns its base.
+  // Ranges are page-aligned, never reused, and handed out in request order
+  // from one fixed base, so what a buffer costs depends on the order of the
+  // reservations and never on where the host heap put the buffer.
+  uint64_t ReserveRange(size_t bytes);
+
   // Central funnel for every categorized CostModel charge: advances `cpu`'s
   // virtual clock, bumps the matching sim.cycles.* counter, and routes the
   // cycles to the charging thread's innermost open span. The three always
@@ -164,6 +171,7 @@ class Machine {
   // Atomic: TouchScratch/PolluteCache may run from concurrently faulting
   // threads (their window claims race, but each claim stays exclusive).
   std::atomic<uint64_t> scratch_cursor_{0};
+  std::atomic<uint64_t> range_cursor_{0};  // bytes reserved by ReserveRange
 };
 
 // RAII harness hook for the flight recorder: on scope exit, if `failed()`

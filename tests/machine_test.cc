@@ -1,10 +1,13 @@
 // Copyright (c) Eleos reproduction authors. MIT license.
 //
 // Machine-level accounting semantics: Access vs StreamAccess, the prefetch
-// rule, scratch pools, cache pollution with classes of service, and the
-// network model.
+// rule, scratch pools, cache pollution with classes of service, synthetic
+// address ranges, and the network model.
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <stdexcept>
 
 #include "src/sim/machine.h"
 #include "src/sim/network.h"
@@ -142,6 +145,30 @@ TEST(ScopedCpu, BindsAndRestores) {
     EXPECT_EQ(CurrentCpu(), &m.cpu(0));
   }
   EXPECT_EQ(CurrentCpu(), nullptr);
+}
+
+TEST(ReserveRange, PageAlignedInRequestOrderAndEqualAcrossMachines) {
+  Machine a;
+  Machine b;
+  const uint64_t first = a.ReserveRange(100);
+  const uint64_t second = a.ReserveRange(3 * kPageSize + 1);
+  const uint64_t third = a.ReserveRange(0);
+  EXPECT_EQ(first % kPageSize, 0u);
+  EXPECT_EQ(second, first + kPageSize);
+  EXPECT_EQ(third, second + 4 * kPageSize);
+  EXPECT_EQ(a.ReserveRange(kPageSize), third);  // an empty range takes none
+  // A fresh machine hands out the same sequence, whatever the heap holds.
+  EXPECT_EQ(b.ReserveRange(100), first);
+  EXPECT_EQ(b.ReserveRange(3 * kPageSize + 1), second);
+}
+
+TEST(ReserveRange, ThrowsWhenTheSyntheticSpaceRunsOut) {
+  Machine m;
+  EXPECT_THROW(m.ReserveRange(SIZE_MAX), std::length_error);
+  const uint64_t base = m.ReserveRange(kPageSize);
+  EXPECT_THROW(m.ReserveRange(1ull << 46), std::length_error);
+  Machine fresh;
+  EXPECT_EQ(fresh.ReserveRange(kPageSize), base);
 }
 
 }  // namespace

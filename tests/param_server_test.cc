@@ -326,21 +326,18 @@ TEST_P(PageFill, MatchesPerKeyInserts) {
   }
 
   if (backend == PsBackend::kUntrusted) {
-    // UntrustedRegion charges at its host heap address (ROADMAP item 2), so
-    // two servers' clocks are comparable only for the enclave backends.
     // Neither fill charges or touches the machine.
     sim::Machine fresh;
     EXPECT_EQ(Clocks(fill.machine), Clocks(fresh));
     EXPECT_EQ(Clocks(ref.machine), Clocks(fresh));
-  } else {
-    fill.Serve(300);
-    ref.Serve(300);
-    EXPECT_EQ(Clocks(fill.machine), Clocks(ref.machine));
-    EXPECT_EQ(DriverStats(fill.machine), DriverStats(ref.machine));
-    if (backend == PsBackend::kSuvm) {
-      EXPECT_EQ(SuvmStatsSansMinorFaults(*fill.server.suvm()),
-                SuvmStatsSansMinorFaults(*ref.server.suvm()));
-    }
+  }
+  fill.Serve(300);
+  ref.Serve(300);
+  EXPECT_EQ(Clocks(fill.machine), Clocks(ref.machine));
+  EXPECT_EQ(DriverStats(fill.machine), DriverStats(ref.machine));
+  if (backend == PsBackend::kSuvm) {
+    EXPECT_EQ(SuvmStatsSansMinorFaults(*fill.server.suvm()),
+              SuvmStatsSansMinorFaults(*ref.server.suvm()));
   }
   EXPECT_TRUE(RegionBytes(fill.server.region()) ==
               RegionBytes(ref.server.region()));
