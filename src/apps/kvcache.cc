@@ -17,6 +17,13 @@ uint32_t HashKey(std::string_view key) {
   return h == 0 ? 1 : h;
 }
 
+// The most item records a pool can need, the null record at index 0
+// included: each live item holds at least one kMinChunk chunk, and freed
+// indices are reused.
+size_t MaxItems(size_t pool_bytes) {
+  return pool_bytes / SlabAllocator::kMinChunk + 1;
+}
+
 // GET's error protocol: -1 is reserved for a plain miss.
 int64_t GetErrCode(const eleos::Status& status) {
   return status.code() == eleos::StatusCode::kDataCorruption ? -2 : -3;
@@ -108,9 +115,8 @@ KvCache::KvCache(sim::Machine& machine, MemRegion& region, Options options)
     : machine_(&machine),
       region_(&region),
       options_(options),
-      metadata_vaddr_(machine.ReserveRange(
-          (options.pool_bytes / SlabAllocator::kMinChunk + 1) *
-          sizeof(ItemMeta))),
+      metadata_vaddr_(machine.ReserveRange(MaxItems(options.pool_bytes) *
+                                           sizeof(ItemMeta))),
       slab_(options.pool_bytes),
       buckets_(options.hash_buckets, 0),
       lru_head_(slab_.classes(), 0),
@@ -120,6 +126,8 @@ KvCache::KvCache(sim::Machine& machine, MemRegion& region, Options options)
   if (region.size() < options.pool_bytes) {
     throw std::invalid_argument("KvCache: region smaller than pool");
   }
+  // Sized once: regrowing copies the whole table while both copies live.
+  items_.reserve(MaxItems(options.pool_bytes));
   items_.resize(1);  // index 0 is the null item
 }
 
