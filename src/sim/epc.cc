@@ -8,7 +8,7 @@ namespace eleos::sim {
 
 Epc::Epc(size_t usable_frames)
     : total_frames_(usable_frames),
-      storage_(new uint8_t[usable_frames * kPageSize]) {
+      storage_(AllocHugeBuffer(usable_frames * kPageSize)) {
   free_list_.reserve(usable_frames);
   // Pop order is from the back; push frames reversed so allocation starts at 0.
   for (size_t i = usable_frames; i > 0; --i) {

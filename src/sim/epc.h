@@ -5,16 +5,18 @@
 //
 // Real hardware reserves 128 MiB of PRM of which ~90 MiB is usable for
 // application pages; the remainder holds the EPCM and version arrays (§2.3).
-// The simulator backs the usable frames with one large allocation and hands
-// out frame ids; frame *contents* are real bytes so eviction/reload and the
-// crypto around them can be tested end to end.
+// The simulator backs the usable frames with one large allocation on huge
+// host pages (src/common/huge_buffer.h) and hands out frame ids; frame
+// *contents* are real bytes so eviction/reload and the crypto around them can
+// be tested end to end.
 
 #ifndef ELEOS_SRC_SIM_EPC_H_
 #define ELEOS_SRC_SIM_EPC_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
+
+#include "src/common/huge_buffer.h"
 
 namespace eleos::sim {
 
@@ -48,7 +50,7 @@ class Epc {
 
  private:
   size_t total_frames_;
-  std::unique_ptr<uint8_t[]> storage_;
+  HugeBuffer storage_;
   std::vector<FrameId> free_list_;
 };
 

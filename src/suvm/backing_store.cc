@@ -25,7 +25,7 @@ BackingStore::BackingStore(Config config)
     : capacity_(config.capacity_bytes),
       min_order_(Log2(config.min_block)),
       max_order_(Log2(config.capacity_bytes)),
-      arena_(new uint8_t[config.capacity_bytes]) {
+      arena_(AllocHugeBuffer(config.capacity_bytes)) {
   if (!IsPowerOfTwo(config.capacity_bytes) || !IsPowerOfTwo(config.min_block)) {
     throw std::invalid_argument("BackingStore: sizes must be powers of two");
   }

@@ -14,11 +14,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "src/common/huge_buffer.h"
 #include "src/common/spinlock.h"
 
 namespace eleos::suvm {
@@ -113,7 +113,7 @@ class BackingStore {
   size_t capacity_;
   int min_order_;
   int max_order_;
-  std::unique_ptr<uint8_t[]> arena_;
+  HugeBuffer arena_;  // on huge host pages (src/common/huge_buffer.h)
 
   mutable Spinlock lock_;
   // free_sets_[k]: offsets of free blocks of order (min_order_ + k).
