@@ -63,8 +63,11 @@ void BM_SealIntoFreshArena(benchmark::State& state) {
       off = 0;
       state.ResumeTiming();
     }
-    gcm.Seal(nonce, nullptr, 0, pt.data(), pt.size(), store->Raw(off), tag);
+    uint8_t* const dst = store->Raw(off);
+    gcm.Seal(nonce, nullptr, 0, pt.data(), pt.size(), dst, tag);
+    benchmark::DoNotOptimize(dst);
     benchmark::DoNotOptimize(tag);
+    benchmark::ClobberMemory();
     off += 4096;
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 4096);

@@ -1,10 +1,10 @@
 // Copyright (c) Eleos reproduction authors. MIT license.
 //
 // AllocHugeBuffer, the host memory under the EPC frame pool and SUVM's
-// backing arena: 2 MiB alignment, the exact usable size, disjoint blocks and
-// writable bytes, whether or not the kernel honours MADV_HUGEPAGE. Under
-// AddressSanitizer a byte past either pool is still a heap-buffer-overflow,
-// as it was when both came from new[].
+// backing arena: 2 MiB alignment, the usable size (exactly the request under
+// AddressSanitizer), disjoint blocks and writable bytes, whether or not the
+// kernel honours MADV_HUGEPAGE. Under AddressSanitizer a byte past either
+// pool is still a heap-buffer-overflow, as it was when both came from new[].
 
 #include <gtest/gtest.h>
 #include <malloc.h>
