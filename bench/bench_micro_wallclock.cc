@@ -5,13 +5,15 @@
 // implementation, as a sanity check that the functional substrate is fast
 // enough to run the simulations (crypto throughput, the LLC model, allocator,
 // first touches of the backing arena, spointer dereference, RPC queue
-// round-trip).
+// round-trip, the face kernels and the face-database build).
 
 #include <benchmark/benchmark.h>
 
 #include <cstring>
 #include <memory>
 
+#include "src/apps/faceverif.h"
+#include "src/apps/mem_region.h"
 #include "src/common/rng.h"
 #include "src/crypto/ctr.h"
 #include "src/crypto/gcm.h"
@@ -221,6 +223,46 @@ void BM_RpcQueueRoundTrip(benchmark::State& state) {
   benchmark::DoNotOptimize(counter);
 }
 BENCHMARK(BM_RpcQueueRoundTrip);
+
+// The face kernels and the database build that make up most of faceverif's
+// set-up. BM_FaceDatabaseBuild stores 64 people in untrusted memory, on as
+// many host threads as BuildDatabase takes, so it reads real time.
+void BM_SynthesizeFace(benchmark::State& state) {
+  uint64_t person = 0;
+  for (auto _ : state) {
+    const apps::FaceImage img = apps::SynthesizeFace(person++);
+    benchmark::DoNotOptimize(img.data());
+  }
+}
+BENCHMARK(BM_SynthesizeFace);
+
+void BM_LbpHistogram(benchmark::State& state) {
+  const sim::CostModel costs;
+  std::vector<apps::FaceImage> faces;
+  for (uint64_t person = 0; person < 16; ++person) {
+    faces.push_back(apps::SynthesizeFace(person));
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    const apps::Histogram h =
+        apps::ComputeLbpHistogram(nullptr, costs, faces[i++ % faces.size()]);
+    benchmark::DoNotOptimize(h.data());
+  }
+}
+BENCHMARK(BM_LbpHistogram);
+
+void BM_FaceDatabaseBuild(benchmark::State& state) {
+  constexpr size_t kPeople = 64;
+  sim::Machine machine;
+  apps::UntrustedRegion region(machine, kPeople * apps::kHistogramBytes);
+  for (auto _ : state) {
+    apps::FaceVerifServer server(machine, region, kPeople);
+    server.BuildDatabase();
+    benchmark::DoNotOptimize(server.threshold());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * kPeople));
+}
+BENCHMARK(BM_FaceDatabaseBuild)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace eleos

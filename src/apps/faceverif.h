@@ -53,6 +53,12 @@ class FaceVerifServer {
   FaceVerifServer(sim::Machine& machine, MemRegion& region, size_t n_people);
 
   // Precomputes and stores every person's reference histogram (unmeasured).
+  // The histograms are computed on host threads, one pinned to each CPU in
+  // the calling thread's affinity mask besides its own (at most 8), while
+  // the calling thread writes them to the region in id order; with one CPU
+  // it computes them itself. Throws what a region write or a computation
+  // threw, after every worker has stopped; the ids before the failing one
+  // are written.
   void BuildDatabase();
 
   // The measured op: histogram of the query image is already computed by the

@@ -1,10 +1,13 @@
 // Copyright (c) Eleos reproduction authors. MIT license.
 //
 // Face verification: LBP properties, verification accuracy on synthetic
-// identities, operation across secure-memory backends, and the face kernels
-// held bit for bit to the scalar reference they replaced.
+// identities, operation across secure-memory backends, the face kernels
+// held bit for bit to the scalar reference they replaced, and the threaded
+// database build held to a serial loop of reference writes.
 
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sched.h>
 
 #include <bit>
 #include <cmath>
@@ -422,6 +425,175 @@ TEST(KernelOracle, ChiSquareMatchesReferenceOnEdgeInputs) {
     EXPECT_EQ(Bits(ChiSquareDistance(sa, sb)),
               Bits(reference::ChiSquareDistance(sa, sb)))
         << shift;
+  }
+}
+
+// --- Threaded database build -------------------------------------------------
+
+// Restricts the calling thread to the first CPU of its affinity mask, which
+// leaves BuildDatabase no worker, and restores the mask when destroyed.
+class OneCpuScope {
+ public:
+  OneCpuScope() {
+    CPU_ZERO(&saved_);
+    if (pthread_getaffinity_np(pthread_self(), sizeof saved_, &saved_) != 0) {
+      return;
+    }
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    for (int c = 0; c < CPU_SETSIZE; ++c) {
+      if (CPU_ISSET(c, &saved_)) {
+        CPU_SET(c, &one);
+        break;
+      }
+    }
+    pinned_ = pthread_setaffinity_np(pthread_self(), sizeof one, &one) == 0;
+  }
+  OneCpuScope(const OneCpuScope&) = delete;
+  OneCpuScope& operator=(const OneCpuScope&) = delete;
+  ~OneCpuScope() {
+    if (pinned_) {
+      pthread_setaffinity_np(pthread_self(), sizeof saved_, &saved_);
+    }
+  }
+
+  bool pinned() const { return pinned_; }
+
+ private:
+  cpu_set_t saved_;
+  bool pinned_ = false;
+};
+
+// A database that pages: EPC++ of 128 pages under real AES-GCM, with the
+// backing arena zeroed so that two instances can be compared byte for byte.
+struct PagedDatabase {
+  static suvm::SuvmConfig Config() {
+    suvm::SuvmConfig sc;
+    sc.epc_pp_pages = 128;
+    sc.backing_bytes = 8 << 20;
+    return sc;
+  }
+
+  explicit PagedDatabase(size_t people)
+      : enclave(machine),
+        suvm(enclave, Config()),
+        region(suvm, people * kHistogramBytes) {
+    suvm::BackingStore& store = suvm.backing_store();
+    std::memset(store.Raw(0), 0, store.capacity());
+  }
+
+  sim::Machine machine;
+  sim::Enclave enclave;
+  suvm::Suvm suvm;
+  SuvmRegion region;
+};
+
+// BuildDatabase against a twin machine on which a plain loop writes the
+// reference histograms in id order: the nonce stream pins the order in
+// which pages were sealed, so equal arenas mean equal writes in equal order.
+void ExpectBuildMatchesSerialReferenceWrites() {
+  constexpr size_t kPeople = 24;
+  PagedDatabase built(kPeople);
+  PagedDatabase serial(kPeople);
+  FaceVerifServer server(built.machine, built.region, kPeople);
+  server.BuildDatabase();
+
+  const sim::CostModel& costs = serial.machine.costs();
+  const auto reference_hist = [&costs](uint64_t person, uint64_t variant) {
+    return reference::ComputeLbpHistogram(
+        nullptr, costs, reference::SynthesizeFace(person, variant));
+  };
+  for (uint64_t id = 0; id < kPeople; ++id) {
+    const Histogram h = reference_hist(id, 0);
+    serial.region.Write(nullptr, id * kHistogramBytes, h.data(), kHistogramBytes);
+  }
+  const Histogram ref0 = reference_hist(0, 0);
+  const double threshold =
+      (reference::ChiSquareDistance(ref0, reference_hist(0, 1)) +
+       reference::ChiSquareDistance(ref0, reference_hist(1, 0))) /
+      2.0;
+  EXPECT_EQ(Bits(server.threshold()), Bits(threshold));
+
+  const suvm::Suvm::Stats& got = built.suvm.stats();
+  const suvm::Suvm::Stats& want = serial.suvm.stats();
+  ASSERT_GT(want.evictions.load(), 0u) << "the database must page";
+  EXPECT_EQ(got.major_faults.load(), want.major_faults.load());
+  EXPECT_EQ(got.writebacks.load(), want.writebacks.load());
+  EXPECT_EQ(got.evictions.load(), want.evictions.load());
+  const suvm::BackingStore& got_store = built.suvm.backing_store();
+  const suvm::BackingStore& want_store = serial.suvm.backing_store();
+  ASSERT_EQ(got_store.capacity(), want_store.capacity());
+  EXPECT_EQ(std::memcmp(got_store.Raw(0), want_store.Raw(0), got_store.capacity()),
+            0);
+
+  for (uint64_t id = 0; id < kPeople; ++id) {
+    Histogram a(kHistogramFloats), b(kHistogramFloats);
+    built.region.Read(nullptr, id * kHistogramBytes, a.data(), kHistogramBytes);
+    serial.region.Read(nullptr, id * kHistogramBytes, b.data(), kHistogramBytes);
+    EXPECT_TRUE(SameBits(a, b)) << "person " << id;
+  }
+}
+
+TEST(DatabaseBuild, WritesWhatASerialLoopWrites) {
+  ExpectBuildMatchesSerialReferenceWrites();
+}
+
+TEST(DatabaseBuild, WritesWhatASerialLoopWritesOnOneCpu) {
+  OneCpuScope one_cpu;
+  ASSERT_TRUE(one_cpu.pinned());
+  ExpectBuildMatchesSerialReferenceWrites();
+}
+
+struct WriteRefused : std::runtime_error {
+  WriteRefused() : std::runtime_error("write refused") {}
+};
+
+// Host memory whose Write throws WriteRefused on one person's entry, and
+// which logs the person of every write it takes.
+class FailingRegion : public MemRegion {
+ public:
+  FailingRegion(size_t people, uint64_t fail_id)
+      : data_(people * kHistogramBytes), fail_id_(fail_id) {}
+
+  void Read(sim::CpuContext*, uint64_t off, void* dst, size_t n) override {
+    std::memcpy(dst, data_.data() + off, n);
+  }
+  void Write(sim::CpuContext*, uint64_t off, const void* src,
+             size_t n) override {
+    const uint64_t id = off / kHistogramBytes;
+    if (id == fail_id_) {
+      throw WriteRefused();
+    }
+    std::memcpy(data_.data() + off, src, n);
+    written.push_back(id);
+  }
+  size_t size() const override { return data_.size(); }
+
+  std::vector<uint64_t> written;
+
+ private:
+  std::vector<uint8_t> data_;
+  uint64_t fail_id_;
+};
+
+TEST(DatabaseBuild, RegionWriteFailureStopsTheBuild) {
+  constexpr size_t kPeople = 40;
+  sim::Machine machine;
+  // The first id, one past the last slot of the smallest ring, one deep
+  // into a cycled ring, and the last id.
+  for (uint64_t fail_id : {0, 4, 29, 39}) {
+    FailingRegion region(kPeople, fail_id);
+    FaceVerifServer server(machine, region, kPeople);
+    EXPECT_THROW(server.BuildDatabase(), WriteRefused) << fail_id;
+    ASSERT_EQ(region.written.size(), fail_id);
+    for (uint64_t id = 0; id < fail_id; ++id) {
+      EXPECT_EQ(region.written[id], id);
+      Histogram got(kHistogramFloats);
+      region.Read(nullptr, id * kHistogramBytes, got.data(), kHistogramBytes);
+      EXPECT_TRUE(SameBits(
+          got, ComputeLbpHistogram(nullptr, machine.costs(), SynthesizeFace(id))))
+          << "person " << id;
+    }
   }
 }
 
