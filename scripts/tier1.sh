@@ -13,9 +13,10 @@
 #    submitter timeouts, the boundary fuzz (a live
 #    scribbler thread storing garbage into the shared job slots), the
 #    time-series sampler (cut inside ChargeCost under component locks), the
-#    LLC model's one lock per range, the driver's enclave table read by
-#    a balloon pass while another thread creates and destroys enclaves, and
-#    the face-database build's worker threads and look-ahead ring.
+#    LLC model's one lock per range, and the driver's enclave table read by
+#    a balloon pass while another thread creates and destroys enclaves.
+#    It also re-runs the face-database build's worker threads and
+#    look-ahead ring.
 # 3. An ASan+UBSan build re-running the hostile-host suites: fault injection,
 #    the chaos-soak smoke, crash recovery (kill/restart over a surviving
 #    arena) and the boundary fuzz — the paths that poke
@@ -58,9 +59,8 @@ cmake --build build-tsan -j --target \
   rpc_test rpc_stress_test rpc_async_test suvm_test suvm_parallel_test \
   suvm_property_test virtual_gate_test \
   fault_injection_test telemetry_test health_test span_test \
-  timeseries_test flight_recorder_test \
-  crash_recovery_test boundary_fuzz_test cache_model_test epc_driver_test \
-  faceverif_test
+  timeseries_test flight_recorder_test faceverif_test \
+  crash_recovery_test boundary_fuzz_test cache_model_test epc_driver_test
 (cd build-tsan && ctest --output-on-failure -R "$TSAN_TESTS")
 
 ASAN_TESTS='^(fault_injection_test|chaos_soak_test|crash_recovery_test|boundary_fuzz_test|flight_recorder_test|suvm_parallel_test|virtual_gate_test|crypto_test|crypto_extra_test|faceverif_test|param_server_test|cache_model_test|tlb_model_test|huge_buffer_test)$'
