@@ -3,9 +3,9 @@
 // Wall-clock micro-benchmarks (google-benchmark) of the hot primitives.
 // Unlike the figure benches these measure *real* time of this
 // implementation, as a sanity check that the functional substrate is fast
-// enough to run the simulations (crypto throughput, the LLC model, allocator,
-// first touches of the backing arena, spointer dereference, RPC queue
-// round-trip, the face kernels and the face-database build).
+// enough to run the simulations (crypto throughput, the LLC model and its tag
+// store, allocator, first touches of the backing arena, spointer dereference,
+// RPC queue round-trip, the face kernels and the face-database build).
 
 #include <benchmark/benchmark.h>
 
@@ -21,6 +21,7 @@
 #include "src/rpc/job_queue.h"
 #include "src/rpc/worker_pool.h"
 #include "src/sim/cache_model.h"
+#include "src/sim/lru_tag_store.h"
 #include "src/suvm/backing_store.h"
 #include "src/suvm/spointer.h"
 #include "src/suvm/suvm.h"
@@ -145,6 +146,50 @@ void BM_LlcPageInStream(benchmark::State& state) {
       benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_LlcPageInStream);
+
+// The tag store alone, as the LLC and the MEE node cache drive it. StreamMiss
+// feeds an 8,192-set, 16-way store the 64 lines of random pages from 32x its
+// capacity through Eleos's 12-of-16-way enclave mask, so nearly every line
+// misses in a full set. Repeat feeds a 1-set, 64-way store each page 64 times,
+// as a page's EPC write stream reaches the MEE node cache: one lookup, then 63
+// hits on the most recent way. `line` reads as host time per access.
+void BM_LruTagStoreStreamMiss(benchmark::State& state) {
+  constexpr size_t kSets = 8192;
+  constexpr uint64_t kLinesPerPage = 64;
+  sim::LruTagStore store(kSets, 16);
+  Xoshiro256 rng(1);
+  uint64_t hits = 0;
+  for (auto _ : state) {
+    const uint64_t first =
+        rng.NextBelow(32 * kSets * 16 / kLinesPerPage) * kLinesPerPage;
+    for (uint64_t line = first; line < first + kLinesPerPage; ++line) {
+      hits += store.Access(line % kSets, line / kSets, 0x0fff);
+    }
+  }
+  benchmark::DoNotOptimize(hits);
+  state.counters["line"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * kLinesPerPage),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_LruTagStoreStreamMiss);
+
+void BM_LruTagStoreRepeat(benchmark::State& state) {
+  constexpr uint64_t kLinesPerPage = 64;
+  sim::LruTagStore store(1, 64);
+  Xoshiro256 rng(1);
+  uint64_t hits = 0;
+  for (auto _ : state) {
+    const uint64_t page = rng.NextBelow(96);
+    for (uint64_t line = 0; line < kLinesPerPage; ++line) {
+      hits += store.Access(0, page);
+    }
+  }
+  benchmark::DoNotOptimize(hits);
+  state.counters["line"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * kLinesPerPage),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_LruTagStoreRepeat);
 
 void BM_BuddyAllocFree(benchmark::State& state) {
   suvm::BackingStore bs({.capacity_bytes = 64ull << 20});

@@ -94,10 +94,10 @@ uint32_t RotWord(uint32_t w) { return (w << 8) | (w >> 24); }
 }  // namespace
 
 Aes128::Aes128(const uint8_t key[kAes128KeySize])
-    : Aes128(key, internal::CpuHasAesClmul()) {}
+    : Aes128(key, internal::CpuKernel()) {}
 
-Aes128::Aes128(const uint8_t key[kAes128KeySize], bool hardware)
-    : hardware_(hardware) {
+Aes128::Aes128(const uint8_t key[kAes128KeySize], internal::Kernel kernel)
+    : kernel_(kernel) {
   for (int i = 0; i < 4; ++i) {
     round_keys_[i] = LoadBe32(key + 4 * i);
   }
@@ -112,7 +112,9 @@ Aes128::Aes128(const uint8_t key[kAes128KeySize], bool hardware)
 
 void Aes128::EncryptBlock(const uint8_t in[kAesBlockSize],
                           uint8_t out[kAesBlockSize]) const {
-  if (hardware_) {
+  // One block gains nothing from wide registers: both hardware kernels take
+  // the AES-NI rounds.
+  if (kernel_ != internal::Kernel::kPortable) {
     internal::AesniEncryptBlock(round_keys_.data(), in, out);
     return;
   }

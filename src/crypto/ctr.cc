@@ -10,9 +10,15 @@ namespace eleos::crypto {
 
 void AesCtrCrypt(const Aes128& aes, const uint8_t iv[12], uint32_t initial_counter,
                  const uint8_t* in, uint8_t* out, size_t n) {
-  if (aes.hardware_) {
-    internal::AesniCtr(aes.round_keys_.data(), iv, initial_counter, in, out, n);
-    return;
+  switch (aes.kernel_) {
+    case internal::Kernel::kVaes:
+      internal::VaesCtr(aes.round_keys_.data(), iv, initial_counter, in, out, n);
+      return;
+    case internal::Kernel::kAesni:
+      internal::AesniCtr(aes.round_keys_.data(), iv, initial_counter, in, out, n);
+      return;
+    case internal::Kernel::kPortable:
+      break;
   }
   uint8_t counter_block[kAesBlockSize];
   uint8_t keystream[kAesBlockSize];

@@ -65,7 +65,7 @@ AesGcm::AesGcm(const Aes128& aes) : aes_(aes) {
   htable_[0] = {0, 0};
 
   U128 power{LoadBe64(h_block), LoadBe64(h_block + 8)};
-  for (int i = 0; i < 4; ++i) {
+  for (size_t i = 0; i < internal::kGhashPowers; ++i) {
     if (i > 0) {
       power = GhashMul(power);
     }
@@ -107,9 +107,15 @@ AesGcm::U128 AesGcm::GhashMul(const U128& x) const {
 
 void AesGcm::Ghash(const uint8_t* aad, size_t aad_len, const uint8_t* ct,
                    size_t ct_len, uint8_t out[16]) const {
-  if (aes_.hardware_) {
-    internal::ClmulGhash(h_powers_, aad, aad_len, ct, ct_len, out);
-    return;
+  switch (aes_.kernel_) {
+    case internal::Kernel::kVaes:
+      internal::VpclmulGhash(h_powers_, aad, aad_len, ct, ct_len, out);
+      return;
+    case internal::Kernel::kAesni:
+      internal::ClmulGhash(h_powers_, aad, aad_len, ct, ct_len, out);
+      return;
+    case internal::Kernel::kPortable:
+      break;
   }
   U128 y{0, 0};
 

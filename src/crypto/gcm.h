@@ -11,10 +11,11 @@
 // this implementation.
 //
 // Encryption runs through the one CTR loop (AesCtrCrypt, from counter 2 =
-// J0 + 1; counter 1 masks the tag). GHASH runs on PCLMULQDQ, four blocks per
-// reduction over precomputed H..H^4, when the Aes128 inside picked the AES-NI
-// kernels from CPUID; otherwise on Shoup's 4-bit tables, which also serve as
-// the tests' reference.
+// J0 + 1; counter 1 masks the tag). GHASH runs on the kernel the Aes128
+// inside picked from CPUID (aesni.h): VPCLMULQDQ, sixteen blocks per
+// reduction over H..H^16; PCLMULQDQ, four blocks per reduction over H..H^4;
+// or Shoup's 4-bit tables, which also serve as the tests' reference. The
+// powers are computed once, at construction.
 
 #ifndef ELEOS_SRC_CRYPTO_GCM_H_
 #define ELEOS_SRC_CRYPTO_GCM_H_
@@ -28,6 +29,10 @@ namespace eleos::crypto {
 
 inline constexpr size_t kGcmNonceSize = 12;
 inline constexpr size_t kGcmTagSize = 16;
+
+namespace internal {
+inline constexpr size_t kGhashPowers = 16;  // H..H^16 kept by every AesGcm
+}  // namespace internal
 
 // AES-128-GCM context. Construction precomputes the GHASH key tables and
 // powers; the object is immutable afterwards and safe to share across threads.
@@ -56,7 +61,7 @@ class AesGcm {
     uint64_t lo = 0;
   };
 
-  friend struct internal::Portable;
+  friend struct internal::OnKernel;
 
   // Runs on whichever path `aes` picked.
   explicit AesGcm(const Aes128& aes);
@@ -68,8 +73,9 @@ class AesGcm {
   Aes128 aes_;
   // Shoup's 4-bit table: htable_[i] = (i as 4-bit poly) * H in GF(2^128).
   U128 htable_[16];
-  // H, H^2, H^3, H^4 as GCM blocks, for the PCLMULQDQ GHASH.
-  uint8_t h_powers_[64];
+  // H, H^2, ..., H^16 as GCM blocks, for the carry-less-multiply GHASH
+  // kernels (the 128-bit one uses the first four).
+  uint8_t h_powers_[16 * internal::kGhashPowers];
 };
 
 }  // namespace eleos::crypto

@@ -3,12 +3,23 @@
 // Set-associative tag store with exact least-recently-used replacement: the
 // one LRU under the LLC model, the MEE node cache and the TLB.
 //
-// Each set keeps its tags, a bitmask of its valid ways and its way ids in
-// recency order, most recent first. A hit or a fill moves the way to the
-// front, so the least recent way a fill may take is the last one of the
-// order that the fill mask allows. That is the way a scan for the oldest
-// per-way timestamp picks: timestamps are unique per access, so such a scan
-// depends only on the recency order among the valid ways (DESIGN.md §15).
+// Each set keeps a tag per way, a bitmask of its valid ways, the way of rank
+// 0, and per way a one-byte partial tag (the tag's low byte) and a recency
+// rank: 0 for the most recent way up to ways - 1 for the least recent, so the
+// ranks of a set are a permutation. The bytes sit in 16-way vectors:
+//
+// - a lookup tries the most recent way, then compares every way's partial
+//   tag in one step per 16 ways and checks the full tag only where the byte
+//   matched;
+// - a hit or a fill gives its way rank 0 and ages each way that was more
+//   recent by one, again in one step per 16 ways;
+// - a miss with every allowed way valid takes the allowed way of highest
+//   rank. It is found bit by bit from the top rank bit, one step per bit
+//   (four for 16 ways), never by walking the order.
+//
+// That is the way a scan for the oldest per-way timestamp picks: timestamps
+// are unique per access, so such a scan depends only on the recency order
+// among the valid ways (DESIGN.md §15).
 
 #ifndef ELEOS_SRC_SIM_LRU_TAG_STORE_H_
 #define ELEOS_SRC_SIM_LRU_TAG_STORE_H_
@@ -17,9 +28,12 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <stdexcept>
 #include <vector>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 namespace eleos::sim {
 
@@ -29,12 +43,20 @@ class LruTagStore {
   // is 1-64: a set's valid bits and fill mask are one uint64_t.
   LruTagStore(size_t sets, size_t ways)
       : ways_(CheckedWays(sets, ways)),
+        chunks_((ways + kLanes - 1) / kLanes),
         all_ways_(ways == 64 ? ~uint64_t{0} : (uint64_t{1} << ways) - 1),
         tags_(sets * ways),
-        order_(sets * ways),
-        valid_(sets) {
-    for (size_t i = 0; i < order_.size(); ++i) {
-      order_[i] = static_cast<uint8_t>(i % ways);
+        lanes_(sets * 2 * chunks_),
+        valid_(sets),
+        mru_(sets) {
+    // Way w starts at rank w, so way 0 is the most recent. Lanes past the
+    // last way rank above every way and are never aged or chosen.
+    for (size_t set = 0; set < sets; ++set) {
+      Bytes* ranks = &lanes_[(2 * set + 1) * chunks_];
+      for (size_t lane = 0; lane < chunks_ * kLanes; ++lane) {
+        ranks[lane / kLanes][lane % kLanes] =
+            static_cast<int8_t>(lane < ways ? lane : kPastLastWay);
+      }
     }
   }
 
@@ -43,42 +65,19 @@ class LruTagStore {
   // the least recent allowed way, else nothing. The way hit or filled
   // becomes the most recent.
   bool Access(size_t set, uint64_t tag, uint64_t fill_mask = ~uint64_t{0}) {
-    uint8_t* order = &order_[set * ways_];
-    size_t pos = Lookup(set, tag);
-    if (pos < ways_) {
-      MoveToFront(order, pos);
-      return true;
-    }
-    const uint64_t allowed = fill_mask & all_ways_;
-    if (allowed == 0) {
-      return false;
-    }
-    const uint64_t invalid = allowed & ~valid_[set];
-    if (invalid != 0) {
-      const auto way = static_cast<uint8_t>(std::countr_zero(invalid));
-      pos = static_cast<size_t>(std::find(order, order + ways_, way) - order);
-    } else {
-      // Every allowed way is valid: take the last allowed one in the order.
-      pos = ways_ - 1;
-      while (((allowed >> order[pos]) & 1) == 0) {
-        --pos;
-      }
-    }
-    const size_t way = order[pos];
-    tags_[set * ways_ + way] = tag;
-    valid_[set] |= uint64_t{1} << way;
-    MoveToFront(order, pos);
-    return false;
-  }
-
-  // Clears the valid bit of the way holding tag, if any.
-  void Invalidate(size_t set, uint64_t tag) {
-    const size_t pos = Lookup(set, tag);
-    if (pos < ways_) {
-      valid_[set] &= ~(uint64_t{1} << order_[set * ways_ + pos]);
+    switch (chunks_) {
+      case 1:
+        return AccessIn<1>(set, tag, fill_mask);
+      case 2:
+        return AccessIn<2>(set, tag, fill_mask);
+      case 3:
+        return AccessIn<3>(set, tag, fill_mask);
+      default:
+        return AccessIn<4>(set, tag, fill_mask);
     }
   }
 
+  // Clears every valid bit; ranks and partial tags stay as they are.
   void InvalidateAll() { std::fill(valid_.begin(), valid_.end(), 0); }
 
   size_t sets() const { return valid_.size(); }
@@ -86,6 +85,13 @@ class LruTagStore {
   uint64_t all_ways() const { return all_ways_; }  // a mask of every way
 
  private:
+  // 16 ways per vector step. Ranks are at most 63 (127 past the last way),
+  // so signed byte compares order them.
+  typedef int8_t Bytes __attribute__((vector_size(16)));
+  typedef uint16_t Halves __attribute__((vector_size(16)));
+  static constexpr size_t kLanes = 16;
+  static constexpr int8_t kPastLastWay = 127;
+
   static size_t CheckedWays(size_t sets, size_t ways) {
     if (sets == 0 || ways < 1 || ways > 64) {
       throw std::invalid_argument(
@@ -94,35 +100,104 @@ class LruTagStore {
     return ways;
   }
 
-  // The place in set's recency order of the valid way holding tag, or ways_
-  // if none does. Scanning from the most recent way finds a tag that repeats
-  // (the MEE node of a page being streamed) in one step.
-  size_t Lookup(size_t set, uint64_t tag) const {
-    const uint8_t* order = &order_[set * ways_];
-    const uint64_t* tags = &tags_[set * ways_];
+  // Access for sets of kChunks x 16 lanes.
+  template <size_t kChunks>
+  bool AccessIn(size_t set, uint64_t tag, uint64_t fill_mask) {
+    uint64_t* tags = &tags_[set * ways_];
     const uint64_t valid = valid_[set];
-    for (size_t pos = 0; pos < ways_; ++pos) {
-      const size_t way = order[pos];
-      if (tags[way] == tag && ((valid >> way) & 1) != 0) {
-        return pos;
+    // A tag that repeats (the MEE node of a page being streamed) hits the
+    // most recent way, and a hit there ages no way.
+    const size_t mru = mru_[set];
+    if (tags[mru] == tag && ((valid >> mru) & 1) != 0) {
+      return true;
+    }
+    Bytes* ptags = &lanes_[2 * set * kChunks];
+    Bytes* ranks = ptags + kChunks;
+    const auto ptag = static_cast<int8_t>(tag);
+    const auto same_ptag = [ptag](Bytes v) { return v == ptag; };
+    for (uint64_t match = Lanes<kChunks>(ptags, same_ptag) & valid; match != 0;
+         match &= match - 1) {
+      const auto way = static_cast<size_t>(std::countr_zero(match));
+      if (tags[way] == tag) {
+        Touch<kChunks>(set, ranks, way);
+        return true;
       }
     }
-    return ways_;
+    const uint64_t allowed = fill_mask & all_ways_;
+    if (allowed == 0) {
+      return false;
+    }
+    const uint64_t invalid = allowed & ~valid;
+    const auto way = static_cast<size_t>(std::countr_zero(
+        invalid != 0 ? invalid : Oldest<kChunks>(ranks, allowed)));
+    tags[way] = tag;
+    ptags[way / kLanes][way % kLanes] = ptag;
+    valid_[set] = valid | uint64_t{1} << way;
+    Touch<kChunks>(set, ranks, way);
+    return false;
   }
 
-  // Moves the way at order[pos] to the front, shifting the more recent ones
-  // back by one.
-  static void MoveToFront(uint8_t* order, size_t pos) {
-    const uint8_t way = order[pos];
-    std::memmove(order + 1, order, pos);
-    order[0] = way;
+  // Bit i of the result is the top bit of lane i % 16 of test(chunks[i / 16]).
+  template <size_t kChunks, typename Test>
+  static uint64_t Lanes(const Bytes* chunks, Test test) {
+    uint64_t bits = 0;
+    for (size_t c = 0; c < kChunks; ++c) {
+      bits |= MoveMask(test(chunks[c])) << (c * kLanes);
+    }
+    return bits;
+  }
+
+  static uint64_t MoveMask(Bytes v) {
+#if defined(__SSE2__)
+    return static_cast<uint32_t>(_mm_movemask_epi8(reinterpret_cast<__m128i>(v)));
+#else
+    uint64_t bits = 0;
+    for (size_t lane = 0; lane < kLanes; ++lane) {
+      bits |= static_cast<uint64_t>(v[lane] < 0) << lane;
+    }
+    return bits;
+#endif
+  }
+
+  // A one-bit mask of the allowed way of highest rank; allowed is nonzero
+  // and within all_ways_. Ranks are distinct, so keeping, from the top rank
+  // bit down, the candidates that have the bit whenever any has it leaves
+  // exactly that way.
+  template <size_t kChunks>
+  static uint64_t Oldest(const Bytes* ranks, uint64_t allowed) {
+    constexpr int kRankBits = std::bit_width(kChunks * kLanes - 1);
+    uint64_t candidates = allowed;
+    for (int bit = kRankBits - 1; bit >= 0; --bit) {
+      // Shifting the 16-bit lanes left by 7 - bit moves rank bit `bit` of
+      // every byte to that byte's top bit.
+      const auto has_bit = [bit](Bytes v) {
+        return reinterpret_cast<Bytes>(reinterpret_cast<Halves>(v) << (7 - bit));
+      };
+      const uint64_t ones = candidates & Lanes<kChunks>(ranks, has_bit);
+      candidates = ones != 0 ? ones : candidates;
+    }
+    return candidates;
+  }
+
+  // Makes way the most recent: every way more recent than it ages by one.
+  template <size_t kChunks>
+  void Touch(size_t set, Bytes* ranks, size_t way) {
+    const int8_t rank = ranks[way / kLanes][way % kLanes];
+    for (size_t c = 0; c < kChunks; ++c) {
+      ranks[c] -= ranks[c] < rank;
+    }
+    ranks[way / kLanes][way % kLanes] = 0;
+    mru_[set] = static_cast<uint8_t>(way);
   }
 
   size_t ways_;
+  size_t chunks_;  // 16-way vector steps per set
   uint64_t all_ways_;
-  std::vector<uint64_t> tags_;   // sets x ways, set-major
-  std::vector<uint8_t> order_;   // sets x ways way ids, most recent first
+  std::vector<uint64_t> tags_;  // sets x ways, set-major
+  // Per set, chunks_ vectors of partial tags, then chunks_ vectors of ranks.
+  std::vector<Bytes> lanes_;
   std::vector<uint64_t> valid_;  // one bitmask per set
+  std::vector<uint8_t> mru_;     // per set, the way of rank 0
 };
 
 }  // namespace eleos::sim

@@ -5,7 +5,10 @@
 // SGX flushes the TLB on every enclave exit (EEXIT and AEX both invalidate
 // enclave mappings), which is one of the two indirect exit costs the paper
 // quantifies (§2.2.1, Figure 2b). The model is a set-associative unified
-// second-level TLB; a miss charges a page-walk.
+// second-level TLB on the shared exact-LRU tag store; a miss charges a
+// page-walk. Every modelled invalidation is a full flush: an enclave exit, a
+// fault's AEX, and the AEX that a driver eviction's shootdown IPI forces on
+// each other CPU running in the enclave.
 
 #ifndef ELEOS_SRC_SIM_TLB_MODEL_H_
 #define ELEOS_SRC_SIM_TLB_MODEL_H_
@@ -27,7 +30,10 @@ class TlbModel {
   // invalid way of its set or else the least recently used one. Returns
   // hit/miss.
   bool Access(uint64_t vpn) {
-    if (slots_.Access(SetOf(vpn), vpn)) {
+    // The set is vpn mod sets, so the quotient names the page within its set;
+    // its low byte is what the store's partial tags compare.
+    const uint64_t sets = slots_.sets();
+    if (slots_.Access(static_cast<size_t>(vpn % sets), vpn / sets)) {
       ++hits_;
       return true;
     }
@@ -35,30 +41,17 @@ class TlbModel {
     return false;
   }
 
-  // Full flush, as performed by enclave exits.
+  // Full flush, as performed by enclave exits and AEXs.
   void FlushAll() {
     slots_.InvalidateAll();
     ++flushes_;
   }
 
-  // Single-page shootdown (driver-initiated EPC eviction).
-  void Invalidate(uint64_t vpn) { slots_.Invalidate(SetOf(vpn), vpn); }
-
   uint64_t hits() const { return hits_; }
   uint64_t misses() const { return misses_; }
   uint64_t flushes() const { return flushes_; }
 
-  void ResetStats() {
-    hits_ = 0;
-    misses_ = 0;
-    flushes_ = 0;
-  }
-
  private:
-  size_t SetOf(uint64_t vpn) const {
-    return static_cast<size_t>(vpn % slots_.sets());
-  }
-
   LruTagStore slots_;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;

@@ -448,17 +448,21 @@ TEST(CacheModelGeometry, RejectsMeeCacheOutsideOneTo64) {
 // --- Oracle: the model against the per-line reference ---
 
 // The 64-way geometry uses way 63 and the all-ones mask and has a one-page
-// MEE node cache; the others keep the default 64 pages.
+// MEE node cache; the others keep the default 64 pages. A tag stride of 256
+// makes every tag a set sees, and every page the MEE node cache sees, agree
+// in the low byte that the tag store compares before the full tag.
 struct Geometry {
   const char* name;
   size_t llc_bytes;
   size_t ways;
   size_t mee_pages;
+  uint64_t tag_stride;
 };
-constexpr Geometry kGeometries[] = {{"8MiB", 8ull << 20, 16, 64},
-                                    {"64KiB", 64 << 10, 16, 64},
-                                    {"64Way", 256 << 10, 64, 1},
-                                    {"1Way", 32 << 10, 1, 64}};
+constexpr Geometry kGeometries[] = {{"8MiB", 8ull << 20, 16, 64, 1},
+                                    {"64KiB", 64 << 10, 16, 64, 1},
+                                    {"64Way", 256 << 10, 64, 1, 1},
+                                    {"1Way", 32 << 10, 1, 64, 1},
+                                    {"64KiBTags256Apart", 64 << 10, 16, 64, 256}};
 
 // Class-of-service fill masks: none; Eleos's 75/25 split (dropped halfway
 // through the CacheModel stream); or, every 500 ops, a fresh random (mostly
@@ -507,14 +511,15 @@ class LlcOracle : public ::testing::TestWithParam<OracleParam> {
   }
 
   // A line in one of the first 512 sets (all of a small geometry), with one
-  // of 3 x ways tags, so sets overflow their ways and EPC writes both hit and
-  // miss the MEE node cache; one line in eight sits near the top of the
-  // address space.
-  static uint64_t RandomLine(Xoshiro256& rng, const CacheModel& llc) {
+  // of 3 x ways tags spaced by the geometry's stride, so sets overflow their
+  // ways and EPC writes both hit and miss the MEE node cache; one line in
+  // eight sits near the top of the address space.
+  uint64_t RandomLine(Xoshiro256& rng, const CacheModel& llc) const {
     const uint64_t sets = llc.num_sets();
     const uint64_t set = rng.NextBelow(std::min<uint64_t>(sets, 512));
     const uint64_t high = rng.NextBelow(8) == 0 ? 1ull << 40 : 0;
-    return (high + rng.NextBelow(3 * llc.num_ways())) * sets + set;
+    const uint64_t stride = std::get<0>(GetParam()).tag_stride;
+    return (high + rng.NextBelow(3 * llc.num_ways()) * stride) * sets + set;
   }
 
   // Mostly the three classes of service; one pick in eight is out of range

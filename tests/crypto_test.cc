@@ -2,9 +2,10 @@
 //
 // Known-answer tests (FIPS-197, NIST GCM spec, SP 800-38A, FIPS 180-4) and
 // property tests for the crypto used by the simulated EWB path and SUVM's
-// backing-store sealing. The AES and GCM vectors run on the path CPUID picks
-// and on the portable reference; a differential test holds the AES-NI +
-// PCLMULQDQ kernels to that reference byte for byte.
+// backing-store sealing. The AES and GCM vectors run on the kernel CPUID
+// picks and on the portable reference; differential tests hold each hardware
+// kernel this CPU has (AES-NI + PCLMULQDQ, VAES + VPCLMULQDQ) to that
+// reference byte for byte.
 
 #include <gtest/gtest.h>
 
@@ -40,19 +41,21 @@ std::string ToHex(const uint8_t* data, size_t n) {
   return s;
 }
 
-// The path CPUID picks (the AES-NI + PCLMULQDQ kernels where present) and
-// the portable T-table/Shoup reference.
+// The kernel CPUID picks (the fastest hardware kernel present) and the
+// portable T-table/Shoup reference.
 enum class Path { kCpuid, kPortable };
 
 class Vectors : public ::testing::TestWithParam<Path> {
  protected:
   Aes128 MakeAes(const std::vector<uint8_t>& key) const {
-    return GetParam() == Path::kPortable ? internal::Portable::Aes(key.data())
-                                         : Aes128(key.data());
+    return GetParam() == Path::kPortable
+               ? internal::OnKernel::Aes(internal::Kernel::kPortable, key.data())
+               : Aes128(key.data());
   }
   AesGcm MakeGcm(const std::vector<uint8_t>& key) const {
-    return GetParam() == Path::kPortable ? internal::Portable::Gcm(key.data())
-                                         : AesGcm(key.data());
+    return GetParam() == Path::kPortable
+               ? internal::OnKernel::Gcm(internal::Kernel::kPortable, key.data())
+               : AesGcm(key.data());
   }
 };
 
@@ -221,16 +224,34 @@ INSTANTIATE_TEST_SUITE_P(Sizes, GcmRoundTrip,
                          ::testing::Values(0, 1, 15, 16, 17, 63, 64, 100, 1024,
                                            4096, 10000));
 
-// The hardware kernels against the portable reference. The plaintext lengths
-// 0-300 plus 4095, 4096, 4097 and 9000 cover every residue mod 16 (partial
-// blocks), 64 (the four-block GHASH fold) and 128 (the eight-block CTR loop);
-// the AAD lengths cycle through 0-80.
-TEST(HardwareVsPortable, GcmSealAndOpenAgree) {
-  if (!internal::CpuHasAesClmul()) {
-    GTEST_SKIP() << "no AES-NI/PCLMULQDQ: the portable path is the only one";
+// Each hardware kernel against the portable reference, on every CPU that has
+// it: on a CPU with the 256-bit kernel, the 128-bit one is still checked.
+class HardwareVsPortable : public ::testing::TestWithParam<internal::Kernel> {
+ protected:
+  void SetUp() override {
+    const std::string missing = internal::MissingCpuFeatures(GetParam());
+    if (!missing.empty()) {
+      GTEST_SKIP() << "CPUID lacks " << missing << ", which this kernel needs";
+    }
   }
+};
+
+INSTANTIATE_TEST_SUITE_P(Kernels, HardwareVsPortable,
+                         ::testing::Values(internal::Kernel::kAesni,
+                                           internal::Kernel::kVaes),
+                         [](const ::testing::TestParamInfo<internal::Kernel>& k) {
+                           return k.param == internal::Kernel::kVaes ? "vaes"
+                                                                     : "aesni";
+                         });
+
+// The plaintext lengths 0-1100 plus 4095, 4096, 4097 and 9000 cover every
+// residue mod 16 (partial blocks), mod 64 and 256 (the four- and
+// sixteen-block GHASH folds) and mod 128 and 256 (the eight- and
+// sixteen-block CTR loops), at least four times over; the AAD lengths cycle
+// through 0-80.
+TEST_P(HardwareVsPortable, GcmSealAndOpenAgree) {
   std::vector<size_t> lengths;
-  for (size_t n = 0; n <= 300; ++n) {
+  for (size_t n = 0; n <= 1100; ++n) {
     lengths.push_back(n);
   }
   for (size_t n : {4095u, 4096u, 4097u, 9000u}) {
@@ -247,8 +268,8 @@ TEST(HardwareVsPortable, GcmSealAndOpenAgree) {
       std::vector<uint8_t> aad(cases++ % 81), pt(n);
       rng.FillBytes(aad.data(), aad.size());
       rng.FillBytes(pt.data(), n);
-      const AesGcm hw(key);
-      const AesGcm ref = internal::Portable::Gcm(key);
+      const AesGcm hw = internal::OnKernel::Gcm(GetParam(), key);
+      const AesGcm ref = internal::OnKernel::Gcm(internal::Kernel::kPortable, key);
 
       // Each side seals into a buffer of exactly n bytes, so a kernel that
       // touches a byte past either end trips ASan.
@@ -293,17 +314,15 @@ TEST(HardwareVsPortable, GcmSealAndOpenAgree) {
   }
 }
 
-// Single blocks, and the CTR loop with its 32-bit counter wrapping inside and
-// across eight-block groups.
-TEST(HardwareVsPortable, AesBlocksAndCtrAgree) {
-  if (!internal::CpuHasAesClmul()) {
-    GTEST_SKIP() << "no AES-NI/PCLMULQDQ: the portable path is the only one";
-  }
+// Single blocks, and the CTR loops with the 32-bit counter wrapping inside
+// and across their eight- and sixteen-block groups, inside a two-block
+// register and between two of them.
+TEST_P(HardwareVsPortable, AesBlocksAndCtrAgree) {
   Xoshiro256 rng(15);
   uint8_t key[16];
   rng.FillBytes(key, sizeof(key));
-  const Aes128 hw(key);
-  const Aes128 ref = internal::Portable::Aes(key);
+  const Aes128 hw = internal::OnKernel::Aes(GetParam(), key);
+  const Aes128 ref = internal::OnKernel::Aes(internal::Kernel::kPortable, key);
   for (int i = 0; i < 64; ++i) {
     uint8_t in[16], a[16], b[16];
     rng.FillBytes(in, sizeof(in));
@@ -312,8 +331,10 @@ TEST(HardwareVsPortable, AesBlocksAndCtrAgree) {
     ASSERT_EQ(0, std::memcmp(a, b, 16));
   }
   const uint8_t iv[12] = {0xa5, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11};
-  for (uint32_t c0 : {0u, 1u, 0xfffffff9u, 0xfffffffcu, 0xffffffffu}) {
-    for (size_t n : {0u, 1u, 16u, 127u, 128u, 129u, 300u, 4096u}) {
+  for (uint32_t c0 : {0u, 1u, 0xffffffe7u, 0xfffffff0u, 0xfffffff1u, 0xfffffff9u,
+                      0xfffffffcu, 0xfffffffeu, 0xffffffffu}) {
+    for (size_t n : {0u, 1u, 16u, 31u, 32u, 33u, 127u, 128u, 129u, 255u, 256u,
+                     257u, 300u, 511u, 4096u}) {
       std::vector<uint8_t> pt(n), a(n), b(n);
       rng.FillBytes(pt.data(), n);
       AesCtrCrypt(hw, iv, c0, pt.data(), a.data(), n);

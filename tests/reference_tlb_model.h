@@ -1,9 +1,10 @@
 // Copyright (c) Eleos reproduction authors. MIT license.
 //
 // The per-way timestamp TLB that sim::TlbModel replaced with the shared
-// exact-LRU tag store, verbatim. tlb_model_test drives both with seeded
-// streams and requires equal results; cache_model_test's reference Machine
-// charges TLB walks through it.
+// exact-LRU tag store, verbatim but for a single-page shootdown and a stats
+// reset, which the model has no counterpart for. tlb_model_test drives both
+// with seeded streams and requires equal results; cache_model_test's
+// reference Machine charges TLB walks through it.
 
 #ifndef ELEOS_TESTS_REFERENCE_TLB_MODEL_H_
 #define ELEOS_TESTS_REFERENCE_TLB_MODEL_H_
@@ -57,26 +58,9 @@ class TlbModel {
     ++flushes_;
   }
 
-  // Single-page shootdown (driver-initiated EPC eviction).
-  void Invalidate(uint64_t vpn) {
-    const size_t set = static_cast<size_t>(vpn) % sets_;
-    Slot* base = &slots_[set * ways_];
-    for (size_t w = 0; w < ways_; ++w) {
-      if (base[w].valid && base[w].vpn == vpn) {
-        base[w].valid = false;
-      }
-    }
-  }
-
   uint64_t hits() const { return hits_; }
   uint64_t misses() const { return misses_; }
   uint64_t flushes() const { return flushes_; }
-
-  void ResetStats() {
-    hits_ = 0;
-    misses_ = 0;
-    flushes_ = 0;
-  }
 
  private:
   struct Slot {
