@@ -25,7 +25,7 @@ namespace {
 // --- 1. clean-page skip ---
 
 uint64_t ReadSweepCycles(bool clean_skip) {
-  sim::Machine machine(bench::FastMachine());
+  sim::Machine machine;
   sim::Enclave enclave(machine);
   suvm::SuvmConfig sc;
   sc.epc_pp_pages = 2048;           // 8 MiB EPC++
@@ -63,7 +63,7 @@ struct LinkingResult {
 };
 
 LinkingResult LinkingAblation() {
-  sim::Machine machine(bench::FastMachine());
+  sim::Machine machine;
   sim::Enclave enclave(machine);
   suvm::SuvmConfig sc;
   sc.epc_pp_pages = 1024;
@@ -113,7 +113,7 @@ LinkingResult LinkingAblation() {
 // --- 3. KvCache metadata placement ---
 
 double KvGetCycles(bool metadata_secure) {
-  sim::Machine machine(bench::FastMachine());
+  sim::Machine machine;
   sim::Enclave enclave(machine);
   suvm::SuvmConfig sc;
   sc.epc_pp_pages = 2048;

@@ -47,7 +47,7 @@ struct HostileResult {
 // One hostile run on a fresh machine: every submit finds the queue "full".
 HostileResult RunHostile(size_t calls, size_t io_bytes, bool breaker) {
   using namespace eleos;
-  sim::Machine machine(bench::FastMachine());
+  sim::Machine machine;
   sim::Enclave enclave(machine);
   rpc::RpcManager::Options opts;
   opts.mode = rpc::RpcManager::Mode::kThreaded;
@@ -99,7 +99,7 @@ struct BoundaryResult {
 // boundary.* counters at zero (validate_bench.py checks both directions).
 BoundaryResult RunBoundaryHostile(size_t calls) {
   using namespace eleos;
-  sim::Machine machine(bench::FastMachine());
+  sim::Machine machine;
   sim::Enclave enclave(machine);
   libos::MemFs host_fs;
   libos::EnclaveFs fs(enclave, host_fs, libos::ExitMode::kOcall);
@@ -179,7 +179,7 @@ AsyncBatchResult RunAsyncBatch(size_t calls, size_t batch, size_t io_bytes) {
   using namespace eleos;
   AsyncBatchResult r;
   {
-    sim::Machine machine(bench::FastMachine());
+    sim::Machine machine;
     sim::Enclave enclave(machine);
     rpc::RpcManager::Options opts;
     opts.mode = rpc::RpcManager::Mode::kThreaded;
@@ -199,7 +199,7 @@ AsyncBatchResult RunAsyncBatch(size_t calls, size_t batch, size_t io_bytes) {
     (void)sink;
   }
   {
-    sim::Machine machine(bench::FastMachine());
+    sim::Machine machine;
     sim::Enclave enclave(machine);
     rpc::RpcManager::Options opts;
     opts.mode = rpc::RpcManager::Mode::kThreaded;
@@ -234,7 +234,7 @@ AsyncBatchResult RunAsyncBatch(size_t calls, size_t batch, size_t io_bytes) {
 // construction, small enough to never overflow the per-thread span buffers.
 bool RunTracedDemo(const std::string& trace_out) {
   using namespace eleos;
-  sim::Machine machine(bench::FastMachine());
+  sim::Machine machine;
   machine.EnableTracing(/*audit=*/true);
   telemetry::TimeSeriesSampler::Options tl;
   tl.window_cycles = 1ull << 14;  // short demo: small windows so several cut
@@ -320,7 +320,7 @@ int main(int argc, char** argv) {
   const size_t kBatch = 8;
   const size_t kIoBytes = 256;
 
-  sim::Machine machine(bench::FastMachine());
+  sim::Machine machine;
   // Time-series sampler on the baseline machine: windows small enough that a
   // smoke run still cuts several, cheap enough (one branch per ChargeCost)
   // that cycle counts are identical with it off — tier-1 asserts that.

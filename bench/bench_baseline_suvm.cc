@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
   const size_t kPpPages = kWsPages / 4;
   const size_t kReads = smoke ? 4000 : 200000;
 
-  sim::Machine machine(bench::FastMachine());
+  sim::Machine machine;
   if (!trace_out.empty()) {
     machine.EnableTracing();  // before the enclave: Enter opens the first span
   }
@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
   // suvm.checkpoint_cycles / suvm.recover_cycles histograms below.
   const size_t kRecRounds = smoke ? 4 : 24;
   const size_t kRecPages = smoke ? 128 : 1024;
-  sim::Machine rec_machine(bench::FastMachine());
+  sim::Machine rec_machine;
   {
     suvm::SuvmConfig rcfg;
     rcfg.epc_pp_pages = kRecPages / 4;
@@ -165,7 +165,7 @@ int main(int argc, char** argv) {
   const size_t kParReads = smoke ? 1500 : 30000;  // per thread, measured
   auto run_parallel = [&](size_t threads, size_t reads_per_step,
                           uint64_t work_cycles) -> ParResult {
-    sim::Machine pm(bench::FastMachine());
+    sim::Machine pm;
     sim::Enclave pe(pm);
     suvm::SuvmConfig pcfg;
     pcfg.epc_pp_pages = kParPpPages;

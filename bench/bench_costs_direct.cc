@@ -14,8 +14,6 @@
 namespace eleos {
 namespace {
 
-using bench::FastMachine;
-
 uint64_t MeasureEnterExit(sim::Machine& m) {
   sim::Enclave e(m);
   sim::CpuContext& cpu = m.cpu(0);
@@ -44,7 +42,7 @@ struct HwFaultCosts {
 };
 
 HwFaultCosts MeasureHwFaults() {
-  sim::MachineConfig cfg = FastMachine();
+  sim::MachineConfig cfg;
   cfg.epc_frames = 2048;
   sim::Machine m(cfg);
   m.driver().ConfigureSwapper(0, 0);
@@ -110,7 +108,7 @@ SuvmFaultCosts MeasureSuvmFaults() {
   // Read workload: warm with writes, settle residents to clean via a read
   // sweep, then measure — victims are clean drops, faults are page-in only.
   {
-    sim::Machine m(FastMachine());
+    sim::Machine m;
     sim::Enclave e(m);
     suvm::SuvmConfig sc;
     sc.epc_pp_pages = 2048;
@@ -136,7 +134,7 @@ SuvmFaultCosts MeasureSuvmFaults() {
 
   // Write workload: steady state is all-dirty — every eviction seals.
   {
-    sim::Machine m(FastMachine());
+    sim::Machine m;
     sim::Enclave e(m);
     suvm::SuvmConfig sc;
     sc.epc_pp_pages = 2048;
@@ -169,7 +167,7 @@ int main(int argc, char** argv) {
       "Costs (paper §2.2, §2.3, §6.1.2)",
       "Direct transition and paging costs, hardware vs SUVM software faults");
 
-  sim::Machine m(bench::FastMachine());
+  sim::Machine m;
   const uint64_t enter_exit = MeasureEnterExit(m);
   const uint64_t ocall = MeasureOcall(m);
   const HwFaultCosts hw = MeasureHwFaults();

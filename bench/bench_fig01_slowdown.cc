@@ -17,7 +17,7 @@ using apps::PsExecMode;
 
 double CyclesPerRequest(size_t data_bytes, PsExecMode mode, PsBackend backend,
                         size_t n_requests) {
-  sim::Machine machine(bench::FastMachine());
+  sim::Machine machine;
   PsConfig cfg;
   cfg.data_bytes = data_bytes;
   cfg.mode = mode;

@@ -19,7 +19,7 @@ using apps::PsExecMode;
 // excluded — this isolates the *indirect* pollution cost, like the paper.
 double HandlerCyclesPerUpdate(PsExecMode mode, PsBackend backend, size_t updates,
                               size_t n_requests) {
-  sim::Machine machine(bench::FastMachine());
+  sim::Machine machine;
   PsConfig cfg;
   cfg.data_bytes = 64ull << 20;
   cfg.mode = mode;

@@ -18,7 +18,7 @@ using apps::PsExecMode;
 
 double HandlerCyclesPerUpdate(HashLayout layout, size_t updates,
                               size_t n_requests) {
-  sim::Machine machine(bench::FastMachine());
+  sim::Machine machine;
   PsConfig cfg;
   cfg.data_bytes = 2ull << 20;
   cfg.layout = layout;

@@ -17,7 +17,7 @@ using apps::PsExecMode;
 
 double CyclesPerRequest(PsExecMode mode, PsBackend backend, size_t updates,
                         size_t n_requests) {
-  sim::Machine machine(bench::FastMachine());
+  sim::Machine machine;
   PsConfig cfg;
   cfg.data_bytes = 2ull << 20;
   cfg.mode = mode;

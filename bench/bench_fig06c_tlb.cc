@@ -16,7 +16,7 @@ using apps::PsConfig;
 using apps::PsExecMode;
 
 double HandlerCyclesPerUpdate(PsExecMode mode, size_t updates, size_t n_requests) {
-  sim::Machine machine(bench::FastMachine());
+  sim::Machine machine;
   PsConfig cfg;
   cfg.data_bytes = 2ull << 20;
   cfg.layout = HashLayout::kChaining;

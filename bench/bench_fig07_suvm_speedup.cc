@@ -25,7 +25,7 @@ struct RunResult {
 constexpr size_t kAccesses = 12000;  // per configuration (paper: 100k)
 
 RunResult RunSgx(size_t buffer_bytes, bool write, size_t threads) {
-  sim::Machine machine(bench::FastMachine());
+  sim::Machine machine;
   sim::Enclave enclave(machine);
   baseline::SgxBuffer buffer(enclave, buffer_bytes);
   uint8_t page[4096];
@@ -62,7 +62,7 @@ RunResult RunSgx(size_t buffer_bytes, bool write, size_t threads) {
 }
 
 RunResult RunSuvm(size_t buffer_bytes, bool write, size_t threads) {
-  sim::Machine machine(bench::FastMachine());
+  sim::Machine machine;
   sim::Enclave enclave(machine);
   suvm::SuvmConfig sc;
   sc.epc_pp_pages = (60ull << 20) / 4096;

@@ -24,7 +24,7 @@ size_t AccessCount(size_t elem) {
 // Each side runs on its own machine so 8b's two 60 MiB working sets never
 // compete for the same PRM.
 double MeasureSuvm(size_t ws_bytes, size_t elem, bool write) {
-  sim::Machine machine(bench::FastMachine());
+  sim::Machine machine;
   sim::Enclave enclave(machine);
   const size_t pages = ws_bytes / 4096;
   suvm::SuvmConfig sc;
@@ -62,7 +62,7 @@ double MeasureSuvm(size_t ws_bytes, size_t elem, bool write) {
 }
 
 double MeasureRaw(size_t ws_bytes, size_t elem, bool write) {
-  sim::Machine machine(bench::FastMachine());
+  sim::Machine machine;
   sim::Enclave enclave(machine);
   const size_t pages = ws_bytes / 4096;
   baseline::SgxBuffer raw(enclave, ws_bytes);

@@ -20,7 +20,7 @@ constexpr size_t kAccessPairs = 5000;
 // Two enclaves, each reading its own `array_bytes` buffer. Returns combined
 // throughput in Kops/s of 4 KiB reads.
 double RunSuvmPair(size_t array_bytes, size_t pp_bytes) {
-  sim::Machine machine(bench::FastMachine());
+  sim::Machine machine;
   sim::Enclave e1(machine), e2(machine);
   suvm::SuvmConfig sc;
   sc.epc_pp_pages = pp_bytes / 4096;
@@ -59,7 +59,7 @@ double RunSuvmPair(size_t array_bytes, size_t pp_bytes) {
 }
 
 double RunSgxPair(size_t array_bytes) {
-  sim::Machine machine(bench::FastMachine());
+  sim::Machine machine;
   sim::Enclave e1(machine), e2(machine);
   baseline::SgxBuffer b1(e1, array_bytes), b2(e2, array_bytes);
   uint8_t page[4096];

@@ -13,7 +13,6 @@
 #include "bench/bench_util.h"
 #include "src/apps/faceverif.h"
 #include "src/rpc/rpc_manager.h"
-#include "src/sim/network.h"
 #include "src/suvm/suvm.h"
 
 namespace eleos {
@@ -40,7 +39,7 @@ struct Setup {
   std::unique_ptr<apps::FaceVerifServer> server;
   std::unique_ptr<rpc::RpcManager> rpc;
 
-  explicit Setup(Config config) : machine(bench::FastMachine()) {
+  explicit Setup(Config config) {
     const size_t bytes = kPeople * apps::kHistogramBytes;
     if (config == Config::kNative) {
       region = std::make_unique<apps::UntrustedRegion>(machine, bytes);
@@ -82,7 +81,6 @@ double Run(Config config, size_t threads, const std::vector<FaceImage>& queries)
   Setup s(config);
   sim::Machine& machine = s.machine;
   const sim::CostModel& costs = machine.costs();
-  sim::Network net(costs);
 
   for (size_t t = 0; t < threads; ++t) {
     sim::CpuContext& cpu = machine.cpu(t);
@@ -136,7 +134,8 @@ double Run(Config config, size_t threads, const std::vector<FaceImage>& queries)
     }
   }
   const double cpu_kops = bench::KopsPerSec(costs, kRequests, max_cycles);
-  const double wire_kops = net.MaxRequestsPerSecond(kImageBytes + 64, 64) / 1000.0;
+  const double wire_kops =
+      costs.MaxRequestsPerSecond(kImageBytes + 64, 64) / 1000.0;
   (void)verified;
   char label[64];
   std::snprintf(label, sizeof(label), "faceverif_cfg%d_t%zu",

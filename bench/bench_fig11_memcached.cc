@@ -57,8 +57,7 @@ struct Server {
   size_t items = 0;
   size_t value_len;
 
-  Server(Config config, size_t value_bytes)
-      : machine(bench::FastMachine()), value_len(value_bytes) {
+  Server(Config config, size_t value_bytes) : value_len(value_bytes) {
     const size_t data_bytes =
         config == Config::kNoFaultBound ? (20ull << 20) : (500ull << 20);
     const size_t pool = data_bytes + (64ull << 20);  // slab slack

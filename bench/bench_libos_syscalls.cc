@@ -15,7 +15,7 @@ namespace eleos {
 namespace {
 
 double CyclesPerOp(libos::ExitMode mode, size_t io_bytes, size_t ops) {
-  sim::Machine machine(bench::FastMachine());
+  sim::Machine machine;
   sim::Enclave enclave(machine, "libos");
   libos::MemFs host;
   std::unique_ptr<rpc::RpcManager> rpc;

@@ -19,7 +19,7 @@ enum class Op { kRead, kWrite, kReadWrite };
 // model (the table isolates *LLC miss* cost; the paper's measurement uses
 // huge working sets where TLB effects cancel between the two memories).
 double MissCost(Pattern pattern, Op op, sim::MemKind kind) {
-  sim::Machine m(bench::FastMachine());
+  sim::Machine m;
   sim::CacheModel& llc = m.llc();
   const size_t lines = (64ull << 20) / 64;  // 64 MiB working set
   const size_t accesses = 200000;

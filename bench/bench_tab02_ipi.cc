@@ -25,7 +25,7 @@ struct Row {
 };
 
 Row RunSgx(size_t threads) {
-  sim::Machine machine(bench::FastMachine());
+  sim::Machine machine;
   sim::Enclave enclave(machine);
   baseline::SgxBuffer buffer(enclave, kBufferBytes);
   uint8_t page[4096];
@@ -54,7 +54,7 @@ Row RunSgx(size_t threads) {
 }
 
 Row RunSuvm(size_t threads) {
-  sim::Machine machine(bench::FastMachine());
+  sim::Machine machine;
   sim::Enclave enclave(machine);
   suvm::SuvmConfig sc;
   sc.epc_pp_pages = (60ull << 20) / 4096;

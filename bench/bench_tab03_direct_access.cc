@@ -19,7 +19,7 @@ constexpr size_t kBufferBytes = 200ull << 20;  // ~25% EPC++ hit rate, as in §6
 constexpr size_t kAccesses = 8000;
 
 double CyclesPerAccess(size_t access_bytes, bool direct) {
-  sim::Machine machine(bench::FastMachine());
+  sim::Machine machine;
   sim::Enclave enclave(machine);
   suvm::SuvmConfig sc;
   sc.epc_pp_pages = (60ull << 20) / 4096;

@@ -18,14 +18,6 @@
 
 namespace eleos::bench {
 
-// Standard machine for large sweeps: paper-accurate PRM, memcpy sealing
-// (identical virtual-cycle charges, no wall-clock crypto cost).
-inline sim::MachineConfig FastMachine() {
-  sim::MachineConfig cfg;
-  cfg.seal_mode = sim::SgxDriver::SealMode::kFast;
-  return cfg;
-}
-
 inline void PrintHeader(const char* artifact, const char* description) {
   std::printf("==============================================================\n");
   std::printf("%s\n", artifact);

@@ -25,7 +25,6 @@ int main(int argc, char** argv) {
 
   sim::MachineConfig mc;
   mc.epc_frames = (24ull << 20) / 4096;  // small 24 MiB EPC: the DB won't fit
-  mc.seal_mode = sim::SgxDriver::SealMode::kFast;
   sim::Machine machine(mc);
   sim::Enclave enclave(machine, "faceverif");
 

@@ -19,9 +19,7 @@
 int main() {
   using namespace eleos;
 
-  sim::MachineConfig mc;
-  mc.seal_mode = sim::SgxDriver::SealMode::kFast;
-  sim::Machine machine(mc);
+  sim::Machine machine;
   sim::Enclave enclave(machine, "kvcache");
 
   suvm::SuvmConfig sc;

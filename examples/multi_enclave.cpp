@@ -19,7 +19,6 @@ int main() {
 
   sim::MachineConfig mc;
   mc.epc_frames = (32ull << 20) / 4096;  // 32 MiB PRM for a quick demo
-  mc.seal_mode = sim::SgxDriver::SealMode::kFast;
   sim::Machine machine(mc);
 
   std::printf("== Multi-enclave EPC++ ballooning (32 MiB PRM) ==\n\n");

@@ -44,9 +44,7 @@ int main(int argc, char** argv) {
   TextTable table({"configuration", "cycles/request", "slowdown vs native"});
   double native_cycles = 0.0;
   for (const ModeSpec& spec : modes) {
-    sim::MachineConfig mc;
-    mc.seal_mode = sim::SgxDriver::SealMode::kFast;
-    sim::Machine machine(mc);
+    sim::Machine machine;
     PsConfig cfg;
     cfg.data_bytes = data_mib << 20;
     cfg.mode = spec.mode;

@@ -68,7 +68,6 @@ class FaceVerifServer {
   bool Verify(sim::CpuContext* cpu, uint64_t person_id, const Histogram& query,
               double* distance_out = nullptr);
 
-  size_t n_people() const { return n_people_; }
   double threshold() const { return threshold_; }
 
  private:

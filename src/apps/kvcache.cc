@@ -65,7 +65,6 @@ uint64_t SlabAllocator::Alloc(size_t bytes, int* class_out) {
   if (!freelist.empty()) {
     const uint64_t off = freelist.back();
     freelist.pop_back();
-    used_bytes_ += ChunkSize(cls);
     return off;
   }
   // Carve a new slab page into chunks of this class.
@@ -81,7 +80,6 @@ uint64_t SlabAllocator::Alloc(size_t bytes, int* class_out) {
   for (size_t i = count; i > 1; --i) {
     freelist.push_back(slab + (i - 1) * chunk);
   }
-  used_bytes_ += chunk;
   return slab;
 }
 
@@ -106,7 +104,6 @@ void SlabAllocator::Free(uint64_t offset, size_t bytes) {
     throw std::invalid_argument("SlabAllocator::Free: bad size");
   }
   free_lists_[static_cast<size_t>(cls)].push_back(offset);
-  used_bytes_ -= ChunkSize(cls);
 }
 
 // --- KvCache ---

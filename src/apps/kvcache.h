@@ -45,7 +45,6 @@ class SlabAllocator {
   int ClassFor(size_t bytes) const;
   size_t ChunkSize(int cls) const { return class_sizes_[static_cast<size_t>(cls)]; }
   size_t classes() const { return class_sizes_.size(); }
-  size_t used_bytes() const { return used_bytes_; }
 
   // True iff (offset, cls) names a genuine chunk boundary of a slab page
   // carved for exactly that class. This is the validation gate for chunk
@@ -61,7 +60,6 @@ class SlabAllocator {
   std::vector<size_t> class_sizes_;
   std::vector<std::vector<uint64_t>> free_lists_;
   std::vector<int16_t> slab_class_;  // class each carved slab page serves
-  size_t used_bytes_ = 0;
 };
 
 struct KvStats {
@@ -194,17 +192,6 @@ class KvCache {
   Status last_status_;
   telemetry::Counter* rejected_inputs_;  // boundary.rejected_inputs (shared)
   Counter metadata_rejects_;
-};
-
-// memaslap-style load generator + protocol shim: fills the cache, then
-// drives encrypted GETs; one network exchange per request via the selected
-// syscall mode (shared with the parameter server's modes).
-struct KvRunResult {
-  uint64_t total_cycles = 0;
-  uint64_t requests = 0;
-  double OpsPerSecond(const sim::CostModel& costs) const {
-    return costs.OpsPerSecond(requests, total_cycles);
-  }
 };
 
 }  // namespace eleos::apps

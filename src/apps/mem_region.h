@@ -149,7 +149,6 @@ class SuvmRegion : public MemRegion {
     ThrowIfError(TryWrite(cpu, off, src, n));
   }
   size_t size() const override { return bytes_; }
-  uint64_t suvm_addr() const { return addr_; }
 
  private:
   static Status FromC(suvm_status_t code, const char* what) {

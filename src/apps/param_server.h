@@ -110,7 +110,6 @@ class PsLoadGenerator {
                   uint64_t seed, uint64_t crypto_seed);
 
   size_t request_bytes() const { return 16 + updates_per_request_ * 16; }
-  size_t updates_per_request() const { return updates_per_request_; }
 
   // Serializes encrypted request `i` into buf (>= request_bytes()).
   void MakeRequest(uint64_t i, uint8_t* buf);

@@ -46,7 +46,6 @@ class SgxBuffer {
   }
 
   size_t size() const { return bytes_; }
-  uint64_t vaddr() const { return vaddr_; }
   sim::Enclave& enclave() { return *enclave_; }
 
  private:

@@ -174,8 +174,6 @@ class HealthFsm {
     return transitions_;
   }
 
-  const Options& options() const { return options_; }
-
  private:
   void Transition(HealthState next) {  // lock_ held
     ++transitions_;

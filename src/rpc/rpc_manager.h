@@ -197,8 +197,6 @@ class RpcManager {
   uint64_t fallback_ocalls() const { return fallback_ocalls_.value(); }
   uint64_t submit_timeouts() const { return submit_timeouts_.value(); }
   uint64_t await_timeouts() const { return await_timeouts_.value(); }
-  // Untrusted-boundary observability (DESIGN.md §12; zero in benign runs).
-  uint64_t forged_completions() const { return forged_completions_.value(); }
   JobQueue* queue() { return queue_.get(); }
   WorkerPool* pool() { return pool_.get(); }
 

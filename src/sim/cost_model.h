@@ -99,13 +99,13 @@ struct CostModel {
 
   // --- Network (§6 setup: dedicated 10 Gb/s link) ---
   double network_gbps = 10.0;
-  uint64_t network_per_msg_cycles = 7000;  // ~2 us NIC+stack latency at 3.4 GHz
   size_t syscall_kernel_footprint = 2048;  // kernel-buffer bytes an I/O syscall touches
 
-  // Cycles for one message of `bytes` on the wire.
-  uint64_t WireCycles(size_t bytes) const {
-    const double seconds = static_cast<double>(bytes) * 8.0 / (network_gbps * 1e9);
-    return network_per_msg_cycles + static_cast<uint64_t>(seconds * cpu_ghz * 1e9);
+  // Link-bandwidth ceiling for request/response pairs of the given sizes
+  // (what bounds the native face-verification server in Figure 10).
+  double MaxRequestsPerSecond(size_t request_bytes, size_t response_bytes) const {
+    const double link_bytes_per_s = network_gbps * 1e9 / 8.0;
+    return link_bytes_per_s / static_cast<double>(request_bytes + response_bytes);
   }
 
   // Convenience conversions.

@@ -141,11 +141,4 @@ uint64_t FaultInjector::total_injected() const {
   return total;
 }
 
-void FaultInjector::ResetCounters() {
-  for (Point& p : points_) {
-    p.checks.Reset();
-    p.injected.Reset();
-  }
-}
-
 }  // namespace eleos::sim

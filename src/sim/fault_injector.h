@@ -133,7 +133,6 @@ class FaultInjector {
     return points_[Index(fault)].injected.value();
   }
   uint64_t total_injected() const;
-  void ResetCounters();
 
   // How long an injected kWorkerStall pauses the worker, in CpuRelax spins
   // (virtual "cycles" of the polling loop — the worker holds its claimed slot

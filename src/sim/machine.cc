@@ -44,7 +44,7 @@ Machine::Machine(MachineConfig cfg)
     : costs_(cfg.costs),
       llc_(costs_),
       epc_(cfg.epc_frames != 0 ? cfg.epc_frames : costs_.prm_usable_frames),
-      driver_(this, cfg.seal_mode),
+      driver_(this),
       fault_injector_(cfg.fault_seed) {
   for (size_t c = 0; c < telemetry::kNumCostCategories; ++c) {
     cycles_by_cat_[c] = metrics_.GetCounter(

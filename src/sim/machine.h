@@ -31,7 +31,6 @@ namespace eleos::sim {
 struct MachineConfig {
   CostModel costs{};
   size_t epc_frames = 0;  // 0 => costs.prm_usable_frames
-  SgxDriver::SealMode seal_mode = SgxDriver::SealMode::kReal;
   uint64_t fault_seed = 0xfa17;  // seed for the hostile-host fault injector
 };
 

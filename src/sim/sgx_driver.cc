@@ -35,9 +35,9 @@ constexpr uint64_t kDataSealVaddrBase = 7ull << 44;
 
 }  // namespace
 
-SgxDriver::SgxDriver(Machine* machine, SealMode seal_mode)
+SgxDriver::SgxDriver(Machine* machine)
     : machine_(machine),
-      sealer_(crypto::DeriveAesKey("sgx-driver-ewb", 0x5117).data(), seal_mode),
+      gcm_(crypto::DeriveAesKey("sgx-driver-ewb", 0x5117).data()),
       nonce_rng_(0xdead5eed) {}
 
 EnclaveId SgxDriver::RegisterEnclave(Enclave* enclave) {
@@ -84,16 +84,6 @@ void SgxDriver::ReleasePages(Enclave& enclave, uint64_t vpage, size_t count) {
     }
     rec.pages.erase(it);
   }
-}
-
-bool SgxDriver::IsResident(const Enclave& enclave, uint64_t vpage) const {
-  std::lock_guard guard(lock_);
-  auto rit = enclaves_.find(enclave.id());
-  if (rit == enclaves_.end()) {
-    return false;
-  }
-  auto pit = rit->second.pages.find(vpage);
-  return pit != rit->second.pages.end() && pit->second.frame != kInvalidFrame;
 }
 
 void SgxDriver::NoteTlbPresence(Enclave& enclave, uint64_t vpage, CpuContext& cpu) {
@@ -311,11 +301,9 @@ void SgxDriver::SealPage(CpuContext* cpu, EnclaveRec& rec, uint64_t vpage,
   }
   uint8_t* frame_data = machine_->epc().FrameData(ps.frame);
   const SealAad aad{rec.enclave->id(), vpage};
-  sealer_.Seal([this](uint8_t* nonce) {
-                 nonce_rng_.FillBytes(nonce, crypto::kGcmNonceSize);
-               },
-               ps.nonce, &aad, sizeof(aad), frame_data, kPageSize,
-               ps.sealed.get(), ps.tag);
+  nonce_rng_.FillBytes(ps.nonce, crypto::kGcmNonceSize);  // lock_ is held
+  gcm_.Seal(ps.nonce, reinterpret_cast<const uint8_t*>(&aad), sizeof(aad),
+            frame_data, kPageSize, ps.sealed.get(), ps.tag);
   ps.has_sealed = true;
   // Cache effects of the copy-out: read the EPC frame, write the blob.
   machine_->StreamAccess(cpu, vpage * kPageSize, kPageSize, /*write=*/false,
@@ -332,13 +320,12 @@ SgxDriver::SealedBlob SgxDriver::SealBlob(CpuContext* cpu, Enclave& enclave,
   // but the same identity, exactly like MRENCLAVE-keyed sealing.
   const auto aad = crypto::Sha256::Digest(enclave.name().data(),
                                           enclave.name().size());
-  sealer_.Seal([this](uint8_t* nonce) {
-                 std::lock_guard guard(lock_);
-                 nonce_rng_.FillBytes(nonce, crypto::kGcmNonceSize);
-               },
-               blob.nonce, aad.data(), aad.size(), data, len,
-               blob.ciphertext.data(), blob.tag);
-  blob.fast = !sealer_.authenticates();
+  {
+    std::lock_guard guard(lock_);
+    nonce_rng_.FillBytes(blob.nonce, crypto::kGcmNonceSize);
+  }
+  gcm_.Seal(blob.nonce, aad.data(), aad.size(), data, len,
+            blob.ciphertext.data(), blob.tag);
   enclave.ChargeGcm(cpu, len);
   machine_->StreamAccess(cpu, kDataSealVaddrBase, len, /*write=*/true,
                          MemKind::kUntrusted);
@@ -351,14 +338,10 @@ bool SgxDriver::UnsealBlob(CpuContext* cpu, Enclave& enclave,
   enclave.ChargeGcm(cpu, blob.ciphertext.size());
   machine_->StreamAccess(cpu, kDataSealVaddrBase, blob.ciphertext.size(),
                          /*write=*/false, MemKind::kUntrusted);
-  if (blob.fast == sealer_.authenticates()) {
-    return false;  // seal-mode mismatch: the blob cannot be authenticated
-  }
   const auto aad = crypto::Sha256::Digest(enclave.name().data(),
                                           enclave.name().size());
-  return sealer_.Open(blob.nonce, aad.data(), aad.size(),
-                      blob.ciphertext.data(), blob.ciphertext.size(), blob.tag,
-                      out->data());
+  return gcm_.Open(blob.nonce, aad.data(), aad.size(), blob.ciphertext.data(),
+                   blob.ciphertext.size(), blob.tag, out->data());
 }
 
 uint64_t SgxDriver::BumpMonotonicCounter() {
@@ -374,8 +357,9 @@ uint64_t SgxDriver::monotonic_counter() const {
 void SgxDriver::UnsealPage(CpuContext* cpu, EnclaveRec& rec, uint64_t vpage,
                            PageState& ps, uint8_t* frame_data) {
   const SealAad aad{rec.enclave->id(), vpage};
-  if (!sealer_.Open(ps.nonce, &aad, sizeof(aad), ps.sealed.get(), kPageSize,
-                    ps.tag, frame_data)) {
+  if (!gcm_.Open(ps.nonce, reinterpret_cast<const uint8_t*>(&aad),
+                 sizeof(aad), ps.sealed.get(), kPageSize, ps.tag,
+                 frame_data)) {
     throw std::runtime_error(
         "SgxDriver: integrity check failed on EPC page reload (tampered "
         "backing memory?)");

@@ -31,7 +31,6 @@
 #include "src/common/rng.h"
 #include "src/common/spinlock.h"
 #include "src/crypto/gcm.h"
-#include "src/crypto/sealer.h"
 #include "src/sim/epc.h"
 #include "src/sim/vclock.h"
 
@@ -46,13 +45,7 @@ inline constexpr int kMaxCpus = 8;
 
 class SgxDriver {
  public:
-  // How evicted pages are protected (src/crypto/sealer.h). kReal runs
-  // AES-GCM over every page (default; integrity failures abort). kFast is
-  // memcpy-only, for large benchmark sweeps where crypto correctness is not
-  // under test — virtual cycle charges are identical in both modes.
-  using SealMode = crypto::SealMode;
-
-  SgxDriver(Machine* machine, SealMode seal_mode);
+  explicit SgxDriver(Machine* machine);
 
   EnclaveId RegisterEnclave(Enclave* enclave);
   void UnregisterEnclave(EnclaveId id);
@@ -67,8 +60,6 @@ class SgxDriver {
   // Returns the frame data pointer — valid only until the next driver call.
   uint8_t* Touch(CpuContext* cpu, Enclave& enclave, uint64_t vpage, bool write);
 
-  bool IsResident(const Enclave& enclave, uint64_t vpage) const;
-
   // Records that `cpu`'s TLB may cache this page's translation (used to
   // decide shootdown IPIs on eviction).
   void NoteTlbPresence(Enclave& enclave, uint64_t vpage, CpuContext& cpu);
@@ -76,8 +67,6 @@ class SgxDriver {
   // The Eleos ioctl (§3.3 / §4.1): how many EPC frames this enclave may use;
   // today's driver splits PRM evenly among active enclaves.
   size_t AvailableFramesFor(EnclaveId id) const;
-
-  SealMode seal_mode() const { return sealer_.mode(); }
 
   // --- Data sealing service (EGETKEY/sealed-blob analog) ---
   // Seals an arbitrary enclave-produced blob so it survives enclave (and
@@ -88,12 +77,11 @@ class SgxDriver {
     std::vector<uint8_t> ciphertext;
     uint8_t nonce[crypto::kGcmNonceSize] = {};
     uint8_t tag[crypto::kGcmTagSize] = {};
-    bool fast = false;  // sealed under SealMode::kFast (no crypto)
   };
   SealedBlob SealBlob(CpuContext* cpu, Enclave& enclave, const uint8_t* data,
                       size_t len);
   // Unseals into `out`; false on a MAC failure (tampered or wrong-enclave
-  // blob) or a seal-mode mismatch. Cycle charges are identical either way.
+  // blob). Cycle charges are identical either way.
   bool UnsealBlob(CpuContext* cpu, Enclave& enclave, const SealedBlob& blob,
                   std::vector<uint8_t>* out);
 
@@ -178,7 +166,9 @@ class SgxDriver {
   size_t swapper_low_watermark_ = 8;
   size_t swapper_batch_ = 2;
 
-  crypto::Sealer sealer_;
+  // Every EWB page and sealed blob is AES-GCM under this key; nonces come
+  // from nonce_rng_ under lock_.
+  crypto::AesGcm gcm_;
   Xoshiro256 nonce_rng_;
   Stats stats_;
   uint64_t monotonic_counter_ = 0;  // guarded by lock_

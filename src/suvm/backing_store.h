@@ -105,7 +105,6 @@ class BackingStore {
 
   size_t capacity() const { return capacity_; }
   size_t allocated_bytes() const { return allocated_bytes_; }
-  size_t allocation_count() const { return alloc_order_.size(); }
 
  private:
   static int OrderFor(size_t bytes, int min_order);

@@ -100,8 +100,7 @@ Suvm::Suvm(sim::Enclave& enclave, SuvmConfig config,
                  : std::make_shared<BackingStore>(BackingStore::Config{
                        .capacity_bytes = config.backing_bytes})),
       cache_(enclave, config.epc_pp_pages),
-      sealer_(crypto::DeriveAesKey("suvm-app-key", config.key_seed).data(),
-              enclave.machine().driver().seal_mode()),
+      gcm_(crypto::DeriveAesKey("suvm-app-key", config.key_seed).data()),
       slot_to_page_(config.epc_pp_pages),
       nonce_rng_(config.key_seed ^ 0x9e3779b97f4a7c15ull),
       alloc_health_(HealthFsm::Options{config.alloc_failure_threshold,
@@ -345,8 +344,9 @@ void Suvm::FillNonce(uint8_t nonce[crypto::kGcmNonceSize]) {
 void Suvm::SealPageBytes(uint64_t bs_page, PageMeta& m, const uint8_t* src,
                          uint8_t* dst) {
   const PageAad aad{bs_page};
-  sealer_.Seal([this](uint8_t* nonce) { FillNonce(nonce); }, m.nonce, &aad,
-               sizeof(aad), src, sim::kPageSize, dst, m.tag);
+  FillNonce(m.nonce);
+  gcm_.Seal(m.nonce, reinterpret_cast<const uint8_t*>(&aad), sizeof(aad), src,
+            sim::kPageSize, dst, m.tag);
 }
 
 void Suvm::TouchIpt(sim::CpuContext* cpu) {
@@ -729,7 +729,7 @@ Status Suvm::LoadPage(sim::CpuContext* cpu, uint64_t bs_page, PageMeta& m,
   // modeled by arming the fault with more triggers.
   bool rolled_back = false;
   std::vector<uint8_t> fresh;
-  if (sealer_.authenticates() && faults_->armed(sim::Fault::kRollback)) {
+  if (faults_->armed(sim::Fault::kRollback)) {
     std::lock_guard sg(stale_lock_);
     auto it = stale_seals_.find(bs_page);
     if (it != stale_seals_.end() &&
@@ -739,13 +739,13 @@ Status Suvm::LoadPage(sim::CpuContext* cpu, uint64_t bs_page, PageMeta& m,
       rolled_back = true;
     }
   }
-  const bool flipped = !rolled_back && sealer_.authenticates() &&
-                       faults_->ShouldInject(sim::Fault::kCiphertextFlip);
+  const bool flipped =
+      !rolled_back && faults_->ShouldInject(sim::Fault::kCiphertextFlip);
   if (flipped) {
     ct[0] ^= 0x01;
   }
-  const bool ok = sealer_.Open(m.nonce, &aad, sizeof(aad), ct, sim::kPageSize,
-                               m.tag, dst);
+  const bool ok = gcm_.Open(m.nonce, reinterpret_cast<const uint8_t*>(&aad),
+                            sizeof(aad), ct, sim::kPageSize, m.tag, dst);
   if (flipped) {
     ct[0] ^= 0x01;
   }
@@ -790,8 +790,7 @@ void Suvm::SealResident(sim::CpuContext* cpu, uint64_t bs_page, PageMeta& m) {
 
   const uint64_t arena_off = bs_page * sim::kPageSize;
   uint8_t* ct = store_->Raw(arena_off);
-  if (sealer_.authenticates() && m.has_data &&
-      faults_->armed(sim::Fault::kRollback)) {
+  if (m.has_data && faults_->armed(sim::Fault::kRollback)) {
     // A hostile host squirrels away the outgoing (still valid) seal so it can
     // replay it at the next page-in. Only bought while the fault is armed.
     std::lock_guard sg(stale_lock_);
@@ -1100,13 +1099,13 @@ Status Suvm::OpenSub(sim::CpuContext* cpu, PageMeta& m, uint64_t bs_page,
   const SubAad aad{bs_page, sub};
   // The host may tamper with the ciphertext while it is in flight; the flip
   // is undone after Open so a retry can observe clean bytes.
-  const bool flipped = sealer_.authenticates() &&
-                       faults_->ShouldInject(sim::Fault::kCiphertextFlip);
+  const bool flipped = faults_->ShouldInject(sim::Fault::kCiphertextFlip);
   if (flipped) {
     ct[0] ^= 0x01;
   }
-  const bool ok = sealer_.Open(m.subs[sub].nonce, &aad, sizeof(aad), ct,
-                               sub_size, m.subs[sub].tag, plain);
+  const bool ok = gcm_.Open(m.subs[sub].nonce,
+                            reinterpret_cast<const uint8_t*>(&aad), sizeof(aad),
+                            ct, sub_size, m.subs[sub].tag, plain);
   if (flipped) {
     ct[0] ^= 0x01;
   }
@@ -1125,9 +1124,10 @@ void Suvm::SealSub(sim::CpuContext* cpu, PageMeta& m, uint64_t bs_page,
   const size_t sub_size = config_.subpage_size;
   const uint64_t arena_off = bs_page * sim::kPageSize + sub * sub_size;
   const SubAad aad{bs_page, sub};
-  sealer_.Seal([this](uint8_t* nonce) { FillNonce(nonce); }, m.subs[sub].nonce,
-               &aad, sizeof(aad), plain, sub_size, store_->Raw(arena_off),
-               m.subs[sub].tag);
+  FillNonce(m.subs[sub].nonce);
+  gcm_.Seal(m.subs[sub].nonce, reinterpret_cast<const uint8_t*>(&aad),
+            sizeof(aad), plain, sub_size, store_->Raw(arena_off),
+            m.subs[sub].tag);
   m.subs[sub].has_data = true;
   enclave_->ChargeGcm(cpu, sub_size);
   enclave_->machine().StreamAccess(cpu, BackingVaddr(arena_off), sub_size,
@@ -1442,9 +1442,9 @@ Status Suvm::TryRecover(sim::CpuContext* cpu,
                              sim::kPageSize, /*write=*/false,
                              sim::MemKind::kUntrusted);
         const PageAad aad{bs_page};
-        if (!sealer_.Open(r.nonce, &aad, sizeof(aad),
-                          store_->Raw(bs_page * sim::kPageSize),
-                          sim::kPageSize, r.tag, scratch.data())) {
+        if (!gcm_.Open(r.nonce, reinterpret_cast<const uint8_t*>(&aad),
+                       sizeof(aad), store_->Raw(bs_page * sim::kPageSize),
+                       sim::kPageSize, r.tag, scratch.data())) {
           NoteMacFailure(cpu, bs_page);
           r.poisoned = true;
         }

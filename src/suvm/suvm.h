@@ -33,7 +33,6 @@
 #include "src/common/spinlock.h"
 #include "src/common/status.h"
 #include "src/crypto/gcm.h"
-#include "src/crypto/sealer.h"
 #include "src/sim/enclave.h"
 #include "src/sim/fault_injector.h"
 #include "src/suvm/backing_store.h"
@@ -51,8 +50,7 @@ struct SuvmConfig {
   // Free-pool size SwapperPass restores by evicting; BalloonPass also leaves
   // this many pages of slack below the driver's fair share.
   size_t swapper_low_watermark = 16;
-  // Per-application sealing key seed. Whether seals are AES-GCM or memcpy
-  // follows the machine (MachineConfig::seal_mode).
+  // Per-application sealing key seed.
   uint64_t key_seed = 0xe1e05;
   // Self-healing: consecutive allocation failures before the region degrades
   // to read-mostly (Malloc fails fast without touching the host until a
@@ -233,7 +231,6 @@ class Suvm {
   // writable, but new allocations fail fast with kResourceExhausted (no host
   // interaction) until a periodic probe allocation succeeds.
   HealthState alloc_health_state() const { return alloc_health_.state(); }
-  const HealthFsm& alloc_health() const { return alloc_health_; }
 
   // Live page-table footprint: the number of PageMeta entries across all
   // stripes. Bounded by the touched working set — read-only misses must NOT
@@ -299,7 +296,6 @@ class Suvm {
   const Stripe& StripeFor(uint64_t bs_page) const {
     return stripes_[bs_page % kStripes];
   }
-  static size_t StripeIndex(uint64_t bs_page) { return bs_page % kStripes; }
   // Page-table entry insert/erase, stripe lock held: they keep
   // page_table_entries_ in step with the maps.
   std::pair<PageTable::iterator, bool> EmplaceEntry(Stripe& st,
@@ -356,7 +352,7 @@ class Suvm {
   // crashed). A fresh fire marks the instance dead and traces the window.
   bool CrashPoint(sim::CpuContext* cpu, uint64_t window);
   void FillNonce(uint8_t nonce[crypto::kGcmNonceSize]);
-  // Whole-page seal of `src` into `dst` through the seam (fresh nonce).
+  // Whole-page AES-GCM seal of `src` into `dst` under a fresh nonce.
   void SealPageBytes(uint64_t bs_page, PageMeta& m, const uint8_t* src,
                      uint8_t* dst);
 
@@ -396,9 +392,9 @@ class Suvm {
   // instance and be adopted by its post-crash successor.
   std::shared_ptr<BackingStore> store_;
   PageCache cache_;
-  // GCM or memcpy, per the machine's seal_mode. The host tamper windows open
-  // only when it authenticates (no fault-injector draw otherwise).
-  crypto::Sealer sealer_;
+  // Every whole-page, sub-page, journaled and recovery seal is AES-GCM under
+  // this key, with nonces from FillNonce.
+  crypto::AesGcm gcm_;
   std::atomic<bool> crashed_{false};
 
   // Rollback-replay support: previously valid seals, stashed at reseal time

@@ -236,23 +236,5 @@ TEST(SgxDriver, ReleasePagesFreesFrames) {
   EXPECT_EQ(m.epc().free_frames(), free_before + 8);
 }
 
-TEST(SgxDriver, FastSealModePreservesData) {
-  MachineConfig cfg = TinyMachine(8);
-  cfg.seal_mode = SgxDriver::SealMode::kFast;
-  Machine m(cfg);
-  m.driver().ConfigureSwapper(0, 0);
-  Enclave enclave(m);
-  const uint64_t vaddr = enclave.Alloc(16 * kPageSize);
-  for (uint64_t p = 0; p < 16; ++p) {
-    const uint64_t v = p * 1234567;
-    enclave.Write(nullptr, vaddr + p * kPageSize, &v, sizeof(v));
-  }
-  for (uint64_t p = 0; p < 16; ++p) {
-    uint64_t got = 0;
-    enclave.Read(nullptr, vaddr + p * kPageSize, &got, sizeof(got));
-    EXPECT_EQ(got, p * 1234567);
-  }
-}
-
 }  // namespace
 }  // namespace eleos::sim

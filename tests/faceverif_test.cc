@@ -232,9 +232,7 @@ class FaceVerifBackends : public ::testing::TestWithParam<int> {};
 
 TEST_P(FaceVerifBackends, VerifiesAcrossBackends) {
   const int backend = GetParam();
-  sim::MachineConfig mc;
-  mc.seal_mode = sim::SgxDriver::SealMode::kFast;
-  sim::Machine machine(mc);
+  sim::Machine machine;
   std::unique_ptr<sim::Enclave> enclave;
   std::unique_ptr<suvm::Suvm> suvm;
   std::unique_ptr<MemRegion> region;

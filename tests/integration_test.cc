@@ -23,7 +23,6 @@ namespace {
 TEST(Integration, SuvmBeatsNativeSgxPagingOutOfEpc) {
   sim::MachineConfig mc;
   mc.epc_frames = 4096;  // 16 MiB EPC for a fast test
-  mc.seal_mode = sim::SgxDriver::SealMode::kFast;
 
   const size_t buffer_bytes = 48 << 20;  // 3x the EPC
   const size_t accesses = 2000;
@@ -95,7 +94,6 @@ TEST(Integration, SuvmBeatsNativeSgxPagingOutOfEpc) {
 TEST(Integration, BallooningAvoidsCrossEnclaveThrash) {
   sim::MachineConfig mc;
   mc.epc_frames = 4096;  // 16 MiB PRM
-  mc.seal_mode = sim::SgxDriver::SealMode::kFast;
 
   auto run_pair = [&](size_t pp_pages) {
     sim::Machine machine(mc);
@@ -139,9 +137,7 @@ TEST(Integration, BallooningAvoidsCrossEnclaveThrash) {
 // entire serving session triggers no enclave exit besides the initial entry
 // and final exit.
 TEST(Integration, ServingSessionIsExitless) {
-  sim::MachineConfig mc;
-  mc.seal_mode = sim::SgxDriver::SealMode::kFast;
-  sim::Machine machine(mc);
+  sim::Machine machine;
   apps::PsConfig cfg;
   cfg.data_bytes = 4 << 20;
   cfg.backend = apps::PsBackend::kSuvm;

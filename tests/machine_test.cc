@@ -2,7 +2,7 @@
 //
 // Machine-level accounting semantics: Access vs StreamAccess, the prefetch
 // rule, scratch pools, cache pollution with classes of service, synthetic
-// address ranges, and the network model.
+// address ranges, and the network link ceiling.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include <stdexcept>
 
 #include "src/sim/machine.h"
-#include "src/sim/network.h"
 
 namespace eleos::sim {
 namespace {
@@ -97,21 +96,10 @@ TEST(MachinePollute, RespectsClassOfService) {
   EXPECT_GT(static_cast<double>(m.llc().hits()) / static_cast<double>(ws), 0.95);
 }
 
-TEST(Network, WireCyclesScaleWithBytes) {
-  Machine m;
-  Network net(m.costs());
-  const uint64_t small = net.MessageCycles(64);
-  const uint64_t large = net.MessageCycles(1 << 20);
-  EXPECT_GT(large, small);
-  // 1 MiB at 10 Gb/s is ~0.84 ms = ~2.85M cycles at 3.4 GHz.
-  EXPECT_NEAR(static_cast<double>(large), 2.85e6, 0.2e6);
-}
-
 TEST(Network, BandwidthCeiling) {
-  Machine m;
-  Network net(m.costs());
+  const CostModel c;
   // 1 KiB request + 1 KiB response: 10 Gb/s / 2 KiB ~= 610k req/s.
-  EXPECT_NEAR(net.MaxRequestsPerSecond(1024, 1024), 610351.0, 2000.0);
+  EXPECT_NEAR(c.MaxRequestsPerSecond(1024, 1024), 610351.0, 2000.0);
 }
 
 TEST(CostModel, ConversionHelpers) {

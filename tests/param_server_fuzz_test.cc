@@ -106,9 +106,7 @@ INSTANTIATE_TEST_SUITE_P(
 // execution mode (native / OCALL / RPC / RPC+CAT differ only in cost).
 TEST(PsModes, RequestStreamGivesIdenticalState) {
   auto final_values = [](PsExecMode mode, PsBackend backend) {
-    sim::MachineConfig mc;
-    mc.seal_mode = sim::SgxDriver::SealMode::kFast;
-    sim::Machine machine(mc);
+    sim::Machine machine;
     PsConfig cfg;
     cfg.data_bytes = 1 << 20;
     cfg.mode = mode;

@@ -119,12 +119,10 @@ TEST(ParamServer, AppliesUpdatesEndToEnd) {
 TEST(ParamServer, EnclaveModesAreSlowerThanNative) {
   // The §2 motivation: OCALL-mode requests cost far more than native ones,
   // and the exit-less RPC recovers most of the gap.
-  sim::MachineConfig mc;
-  mc.seal_mode = sim::SgxDriver::SealMode::kFast;
   const size_t kRequests = 300;
 
   auto run = [&](PsExecMode mode, PsBackend backend) {
-    sim::Machine machine(mc);
+    sim::Machine machine;
     PsConfig cfg;
     cfg.data_bytes = 1 << 20;  // small: no paging effects
     cfg.mode = mode;
@@ -143,10 +141,8 @@ TEST(ParamServer, EnclaveModesAreSlowerThanNative) {
 
 TEST(ParamServer, BatchingAmortizesExitCosts) {
   // Fig 6a: at 64 updates/request, OCALL and RPC converge.
-  sim::MachineConfig mc;
-  mc.seal_mode = sim::SgxDriver::SealMode::kFast;
   auto run = [&](PsExecMode mode, size_t updates) {
-    sim::Machine machine(mc);
+    sim::Machine machine;
     PsConfig cfg;
     cfg.data_bytes = 1 << 20;
     cfg.mode = mode;
@@ -163,9 +159,7 @@ TEST(ParamServer, BatchingAmortizesExitCosts) {
 }
 
 TEST(ParamServer, SuvmBackendServesCorrectlyUnderPaging) {
-  sim::MachineConfig mc;
-  mc.seal_mode = sim::SgxDriver::SealMode::kFast;
-  sim::Machine machine(mc);
+  sim::Machine machine;
   PsConfig cfg;
   cfg.data_bytes = 8 << 20;
   cfg.backend = PsBackend::kSuvm;
