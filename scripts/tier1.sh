@@ -31,7 +31,10 @@
 #    backing arena, which must keep ASan's redzone past each pool, plus the
 #    security and driver suites, which drive every seal and open site (the
 #    driver's EWB/ELDU and blobs, SUVM's whole-page, sub-page, journaled and
-#    recovery seals) into AES-GCM through a cast AAD pointer.
+#    recovery seals) into AES-GCM through a cast AAD pointer, plus the SUVM,
+#    spointer and driver-property suites, which index SUVM's page and
+#    sub-page tables by backing-store page and the driver's per-enclave page
+#    arrays by virtual page (and hand both addresses past their ends).
 # 4. A benchmark smoke stage: runs the baseline benches end-to-end and
 #    validates the emitted BENCH_*.json (fails on malformed/empty output,
 #    including the schema-v2 timeline block) plus the TRACE_*.json span
@@ -66,14 +69,15 @@ cmake --build build-tsan -j --target \
   crash_recovery_test boundary_fuzz_test cache_model_test epc_driver_test
 (cd build-tsan && ctest --output-on-failure -R "$TSAN_TESTS")
 
-ASAN_TESTS='^(fault_injection_test|chaos_soak_test|crash_recovery_test|boundary_fuzz_test|flight_recorder_test|suvm_parallel_test|virtual_gate_test|crypto_test|crypto_extra_test|faceverif_test|param_server_test|cache_model_test|tlb_model_test|huge_buffer_test|security_test|epc_driver_test)$'
+ASAN_TESTS='^(fault_injection_test|chaos_soak_test|crash_recovery_test|boundary_fuzz_test|flight_recorder_test|suvm_parallel_test|virtual_gate_test|crypto_test|crypto_extra_test|faceverif_test|param_server_test|cache_model_test|tlb_model_test|huge_buffer_test|security_test|epc_driver_test|suvm_test|suvm_edge_test|suvm_paging_fix_test|suvm_property_test|spointer_test|driver_property_test)$'
 cmake -B build-asan -S . -DELEOS_SANITIZE=address,undefined
 cmake --build build-asan -j --target \
   fault_injection_test chaos_soak_test crash_recovery_test \
   boundary_fuzz_test flight_recorder_test \
   suvm_parallel_test virtual_gate_test crypto_test crypto_extra_test \
   faceverif_test param_server_test cache_model_test tlb_model_test \
-  huge_buffer_test security_test epc_driver_test
+  huge_buffer_test security_test epc_driver_test suvm_test suvm_edge_test \
+  suvm_paging_fix_test suvm_property_test spointer_test driver_property_test
 (cd build-asan && ctest --output-on-failure -R "$ASAN_TESTS")
 
 OUT_DIR="$(mktemp -d)" scripts/bench.sh --smoke

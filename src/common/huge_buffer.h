@@ -6,7 +6,8 @@
 // host page fault per page and every later access a 4 KiB TLB walk. A
 // HugeBuffer asks the kernel for 2 MiB transparent huge pages instead. Only
 // host time changes: no host address of these buffers reaches the cache or
-// TLB models.
+// TLB models. SUVM's page table, one entry per backing-store page of which
+// a run may touch few, is a ZeroedArray instead.
 
 #ifndef ELEOS_SRC_COMMON_HUGE_BUFFER_H_
 #define ELEOS_SRC_COMMON_HUGE_BUFFER_H_
@@ -18,15 +19,18 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <type_traits>
 
 namespace eleos {
 
 inline constexpr size_t kHugePageSize = 2u << 20;
 
 struct FreeDeleter {
-  void operator()(uint8_t* p) const { std::free(p); }
+  void operator()(void* p) const { std::free(p); }
 };
 using HugeBuffer = std::unique_ptr<uint8_t[], FreeDeleter>;
+template <typename T>
+using ZeroedArray = std::unique_ptr<T[], FreeDeleter>;
 
 // Returns `bytes` of uninitialized memory aligned to 2 MiB and advised
 // MADV_HUGEPAGE. The advice is a hint: where transparent huge pages are off
@@ -44,6 +48,20 @@ inline HugeBuffer AllocHugeBuffer(size_t bytes) {
   (void)madvise(p, bytes & ~size_t{4095}, MADV_HUGEPAGE);
 #endif
   return HugeBuffer(static_cast<uint8_t*>(p));
+}
+
+// Returns `n` all-zero Ts (valid as all-zero bytes) or throws
+// std::bad_alloc. calloc serves a large block from fresh anonymous pages
+// without writing them, so an entry never written is never resident; ASan
+// still sees a redzone past the last entry.
+template <typename T>
+ZeroedArray<T> AllocZeroedArray(size_t n) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  void* p = std::calloc(n == 0 ? 1 : n, sizeof(T));
+  if (p == nullptr) {
+    throw std::bad_alloc();
+  }
+  return ZeroedArray<T>(static_cast<T*>(p));
 }
 
 }  // namespace eleos

@@ -31,14 +31,10 @@ void Enclave::Free(uint64_t vaddr, size_t bytes) {
 }
 
 uint8_t* Enclave::Data(CpuContext* cpu, uint64_t vaddr, size_t len, bool write) {
-  const uint64_t vpage = vaddr / kPageSize;
   const size_t offset = vaddr % kPageSize;
   assert(offset + len <= kPageSize && "Data() must not cross a page boundary");
-  uint8_t* frame = machine_->driver().Touch(cpu, *this, vpage, write);
+  uint8_t* frame = machine_->driver().Touch(cpu, *this, vaddr / kPageSize, write);
   machine_->Access(cpu, vaddr, len, write, MemKind::kEpc);
-  if (cpu != nullptr) {
-    machine_->driver().NoteTlbPresence(*this, vpage, *cpu);
-  }
   return frame + offset;
 }
 
@@ -81,7 +77,6 @@ void Enclave::Exit(CpuContext& cpu) {
   machine_->ChargeCost(&cpu, telemetry::CostCategory::kTransitions,
                        machine_->costs().eexit_cycles);
   cpu.tlb.FlushAll();
-  ++cpu.tlb_epoch;
   cpu.enclave = nullptr;
   --threads_inside_;
 }

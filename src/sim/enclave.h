@@ -86,8 +86,6 @@ class Enclave {
   size_t reserved_pages() const { return reserved_pages_; }
 
  private:
-  friend class SgxDriver;
-
   Machine* machine_;
   std::string name_;
   EnclaveId id_;

@@ -42,56 +42,65 @@ SgxDriver::SgxDriver(Machine* machine)
 
 EnclaveId SgxDriver::RegisterEnclave(Enclave* enclave) {
   std::lock_guard guard(lock_);
-  const EnclaveId id = next_id_++;
-  enclaves_[id].enclave = enclave;
-  return id;
+  enclaves_.emplace_back().enclave = enclave;
+  ++live_enclaves_;
+  return static_cast<EnclaveId>(enclaves_.size());
 }
 
 void SgxDriver::UnregisterEnclave(EnclaveId id) {
   std::lock_guard guard(lock_);
-  auto it = enclaves_.find(id);
-  if (it == enclaves_.end()) {
+  EnclaveRec& rec = Rec(id);
+  if (rec.enclave == nullptr) {
     return;
   }
-  for (auto& [vpage, ps] : it->second.pages) {
+  for (const PageState& ps : rec.pages) {
     if (ps.frame != kInvalidFrame) {
       machine_->epc().Free(ps.frame);
     }
   }
-  enclaves_.erase(it);
+  rec = EnclaveRec{};
+  --live_enclaves_;
+}
+
+SgxDriver::PageState* SgxDriver::Find(EnclaveRec& rec, uint64_t vpage) {
+  if (vpage < rec.base || vpage - rec.base >= rec.pages.size()) {
+    return nullptr;
+  }
+  PageState& ps = rec.pages[vpage - rec.base];
+  return ps.reserved ? &ps : nullptr;
 }
 
 void SgxDriver::ReservePages(Enclave& enclave, uint64_t vpage, size_t count) {
   std::lock_guard guard(lock_);
-  EnclaveRec& rec = enclaves_.at(enclave.id());
-  rec.pages.reserve(rec.pages.size() + count);
+  EnclaveRec& rec = Rec(enclave.id());
+  if (rec.pages.empty()) {
+    rec.base = vpage;
+  }
+  if (vpage < rec.base) {
+    throw std::invalid_argument(
+        "SgxDriver::ReservePages: page below the enclave's first page");
+  }
+  const uint64_t first = vpage - rec.base;
+  if (rec.pages.size() < first + count) {
+    rec.pages.resize(first + count);
+  }
   for (size_t i = 0; i < count; ++i) {
-    rec.pages.try_emplace(vpage + i);
+    rec.pages[first + i].reserved = true;
   }
 }
 
 void SgxDriver::ReleasePages(Enclave& enclave, uint64_t vpage, size_t count) {
   std::lock_guard guard(lock_);
-  EnclaveRec& rec = enclaves_.at(enclave.id());
+  EnclaveRec& rec = Rec(enclave.id());
   for (size_t i = 0; i < count; ++i) {
-    auto it = rec.pages.find(vpage + i);
-    if (it == rec.pages.end()) {
+    PageState* ps = Find(rec, vpage + i);
+    if (ps == nullptr) {
       continue;
     }
-    if (it->second.frame != kInvalidFrame) {
-      machine_->epc().Free(it->second.frame);
-      --rec.resident;
+    if (ps->frame != kInvalidFrame) {
+      machine_->epc().Free(ps->frame);
     }
-    rec.pages.erase(it);
-  }
-}
-
-void SgxDriver::NoteTlbPresence(Enclave& enclave, uint64_t vpage, CpuContext& cpu) {
-  std::lock_guard guard(lock_);
-  EnclaveRec& rec = enclaves_.at(enclave.id());
-  auto it = rec.pages.find(vpage);
-  if (it != rec.pages.end() && cpu.id >= 0 && cpu.id < kMaxCpus) {
-    it->second.tlb_stamp[static_cast<size_t>(cpu.id)] = cpu.tlb_epoch;
+    *ps = PageState{};
   }
 }
 
@@ -103,7 +112,7 @@ size_t SgxDriver::AvailableFramesFor(EnclaveId /*id*/) const {
 
 size_t SgxDriver::enclave_count() const {
   std::lock_guard guard(lock_);
-  return enclaves_.size();
+  return live_enclaves_;
 }
 
 void SgxDriver::ConfigureSwapper(size_t low_watermark, size_t batch) {
@@ -114,15 +123,13 @@ void SgxDriver::ConfigureSwapper(size_t low_watermark, size_t batch) {
 uint8_t* SgxDriver::Touch(CpuContext* cpu, Enclave& enclave, uint64_t vpage,
                           bool /*write*/) {
   std::lock_guard guard(lock_);
-  EnclaveRec& rec = enclaves_.at(enclave.id());
-  auto it = rec.pages.find(vpage);
-  if (it == rec.pages.end()) {
+  PageState* ps = Find(Rec(enclave.id()), vpage);
+  if (ps == nullptr) {
     throw std::out_of_range("SgxDriver::Touch: unreserved enclave page");
   }
-  PageState& ps = it->second;
-  if (ps.frame != kInvalidFrame) {
-    ps.referenced = true;
-    return machine_->epc().FrameData(ps.frame);
+  if (ps->frame != kInvalidFrame) {
+    ps->referenced = true;
+    return machine_->epc().FrameData(ps->frame);
   }
 
   // --- Hardware EPC page fault ---
@@ -143,20 +150,15 @@ uint8_t* SgxDriver::Touch(CpuContext* cpu, Enclave& enclave, uint64_t vpage,
                        c.fault_kernel_cycles);
   if (cpu != nullptr) {
     cpu->tlb.FlushAll();
-    ++cpu->tlb_epoch;
   }
 
-  const FrameId frame = ObtainFrame(cpu);
-  // The map may have rehashed if eviction sealed pages; re-find.
-  PageState& ps2 = rec.pages.at(vpage);
-  ps2.frame = frame;
-  ps2.referenced = true;
-  ++rec.resident;
+  ps->frame = ObtainFrame(cpu);
+  ps->referenced = true;
   resident_ring_.push_back({enclave.id(), vpage});
 
-  uint8_t* data = machine_->epc().FrameData(frame);
-  if (ps2.has_sealed) {
-    UnsealPage(cpu, rec, vpage, ps2, data);
+  uint8_t* data = machine_->epc().FrameData(ps->frame);
+  if (ps->sealed != nullptr) {
+    UnsealPage(cpu, enclave.id(), vpage, *ps, data);
     ++stats_.page_ins;
     machine_->ChargeCost(cpu, telemetry::CostCategory::kSgxPaging,
                          c.driver_load_cycles);
@@ -174,7 +176,7 @@ uint8_t* SgxDriver::Touch(CpuContext* cpu, Enclave& enclave, uint64_t vpage,
 FrameId SgxDriver::ObtainFrame(CpuContext* cpu) {
   FrameId f = machine_->epc().Alloc();
   while (f == kInvalidFrame) {
-    EnclaveId owner = 0;
+    const Enclave* owner = nullptr;
     if (!EvictOne(cpu, &owner)) {
       throw std::runtime_error("SgxDriver: EPC exhausted and nothing evictable");
     }
@@ -193,10 +195,10 @@ void SgxDriver::RunSwapper(CpuContext* cpu) {
   // One ETRACK round per owner enclave per batch, hitting every thread still
   // inside it — including the thread whose fault triggered us (the driver's
   // swapper runs asynchronously with enclave execution).
-  EnclaveId owners[kMaxCpus * 4];
+  const Enclave* owners[kMaxCpus * 4];
   size_t owner_count = 0;
   for (size_t i = 0; i < swapper_batch_; ++i) {
-    EnclaveId owner = 0;
+    const Enclave* owner = nullptr;
     if (!EvictOne(cpu, &owner)) {
       break;
     }
@@ -216,7 +218,7 @@ void SgxDriver::RunSwapper(CpuContext* cpu) {
   }
 }
 
-bool SgxDriver::EvictOne(CpuContext* initiator, EnclaveId* owner_out) {
+bool SgxDriver::EvictOne(CpuContext* initiator, const Enclave** owner_out) {
   size_t scanned = 0;
   const size_t limit = 2 * resident_ring_.size() + 4;
   while (!resident_ring_.empty() && scanned < limit) {
@@ -224,14 +226,8 @@ bool SgxDriver::EvictOne(CpuContext* initiator, EnclaveId* owner_out) {
       clock_hand_ = 0;
     }
     const ResidentRef ref = resident_ring_[clock_hand_];
-    auto rit = enclaves_.find(ref.enclave);
-    PageState* ps = nullptr;
-    if (rit != enclaves_.end()) {
-      auto pit = rit->second.pages.find(ref.vpage);
-      if (pit != rit->second.pages.end()) {
-        ps = &pit->second;
-      }
-    }
+    EnclaveRec& rec = Rec(ref.enclave);
+    PageState* ps = Find(rec, ref.vpage);
     if (ps == nullptr || ps->frame == kInvalidFrame) {
       // Stale ring entry (page released or already evicted): drop lazily.
       resident_ring_[clock_hand_] = resident_ring_.back();
@@ -247,15 +243,11 @@ bool SgxDriver::EvictOne(CpuContext* initiator, EnclaveId* owner_out) {
 
     // Victim found: EWB (the caller runs the ETRACK round).
     SpanScope evict_span(&machine_->metrics().spans(), initiator, "sgx.evict");
-    if (owner_out != nullptr) {
-      *owner_out = ref.enclave;
-    }
-    SealPage(initiator, rit->second, ref.vpage, *ps);
+    *owner_out = rec.enclave;
+    SealPage(initiator, ref.enclave, ref.vpage, *ps);
     machine_->epc().Free(ps->frame);
     ps->frame = kInvalidFrame;
-    --rit->second.resident;
     ++stats_.evictions;
-    ++stats_.writebacks;  // EWB writes back unconditionally, even clean pages
     machine_->ChargeCost(initiator, telemetry::CostCategory::kSgxPaging,
                          machine_->costs().driver_evict_cycles);
     resident_ring_[clock_hand_] = resident_ring_.back();
@@ -265,23 +257,18 @@ bool SgxDriver::EvictOne(CpuContext* initiator, EnclaveId* owner_out) {
   return false;
 }
 
-void SgxDriver::EtrackSweep(CpuContext* initiator, EnclaveId owner,
+void SgxDriver::EtrackSweep(CpuContext* initiator, const Enclave* owner,
                             bool include_initiator) {
-  auto rit = enclaves_.find(owner);
-  if (rit == enclaves_.end()) {
-    return;
-  }
   const CostModel& c = machine_->costs();
   for (size_t i = 0; i < machine_->num_cpus() && i < kMaxCpus; ++i) {
     CpuContext& target = machine_->cpu(i);
-    if (target.enclave != rit->second.enclave) {
+    if (target.enclave != owner) {
       continue;
     }
     if (!include_initiator && &target == initiator) {
       continue;
     }
     ++stats_.ipis;
-    ++stats_.shootdown_aexes;
     machine_->ChargeCost(initiator, telemetry::CostCategory::kSgxPaging,
                          c.ipi_cycles);
     // The receiving core is forced out of the enclave (AEX) and resumes.
@@ -290,21 +277,19 @@ void SgxDriver::EtrackSweep(CpuContext* initiator, EnclaveId owner,
     machine_->ChargeCost(&target, telemetry::CostCategory::kTransitions,
                          c.shootdown_aex_cycles());
     target.tlb.FlushAll();
-    ++target.tlb_epoch;
   }
 }
 
-void SgxDriver::SealPage(CpuContext* cpu, EnclaveRec& rec, uint64_t vpage,
+void SgxDriver::SealPage(CpuContext* cpu, EnclaveId owner, uint64_t vpage,
                          PageState& ps) {
-  if (!ps.sealed) {
+  if (ps.sealed == nullptr) {
     ps.sealed = std::make_unique<uint8_t[]>(kPageSize);
   }
   uint8_t* frame_data = machine_->epc().FrameData(ps.frame);
-  const SealAad aad{rec.enclave->id(), vpage};
+  const SealAad aad{owner, vpage};
   nonce_rng_.FillBytes(ps.nonce, crypto::kGcmNonceSize);  // lock_ is held
   gcm_.Seal(ps.nonce, reinterpret_cast<const uint8_t*>(&aad), sizeof(aad),
             frame_data, kPageSize, ps.sealed.get(), ps.tag);
-  ps.has_sealed = true;
   // Cache effects of the copy-out: read the EPC frame, write the blob.
   machine_->StreamAccess(cpu, vpage * kPageSize, kPageSize, /*write=*/false,
                          MemKind::kEpc);
@@ -354,9 +339,9 @@ uint64_t SgxDriver::monotonic_counter() const {
   return monotonic_counter_;
 }
 
-void SgxDriver::UnsealPage(CpuContext* cpu, EnclaveRec& rec, uint64_t vpage,
+void SgxDriver::UnsealPage(CpuContext* cpu, EnclaveId owner, uint64_t vpage,
                            PageState& ps, uint8_t* frame_data) {
-  const SealAad aad{rec.enclave->id(), vpage};
+  const SealAad aad{owner, vpage};
   if (!gcm_.Open(ps.nonce, reinterpret_cast<const uint8_t*>(&aad),
                  sizeof(aad), ps.sealed.get(), kPageSize, ps.tag,
                  frame_data)) {

@@ -9,23 +9,23 @@
 //    a small free pool; evictions seal page contents with AES-GCM into
 //    untrusted memory, exactly like the EWB instruction (privacy, integrity,
 //    freshness via a fresh nonce per eviction).
-//  * Evicting a page whose translation may still live in another core's TLB
-//    requires ETRACK + shootdown IPIs; a core inside the enclave receives
-//    the IPI and is forced through AEX (this is the multi-threaded overhead
-//    Table 2 quantifies, and what SUVM avoids entirely).
+//  * Evicting a page requires ETRACK + shootdown IPIs: every core inside the
+//    owning enclave may cache its translation, so each receives the IPI and
+//    is forced through AEX (this is the multi-threaded overhead Table 2
+//    quantifies, and what SUVM avoids entirely).
 //  * An EPC page fault costs AEX + kernel + ELDU work + ERESUME; indirect
 //    costs (TLB refill, cache misses) follow from the flushed TLB model.
 //  * The Eleos extension: an ioctl that reports the enclave's fair share of
 //    PRM so SUVM can balloon its EPC++ (the driver splits PRM evenly among
 //    active enclaves, the same heuristic as the paper's implementation).
+//  * EPCM-like page state is an array per enclave, indexed by virtual page
+//    from the enclave's first; enclaves are an array indexed by id.
 
 #ifndef ELEOS_SRC_SIM_SGX_DRIVER_H_
 #define ELEOS_SRC_SIM_SGX_DRIVER_H_
 
-#include <array>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -58,11 +58,8 @@ class SgxDriver {
   // Ensures the page is EPC-resident, charging the full hardware-fault cost
   // to `cpu` when it is not (cpu may be null: functional-only access).
   // Returns the frame data pointer — valid only until the next driver call.
+  // Throws std::out_of_range for a page that is not reserved.
   uint8_t* Touch(CpuContext* cpu, Enclave& enclave, uint64_t vpage, bool write);
-
-  // Records that `cpu`'s TLB may cache this page's translation (used to
-  // decide shootdown IPIs on eviction).
-  void NoteTlbPresence(Enclave& enclave, uint64_t vpage, CpuContext& cpu);
 
   // The Eleos ioctl (§3.3 / §4.1): how many EPC frames this enclave may use;
   // today's driver splits PRM evenly among active enclaves.
@@ -98,12 +95,10 @@ class SgxDriver {
 
   struct Stats {
     uint64_t faults = 0;        // hardware EPC page faults
-    uint64_t evictions = 0;     // pages sealed out (EWB)
-    uint64_t writebacks = 0;    // == evictions: EWB always writes back
+    uint64_t evictions = 0;     // pages sealed out (EWB always writes back)
     uint64_t page_ins = 0;      // sealed pages reloaded (ELDU)
     uint64_t zero_fills = 0;    // first-touch materializations
-    uint64_t ipis = 0;          // shootdown IPIs sent
-    uint64_t shootdown_aexes = 0;  // forced AEXes on IPI receivers
+    uint64_t ipis = 0;          // shootdown IPIs sent, one forced AEX each
   };
   const Stats& stats() const { return stats_; }
   void ResetStats() { stats_ = Stats{}; }
@@ -113,20 +108,21 @@ class SgxDriver {
  private:
   struct PageState {
     FrameId frame = kInvalidFrame;
-    std::unique_ptr<uint8_t[]> sealed;  // kPageSize ciphertext when evicted
+    // kPageSize ciphertext of the latest eviction; null until the first.
+    std::unique_ptr<uint8_t[]> sealed;
     uint8_t nonce[crypto::kGcmNonceSize] = {};
     uint8_t tag[crypto::kGcmTagSize] = {};
-    bool has_sealed = false;
+    bool reserved = false;    // between ReservePages and ReleasePages
     bool referenced = false;  // second-chance bit
-    // cpu_id -> tlb_epoch at last access; matches cpu.tlb_epoch while the
-    // translation may still be cached.
-    std::array<uint32_t, kMaxCpus> tlb_stamp = {};
   };
 
+  // `pages[i]` is virtual page `base + i`. A released page keeps its entry,
+  // reset to the default (unreserved) state; an unregistered enclave has no
+  // pages and a null `enclave`.
   struct EnclaveRec {
     Enclave* enclave = nullptr;
-    std::unordered_map<uint64_t, PageState> pages;
-    size_t resident = 0;
+    uint64_t base = 0;
+    std::vector<PageState> pages;
   };
 
   struct ResidentRef {
@@ -134,20 +130,25 @@ class SgxDriver {
     uint64_t vpage;
   };
 
+  EnclaveRec& Rec(EnclaveId id) { return enclaves_.at(id - 1); }
+  // The reserved page `vpage` of `rec`, or null.
+  static PageState* Find(EnclaveRec& rec, uint64_t vpage);
+
   // Evicts one page (the clock hand chooses); returns false if nothing
   // evictable. `initiator` is charged the EWB cost when non-null. The owner
   // enclave of the victim is reported via `owner_out` so the caller can run
   // the ETRACK round.
-  bool EvictOne(CpuContext* initiator, EnclaveId* owner_out);
-  void SealPage(CpuContext* cpu, EnclaveRec& rec, uint64_t vpage, PageState& ps);
-  void UnsealPage(CpuContext* cpu, EnclaveRec& rec, uint64_t vpage, PageState& ps,
+  bool EvictOne(CpuContext* initiator, const Enclave** owner_out);
+  void SealPage(CpuContext* cpu, EnclaveId owner, uint64_t vpage, PageState& ps);
+  void UnsealPage(CpuContext* cpu, EnclaveId owner, uint64_t vpage, PageState& ps,
                   uint8_t* frame_data);
   // ETRACK round for an enclave whose page(s) are being evicted: every
   // hardware thread currently executing inside it receives a shootdown IPI
   // and is forced through AEX. `include_initiator` distinguishes the
   // asynchronous-swapper case (the faulting thread is conceptually still
   // inside — paper footnote 3) from post-AEX eviction.
-  void EtrackSweep(CpuContext* initiator, EnclaveId owner, bool include_initiator);
+  void EtrackSweep(CpuContext* initiator, const Enclave* owner,
+                   bool include_initiator);
   FrameId ObtainFrame(CpuContext* cpu);
   void RunSwapper(CpuContext* cpu);
 
@@ -157,8 +158,8 @@ class SgxDriver {
   // time, while functional-only (null-cpu) threads just need mutual exclusion.
   mutable Spinlock lock_;
   Machine* machine_;
-  std::unordered_map<EnclaveId, EnclaveRec> enclaves_;
-  EnclaveId next_id_ = 1;
+  std::vector<EnclaveRec> enclaves_;  // indexed by EnclaveId - 1
+  size_t live_enclaves_ = 0;
 
   std::vector<ResidentRef> resident_ring_;
   size_t clock_hand_ = 0;

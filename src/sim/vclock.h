@@ -45,10 +45,9 @@ struct CpuContext {
   VClock clock;
   TlbModel tlb;
   int cos = kCosShared;
-  Enclave* enclave = nullptr;  // non-null while logically inside an enclave
-  // Bumped on every TLB flush; the driver compares it against per-page stamps
-  // to decide which CPUs need a shootdown IPI when evicting an EPC page.
-  uint32_t tlb_epoch = 1;
+  // Non-null while logically inside an enclave: the driver's ETRACK round
+  // sends a shootdown IPI to every CPU inside the evicted page's enclave.
+  Enclave* enclave = nullptr;
 
   void Charge(uint64_t cycles) { clock.Advance(cycles); }
 };

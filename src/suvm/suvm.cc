@@ -4,11 +4,10 @@
 
 #include <algorithm>
 #include <cstring>
-#include <map>
 #include <mutex>
 #include <stdexcept>
-#include <tuple>
 
+#include "src/common/untrusted.h"
 #include "src/crypto/sha256.h"
 #include "src/sim/machine.h"
 
@@ -26,6 +25,7 @@ struct SubAad {
 
 constexpr char kQuarantinedMsg[] =
     "Suvm: page quarantined (persistent corruption; TryRestorePage to recover)";
+constexpr char kPastEndMsg[] = "Suvm: address past the backing store";
 
 // Time-series SLO: per-window p99 of suvm.major_fault_cycles above this trips
 // the rule (kSloViolation trace + slo.violations counters). The rule is
@@ -136,12 +136,17 @@ Suvm::Suvm(sim::Enclave& enclave, SuvmConfig config,
         "Suvm: adopted backing store does not match config.backing_bytes");
   }
   // The inverse page table: one small entry per EPC++ page (paper §4.1).
-  ipt_region_vaddr_ = enclave_->Alloc(config.epc_pp_pages * 16);
+  // Only its reservation is modelled (BalloonPass counts it; see TouchIpt).
+  enclave_->Alloc(config.epc_pp_pages * 16);
   // The crypto-metadata table: one entry per backing-store page. It "may
   // grow fairly large" and is natively evictable under PRM pressure.
   meta_entries_ = config.backing_bytes / sim::kPageSize;
   const size_t meta_entry_bytes = config.direct_mode ? 160 : 48;
   meta_region_vaddr_ = enclave_->Alloc(meta_entries_ * meta_entry_bytes);
+  table_ = AllocZeroedArray<PageMeta>(meta_entries_);
+  if (config.direct_mode) {
+    subs_ = AllocZeroedArray<SubMeta>(meta_entries_ * subpages_per_page_);
+  }
   cells_.AddCounter("suvm.major_faults", stats_.major_faults);
   cells_.AddCounter("suvm.minor_faults", stats_.minor_faults);
   cells_.AddCounter("suvm.evictions", stats_.evictions);
@@ -204,17 +209,20 @@ Suvm::~Suvm() {
       flight_health_source_);
 }
 
-std::pair<Suvm::PageTable::iterator, bool> Suvm::EmplaceEntry(
-    Stripe& st, uint64_t bs_page) {
-  auto result = st.map.try_emplace(bs_page);
-  if (result.second) {
-    page_table_entries_.fetch_add(1, std::memory_order_relaxed);
+bool Suvm::EmplaceEntry(PageMeta& m) {
+  if (m.live) {
+    return false;
   }
-  return result;
+  m.live = true;
+  page_table_entries_.fetch_add(1, std::memory_order_relaxed);
+  return true;
 }
 
-void Suvm::EraseEntry(Stripe& st, PageTable::iterator it) {
-  st.map.erase(it);
+void Suvm::EraseEntry(uint64_t bs_page) {
+  table_[bs_page] = PageMeta{};
+  if (subs_ != nullptr) {
+    std::fill_n(Subs(bs_page), subpages_per_page_, SubMeta{});
+  }
   page_table_entries_.fetch_sub(1, std::memory_order_relaxed);
 }
 
@@ -284,13 +292,11 @@ void Suvm::Free(uint64_t addr) {
     const uint64_t end = addr + block;
     for (uint64_t page = addr / sim::kPageSize;
          page <= (end - 1) / sim::kPageSize; ++page) {
-      Stripe& st = StripeFor(page);
-      std::unique_lock<Spinlock> sl(st.lock);
-      auto it = Settle(st, sl, page);
-      if (it == st.map.end()) {
+      std::unique_lock<Spinlock> sl(StripeLock(page));
+      PageMeta& m = Settle(sl, page);
+      if (!m.live) {
         continue;
       }
-      PageMeta& m = it->second;
       const uint64_t page_start = page * sim::kPageSize;
       const bool fully_owned =
           page_start >= addr && page_start + sim::kPageSize <= end;
@@ -298,12 +304,12 @@ void Suvm::Free(uint64_t addr) {
         if (m.refcount != 0) {
           throw std::logic_error("Suvm::Free: page still pinned by a spointer");
         }
-        if (m.slot >= 0) {
+        if (m.state == Residency::kResident) {
           slot_to_page_[static_cast<size_t>(m.slot)].store(
               kInvalidAddr, std::memory_order_relaxed);
           cache_.FreeSlot(m.slot);
         }
-        EraseEntry(st, it);
+        EraseEntry(page);
         continue;
       }
       // Edge page shared with a live neighbor: scrub the freed range through
@@ -311,7 +317,7 @@ void Suvm::Free(uint64_t addr) {
       // reads as zeros. A quarantined or tampered seal has nothing
       // trustworthy to scrub, and with every slot pinned no reader has a
       // live allocation covering the freed range: both keep the old bytes.
-      if (m.poisoned || (m.slot < 0 && !m.has_data && m.subs == nullptr)) {
+      if (m.poisoned || (m.state != Residency::kResident && !m.has_data)) {
         continue;
       }
       sl.unlock();
@@ -323,17 +329,14 @@ void Suvm::Free(uint64_t addr) {
   store_->Free(addr);
 }
 
-std::unordered_map<uint64_t, Suvm::PageMeta>::iterator Suvm::Settle(
-    Stripe& st, std::unique_lock<Spinlock>& sl, uint64_t page) {
-  auto it = st.map.find(page);
-  while (it != st.map.end() && (it->second.state == Residency::kFilling ||
-                                it->second.state == Residency::kEvicting)) {
+Suvm::PageMeta& Suvm::Settle(std::unique_lock<Spinlock>& sl, uint64_t page) {
+  PageMeta& m = table_[page];
+  while (m.state == Residency::kFilling || m.state == Residency::kEvicting) {
     sl.unlock();
     CpuRelax();
     sl.lock();
-    it = st.map.find(page);
   }
-  return it;
+  return m;
 }
 
 void Suvm::FillNonce(uint8_t nonce[crypto::kGcmNonceSize]) {
@@ -359,8 +362,7 @@ void Suvm::TouchIpt(sim::CpuContext* cpu) {
 
 void Suvm::TouchCryptoMeta(sim::CpuContext* cpu, uint64_t bs_page, bool write) {
   const size_t entry_bytes = config_.direct_mode ? 160 : 48;
-  const uint64_t vaddr =
-      meta_region_vaddr_ + (bs_page % meta_entries_) * entry_bytes;
+  const uint64_t vaddr = meta_region_vaddr_ + bs_page * entry_bytes;
   // Entries may straddle a page boundary; clamp to the page for Data().
   const size_t in_page = sim::kPageSize - (vaddr % sim::kPageSize);
   enclave_->Data(cpu, vaddr, in_page < entry_bytes ? in_page : entry_bytes, write);
@@ -370,25 +372,19 @@ Status Suvm::PinOnce(sim::CpuContext* cpu, uint64_t bs_page, int* slot_out) {
   if (crashed_.load(std::memory_order_relaxed)) {
     return Status::Unavailable(kCrashedMsg);
   }
-  Stripe& st = StripeFor(bs_page);
   const uint64_t t0 = cpu != nullptr ? cpu->clock.now() : 0;
 
   // Residency loop. A resident page pins immediately (minor fault); a page in
   // flight on another thread (kFilling/kEvicting) is coalesced — this thread
   // waits for the state to settle instead of starting a duplicate load. An
   // absent page falls through with the stripe lock held: this thread is the
-  // fill leader. find(), never operator[]: a pure miss must not
-  // default-insert a PageMeta — the entry is created only once a slot is
-  // actually being filled, otherwise miss-heavy probing grows the page table
-  // without bound.
+  // fill leader. The entry goes live only once a slot is actually being
+  // filled, and a failed fill erases it again, so miss-heavy probing cannot
+  // grow the page table.
   bool coalesced = false;
-  std::unique_lock<Spinlock> sl(st.lock);
+  PageMeta& m = table_[bs_page];
+  std::unique_lock<Spinlock> sl(StripeLock(bs_page));
   for (;;) {
-    auto mit = st.map.find(bs_page);
-    if (mit == st.map.end()) {
-      break;  // leader: fresh page
-    }
-    PageMeta& m = mit->second;
     if (m.poisoned) {
       // Quarantined: fail fast, no crypto work, no paging.
       stats_.quarantine_hits.fetch_add(1, std::memory_order_relaxed);
@@ -419,7 +415,7 @@ Status Suvm::PinOnce(sim::CpuContext* cpu, uint64_t bs_page, int* slot_out) {
       return Status::Ok();
     }
     if (m.state == Residency::kAbsent) {
-      break;  // leader: re-fill of a sealed (or rolled-back) page
+      break;  // leader: a fresh page, or a re-fill of a sealed one
     }
     // kFilling/kEvicting: another thread owns this page's transition.
     if (!coalesced) {
@@ -434,18 +430,17 @@ Status Suvm::PinOnce(sim::CpuContext* cpu, uint64_t bs_page, int* slot_out) {
   // Leader path: claim the entry so same-page faults coalesce behind us,
   // then fill it with no lock held — only the slot acquisition and the
   // page-table charge serialize on the paging gate.
-  const auto [it, inserted] = EmplaceEntry(st, bs_page);
-  PageMeta& m = it->second;
+  const bool inserted = EmplaceEntry(m);
   m.state = Residency::kFilling;
   sl.unlock();
 
   // Rolls the claim back on failure. The entry is erased only if we created
-  // it and nothing durable (seal, quarantine verdict, sub-page metadata)
-  // appeared meanwhile; a pre-existing entry just returns to kAbsent.
+  // it and nothing durable (a seal or a quarantine verdict) appeared
+  // meanwhile; a pre-existing entry just returns to kAbsent.
   const auto rollback = [&] {
     sl.lock();
-    if (inserted && !m.has_data && !m.poisoned && m.subs == nullptr) {
-      EraseEntry(st, it);
+    if (inserted && !m.has_data && !m.poisoned) {
+      EraseEntry(bs_page);
     } else {
       m.state = Residency::kAbsent;
     }
@@ -502,6 +497,9 @@ Status Suvm::PinOnce(sim::CpuContext* cpu, uint64_t bs_page, int* slot_out) {
 }
 
 Status Suvm::PinPage(sim::CpuContext* cpu, uint64_t bs_page, int* slot_out) {
+  if (bs_page >= meta_entries_) {
+    return Status::InvalidArgument(kPastEndMsg);
+  }
   Status status = PinOnce(cpu, bs_page, slot_out);
   if (status.ok() || status.code() != StatusCode::kDataCorruption) {
     return status;
@@ -516,26 +514,23 @@ Status Suvm::PinPage(sim::CpuContext* cpu, uint64_t bs_page, int* slot_out) {
     // Persistent corruption: poison the page so every further access fails
     // fast instead of re-paying crypto + retry forever. Corruption implies
     // the page had sealed data, so its entry normally exists already.
-    Stripe& st = StripeFor(bs_page);
-    std::lock_guard sl(st.lock);
-    MarkQuarantinedLocked(cpu, bs_page,
-                          EmplaceEntry(st, bs_page).first->second);
+    std::lock_guard sl(StripeLock(bs_page));
+    MarkQuarantinedLocked(cpu, bs_page);
   }
   return status;
 }
 
 bool Suvm::IsQuarantined(uint64_t bs_page) const {
-  const Stripe& st = StripeFor(bs_page);
-  std::lock_guard sl(st.lock);
-  auto it = st.map.find(bs_page);
-  return it != st.map.end() && it->second.poisoned;
+  std::lock_guard sl(StripeLock(bs_page));
+  return bs_page < meta_entries_ && table_[bs_page].poisoned;
 }
 
-void Suvm::MarkQuarantinedLocked(sim::CpuContext* cpu, uint64_t bs_page,
-                                 PageMeta& m) {
+void Suvm::MarkQuarantinedLocked(sim::CpuContext* cpu, uint64_t bs_page) {
+  PageMeta& m = table_[bs_page];
   if (m.poisoned) {
     return;
   }
+  EmplaceEntry(m);
   m.poisoned = true;
   stats_.pages_quarantined.fetch_add(1, std::memory_order_relaxed);
   trace_->Record(telemetry::TraceKind::kSuvmPageQuarantined,
@@ -544,13 +539,11 @@ void Suvm::MarkQuarantinedLocked(sim::CpuContext* cpu, uint64_t bs_page,
 
 Status Suvm::TryRestorePage(sim::CpuContext* cpu, uint64_t bs_page) {
   {
-    Stripe& st = StripeFor(bs_page);
-    std::lock_guard sl(st.lock);
-    auto it = st.map.find(bs_page);
-    if (it == st.map.end() || !it->second.poisoned) {
+    std::lock_guard sl(StripeLock(bs_page));
+    if (bs_page >= meta_entries_ || !table_[bs_page].poisoned) {
       return Status::FailedPrecondition("Suvm: page is not quarantined");
     }
-    it->second.poisoned = false;
+    table_[bs_page].poisoned = false;
   }
   // Prove the page is actually usable again: a full page-in (with the usual
   // single-retry tamper absorption). Persistent corruption re-quarantines
@@ -568,13 +561,13 @@ Status Suvm::TryRestorePage(sim::CpuContext* cpu, uint64_t bs_page) {
 }
 
 void Suvm::UnpinPage(uint64_t bs_page, int slot, bool dirty) {
-  Stripe& st = StripeFor(bs_page);
-  std::lock_guard sl(st.lock);
-  auto it = st.map.find(bs_page);
-  if (it == st.map.end() || it->second.slot != slot) {
+  std::lock_guard sl(StripeLock(bs_page));
+  if (bs_page >= meta_entries_ ||
+      table_[bs_page].state != Residency::kResident ||
+      table_[bs_page].slot != slot) {
     throw std::logic_error("Suvm::UnpinPage: stale pin");
   }
-  PageMeta& m = it->second;
+  PageMeta& m = table_[bs_page];
   if (m.refcount == 0) {
     throw std::logic_error("Suvm::UnpinPage: refcount underflow");
   }
@@ -615,17 +608,14 @@ bool Suvm::SelectVictim(sim::CpuContext* cpu, Victim* out) {
     if (bs_page == kInvalidAddr) {
       continue;
     }
-    Stripe& st = StripeFor(bs_page);
-    std::lock_guard sl(st.lock);
-    auto it = st.map.find(bs_page);
+    std::lock_guard sl(StripeLock(bs_page));
+    PageMeta& m = table_[bs_page];
     // Re-validate under the stripe lock: the slot may have been recycled or
     // the page pinned/claimed since the unlocked slot_to_page_ read.
-    if (it == st.map.end() || it->second.state != Residency::kResident ||
-        it->second.slot != static_cast<int32_t>(slot) ||
-        it->second.refcount != 0) {
+    if (m.state != Residency::kResident ||
+        m.slot != static_cast<int32_t>(slot) || m.refcount != 0) {
       continue;
     }
-    PageMeta& m = it->second;
     if (m.ref_bit) {
       m.ref_bit = false;  // second chance
       continue;
@@ -634,14 +624,10 @@ bool Suvm::SelectVictim(sim::CpuContext* cpu, Victim* out) {
     // be selected twice) and hand ownership to the caller for the seal.
     m.state = Residency::kEvicting;
     slot_to_page_[slot].store(kInvalidAddr, std::memory_order_relaxed);
-    const bool have_seal =
-        config_.direct_mode
-            ? (m.subs != nullptr)  // conservatively: sub seals exist
-            : m.has_data;
     out->bs_page = bs_page;
     out->meta = &m;
     out->slot = static_cast<int>(slot);
-    out->write_back = m.dirty || !have_seal || !config_.clean_page_skip;
+    out->write_back = m.dirty || !m.has_data || !config_.clean_page_skip;
     out->scanned = scanned + 1;
     GateExit(cpu);
     return true;
@@ -673,9 +659,7 @@ bool Suvm::EvictOne(sim::CpuContext* cpu) {
                  static_cast<uint64_t>(v.slot));
   TouchCryptoMeta(cpu, v.bs_page, /*write=*/true);
   {
-    Stripe& st = StripeFor(v.bs_page);
-    std::lock_guard sl(st.lock);
-    m.slot = -1;
+    std::lock_guard sl(StripeLock(v.bs_page));
     m.dirty = false;
     m.state = Residency::kAbsent;
   }
@@ -709,7 +693,7 @@ Status Suvm::LoadPage(sim::CpuContext* cpu, uint64_t bs_page, PageMeta& m,
   if (config_.direct_mode) {
     const size_t sub_size = config_.subpage_size;
     for (size_t s = 0; s < subpages_per_page_; ++s) {
-      const Status status = OpenSub(cpu, m, bs_page, s, dst + s * sub_size);
+      const Status status = OpenSub(cpu, bs_page, s, dst + s * sub_size);
       if (!status.ok()) {
         return status;
       }
@@ -781,7 +765,6 @@ void Suvm::SealResident(sim::CpuContext* cpu, uint64_t bs_page, PageMeta& m) {
                        sim::MemKind::kEpc);
 
   if (config_.direct_mode) {
-    EnsureSubs(m);
     for (size_t s = 0; s < subpages_per_page_; ++s) {
       SealSub(cpu, m, bs_page, s, src + s * config_.subpage_size);
     }
@@ -805,12 +788,6 @@ void Suvm::SealResident(sim::CpuContext* cpu, uint64_t bs_page, PageMeta& m) {
   enclave_->ChargeGcm(cpu, sim::kPageSize);
   machine.StreamAccess(cpu, BackingVaddr(arena_off), sim::kPageSize,
                        /*write=*/true, sim::MemKind::kUntrusted);
-}
-
-void Suvm::EnsureSubs(PageMeta& m) {
-  if (m.subs == nullptr) {
-    m.subs = std::make_unique<SubMeta[]>(subpages_per_page_);
-  }
 }
 
 bool Suvm::CrashPoint(sim::CpuContext* cpu, uint64_t window) {
@@ -893,6 +870,9 @@ void Suvm::JournaledSeal(sim::CpuContext* cpu, uint64_t bs_page, PageMeta& m,
 template <typename Fn>
 Status Suvm::WalkPages(sim::CpuContext* cpu, uint64_t addr, size_t len,
                        bool write, Fn&& fn) {
+  if (!RangeFits(addr, len, config_.backing_bytes)) {
+    return Status::InvalidArgument(kPastEndMsg);
+  }
   while (len > 0) {
     const uint64_t page = addr / sim::kPageSize;
     const size_t off = addr % sim::kPageSize;
@@ -939,6 +919,10 @@ Status Suvm::Memset(sim::CpuContext* cpu, uint64_t addr, uint8_t value,
 
 Status Suvm::Memcpy(sim::CpuContext* cpu, uint64_t dst, uint64_t src,
                     size_t len) {
+  if (!RangeFits(dst, len, config_.backing_bytes) ||
+      !RangeFits(src, len, config_.backing_bytes)) {
+    return Status::InvalidArgument(kPastEndMsg);
+  }
   uint8_t buf[512];
   // Forward-overlapping ranges: front-to-back staging would re-read bytes a
   // previous chunk already overwrote. Copy back-to-front (memmove-style);
@@ -965,6 +949,9 @@ Status Suvm::Memcpy(sim::CpuContext* cpu, uint64_t dst, uint64_t src,
 
 StatusOr<int> Suvm::Memcmp(sim::CpuContext* cpu, uint64_t addr,
                            const void* other, size_t len) {
+  if (!RangeFits(addr, len, config_.backing_bytes)) {
+    return Status::InvalidArgument(kPastEndMsg);
+  }
   const auto* p = static_cast<const uint8_t*>(other);
   uint8_t buf[512];
   while (len > 0) {
@@ -1007,6 +994,9 @@ Status Suvm::WalkDirect(sim::CpuContext* cpu, uint64_t addr, uint8_t* out,
   if (crashed_.load(std::memory_order_relaxed)) {
     return Status::Unavailable(kCrashedMsg);
   }
+  if (!RangeFits(addr, len, config_.backing_bytes)) {
+    return Status::InvalidArgument(kPastEndMsg);
+  }
   const size_t sub_size = config_.subpage_size;
   while (len > 0) {
     const uint64_t page = addr / sim::kPageSize;
@@ -1015,18 +1005,16 @@ Status Suvm::WalkDirect(sim::CpuContext* cpu, uint64_t addr, uint8_t* out,
     const size_t sub_off = page_off % sub_size;
     const size_t chunk = std::min(len, sub_size - sub_off);
 
-    Stripe& st = StripeFor(page);
-    std::unique_lock<Spinlock> sl(st.lock);
+    std::unique_lock<Spinlock> sl(StripeLock(page));
     // Settle an in-flight fill/eviction first so the resident-copy-wins rule
-    // sees a settled residency bit. Reads never materialize page-table
-    // entries: a miss on a never-written page is answered with zeros
-    // (default-inserting here let read-only probes grow the page table
-    // without bound). Writes legitimately materialize an entry (the page now
-    // has contents), but a failed write must not leave a husk behind.
-    auto it = Settle(st, sl, page);
-    bool inserted = false;
+    // sees a settled residency bit. Reads never make an entry live: a miss on
+    // a never-written page is answered with zeros (materializing entries here
+    // let read-only probes grow the page table without bound). Writes
+    // legitimately do (the page now has contents), but a failed write must
+    // not leave a husk behind.
+    PageMeta& m = Settle(sl, page);
+    const bool inserted = write && EmplaceEntry(m);
     if (write) {
-      std::tie(it, inserted) = EmplaceEntry(st, page);
       stats_.direct_writes.fetch_add(1, std::memory_order_relaxed);
       direct_write_bytes_->Add(chunk);
     } else {
@@ -1034,12 +1022,9 @@ Status Suvm::WalkDirect(sim::CpuContext* cpu, uint64_t addr, uint8_t* out,
       direct_read_bytes_->Add(chunk);
     }
     TouchCryptoMeta(cpu, page, write);
-    if (it == st.map.end()) {
-      std::memset(out, 0, chunk);  // never-written data reads as zero
-    } else if (it->second.state == Residency::kResident) {
+    if (m.state == Residency::kResident) {
       // Consistency: the cached copy wins (paper: "reads are consistent by
       // checking that the page is not resident in the page cache first").
-      PageMeta& m = it->second;
       m.ref_bit = true;
       uint8_t* data = SlotData(cpu, m.slot, page_off, chunk, write);
       if (write) {
@@ -1049,7 +1034,6 @@ Status Suvm::WalkDirect(sim::CpuContext* cpu, uint64_t addr, uint8_t* out,
         std::memcpy(out, data, chunk);
       }
     } else {
-      PageMeta& m = it->second;
       if (m.poisoned) {
         stats_.quarantine_hits.fetch_add(1, std::memory_order_relaxed);
         return Status::DataCorruption(kQuarantinedMsg);
@@ -1059,19 +1043,19 @@ Status Suvm::WalkDirect(sim::CpuContext* cpu, uint64_t addr, uint8_t* out,
       // sub-page pre-existed, so a poisoned entry is never `inserted`).
       const auto access = [&] {
         return write ? DirectSubWrite(cpu, m, page, sub, sub_off, in, chunk)
-                     : DirectSubRead(cpu, m, page, sub, sub_off, out, chunk);
+                     : DirectSubRead(cpu, page, sub, sub_off, out, chunk);
       };
       Status status = access();
       if (status.code() == StatusCode::kDataCorruption) {
         stats_.retries.fetch_add(1, std::memory_order_relaxed);
         status = access();
         if (status.code() == StatusCode::kDataCorruption) {
-          MarkQuarantinedLocked(cpu, page, m);
+          MarkQuarantinedLocked(cpu, page);
         }
       }
       if (!status.ok()) {
         if (inserted) {
-          EraseEntry(st, it);
+          EraseEntry(page);
         }
         return status;
       }
@@ -1087,10 +1071,11 @@ Status Suvm::WalkDirect(sim::CpuContext* cpu, uint64_t addr, uint8_t* out,
   return Status::Ok();
 }
 
-Status Suvm::OpenSub(sim::CpuContext* cpu, PageMeta& m, uint64_t bs_page,
-                     size_t sub, uint8_t* plain) {
+Status Suvm::OpenSub(sim::CpuContext* cpu, uint64_t bs_page, size_t sub,
+                     uint8_t* plain) {
   const size_t sub_size = config_.subpage_size;
-  if (m.subs == nullptr || !m.subs[sub].has_data) {
+  const SubMeta& sm = Subs(bs_page)[sub];
+  if (!sm.has_data) {
     std::memset(plain, 0, sub_size);  // never-written data reads as zero
     return Status::Ok();
   }
@@ -1103,9 +1088,8 @@ Status Suvm::OpenSub(sim::CpuContext* cpu, PageMeta& m, uint64_t bs_page,
   if (flipped) {
     ct[0] ^= 0x01;
   }
-  const bool ok = gcm_.Open(m.subs[sub].nonce,
-                            reinterpret_cast<const uint8_t*>(&aad), sizeof(aad),
-                            ct, sub_size, m.subs[sub].tag, plain);
+  const bool ok = gcm_.Open(sm.nonce, reinterpret_cast<const uint8_t*>(&aad),
+                            sizeof(aad), ct, sub_size, sm.tag, plain);
   if (flipped) {
     ct[0] ^= 0x01;
   }
@@ -1124,20 +1108,21 @@ void Suvm::SealSub(sim::CpuContext* cpu, PageMeta& m, uint64_t bs_page,
   const size_t sub_size = config_.subpage_size;
   const uint64_t arena_off = bs_page * sim::kPageSize + sub * sub_size;
   const SubAad aad{bs_page, sub};
-  FillNonce(m.subs[sub].nonce);
-  gcm_.Seal(m.subs[sub].nonce, reinterpret_cast<const uint8_t*>(&aad),
-            sizeof(aad), plain, sub_size, store_->Raw(arena_off),
-            m.subs[sub].tag);
-  m.subs[sub].has_data = true;
+  SubMeta& sm = Subs(bs_page)[sub];
+  FillNonce(sm.nonce);
+  gcm_.Seal(sm.nonce, reinterpret_cast<const uint8_t*>(&aad), sizeof(aad),
+            plain, sub_size, store_->Raw(arena_off), sm.tag);
+  sm.has_data = true;
+  m.has_data = true;
   enclave_->ChargeGcm(cpu, sub_size);
   enclave_->machine().StreamAccess(cpu, BackingVaddr(arena_off), sub_size,
                                    /*write=*/true, sim::MemKind::kUntrusted);
 }
 
-Status Suvm::DirectSubRead(sim::CpuContext* cpu, PageMeta& m, uint64_t bs_page,
-                           size_t sub, size_t off, uint8_t* dst, size_t len) {
+Status Suvm::DirectSubRead(sim::CpuContext* cpu, uint64_t bs_page, size_t sub,
+                           size_t off, uint8_t* dst, size_t len) {
   std::vector<uint8_t> plain(config_.subpage_size);
-  const Status status = OpenSub(cpu, m, bs_page, sub, plain.data());
+  const Status status = OpenSub(cpu, bs_page, sub, plain.data());
   if (status.ok()) {
     std::memcpy(dst, plain.data() + off, len);
   }
@@ -1147,11 +1132,10 @@ Status Suvm::DirectSubRead(sim::CpuContext* cpu, PageMeta& m, uint64_t bs_page,
 Status Suvm::DirectSubWrite(sim::CpuContext* cpu, PageMeta& m, uint64_t bs_page,
                             size_t sub, size_t off, const uint8_t* src,
                             size_t len) {
-  EnsureSubs(m);
   std::vector<uint8_t> plain(config_.subpage_size, 0);
-  if (m.subs[sub].has_data && len < config_.subpage_size) {
+  if (Subs(bs_page)[sub].has_data && len < config_.subpage_size) {
     // Read-modify-write of an existing sub-page.
-    const Status status = OpenSub(cpu, m, bs_page, sub, plain.data());
+    const Status status = OpenSub(cpu, bs_page, sub, plain.data());
     if (!status.ok()) {
       return status;
     }
@@ -1235,14 +1219,12 @@ StatusOr<sim::SgxDriver::SealedBlob> Suvm::SealCheckpoint(sim::CpuContext* cpu) 
     if (bs_page == kInvalidAddr) {
       continue;
     }
-    Stripe& st = StripeFor(bs_page);
-    std::lock_guard sl(st.lock);
-    auto it = st.map.find(bs_page);
-    if (it == st.map.end() || it->second.state != Residency::kResident ||
-        it->second.slot != static_cast<int32_t>(slot)) {
+    std::lock_guard sl(StripeLock(bs_page));
+    PageMeta& m = table_[bs_page];
+    if (m.state != Residency::kResident ||
+        m.slot != static_cast<int32_t>(slot)) {
       continue;
     }
-    PageMeta& m = it->second;
     if (!m.dirty && m.has_data) {
       continue;
     }
@@ -1254,28 +1236,23 @@ StatusOr<sim::SgxDriver::SealedBlob> Suvm::SealCheckpoint(sim::CpuContext* cpu) 
   }
 
   // Capture the metadata root: every page with sealed data or a quarantine
-  // verdict, sorted for deterministic serialization.
+  // verdict, in page order.
   std::vector<RootEntry> entries;
-  for (Stripe& st : stripes_) {
-    std::lock_guard sl(st.lock);
-    for (auto& [bs_page, m] : st.map) {
-      if (!m.has_data && !m.poisoned) {
-        continue;  // resident-only zero-fill pages have nothing durable
-      }
-      RootEntry e;
-      e.bs_page = bs_page;
-      e.version = m.version;
-      e.flags = (m.has_data ? kRootHasData : 0u) |
-                (m.poisoned ? kRootPoisoned : 0u);
-      std::memcpy(e.nonce, m.nonce, sizeof(e.nonce));
-      std::memcpy(e.tag, m.tag, sizeof(e.tag));
-      entries.push_back(e);
+  for (uint64_t bs_page = 0; bs_page < meta_entries_; ++bs_page) {
+    std::lock_guard sl(StripeLock(bs_page));
+    const PageMeta& m = table_[bs_page];
+    if (!m.has_data && !m.poisoned) {
+      continue;  // resident-only zero-fill pages have nothing durable
     }
+    RootEntry e;
+    e.bs_page = bs_page;
+    e.version = m.version;
+    e.flags = (m.has_data ? kRootHasData : 0u) |
+              (m.poisoned ? kRootPoisoned : 0u);
+    std::memcpy(e.nonce, m.nonce, sizeof(e.nonce));
+    std::memcpy(e.tag, m.tag, sizeof(e.tag));
+    entries.push_back(e);
   }
-  std::sort(entries.begin(), entries.end(),
-            [](const RootEntry& a, const RootEntry& b) {
-              return a.bs_page < b.bs_page;
-            });
 
   RootHeader hdr;
   hdr.magic = kRootMagic;
@@ -1363,33 +1340,35 @@ Status Suvm::TryRecover(sim::CpuContext* cpu,
         "Suvm: sealed root claims a future platform counter");
   }
 
-  struct Recovered {
-    uint64_t version = 0;
-    bool has_data = false;
-    bool poisoned = false;
-    uint8_t nonce[crypto::kGcmNonceSize] = {};
-    uint8_t tag[crypto::kGcmTagSize] = {};
-  };
-  std::map<uint64_t, Recovered> pages;  // sorted: deterministic sweep order
+  // 3. Install the root's entries. A page past the table cannot come from
+  // this store's checkpoints: the root is corrupt, and nothing is installed.
   const auto* root_entries =
       reinterpret_cast<const RootEntry*>(bytes.data() + sizeof(RootHeader));
   for (uint64_t i = 0; i < hdr.entry_count; ++i) {
+    if (root_entries[i].bs_page >= meta_entries_) {
+      return Status::DataCorruption(
+          "Suvm: sealed root names a page past the backing store");
+    }
+  }
+  for (uint64_t i = 0; i < hdr.entry_count; ++i) {
     const RootEntry& e = root_entries[i];
-    Recovered r;
-    r.version = e.version;
-    r.has_data = (e.flags & kRootHasData) != 0;
-    r.poisoned = (e.flags & kRootPoisoned) != 0;
-    std::memcpy(r.nonce, e.nonce, sizeof(r.nonce));
-    std::memcpy(r.tag, e.tag, sizeof(r.tag));
-    pages[e.bs_page] = r;
+    std::lock_guard sl(StripeLock(e.bs_page));
+    PageMeta& m = table_[e.bs_page];
+    EmplaceEntry(m);
+    m.version = e.version;
+    m.has_data = (e.flags & kRootHasData) != 0;
+    m.poisoned = (e.flags & kRootPoisoned) != 0;
+    std::memcpy(m.nonce, e.nonce, sizeof(m.nonce));
+    std::memcpy(m.tag, e.tag, sizeof(m.tag));
   }
 
-  // 3. Journal replay (idempotent). Records are version-gated: only a record
+  // 4. Journal replay (idempotent). Records are version-gated: only a record
   // strictly newer than what the root (or an earlier record) establishes is
   // applied, so replaying the same journal twice converges to the same arena.
   // Whether the commit mark landed is irrelevant to correctness — a valid
   // uncommitted record carries exactly the bytes the in-place write would
-  // have; only torn (CRC-mismatched) records are discarded.
+  // have; only torn (CRC-mismatched) records, and records naming a page past
+  // the table, are discarded.
   {
     sim::SpanScope replay(&machine.metrics().spans(), cpu,
                           "suvm.journal_replay");
@@ -1399,28 +1378,27 @@ Status Suvm::TryRecover(sim::CpuContext* cpu,
       machine.ChargeCost(cpu, telemetry::CostCategory::kSuvmPaging,
                          machine.costs().suvm_fault_logic_cycles);
       if (rec.payload.size() != sim::kPageSize ||
-          rec.crc != BackingStore::JournalCrc(rec)) {
-        ++report->journal_torn;  // torn mid-append: discard
+          rec.crc != BackingStore::JournalCrc(rec) ||
+          rec.bs_page >= meta_entries_) {
+        ++report->journal_torn;
         continue;
       }
-      const uint64_t arena_off = rec.bs_page * sim::kPageSize;
-      if (arena_off + sim::kPageSize > store_->capacity()) {
-        ++report->journal_torn;  // out-of-range page: equally untrustworthy
-        continue;
-      }
-      Recovered& r = pages[rec.bs_page];
-      if (r.has_data && rec.version <= r.version) {
+      std::lock_guard sl(StripeLock(rec.bs_page));
+      PageMeta& m = table_[rec.bs_page];
+      if (m.has_data && rec.version <= m.version) {
         ++report->journal_stale;  // already reflected in the arena/root
         continue;
       }
+      const uint64_t arena_off = rec.bs_page * sim::kPageSize;
       std::memcpy(store_->Raw(arena_off), rec.payload.data(), sim::kPageSize);
       machine.StreamAccess(cpu, BackingVaddr(arena_off), sim::kPageSize,
                            /*write=*/true, sim::MemKind::kUntrusted);
-      r.version = rec.version;
-      r.has_data = true;  // a root-carried poisoned flag is kept: quarantine
+      EmplaceEntry(m);
+      m.version = rec.version;
+      m.has_data = true;  // a root-carried poisoned flag is kept: quarantine
                           // verdicts fail closed across the restart
-      std::memcpy(r.nonce, rec.nonce, sizeof(r.nonce));
-      std::memcpy(r.tag, rec.tag, sizeof(r.tag));
+      std::memcpy(m.nonce, rec.nonce, sizeof(m.nonce));
+      std::memcpy(m.tag, rec.tag, sizeof(m.tag));
       ++report->journal_replayed;
     }
     trace_->Record(telemetry::TraceKind::kSuvmJournalReplay,
@@ -1428,47 +1406,35 @@ Status Suvm::TryRecover(sim::CpuContext* cpu,
                    report->journal_replayed, report->journal_torn);
   }
 
-  // 4. Verification sweep: every recovered page re-authenticates against its
-  // enclave-held nonce/tag before the region trusts it. Failures quarantine
-  // the page instead of failing the recovery — partial data beats none.
+  // 5. Verification sweep, in page order: every recovered page
+  // re-authenticates against its enclave-held nonce/tag before the region
+  // trusts it. Failures quarantine the page instead of failing the recovery
+  // — partial data beats none.
   std::vector<uint8_t> scratch(sim::kPageSize);
-  for (auto& [bs_page, r] : pages) {
-    if (r.has_data && !r.poisoned) {
-      if (bs_page * sim::kPageSize + sim::kPageSize > store_->capacity()) {
-        r.poisoned = true;
+  for (uint64_t bs_page = 0; bs_page < meta_entries_; ++bs_page) {
+    std::lock_guard sl(StripeLock(bs_page));
+    PageMeta& m = table_[bs_page];
+    if (m.has_data && !m.poisoned) {
+      enclave_->ChargeGcm(cpu, sim::kPageSize);
+      machine.StreamAccess(cpu, BackingVaddr(bs_page * sim::kPageSize),
+                           sim::kPageSize, /*write=*/false,
+                           sim::MemKind::kUntrusted);
+      const PageAad aad{bs_page};
+      if (gcm_.Open(m.nonce, reinterpret_cast<const uint8_t*>(&aad),
+                    sizeof(aad), store_->Raw(bs_page * sim::kPageSize),
+                    sim::kPageSize, m.tag, scratch.data())) {
+        ++report->pages_verified;
       } else {
-        enclave_->ChargeGcm(cpu, sim::kPageSize);
-        machine.StreamAccess(cpu, BackingVaddr(bs_page * sim::kPageSize),
-                             sim::kPageSize, /*write=*/false,
-                             sim::MemKind::kUntrusted);
-        const PageAad aad{bs_page};
-        if (!gcm_.Open(r.nonce, reinterpret_cast<const uint8_t*>(&aad),
-                       sizeof(aad), store_->Raw(bs_page * sim::kPageSize),
-                       sim::kPageSize, r.tag, scratch.data())) {
-          NoteMacFailure(cpu, bs_page);
-          r.poisoned = true;
-        }
-      }
-      if (r.poisoned) {
+        NoteMacFailure(cpu, bs_page);
+        m.poisoned = true;
         stats_.pages_quarantined.fetch_add(1, std::memory_order_relaxed);
         trace_->Record(telemetry::TraceKind::kSuvmPageQuarantined,
                        cpu != nullptr ? cpu->clock.now() : 0, bs_page);
-      } else {
-        ++report->pages_verified;
       }
     }
-    if (r.poisoned) {
+    if (m.poisoned) {
       ++report->pages_quarantined;
     }
-    // Install the entry (verified, quarantined, or a root-carried verdict).
-    Stripe& st = StripeFor(bs_page);
-    std::lock_guard sl(st.lock);
-    PageMeta& m = EmplaceEntry(st, bs_page).first->second;  // always new
-    m.version = r.version;
-    m.has_data = r.has_data;
-    m.poisoned = r.poisoned;
-    std::memcpy(m.nonce, r.nonce, sizeof(m.nonce));
-    std::memcpy(m.tag, r.tag, sizeof(m.tag));
   }
 
   if (report->pages_quarantined > 0) {

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "src/common/health.h"
+#include "src/common/huge_buffer.h"
 #include "src/common/rng.h"
 #include "src/common/spinlock.h"
 #include "src/common/status.h"
@@ -79,12 +80,13 @@ class Suvm {
   Suvm(const Suvm&) = delete;
   Suvm& operator=(const Suvm&) = delete;
 
-  // Every fallible operation has exactly one member, returning Status. Each
-  // page-in runs the fault-handler protocol: a MAC failure (the tamper may be
-  // transient — e.g. an in-flight bit-flip) is retried once; a persistent
-  // corruption or rollback surfaces as kDataCorruption with the mac_failures
-  // / rollbacks_detected / retries counters incremented, and quarantines the
-  // page. A crashed instance fails with kUnavailable. Callers that cannot
+  // Every fallible operation has exactly one member, returning Status. An
+  // access to a range or page past config.backing_bytes is kInvalidArgument
+  // before anything changes. Each page-in runs the fault-handler protocol: a MAC
+  // failure (the tamper may be transient — e.g. an in-flight bit-flip) is
+  // retried once; a persistent corruption or rollback surfaces as
+  // kDataCorruption with the mac_failures / rollbacks_detected / retries
+  // counters incremented, and quarantines the page. A crashed instance fails with kUnavailable. Callers that cannot
   // return a Status adapt with ThrowIfError (src/common/status.h).
 
   // --- Allocation (suvm_malloc / suvm_free) ---
@@ -110,7 +112,8 @@ class Suvm {
   // re-retry — until explicitly restored. Restore clears the poison bit and
   // re-attempts the page-in: success unpins and returns Ok, persistent
   // corruption re-quarantines the page and returns kDataCorruption.
-  // kFailedPrecondition if the page is not quarantined.
+  // kFailedPrecondition if the page is not quarantined (no page past the
+  // backing store ever is).
   [[nodiscard]] Status TryRestorePage(sim::CpuContext* cpu, uint64_t bs_page);
   bool IsQuarantined(uint64_t bs_page) const;
   // Releases a pin; `dirty` propagates the spointer's dirty bit to the page.
@@ -232,9 +235,9 @@ class Suvm {
   // interaction) until a periodic probe allocation succeeds.
   HealthState alloc_health_state() const { return alloc_health_.state(); }
 
-  // Live page-table footprint: the number of PageMeta entries across all
-  // stripes. Bounded by the touched working set — read-only misses must NOT
-  // grow it (regression guard for the default-insert bug).
+  // Live page-table footprint: the number of live PageMeta entries. Bounded
+  // by the touched working set — read-only misses must NOT grow it
+  // (regression guard for the default-insert bug).
   size_t PageTableEntries() const {
     return page_table_entries_.load(std::memory_order_relaxed);
   }
@@ -250,17 +253,17 @@ class Suvm {
 
  private:
   struct SubMeta {
-    uint8_t nonce[crypto::kGcmNonceSize];
-    uint8_t tag[crypto::kGcmTagSize];
+    uint8_t nonce[crypto::kGcmNonceSize] = {};
+    uint8_t tag[crypto::kGcmTagSize] = {};
     bool has_data = false;
   };
 
   // Residency state machine (DESIGN.md §14). kFilling/kEvicting grant the
   // transitioning thread *exclusive* ownership of the entry's payload fields
-  // (slot/nonce/tag/has_data/subs) without holding the stripe lock — every
-  // other thread must wait for the state to settle (coalescing on a fill,
-  // spinning out an eviction) before touching them. That exclusivity is what
-  // lets the GCM decrypt/encrypt run outside all locks.
+  // (slot/nonce/tag/has_data/sub-pages) without holding the stripe lock —
+  // every other thread must wait for the state to settle (coalescing on a
+  // fill, spinning out an eviction) before touching them. That exclusivity
+  // is what lets the GCM decrypt/encrypt run outside all locks.
   enum class Residency : uint8_t {
     kAbsent = 0,    // not in EPC++ (may still have a valid seal: has_data)
     kFilling = 1,   // a leader is paging it in (slot not yet published)
@@ -268,45 +271,45 @@ class Suvm {
     kEvicting = 3,  // an evictor is sealing it out (slot still owned by it)
   };
 
+  // One entry per backing-store page; all-zero is an absent page. `slot` is
+  // meaningful only while `state == kResident`.
   struct PageMeta {
-    int32_t slot = -1;        // EPC++ slot, -1 when not resident
-    uint32_t refcount = 0;    // pins by linked spointers
+    int32_t slot = 0;          // EPC++ slot
+    uint32_t refcount = 0;     // pins by linked spointers
     Residency state = Residency::kAbsent;
     bool dirty = false;
-    bool ref_bit = false;     // second chance for the EPC++ clock
-    bool has_data = false;    // whole-page seal in the backing store is valid
-    bool poisoned = false;    // quarantined: accesses fast-fail, no crypto
-    uint64_t version = 0;     // monotonic seal version (crash consistency)
+    bool ref_bit = false;      // second chance for the EPC++ clock
+    bool has_data = false;     // a valid seal (direct mode: of some sub-page)
+    bool poisoned = false;     // quarantined: accesses fast-fail, no crypto
+    bool live = false;         // counted in page_table_entries_
+    uint64_t version = 0;      // monotonic seal version (crash consistency)
     // Leader's virtual clock at fill publication: a coalesced waiter
     // fast-forwards its own clock to this point (it "waited" for the fill).
     uint64_t fill_done_vclock = 0;
-    uint8_t nonce[crypto::kGcmNonceSize];
-    uint8_t tag[crypto::kGcmTagSize];
-    std::unique_ptr<SubMeta[]> subs;  // direct mode: per-sub-page metadata
+    uint8_t nonce[crypto::kGcmNonceSize] = {};
+    uint8_t tag[crypto::kGcmTagSize] = {};
   };
 
-  using PageTable = std::unordered_map<uint64_t, PageMeta>;
+  // Each page's entry is guarded by the spinlock of its stripe.
   static constexpr size_t kStripes = 64;
-  struct Stripe {
-    mutable Spinlock lock;
-    PageTable map;
-  };
-
-  Stripe& StripeFor(uint64_t bs_page) { return stripes_[bs_page % kStripes]; }
-  const Stripe& StripeFor(uint64_t bs_page) const {
-    return stripes_[bs_page % kStripes];
+  Spinlock& StripeLock(uint64_t bs_page) const {
+    return stripe_locks_[bs_page % kStripes];
   }
-  // Page-table entry insert/erase, stripe lock held: they keep
-  // page_table_entries_ in step with the maps.
-  std::pair<PageTable::iterator, bool> EmplaceEntry(Stripe& st,
-                                                    uint64_t bs_page);
-  void EraseEntry(Stripe& st, PageTable::iterator it);
+  // Direct mode: the page's subpages_per_page_ sub-page entries.
+  SubMeta* Subs(uint64_t bs_page) {
+    return subs_.get() + bs_page * subpages_per_page_;
+  }
+  // Stripe lock held: makes the entry live, true if it was absent. Erase
+  // zeroes the entry (and its sub-pages) again. Both keep
+  // page_table_entries_ in step.
+  bool EmplaceEntry(PageMeta& m);
+  void EraseEntry(uint64_t bs_page);
 
   // Paging internals (DESIGN.md §14). Victim selection serializes on the
   // paging gate; the seal runs afterwards with only kEvicting ownership.
   struct Victim {
     uint64_t bs_page = 0;
-    PageMeta* meta = nullptr;  // stable: unordered_map references don't move
+    PageMeta* meta = nullptr;  // stable: table entries never move
     int slot = -1;
     bool write_back = false;
     size_t scanned = 0;  // candidates examined (evict_scan_len histogram)
@@ -334,10 +337,9 @@ class Suvm {
   // The sub-page walker behind ReadDirect (out) / WriteDirect (in).
   Status WalkDirect(sim::CpuContext* cpu, uint64_t addr, uint8_t* out,
                     const uint8_t* in, size_t len);
-  // With the stripe lock held, waits out an in-flight fill/eviction of
-  // `page` and returns its settled entry (or map end).
-  std::unordered_map<uint64_t, PageMeta>::iterator Settle(
-      Stripe& st, std::unique_lock<Spinlock>& sl, uint64_t page);
+  // With the page's stripe lock held, waits out an in-flight fill/eviction
+  // of `page` and returns its settled entry.
+  PageMeta& Settle(std::unique_lock<Spinlock>& sl, uint64_t page);
   // Fills `slot` with the page's plaintext: opens its seal inside the host's
   // tamper windows (an injected bit-flip or stale-seal rollback, undone after
   // Open; rollbacks are classified), or zero-fills a never-sealed page.
@@ -359,9 +361,8 @@ class Suvm {
   // Bumps mac_failures and drops a trace event (every Open site).
   void NoteMacFailure(sim::CpuContext* cpu, uint64_t bs_page);
 
-  // Poisons the page; expects its stripe lock held.
-  void MarkQuarantinedLocked(sim::CpuContext* cpu, uint64_t bs_page,
-                             PageMeta& m);
+  // Poisons the page (its entry goes live); expects its stripe lock held.
+  void MarkQuarantinedLocked(sim::CpuContext* cpu, uint64_t bs_page);
   // Feeds one Malloc outcome into the alloc health FSM; traces
   // kSuvmHealthChange on a state transition.
   void NoteAllocHealth(bool ok);
@@ -374,15 +375,14 @@ class Suvm {
   // Open (with the host's in-flight flip window; zeros if never written) and
   // seal of one whole sub-page, plus the read-modify-write helpers the
   // direct path builds on them.
-  Status OpenSub(sim::CpuContext* cpu, PageMeta& m, uint64_t bs_page,
-                 size_t sub, uint8_t* plain);
+  Status OpenSub(sim::CpuContext* cpu, uint64_t bs_page, size_t sub,
+                 uint8_t* plain);
   void SealSub(sim::CpuContext* cpu, PageMeta& m, uint64_t bs_page, size_t sub,
                const uint8_t* plain);
-  Status DirectSubRead(sim::CpuContext* cpu, PageMeta& m, uint64_t bs_page,
-                       size_t sub, size_t off, uint8_t* dst, size_t len);
+  Status DirectSubRead(sim::CpuContext* cpu, uint64_t bs_page, size_t sub,
+                       size_t off, uint8_t* dst, size_t len);
   Status DirectSubWrite(sim::CpuContext* cpu, PageMeta& m, uint64_t bs_page,
                         size_t sub, size_t off, const uint8_t* src, size_t len);
-  void EnsureSubs(PageMeta& m);
 
   sim::Enclave* enclave_;
   SuvmConfig config_;
@@ -403,7 +403,12 @@ class Suvm {
   Spinlock stale_lock_;
   std::unordered_map<uint64_t, std::vector<uint8_t>> stale_seals_;
 
-  Stripe stripes_[kStripes];
+  // The page table, indexed by backing-store page (meta_entries_ of them),
+  // and in direct mode the sub-page table beside it. Both are ZeroedArrays:
+  // a page never touched costs no host memory.
+  ZeroedArray<PageMeta> table_;
+  ZeroedArray<SubMeta> subs_;
+  mutable Spinlock stripe_locks_[kStripes];
   // The serialized slice of paging: victim selection (clock_hand_) plus the
   // per-fault page-table manipulation charge. Lock order: paging_gate_ ->
   // stripe lock -> leaf locks (cache_, driver, nonce/stale). Nothing acquires
@@ -416,17 +421,17 @@ class Suvm {
   std::vector<std::atomic<uint64_t>> slot_to_page_;
   size_t clock_hand_ = 0;  // guarded by paging_gate_
 
-  // Metadata accounting regions (enclave memory; evictable by native SGX
-  // paging, which is exactly the paper's >1 GiB working-set effect).
-  uint64_t ipt_region_vaddr_;
+  // The crypto-metadata region (enclave memory; evictable by native SGX
+  // paging, which is exactly the paper's >1 GiB working-set effect): one
+  // entry per backing-store page, as in table_.
   uint64_t meta_region_vaddr_;
   size_t meta_entries_;
 
   Spinlock nonce_lock_;
   Xoshiro256 nonce_rng_;
   Stats stats_;
-  // Entries across all stripe maps (suvm.page_table_entries); written under
-  // the stripe lock of the changed map, read lock-free.
+  // Live table entries (suvm.page_table_entries); written under the stripe
+  // lock of the changed entry, read lock-free.
   std::atomic<uint64_t> page_table_entries_{0};
   HealthFsm alloc_health_;
   size_t slo_fault_rule_ = 0;

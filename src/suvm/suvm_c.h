@@ -28,7 +28,8 @@ suvm_ctx* suvm_ctx_from(eleos::suvm::Suvm* suvm);
 // Every fallible entry point returns a status and never throws across the C
 // boundary, so C callers (and KvCache) can degrade gracefully on a hostile
 // host (quarantined pages, exhausted EPC++, a crashed instance) instead of
-// dying. Values mirror eleos::StatusCode exactly.
+// dying. Values mirror eleos::StatusCode exactly: a range past the backing
+// store, for one, is SUVM_ERR_INVALID_ARGUMENT.
 typedef int suvm_status_t;
 #define SUVM_OK 0
 #define SUVM_ERR_INVALID_ARGUMENT 1

@@ -217,10 +217,9 @@ Named SuvmStatsSansMinorFaults(const suvm::Suvm& suvm) {
 
 Named DriverStats(sim::Machine& m) {
   const sim::SgxDriver::Stats& s = m.driver().stats();
-  return {{"faults", s.faults},         {"evictions", s.evictions},
-          {"writebacks", s.writebacks}, {"page_ins", s.page_ins},
-          {"zero_fills", s.zero_fills}, {"ipis", s.ipis},
-          {"shootdown_aexes", s.shootdown_aexes}};
+  return {{"faults", s.faults},     {"evictions", s.evictions},
+          {"page_ins", s.page_ins}, {"zero_fills", s.zero_fills},
+          {"ipis", s.ipis}};
 }
 
 // Every CPU clock, the sim.cycles.* counters and the LLC and TLB counters.

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <vector>
@@ -216,6 +217,92 @@ TEST(SuvmEdge, DirectModeSubpageGranularityConfigurable) {
   uint8_t out[600];
   ASSERT_OK(w.suvm->ReadDirect(nullptr, a + 100, out, sizeof(out)));
   EXPECT_EQ(0, std::memcmp(data, out, sizeof(out)));
+}
+
+// --- Addresses past the backing store ---
+//
+// Every entry point rejects a range that does not fit in backing_bytes
+// before it changes anything. An accepted one used to seal the page past the
+// arena's end when it was evicted (or at once, on the direct path).
+
+SuvmConfig OneMiB() {
+  SuvmConfig cfg = World::Tiny();
+  cfg.backing_bytes = 1 << 20;
+  return cfg;
+}
+
+TEST(SuvmPastEnd, WholePageWriteThenEvictionIsRejected) {
+  World w(OneMiB());
+  const std::vector<uint8_t> page(sim::kPageSize, 0x5a);
+  EXPECT_EQ(w.suvm->Write(nullptr, 3 << 20, page.data(), page.size()).code(),
+            StatusCode::kInvalidArgument);
+  w.suvm->ResizeEpcPp(nullptr, 0);  // evicts every resident page
+  EXPECT_EQ(w.suvm->stats().major_faults.load(), 0u);
+  EXPECT_EQ(w.suvm->stats().writebacks.load(), 0u);
+  EXPECT_EQ(w.suvm->PageTableEntries(), 0u);
+}
+
+TEST(SuvmPastEnd, DirectAccessPastEndIsRejected) {
+  SuvmConfig cfg = OneMiB();
+  cfg.direct_mode = true;
+  World w(cfg);
+  uint8_t buf[64] = {};
+  EXPECT_EQ(w.suvm->WriteDirect(nullptr, 3 << 20, buf, sizeof(buf)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(w.suvm->ReadDirect(nullptr, 3 << 20, buf, sizeof(buf)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(w.suvm->stats().direct_writes.load(), 0u);
+  EXPECT_EQ(w.suvm->stats().direct_reads.load(), 0u);
+  EXPECT_EQ(w.suvm->PageTableEntries(), 0u);
+}
+
+TEST(SuvmPastEnd, RangeStraddlingTheEndChangesNothing) {
+  World w(OneMiB());
+  const uint64_t end = 1 << 20;
+  const std::vector<uint8_t> tail(64, 0x11);
+  ASSERT_OK(w.suvm->Write(nullptr, end - 64, tail.data(), tail.size()));
+  const uint64_t faults = w.suvm->stats().major_faults.load();
+
+  std::vector<uint8_t> buf(128, 0x22);
+  const auto invalid = [](const Status& s) {
+    return s.code() == StatusCode::kInvalidArgument;
+  };
+  EXPECT_TRUE(invalid(w.suvm->Write(nullptr, end - 64, buf.data(), 128)));
+  EXPECT_TRUE(invalid(w.suvm->Read(nullptr, end - 64, buf.data(), 128)));
+  EXPECT_TRUE(invalid(w.suvm->Memset(nullptr, end - 64, 0, 128)));
+  EXPECT_TRUE(invalid(w.suvm->Memcpy(nullptr, end - 64, 0, 128)));
+  EXPECT_TRUE(invalid(w.suvm->Memcpy(nullptr, 0, end - 64, 128)));
+  EXPECT_TRUE(
+      invalid(w.suvm->Memcmp(nullptr, end - 64, buf.data(), 128).status()));
+  EXPECT_TRUE(invalid(w.suvm->Read(nullptr, UINT64_MAX - 8, buf.data(), 64)));
+  int slot = -1;
+  EXPECT_TRUE(invalid(w.suvm->PinPage(nullptr, end / sim::kPageSize, &slot)));
+  EXPECT_EQ(slot, -1);
+  EXPECT_EQ(buf, std::vector<uint8_t>(128, 0x22));
+
+  EXPECT_EQ(w.suvm->stats().major_faults.load(), faults);
+  std::vector<uint8_t> back(64);
+  ASSERT_OK(w.suvm->Read(nullptr, end - 64, back.data(), back.size()));
+  EXPECT_EQ(back, tail);
+}
+
+TEST(SuvmPastEnd, CApiReturnsInvalidArgument) {
+  World w(OneMiB());
+  suvm_ctx* ctx = suvm_ctx_from(w.suvm.get());
+  uint8_t buf[64] = {};
+  EXPECT_EQ(suvm_set_bytes(ctx, 3 << 20, buf, sizeof(buf)),
+            SUVM_ERR_INVALID_ARGUMENT);
+  EXPECT_EQ(suvm_get_bytes(ctx, 3 << 20, buf, sizeof(buf)),
+            SUVM_ERR_INVALID_ARGUMENT);
+  EXPECT_EQ(suvm_memset(ctx, 3 << 20, 1, sizeof(buf)),
+            SUVM_ERR_INVALID_ARGUMENT);
+  EXPECT_EQ(suvm_memcpy(ctx, 3 << 20, 0, sizeof(buf)),
+            SUVM_ERR_INVALID_ARGUMENT);
+  int result = 7;
+  EXPECT_EQ(suvm_memcmp(ctx, 3 << 20, buf, sizeof(buf), &result),
+            SUVM_ERR_INVALID_ARGUMENT);
+  EXPECT_EQ(result, 7);
+  EXPECT_EQ(w.suvm->PageTableEntries(), 0u);
 }
 
 }  // namespace
