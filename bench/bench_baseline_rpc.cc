@@ -6,12 +6,13 @@
 // and future PRs can diff performance against a recorded baseline.
 //
 // Besides the benign inline baseline, the bench runs a hostile profile pair
-// (threaded dispatch under a permanently "full" host queue) that pits a
-// static spin budget against the circuit breaker: the static config burns
-// its submit budget on every call before falling back, while the breaker
-// opens after a few timeouts and routes calls straight to the OCALL path,
-// capping tail latency. Both hostile runs are fully deterministic — no call
-// ever reaches the worker, so no wall-clock race leaks into virtual cycles.
+// (threaded dispatch under a permanently "full" host queue). Both profiles
+// spin the same fixed submit budget; they differ only in the circuit
+// breaker. The static config (breaker off) burns its submit budget on every
+// call before falling back, while the breaker opens after three timeouts
+// and routes calls straight to the OCALL path, capping tail latency. Both
+// hostile runs are fully deterministic — no call ever reaches the worker,
+// so no wall-clock race leaks into virtual cycles.
 //
 // With --trace-out the bench additionally runs a short *threaded* phase with
 // span tracing enabled and writes a Chrome trace-event JSON (plus a
@@ -54,7 +55,6 @@ HostileResult RunHostile(size_t calls, size_t io_bytes, bool breaker) {
   opts.workers = 1;
   opts.submit_spin_budget = 1 << 12;  // burned whole on every static-call
   opts.breaker_enabled = breaker;
-  opts.adaptive_spin = breaker;  // static profile = fixed budget, no healing
   rpc::RpcManager rpc(enclave, opts);
   sim::CpuContext& cpu = machine.cpu(0);
 

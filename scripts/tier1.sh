@@ -47,6 +47,10 @@
 #    bench_eleos from its own CMakeLists and runs all four workloads at smoke
 #    sizes, untraced and traced, checking every verdict and metric.
 #
+# All three ctest stages run their suites in parallel (-j"$(nproc)"): no
+# count a test asserts depends on a worker thread winning a wall-clock race
+# within a fixed number of calls, so the suites pass under that load.
+#
 # ELEOS_FLIGHT_DIR is exported for the suite runs: any soak/chaos harness
 # that fails dumps a post-mortem flight bundle there (CI uploads it).
 set -euo pipefail
@@ -67,7 +71,7 @@ cmake --build build-tsan -j --target \
   fault_injection_test telemetry_test health_test span_test \
   timeseries_test flight_recorder_test faceverif_test \
   crash_recovery_test boundary_fuzz_test cache_model_test epc_driver_test
-(cd build-tsan && ctest --output-on-failure -R "$TSAN_TESTS")
+(cd build-tsan && ctest --output-on-failure -j"$(nproc)" -R "$TSAN_TESTS")
 
 ASAN_TESTS='^(fault_injection_test|chaos_soak_test|crash_recovery_test|boundary_fuzz_test|flight_recorder_test|suvm_parallel_test|virtual_gate_test|crypto_test|crypto_extra_test|faceverif_test|param_server_test|cache_model_test|tlb_model_test|huge_buffer_test|security_test|epc_driver_test|suvm_test|suvm_edge_test|suvm_paging_fix_test|suvm_property_test|spointer_test|driver_property_test)$'
 cmake -B build-asan -S . -DELEOS_SANITIZE=address,undefined
@@ -78,7 +82,7 @@ cmake --build build-asan -j --target \
   faceverif_test param_server_test cache_model_test tlb_model_test \
   huge_buffer_test security_test epc_driver_test suvm_test suvm_edge_test \
   suvm_paging_fix_test suvm_property_test spointer_test driver_property_test
-(cd build-asan && ctest --output-on-failure -R "$ASAN_TESTS")
+(cd build-asan && ctest --output-on-failure -j"$(nproc)" -R "$ASAN_TESTS")
 
 OUT_DIR="$(mktemp -d)" scripts/bench.sh --smoke
 

@@ -12,9 +12,11 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 
 #include "src/baseline/sgx_buffer.h"
 #include "src/common/status.h"
+#include "src/common/untrusted.h"
 #include "src/sim/enclave.h"
 #include "src/sim/vclock.h"
 #include "src/suvm/suvm.h"
@@ -30,17 +32,24 @@ class MemRegion {
                      size_t n) = 0;
   virtual size_t size() const = 0;
 
-  // Error-returning variants. Backends whose accesses cannot fail (untrusted
-  // DRAM, driver-paged enclave memory) inherit these trivial wrappers;
-  // SuvmRegion overrides them to surface integrity/paging failures as codes
-  // so the application can degrade instead of unwinding.
+  // Error-returning variants. A range past size() is kInvalidArgument on
+  // every backend (Read/Write throw for it). Backends whose in-range accesses
+  // cannot fail (untrusted DRAM, driver-paged enclave memory) inherit these
+  // wrappers; SuvmRegion overrides them to surface integrity/paging failures
+  // as codes so the application can degrade instead of unwinding.
   virtual Status TryRead(sim::CpuContext* cpu, uint64_t off, void* dst,
                          size_t n) {
+    if (!RangeFits(off, n, size())) {
+      return Status::InvalidArgument(kPastEndMsg);
+    }
     Read(cpu, off, dst, n);
     return Status::Ok();
   }
   virtual Status TryWrite(sim::CpuContext* cpu, uint64_t off, const void* src,
                           size_t n) {
+    if (!RangeFits(off, n, size())) {
+      return Status::InvalidArgument(kPastEndMsg);
+    }
     Write(cpu, off, src, n);
     return Status::Ok();
   }
@@ -55,6 +64,9 @@ class MemRegion {
   void Store(sim::CpuContext* cpu, uint64_t off, const T& v) {
     Write(cpu, off, &v, sizeof(T));
   }
+
+ protected:
+  static constexpr char kPastEndMsg[] = "MemRegion: range past the region";
 };
 
 // Plain host memory: the untrusted baseline. Accesses are charged at
@@ -69,12 +81,18 @@ class UntrustedRegion : public MemRegion {
         data_(new uint8_t[bytes]()) {}
 
   void Read(sim::CpuContext* cpu, uint64_t off, void* dst, size_t n) override {
+    if (!RangeFits(off, n, bytes_)) {
+      throw std::out_of_range(kPastEndMsg);
+    }
     machine_->Access(cpu, vaddr_ + off, n, /*write=*/false,
                      sim::MemKind::kUntrusted);
     std::memcpy(dst, data_.get() + off, n);
   }
   void Write(sim::CpuContext* cpu, uint64_t off, const void* src,
              size_t n) override {
+    if (!RangeFits(off, n, bytes_)) {
+      throw std::out_of_range(kPastEndMsg);
+    }
     machine_->Access(cpu, vaddr_ + off, n, /*write=*/true,
                      sim::MemKind::kUntrusted);
     std::memcpy(data_.get() + off, src, n);
@@ -125,6 +143,9 @@ class SuvmRegion : public MemRegion {
   // a Status (Try*) or an exception (Read/Write).
   Status TryRead(sim::CpuContext* cpu, uint64_t off, void* dst,
                  size_t n) override {
+    if (!RangeFits(off, n, bytes_)) {
+      return Status::InvalidArgument(kPastEndMsg);
+    }
     sim::ScopedCpu bind(cpu);  // the C ABI has no cpu parameter
     suvm_ctx* ctx = suvm_ctx_from(suvm_);
     const suvm_status_t code =
@@ -134,6 +155,9 @@ class SuvmRegion : public MemRegion {
   }
   Status TryWrite(sim::CpuContext* cpu, uint64_t off, const void* src,
                   size_t n) override {
+    if (!RangeFits(off, n, bytes_)) {
+      return Status::InvalidArgument(kPastEndMsg);
+    }
     sim::ScopedCpu bind(cpu);
     suvm_ctx* ctx = suvm_ctx_from(suvm_);
     const suvm_status_t code =

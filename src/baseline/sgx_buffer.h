@@ -10,7 +10,9 @@
 
 #include <cstdint>
 #include <cstring>
+#include <stdexcept>
 
+#include "src/common/untrusted.h"
 #include "src/sim/enclave.h"
 
 namespace eleos::baseline {
@@ -25,11 +27,15 @@ class SgxBuffer {
   SgxBuffer(const SgxBuffer&) = delete;
   SgxBuffer& operator=(const SgxBuffer&) = delete;
 
+  // A range past size() throws std::out_of_range: the enclave pages
+  // around the buffer may belong to other allocations.
   void Read(sim::CpuContext* cpu, size_t offset, void* dst, size_t len) {
+    CheckRange(offset, len);
     enclave_->Read(cpu, vaddr_ + offset, dst, len);
   }
 
   void Write(sim::CpuContext* cpu, size_t offset, const void* src, size_t len) {
+    CheckRange(offset, len);
     enclave_->Write(cpu, vaddr_ + offset, src, len);
   }
 
@@ -49,6 +55,12 @@ class SgxBuffer {
   sim::Enclave& enclave() { return *enclave_; }
 
  private:
+  void CheckRange(size_t offset, size_t len) const {
+    if (!RangeFits(offset, len, bytes_)) {
+      throw std::out_of_range("SgxBuffer: range past the buffer");
+    }
+  }
+
   sim::Enclave* enclave_;
   size_t bytes_;
   uint64_t vaddr_;

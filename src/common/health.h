@@ -77,7 +77,6 @@ class HealthFsm {
   HealthFsm& operator=(const HealthFsm&) = delete;
 
   HealthState state() const { return state_.load(std::memory_order_relaxed); }
-  bool healthy() const { return state() == HealthState::kHealthy; }
   // The atomics behind state() and probes(), for lock-free metric reads.
   const std::atomic<HealthState>& state_cell() const { return state_; }
   const std::atomic<uint64_t>& probes_cell() const { return probes_; }

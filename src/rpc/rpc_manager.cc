@@ -9,6 +9,16 @@ namespace {
 
 void CanaryNop(void*) {}
 
+// Circuit breaker (DESIGN.md §7): consecutive timeouts that open it, and
+// short-circuited calls per canary probe while it is open.
+constexpr uint32_t kBreakerFailureThreshold = 3;
+constexpr uint64_t kBreakerProbeInterval = 64;
+// The canary's spin budgets. A still-dead host costs one short bounded spin
+// per probe instead of a full-budget burn: a canary at the call budgets would
+// make each probe cost about as much as a timed-out call.
+constexpr uint64_t kCanarySubmitSpins = 1ull << 8;
+constexpr uint64_t kCanaryAwaitSpins = 1ull << 10;
+
 // SLO watchdog thresholds (DESIGN.md §13). The rules are registered
 // unconditionally at construction: they are inert until the machine's
 // timeline sampler is enabled, and registering either way keeps metric
@@ -26,19 +36,16 @@ RpcManager::RpcManager(sim::Enclave& enclave, Options options)
     : enclave_(&enclave),
       mode_(options.mode),
       use_cat_(options.use_cat),
-      options_(options),
       submit_spin_budget_(options.submit_spin_budget),
       await_spin_budget_(options.await_spin_budget),
-      min_submit_spin_budget_(std::max<uint64_t>(
-          1, std::min(options.min_submit_spin_budget,
-                      options.submit_spin_budget))),
-      min_await_spin_budget_(std::max<uint64_t>(
-          1, std::min(options.min_await_spin_budget,
-                      options.await_spin_budget))),
+      canary_submit_spins_(std::max<uint64_t>(
+          1, std::min(kCanarySubmitSpins, options.submit_spin_budget))),
+      canary_await_spins_(std::max<uint64_t>(
+          1, std::min(kCanaryAwaitSpins, options.await_spin_budget))),
       breaker_(HealthFsm::Options{
           // threshold 0 disables the FSM: Admit() always allows.
-          options.breaker_enabled ? options.breaker_failure_threshold : 0,
-          options.breaker_probe_interval}),
+          options.breaker_enabled ? kBreakerFailureThreshold : 0,
+          kBreakerProbeInterval}),
       rejected_inputs_metric_(enclave.machine().metrics().GetCounter(
           "boundary.rejected_inputs")),
       call_cycles_(enclave.machine().metrics().GetHistogram("rpc.call_cycles")),
@@ -79,8 +86,6 @@ RpcManager::RpcManager(sim::Enclave& enclave, Options options)
   cells_.AddCounter("rpc.forged_completions", forged_completions_.cell());
   cells_.AddCounter("rpc.hostile_rejects", hostile_rejects_.cell());
   cells_.AddGauge("rpc.breaker_state", breaker_.state_cell());
-  cells_.AddGauge("rpc.submit_spin_budget", submit_spin_budget_);
-  cells_.AddGauge("rpc.await_spin_budget", await_spin_budget_);
   cells_.AddGauge("rpc.quarantined_jobs", quarantined_);
   // SLO watchdog rules + flight-recorder health source. Both registries are
   // owned by the machine and outlive this manager; the destructor
@@ -200,19 +205,18 @@ bool RpcManager::AdmitExitless(sim::CpuContext* cpu) {
 }
 
 bool RpcManager::RunCanary(sim::CpuContext* cpu) {
-  // The canary is deliberately tiny: minimum budgets, no payload, so a still-
-  // dead host costs one short bounded spin per probe interval instead of a
-  // full-budget burn per call. Its burned spins are still charged.
+  // The canary is deliberately tiny: small budgets, no payload. Its burned
+  // spins are still charged.
   JobTicket ticket;
   if (!queue_->TrySubmit(&CanaryNop, nullptr, &ticket,
-                         min_submit_spin_budget_)) {
-    ChargeSpins(cpu, min_submit_spin_budget_);
+                         canary_submit_spins_)) {
+    ChargeSpins(cpu, canary_submit_spins_);
     return false;
   }
   const JobQueue::WaitResult wait =
-      queue_->AwaitAndRelease(ticket, min_await_spin_budget_);
+      queue_->AwaitAndRelease(ticket, canary_await_spins_);
   if (wait != JobQueue::WaitResult::kCompleted) {
-    ChargeSpins(cpu, min_await_spin_budget_);
+    ChargeSpins(cpu, canary_await_spins_);
     return false;
   }
   return true;
@@ -230,14 +234,6 @@ void RpcManager::OnSpinTimeout(sim::CpuContext* cpu, bool submit_side,
   // scheduling noise — it can be charged as virtual cycles without breaking
   // determinism. This is what makes hostile spin cost visible in p99.
   ChargeSpins(cpu, budget_burned);
-  if (options_.adaptive_spin) {
-    std::atomic<uint64_t>& budget =
-        submit_side ? submit_spin_budget_ : await_spin_budget_;
-    const uint64_t floor =
-        submit_side ? min_submit_spin_budget_ : min_await_spin_budget_;
-    const uint64_t cur = budget.load(std::memory_order_relaxed);
-    budget.store(std::max(floor, cur / 2), std::memory_order_relaxed);
-  }
   if (breaker_.RecordFailure()) {
     breaker_opens_.Inc();
     enclave_->machine().metrics().trace().Record(
@@ -245,29 +241,6 @@ void RpcManager::OnSpinTimeout(sim::CpuContext* cpu, bool submit_side,
         cpu != nullptr ? cpu->clock.now() : 0, submit_side ? 1 : 0,
         breaker_opens_.value());
   }
-}
-
-void RpcManager::OnExitlessSuccess() {
-  breaker_.RecordSuccess();  // healthy streak bookkeeping (no transition here:
-                             // only a canary can close an open breaker)
-  if (!options_.adaptive_spin) {
-    return;
-  }
-  // Additive recovery toward the configured ceilings; a no-op at the ceiling
-  // so healthy runs never see the machinery move.
-  const auto recover = [](std::atomic<uint64_t>& budget, uint64_t floor,
-                          uint64_t ceiling) {
-    const uint64_t cur = budget.load(std::memory_order_relaxed);
-    if (cur >= ceiling) {
-      return;
-    }
-    const uint64_t step = std::max<uint64_t>(1, (ceiling - floor) / 16);
-    budget.store(std::min(ceiling, cur + step), std::memory_order_relaxed);
-  };
-  recover(submit_spin_budget_, min_submit_spin_budget_,
-          options_.submit_spin_budget);
-  recover(await_spin_budget_, min_await_spin_budget_,
-          options_.await_spin_budget);
 }
 
 void RpcManager::QuarantineJob(JobBase* job) {
@@ -322,8 +295,7 @@ void RpcManager::OnHostileBoundary(sim::CpuContext* cpu, BoundarySite site) {
 }
 
 void RpcManager::NoteAwaitFailure(sim::CpuContext* cpu,
-                                  JobQueue::WaitResult wait,
-                                  uint64_t await_budget) {
+                                  JobQueue::WaitResult wait) {
   if (wait == JobQueue::WaitResult::kHostile) {
     OnHostileBoundary(cpu, BoundarySite::kRpcSlotScribbled);
     CountFallback(cpu, FallbackWhy::kHostileInput);
@@ -339,7 +311,7 @@ void RpcManager::NoteAwaitFailure(sim::CpuContext* cpu,
     return;
   }
   // kRevoked / kAbandoned: a plain liveness timeout.
-  OnSpinTimeout(cpu, /*submit_side=*/false, await_budget);
+  OnSpinTimeout(cpu, /*submit_side=*/false, await_spin_budget_);
   CountFallback(cpu, FallbackWhy::kAwaitTimeout);
 }
 

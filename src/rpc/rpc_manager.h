@@ -26,15 +26,14 @@
 // touches only memory that is still alive.
 //
 // Self-healing (threaded mode): timeouts also feed a per-manager HealthFsm
-// acting as a circuit breaker. After N consecutive timeouts the breaker
+// acting as a circuit breaker. After 3 consecutive timeouts the breaker
 // opens and calls short-circuit straight to the OCALL fallback — no spin
-// budget burned at all — while periodic no-op canary jobs probe the queue
-// (half-open) and close the breaker the moment the untrusted side completes
-// one. Orthogonally, the spin budgets themselves adapt: multiplicative
-// shrink on timeout, additive recovery on success (AIMD), so a host that is
-// slow-but-alive settles at a budget matching its actual latency. Burned
-// spin budgets are charged as virtual cycles on the timeout paths, making
-// the breaker's p99 win measurable in the benchmarks.
+// budget burned at all — while every 64th short-circuited call first runs a
+// no-op canary job with small fixed budgets (half-open) and closes the
+// breaker the moment the untrusted side completes one. The spin budgets
+// themselves are fixed. Burned spin budgets are charged as virtual cycles on
+// the timeout paths, making the breaker's p99 win measurable in the
+// benchmarks.
 //
 // Note the at-least-once caveat: an
 // abandoned-but-claimed job may still execute on the worker after the
@@ -109,25 +108,12 @@ class RpcManager {
     // enclave forever. Fault tests shrink them to exercise the fallback.
     uint64_t submit_spin_budget = 1ull << 26;
     uint64_t await_spin_budget = 1ull << 28;
-    // --- Self-healing (threaded mode) ---
-    // Circuit breaker over the exit-less path: after `breaker_failure_
-    // threshold` consecutive submit/await timeouts the manager stops paying
-    // spin budgets at all and routes calls straight to the OCALL fallback
-    // (breaker open). Every `breaker_probe_interval`-th short-circuited call
-    // first submits a cheap no-op canary with the minimum budgets (breaker
+    // Circuit breaker over the exit-less path (threaded mode): after 3
+    // consecutive submit/await timeouts the manager stops paying spin budgets
+    // at all and routes calls straight to the OCALL fallback (breaker open).
+    // Every 64th short-circuited call first submits a no-op canary (breaker
     // half-open); a completed canary closes the breaker again.
     bool breaker_enabled = true;
-    uint32_t breaker_failure_threshold = 3;
-    uint64_t breaker_probe_interval = 64;
-    // Adaptive spin budgets: each timeout halves the offending budget (never
-    // below the minimum), each exit-less completion adds back 1/16 of the
-    // configured range. A flaky-but-alive host therefore degrades smoothly
-    // instead of bimodally; a benign host sits at the configured budgets
-    // forever (recovery at the ceiling is a no-op), so healthy runs are
-    // byte-identical with the feature on or off.
-    bool adaptive_spin = true;
-    uint64_t min_submit_spin_budget = 1ull << 8;
-    uint64_t min_await_spin_budget = 1ull << 10;
   };
 
   RpcManager(sim::Enclave& enclave, Options options);
@@ -202,18 +188,11 @@ class RpcManager {
 
   // Self-healing observability.
   HealthState breaker_state() const { return breaker_.state(); }
-  const HealthFsm& breaker() const { return breaker_; }
   uint64_t breaker_opens() const { return breaker_opens_.value(); }
   uint64_t breaker_short_circuits() const {
     return breaker_short_circuits_.value();
   }
   uint64_t breaker_probes() const { return breaker_.probes(); }
-  uint64_t submit_spin_budget() const {
-    return submit_spin_budget_.load(std::memory_order_relaxed);
-  }
-  uint64_t await_spin_budget() const {
-    return await_spin_budget_.load(std::memory_order_relaxed);
-  }
 
  private:
   // Type-erased, reference-counted job context. Two owners: the submitting
@@ -280,19 +259,16 @@ class RpcManager {
   // is closed, or a half-open canary just completed and closed it). False:
   // short-circuit every call to the OCALL fallback with zero spin cost.
   bool AdmitExitless(sim::CpuContext* cpu);
-  // Submits + awaits a no-op canary job with the minimum spin budgets.
+  // Submits + awaits a no-op canary job with the canary spin budgets.
   bool RunCanary(sim::CpuContext* cpu);
   // Charges `spins` burned polling spins as virtual cycles (timeout paths
   // only — see CostModel::rpc_spin_cycles).
   void ChargeSpins(sim::CpuContext* cpu, uint64_t spins);
   // Timeout bookkeeping shared by both spin sites: charges the burned spin
-  // budget as virtual cycles, shrinks the budget (adaptive), and feeds the
-  // breaker (possibly tripping it open).
+  // budget as virtual cycles and feeds the breaker (possibly tripping it
+  // open).
   void OnSpinTimeout(sim::CpuContext* cpu, bool submit_side,
                      uint64_t budget_burned);
-  // Exit-less completion bookkeeping: feeds the breaker and lets the spin
-  // budgets recover additively toward their configured ceilings.
-  void OnExitlessSuccess();
 
   // Parks a job whose outcome was anything but a genuine completion. The
   // submitter's reference transfers to the ledger: a worker may still hold
@@ -313,8 +289,7 @@ class RpcManager {
   // Shared post-await failure dispatch: classifies `wait` into a timeout
   // (revoked/abandoned → OnSpinTimeout) or a boundary violation (kHostile /
   // forged kDone → OnHostileBoundary) and counts the fallback accordingly.
-  void NoteAwaitFailure(sim::CpuContext* cpu, JobQueue::WaitResult wait,
-                        uint64_t await_budget);
+  void NoteAwaitFailure(sim::CpuContext* cpu, JobQueue::WaitResult wait);
 
   // The one dispatch behind Call and CallBatch: runs fns[0..n) as a single
   // doorbell and stores fns[i]'s result in results[i]. In threaded mode the
@@ -369,15 +344,13 @@ class RpcManager {
                                    n - i, span_id, submit_tsc)
                              : 0;
       if (run == 0) {
-        const uint64_t submit_budget =
-            submit_spin_budget_.load(std::memory_order_relaxed);
         if (!queue_->TrySubmit(&Trampoline, jobs[i], &tickets[i],
-                               submit_budget, span_id, submit_tsc)) {
+                               submit_spin_budget_, span_id, submit_tsc)) {
           auto* job = static_cast<Job*>(jobs[i]);
           job->Unref();
           job->Unref();  // never enqueued: the worker reference dies with ours
           sim::SpanScope fallback(&spans, cpu, "rpc.fallback_ocall");
-          OnSpinTimeout(cpu, /*submit_side=*/true, submit_budget);
+          OnSpinTimeout(cpu, /*submit_side=*/true, submit_spin_budget_);
           CountFallback(cpu, FallbackWhy::kSubmitTimeout);
           results[i] = Fallback(cpu, io_bytes, fns[i]);
           ++i;
@@ -388,13 +361,12 @@ class RpcManager {
       // Await the run in order; each release frees a slot for the next run.
       for (const size_t end = i + run; i < end; ++i) {
         auto* job = static_cast<Job*>(jobs[i]);
-        const uint64_t await_budget =
-            await_spin_budget_.load(std::memory_order_relaxed);
         const JobQueue::WaitResult wait =
-            queue_->AwaitAndRelease(tickets[i], await_budget);
+            queue_->AwaitAndRelease(tickets[i], await_spin_budget_);
         if (wait == JobQueue::WaitResult::kCompleted &&
             job->ran.load(std::memory_order_acquire)) {
-          OnExitlessSuccess();
+          // Resets the failure streak; only a canary closes an open breaker.
+          breaker_.RecordSuccess();
           results[i] = std::move(job->result);
           job->Unref();
           continue;
@@ -408,7 +380,7 @@ class RpcManager {
         // instead of being dropped on a never-claimed assumption.
         QuarantineJob(job);
         sim::SpanScope fallback(&spans, cpu, "rpc.fallback_ocall");
-        NoteAwaitFailure(cpu, wait, await_budget);
+        NoteAwaitFailure(cpu, wait);
         results[i] = Fallback(cpu, io_bytes, fns[i]);
       }
     }
@@ -430,13 +402,12 @@ class RpcManager {
   sim::Enclave* enclave_;
   Mode mode_;
   bool use_cat_;
-  Options options_;
-  std::atomic<uint64_t> submit_spin_budget_;
-  std::atomic<uint64_t> await_spin_budget_;
-  // Effective floors/ceilings for the adaptive budgets (floors are clamped
-  // to the configured budgets so a small static budget stays static).
-  uint64_t min_submit_spin_budget_;
-  uint64_t min_await_spin_budget_;
+  uint64_t submit_spin_budget_;
+  uint64_t await_spin_budget_;
+  // The canary's budgets: small constants, clamped to the configured budgets
+  // so a canary never spins longer than a call would.
+  uint64_t canary_submit_spins_;
+  uint64_t canary_await_spins_;
   std::unique_ptr<JobQueue> queue_;
   std::unique_ptr<WorkerPool> pool_;
   HealthFsm breaker_;

@@ -27,6 +27,12 @@ constexpr char kQuarantinedMsg[] =
     "Suvm: page quarantined (persistent corruption; TryRestorePage to recover)";
 constexpr char kPastEndMsg[] = "Suvm: address past the backing store";
 
+// Allocation health (DESIGN.md §7): consecutive allocation failures that
+// degrade the region to read-mostly, and Malloc attempts per probe of the
+// host while it is degraded.
+constexpr uint32_t kAllocFailureThreshold = 4;
+constexpr uint64_t kAllocProbeInterval = 16;
+
 // Time-series SLO: per-window p99 of suvm.major_fault_cycles above this trips
 // the rule (kSloViolation trace + slo.violations counters). The rule is
 // registered unconditionally but inert until the machine's timeline sampler
@@ -103,8 +109,8 @@ Suvm::Suvm(sim::Enclave& enclave, SuvmConfig config,
       gcm_(crypto::DeriveAesKey("suvm-app-key", config.key_seed).data()),
       slot_to_page_(config.epc_pp_pages),
       nonce_rng_(config.key_seed ^ 0x9e3779b97f4a7c15ull),
-      alloc_health_(HealthFsm::Options{config.alloc_failure_threshold,
-                                       config.alloc_probe_interval}),
+      alloc_health_(HealthFsm::Options{kAllocFailureThreshold,
+                                       kAllocProbeInterval}),
       major_fault_cycles_(
           enclave.machine().metrics().GetHistogram("suvm.major_fault_cycles")),
       minor_fault_cycles_(

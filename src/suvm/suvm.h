@@ -53,12 +53,6 @@ struct SuvmConfig {
   size_t swapper_low_watermark = 16;
   // Per-application sealing key seed.
   uint64_t key_seed = 0xe1e05;
-  // Self-healing: consecutive allocation failures before the region degrades
-  // to read-mostly (Malloc fails fast without touching the host until a
-  // periodic probe succeeds). 0 disables the health FSM.
-  uint32_t alloc_failure_threshold = 4;
-  // While degraded, every N-th Malloc is a real probe of the host.
-  uint64_t alloc_probe_interval = 16;
   // Crash consistency: sealed page writes go through a journaled two-phase
   // commit (journal record -> in-place write -> commit mark), and the region
   // supports SealCheckpoint/TryRecover. Whole-page mode only (the sub-page
@@ -229,10 +223,10 @@ class Suvm {
   // atomics in place (summed over every Suvm on the machine).
   const Stats& stats() const { return stats_; }
 
-  // Allocation health (self-healing): repeated backing_alloc_fail degrades
-  // the region to "read-mostly" — existing pages stay fully readable and
-  // writable, but new allocations fail fast with kResourceExhausted (no host
-  // interaction) until a periodic probe allocation succeeds.
+  // Allocation health (self-healing): 4 consecutive allocation failures
+  // degrade the region to "read-mostly" — existing pages stay fully readable
+  // and writable, but new allocations fail fast with kResourceExhausted (no
+  // host interaction) until a probe allocation, every 16th attempt, succeeds.
   HealthState alloc_health_state() const { return alloc_health_.state(); }
 
   // Live page-table footprint: the number of live PageMeta entries. Bounded

@@ -235,11 +235,6 @@ void TimeSeriesSampler::EvaluateSlosLocked(TimelineWindow* w) {
       // keeps the exact double).
       registry_->trace().Record(TraceKind::kSloViolation, w->end_tsc, r.id,
                                 static_cast<uint64_t>(eval.value));
-      if (r.rule.health != nullptr) {
-        r.rule.health->RecordFailure();
-      }
-    } else if (r.rule.health != nullptr) {
-      r.rule.health->RecordSuccess();
     }
     w->slo.push_back(std::move(eval));
   }

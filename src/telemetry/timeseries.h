@@ -20,10 +20,8 @@
 //
 // The sampler doubles as the SLO watchdog: declarative SloRules are evaluated
 // at each cut against the freshly computed window. A violated rule records a
-// kSloViolation trace event, bumps slo.violations{,.<rule>} counters, and —
-// opt-in — feeds a HealthFsm (violation => RecordFailure, clean window =>
-// RecordSuccess), so a breaker can trip on a *trend* rather than a single
-// failure.
+// kSloViolation trace event and bumps slo.violations{,.<rule>} counters. No
+// rule feeds a health FSM: the breakers react per call (DESIGN.md §13).
 //
 // Deadlock rule: Cut runs inside Machine::ChargeCost, i.e. potentially under
 // component locks (SUVM stripes, job-queue slots). It therefore reads the
@@ -43,7 +41,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/health.h"
 #include "src/telemetry/telemetry.h"
 
 namespace eleos::telemetry {
@@ -105,10 +102,6 @@ struct SloRule {
   std::string metric;  // counter / histogram / gauge name, per kind
   double threshold = 0.0;
   size_t duty_windows = 8;  // kGaugeDuty lookback (>= 1)
-  // Opt-in health hook: violation => RecordFailure, clean window =>
-  // RecordSuccess. The FSM must outlive the rule (remove the rule in the
-  // owner's destructor).
-  HealthFsm* health = nullptr;
 };
 
 class TimeSeriesSampler {

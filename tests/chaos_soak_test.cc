@@ -176,8 +176,6 @@ void RunShadowSoak(sim::Machine& machine, uint64_t ops, uint64_t seed,
   cfg.epc_pp_pages = 16;  // working set is 4x the page cache: constant paging
   cfg.backing_bytes = 16 << 20;
   cfg.swapper_low_watermark = 0;
-  cfg.alloc_failure_threshold = 4;
-  cfg.alloc_probe_interval = 8;
   Suvm suvm(enclave, cfg);
   sim::FaultInjector& faults = machine.fault_injector();
   sim::CpuContext& cpu = machine.cpu(0);

@@ -240,20 +240,20 @@ TEST(SuvmFault, RestoreUnderOngoingTamperRequarantines) {
 }
 
 TEST(SuvmFault, RepeatedAllocRefusalDegradesRegionToReadMostly) {
-  SuvmConfig cfg = TinyCfg(8);
-  cfg.alloc_failure_threshold = 3;
-  cfg.alloc_probe_interval = 4;
-  World w(cfg);
+  World w(TinyCfg(8));
   const uint64_t addr = ValueOrThrow(w.suvm->Malloc(4 * sim::kPageSize));
   const std::vector<uint8_t> data = FillPages(w, addr, 4, 31);
 
-  // Three consecutive refusals trip the allocation FSM.
+  // Three consecutive refusals leave the region healthy; the fourth trips
+  // the allocation FSM.
   w.faults().Arm(sim::Fault::kBackingAllocFail, 1.0);
-  for (int i = 0; i < 3; ++i) {
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(w.suvm->alloc_health_state(), HealthState::kHealthy);
     EXPECT_EQ(w.suvm->Malloc(4096).status().code(),
               StatusCode::kResourceExhausted);
   }
   EXPECT_EQ(w.suvm->alloc_health_state(), HealthState::kDegraded);
+  EXPECT_EQ(w.suvm->stats().alloc_failures.load(), 4u);
 
   // Degraded = read-mostly: new allocations are rejected up front without a
   // host round-trip (the injection point is never even consulted), while
@@ -263,21 +263,26 @@ TEST(SuvmFault, RepeatedAllocRefusalDegradesRegionToReadMostly) {
   ASSERT_FALSE(denied.ok());
   EXPECT_EQ(denied.status().code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(w.faults().checks(sim::Fault::kBackingAllocFail), checks);
-  EXPECT_GE(w.suvm->stats().degraded_rejects.load(), 1u);
+  EXPECT_EQ(w.suvm->stats().degraded_rejects.load(), 1u);
   std::vector<uint8_t> back(data.size());
   ASSERT_TRUE(w.suvm->Read(nullptr, addr, back.data(), back.size()).ok());
   EXPECT_EQ(back, data);
   ASSERT_TRUE(w.suvm->Write(nullptr, addr, data.data(), 64).ok());
 
-  // Host relents: every alloc_probe_interval-th rejected attempt retries the
-  // real allocation, and the first success closes the FSM.
+  // Host relents: the 16th attempt after the trip is a real probe of the
+  // host, and its success closes the FSM. Attempts 2-15 are still rejected.
   w.faults().DisarmAll();
-  bool recovered = false;
-  for (int i = 0; i < 16 && !recovered; ++i) {
-    recovered = w.suvm->Malloc(4096).ok();
+  for (int attempt = 2; attempt < 16; ++attempt) {
+    EXPECT_EQ(w.suvm->Malloc(4096).status().code(),
+              StatusCode::kResourceExhausted)
+        << "attempt " << attempt;
   }
-  EXPECT_TRUE(recovered);
+  EXPECT_EQ(w.suvm->stats().degraded_rejects.load(), 15u);
+  EXPECT_EQ(w.suvm->alloc_health_state(), HealthState::kDegraded);
+  ASSERT_TRUE(w.suvm->Malloc(4096).ok()) << "the probe reaches the host";
   EXPECT_EQ(w.suvm->alloc_health_state(), HealthState::kHealthy);
+  EXPECT_EQ(w.suvm->stats().degraded_rejects.load(), 15u);
+  EXPECT_EQ(w.suvm->stats().alloc_failures.load(), 4u);
   ASSERT_TRUE(w.suvm->Malloc(4096).ok()) << "fully healthy again";
 }
 

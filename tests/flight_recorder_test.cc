@@ -286,7 +286,6 @@ TEST(FlightRecorder, CrashBundleShowsFallbackRampBeforeHostCrash) {
   opts.workers = 1;
   opts.submit_spin_budget = 1 << 10;
   opts.breaker_enabled = false;  // keep every hostile call a visible fallback
-  opts.adaptive_spin = false;
   rpc::RpcManager rpc(enclave, opts);
   sim::CpuContext& cpu = machine.cpu(0);
 

@@ -191,8 +191,7 @@ TEST(RpcFault, WatchdogScrubsClaimsHeldByKilledWorkers) {
                            .workers = 1,
                            .queue_capacity = 2,
                            .await_spin_budget = 1 << 20,
-                           .breaker_enabled = false,
-                           .adaptive_spin = false});
+                           .breaker_enabled = false});
   // Keep calling until the armed kill fires (a cold worker may lose the race
   // to claim the first few calls — those revoke harmlessly). The victim call
   // still returns correctly through the fallback.
@@ -438,10 +437,7 @@ TEST(RpcBatch, BreakerOpenShortCircuitsAtSubmitTime) {
                              .workers = 1,
                              .queue_capacity = 2,
                              .submit_spin_budget = 32,
-                             .breaker_enabled = breaker,
-                             .breaker_failure_threshold = 3,
-                             .breaker_probe_interval = 64,
-                             .adaptive_spin = false});
+                             .breaker_enabled = breaker});
     uint64_t first_batch_spins = 0;
     for (uint64_t b = 0; b < 5; ++b) {
       std::vector<ValueOp> ops = ValueOps(b * 4, 4);

@@ -1,15 +1,20 @@
 // Copyright (c) Eleos reproduction authors. MIT license.
 //
 // SUVM edge cases: boundary offsets, allocator reuse, multiple instances,
-// balloon churn, watermark behaviour, and failure injection.
+// balloon churn, watermark behaviour, and failure injection; and the range
+// checks of every apps::MemRegion backend.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
+#include <string>
+#include <tuple>
 #include <vector>
 
+#include "src/apps/mem_region.h"
 #include "src/common/rng.h"
 #include "src/suvm/spointer.h"
 #include "src/suvm/suvm.h"
@@ -304,6 +309,113 @@ TEST(SuvmPastEnd, CApiReturnsInvalidArgument) {
   EXPECT_EQ(result, 7);
   EXPECT_EQ(w.suvm->PageTableEntries(), 0u);
 }
+
+// --- apps::MemRegion bounds ---
+//
+// A region is a window onto a larger space: the machine's untrusted range,
+// the enclave's pages, or one Suvm's backing store. A range past size() would
+// reach a neighbour, so every backend rejects it before touching anything:
+// TryRead/TryWrite return kInvalidArgument and Read/Write throw. Each case
+// works on the middle one of three adjacent 8 KiB regions and checks that
+// all three, and the read buffer, are unchanged.
+
+enum class Backend { kUntrusted, kEnclave, kSuvm };
+enum class Api { kThrowing, kStatus };
+
+struct BadRange {
+  const char* name;
+  uint64_t off;
+  size_t n;
+};
+
+constexpr size_t kRegionBytes = 8192;
+constexpr BadRange kBadRanges[] = {
+    {"PastTheEnd", kRegionBytes + 64, 64},
+    {"StraddlingTheEnd", kRegionBytes - 32, 64},
+    // off + n wraps to 48: a check of `off + n <= size` would pass it.
+    {"OffPlusNOverflows", UINT64_MAX - 15, 64},
+};
+
+struct RegionWorld {
+  explicit RegionWorld(Backend backend) {
+    if (backend == Backend::kSuvm) {
+      suvm = std::make_unique<Suvm>(enclave, World::Tiny());
+    }
+    for (auto& region : regions) {
+      switch (backend) {
+        case Backend::kUntrusted:
+          region = std::make_unique<apps::UntrustedRegion>(machine,
+                                                           kRegionBytes);
+          break;
+        case Backend::kEnclave:
+          region = std::make_unique<apps::EnclaveRegion>(enclave, kRegionBytes);
+          break;
+        case Backend::kSuvm:
+          region = std::make_unique<apps::SuvmRegion>(*suvm, kRegionBytes);
+          break;
+      }
+    }
+  }
+  sim::Machine machine;
+  sim::Enclave enclave{machine};
+  std::unique_ptr<Suvm> suvm;
+  std::unique_ptr<apps::MemRegion> regions[3];
+};
+
+class RegionBounds
+    : public ::testing::TestWithParam<std::tuple<Backend, BadRange, Api>> {};
+
+TEST_P(RegionBounds, RejectsTheRangeAndChangesNothing) {
+  const auto [backend, range, api] = GetParam();
+  RegionWorld w(backend);
+  for (int r = 0; r < 3; ++r) {
+    const std::vector<uint8_t> fill(kRegionBytes, 0xa0 + r);
+    w.regions[r]->Write(nullptr, 0, fill.data(), fill.size());
+  }
+  apps::MemRegion& mid = *w.regions[1];
+  const std::vector<uint8_t> src(range.n, 0xff);
+  std::vector<uint8_t> dst(range.n, 0x22);
+  if (api == Api::kStatus) {
+    EXPECT_EQ(mid.TryWrite(nullptr, range.off, src.data(), range.n).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(mid.TryRead(nullptr, range.off, dst.data(), range.n).code(),
+              StatusCode::kInvalidArgument);
+  } else if (backend == Backend::kSuvm) {
+    // SuvmRegion throws its Status (ThrowIfError).
+    EXPECT_THROW(mid.Write(nullptr, range.off, src.data(), range.n),
+                 std::runtime_error);
+    EXPECT_THROW(mid.Read(nullptr, range.off, dst.data(), range.n),
+                 std::runtime_error);
+  } else {
+    EXPECT_THROW(mid.Write(nullptr, range.off, src.data(), range.n),
+                 std::out_of_range);
+    EXPECT_THROW(mid.Read(nullptr, range.off, dst.data(), range.n),
+                 std::out_of_range);
+  }
+  EXPECT_EQ(dst, std::vector<uint8_t>(range.n, 0x22));
+  for (int r = 0; r < 3; ++r) {
+    std::vector<uint8_t> back(kRegionBytes);
+    w.regions[r]->Read(nullptr, 0, back.data(), back.size());
+    EXPECT_EQ(back, std::vector<uint8_t>(kRegionBytes, 0xa0 + r))
+        << "region " << r;
+  }
+}
+
+std::string RegionCaseName(
+    const ::testing::TestParamInfo<RegionBounds::ParamType>& param) {
+  static const char* const kBackends[] = {"Untrusted", "Enclave", "Suvm"};
+  const auto [backend, range, api] = param.param;
+  return std::string(kBackends[static_cast<int>(backend)]) + "_" +
+         range.name + (api == Api::kStatus ? "_Status" : "_Throwing");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryBackend, RegionBounds,
+    ::testing::Combine(::testing::Values(Backend::kUntrusted,
+                                         Backend::kEnclave, Backend::kSuvm),
+                       ::testing::ValuesIn(kBadRanges),
+                       ::testing::Values(Api::kThrowing, Api::kStatus)),
+    RegionCaseName);
 
 }  // namespace
 }  // namespace eleos::suvm

@@ -3,9 +3,9 @@
 // The virtual-clock time-series sampler (DESIGN.md §13): windowed counter
 // deltas and rates, per-window histogram percentiles from log2-bucket
 // deltas, ring wraparound, the declarative SLO watchdog (counter-rate,
-// histogram-p99, gauge-duty kinds + the opt-in HealthFsm hook), and the
-// determinism guard — sampling charges zero virtual cycles and leaves the
-// metric snapshot byte-identical.
+// histogram-p99 and gauge-duty kinds), and the determinism guard —
+// sampling charges zero virtual cycles and leaves the metric snapshot
+// byte-identical.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/common/health.h"
 #include "src/common/rng.h"
 #include "src/sim/machine.h"
 #include "src/suvm/suvm.h"
@@ -341,31 +340,6 @@ TEST(TimeSeriesSlo, GaugeDutyRuleLooksAcrossTrailingWindows) {
   EXPECT_FALSE(w[3].slo[0].violated) << "duty == threshold is not a breach";
   EXPECT_DOUBLE_EQ(w[4].slo[0].value, 0.75);
   EXPECT_TRUE(w[4].slo[0].violated);
-}
-
-TEST(TimeSeriesSlo, HealthHookTripsOnTrendAndRecoversOnCleanWindows) {
-  Registry r;
-  Counter* fb = r.GetCounter("fb");
-  TimeSeriesSampler& tl = r.timeline();
-  HealthFsm fsm(HealthFsm::Options{.failure_threshold = 2, .probe_interval = 1});
-  SloRule rule;
-  rule.name = "fb_rate";
-  rule.kind = SloRule::Kind::kCounterRate;
-  rule.metric = "fb";
-  rule.threshold = 50.0;
-  rule.health = &fsm;
-  tl.AddRule(rule);
-  tl.Enable({.window_cycles = 1000, .ring_windows = 8}, 0);
-
-  fb->Add(1);
-  tl.MaybeSample(1000);  // violation #1: streak 1, still healthy
-  EXPECT_EQ(fsm.state(), HealthState::kHealthy);
-  fb->Add(1);
-  tl.MaybeSample(2000);  // violation #2: a *trend* — the FSM trips
-  EXPECT_EQ(fsm.state(), HealthState::kDegraded);
-  EXPECT_EQ(fsm.trips(), 1u);
-  tl.MaybeSample(3000);  // clean window: RecordSuccess closes the breaker
-  EXPECT_EQ(fsm.state(), HealthState::kHealthy);
 }
 
 // --- Machine integration + the determinism guard ---
