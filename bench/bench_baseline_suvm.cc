@@ -186,12 +186,7 @@ int main(int argc, char** argv) {
                             buf.size()));
     }
     auto step = [&](size_t i) {  // reads i .. i + reads_per_step - 1
-      size_t best = 0;  // run whichever simulated thread is furthest behind
-      for (size_t t = 1; t < threads; ++t) {
-        if (pm.cpu(t).clock.now() < pm.cpu(best).clock.now()) {
-          best = t;
-        }
-      }
+      const size_t best = pm.LowestClockCpu(threads);
       for (size_t k = i; k < i + reads_per_step; ++k) {
         const uint64_t p = rngs[best].NextBelow(kParWsPages);
         ThrowIfError(ps.Read(&pm.cpu(best),

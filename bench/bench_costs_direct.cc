@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/baseline/sgx_buffer.h"
+#include "src/apps/mem_region.h"
 #include "src/suvm/suvm.h"
 
 namespace eleos {
@@ -48,7 +48,7 @@ HwFaultCosts MeasureHwFaults() {
   m.driver().ConfigureSwapper(0, 0);
   sim::Enclave e(m);
   sim::CpuContext& cpu = m.cpu(0);
-  baseline::SgxBuffer buf(e, 4096ull * 4096);  // 2x the EPC
+  apps::EnclaveRegion buf(e, 4096ull * 4096);  // 2x the EPC
   uint8_t page[4096] = {1};
   for (size_t p = 0; p < 4096; ++p) {
     buf.Write(nullptr, p * 4096, page, 64);
@@ -70,13 +70,13 @@ HwFaultCosts MeasureHwFaults() {
   m2.driver().ConfigureSwapper(0, 0);
   sim::Enclave e2(m2);
   sim::CpuContext& cpu2 = m2.cpu(0);
-  baseline::SgxBuffer small(e2, 1024ull * 4096);  // half the EPC
+  apps::EnclaveRegion small(e2, 1024ull * 4096);  // half the EPC
   for (size_t p = 0; p < 1024; ++p) {
     small.Write(nullptr, p * 4096, page, 64);
   }
   // Evict everything via a second buffer, then release it.
   {
-    baseline::SgxBuffer filler(e2, 2048ull * 4096);
+    apps::EnclaveRegion filler(e2, 2048ull * 4096);
     for (size_t p = 0; p < 2048; ++p) {
       filler.Write(nullptr, p * 4096, page, 8);
     }

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/baseline/sgx_buffer.h"
+#include "src/apps/mem_region.h"
 #include "src/common/rng.h"
 #include "src/suvm/suvm.h"
 
@@ -27,7 +27,7 @@ constexpr size_t kAccesses = 12000;  // per configuration (paper: 100k)
 RunResult RunSgx(size_t buffer_bytes, bool write, size_t threads) {
   sim::Machine machine;
   sim::Enclave enclave(machine);
-  baseline::SgxBuffer buffer(enclave, buffer_bytes);
+  apps::EnclaveRegion buffer(enclave, buffer_bytes);
   uint8_t page[4096];
   std::memset(page, 1, sizeof(page));
   const size_t pages = buffer_bytes / 4096;

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/baseline/sgx_buffer.h"
+#include "src/apps/mem_region.h"
 #include "src/suvm/suvm.h"
 
 namespace eleos {
@@ -65,7 +65,7 @@ double MeasureRaw(size_t ws_bytes, size_t elem, bool write) {
   sim::Machine machine;
   sim::Enclave enclave(machine);
   const size_t pages = ws_bytes / 4096;
-  baseline::SgxBuffer raw(enclave, ws_bytes);
+  apps::EnclaveRegion raw(enclave, ws_bytes);
   std::vector<uint8_t> buf(elem, 7);
   for (size_t p = 0; p < pages; ++p) {
     raw.Write(nullptr, p * 4096, buf.data(), elem < 4096 ? elem : 4096);

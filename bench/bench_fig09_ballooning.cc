@@ -8,7 +8,7 @@
 #include <cstring>
 
 #include "bench/bench_util.h"
-#include "src/baseline/sgx_buffer.h"
+#include "src/apps/mem_region.h"
 #include "src/common/rng.h"
 #include "src/suvm/suvm.h"
 
@@ -61,7 +61,7 @@ double RunSuvmPair(size_t array_bytes, size_t pp_bytes) {
 double RunSgxPair(size_t array_bytes) {
   sim::Machine machine;
   sim::Enclave e1(machine), e2(machine);
-  baseline::SgxBuffer b1(e1, array_bytes), b2(e2, array_bytes);
+  apps::EnclaveRegion b1(e1, array_bytes), b2(e2, array_bytes);
   uint8_t page[4096];
   std::memset(page, 1, sizeof(page));
   const size_t pages = array_bytes / 4096;

@@ -159,18 +159,6 @@ bool ServeGet(Server& s, Config config, sim::CpuContext& cpu,
   return s.cache->Get(&cpu, key, out.data(), out.size()) > 0;
 }
 
-// The next request goes to the server thread with the lowest virtual clock,
-// as concurrent threads would take it.
-sim::CpuContext& NextCpu(sim::Machine& machine, size_t threads) {
-  size_t best = 0;
-  for (size_t t = 1; t < threads; ++t) {
-    if (machine.cpu(t).clock.now() < machine.cpu(best).clock.now()) {
-      best = t;
-    }
-  }
-  return machine.cpu(best);
-}
-
 uint64_t CategoryCycles(sim::Machine& machine, size_t c) {
   return machine.metrics()
       .GetCounter(std::string("sim.cycles.") +
@@ -220,7 +208,7 @@ Result RunGets(Config config, size_t value_len, size_t threads) {
       std::fprintf(stderr, "warm-up saw no paging turnover\n");
       std::exit(1);
     }
-    ServeGet(s, config, NextCpu(machine, threads),
+    ServeGet(s, config, machine.cpu(machine.LowestClockCpu(threads)),
              KeyFor(rng.NextBelow(s.items)), out);
   }
 
@@ -240,7 +228,7 @@ Result RunGets(Config config, size_t value_len, size_t threads) {
 
   size_t hits = 0;
   for (size_t i = 0; i < kRequests; ++i) {
-    hits += ServeGet(s, config, NextCpu(machine, threads),
+    hits += ServeGet(s, config, machine.cpu(machine.LowestClockCpu(threads)),
                      KeyFor(rng.NextBelow(s.items)), out)
                 ? 1
                 : 0;

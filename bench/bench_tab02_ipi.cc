@@ -8,7 +8,7 @@
 #include <cstring>
 
 #include "bench/bench_util.h"
-#include "src/baseline/sgx_buffer.h"
+#include "src/apps/mem_region.h"
 #include "src/common/rng.h"
 #include "src/suvm/suvm.h"
 
@@ -27,7 +27,7 @@ struct Row {
 Row RunSgx(size_t threads) {
   sim::Machine machine;
   sim::Enclave enclave(machine);
-  baseline::SgxBuffer buffer(enclave, kBufferBytes);
+  apps::EnclaveRegion buffer(enclave, kBufferBytes);
   uint8_t page[4096];
   std::memset(page, 1, sizeof(page));
   const size_t pages = kBufferBytes / 4096;

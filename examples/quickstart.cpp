@@ -12,7 +12,6 @@
 #include <cstdio>
 #include <cstring>
 
-#include "src/baseline/sgx_buffer.h"
 #include "src/rpc/rpc_manager.h"
 #include "src/suvm/spointer.h"
 #include "src/suvm/suvm.h"

@@ -13,7 +13,8 @@
 #    submitter timeouts, the boundary fuzz (a live
 #    scribbler thread storing garbage into the shared job slots), the
 #    time-series sampler (cut inside ChargeCost under component locks), the
-#    LLC model's one lock per range, and the driver's enclave table read by
+#    LLC model's one lock per range (cache_model_test's threaded case alone,
+#    as the ctest `cache_model_race`), and the driver's enclave table read by
 #    a balloon pass while another thread creates and destroys enclaves.
 #    It also re-runs the face-database build's worker threads and
 #    look-ahead ring.
@@ -47,6 +48,10 @@
 #    bench_eleos from its own CMakeLists and runs all four workloads at smoke
 #    sizes, untraced and traced, checking every verdict and metric.
 #
+# Stages 2 and 3 run the suites that carry the ctest label `tsan` or `asan`;
+# tests/CMakeLists.txt gives the labels and builds each label's suites as the
+# target `tsan_tests` or `asan_tests`.
+#
 # All three ctest stages run their suites in parallel (-j"$(nproc)"): no
 # count a test asserts depends on a worker thread winning a wall-clock race
 # within a fixed number of calls, so the suites pass under that load.
@@ -63,26 +68,13 @@ cmake -B build -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build build -j
 (cd build && ctest --output-on-failure -j"$(nproc)" -LE soak)
 
-TSAN_TESTS='^(rpc_test|rpc_stress_test|rpc_async_test|suvm_test|suvm_parallel_test|suvm_property_test|virtual_gate_test|fault_injection_test|telemetry_test|health_test|span_test|timeseries_test|flight_recorder_test|crash_recovery_test|boundary_fuzz_test|cache_model_test|epc_driver_test|faceverif_test)$'
 cmake -B build-tsan -S . -DELEOS_SANITIZE=thread
-cmake --build build-tsan -j --target \
-  rpc_test rpc_stress_test rpc_async_test suvm_test suvm_parallel_test \
-  suvm_property_test virtual_gate_test \
-  fault_injection_test telemetry_test health_test span_test \
-  timeseries_test flight_recorder_test faceverif_test \
-  crash_recovery_test boundary_fuzz_test cache_model_test epc_driver_test
-(cd build-tsan && ctest --output-on-failure -j"$(nproc)" -R "$TSAN_TESTS")
+cmake --build build-tsan -j --target tsan_tests
+(cd build-tsan && ctest --output-on-failure -j"$(nproc)" -L tsan)
 
-ASAN_TESTS='^(fault_injection_test|chaos_soak_test|crash_recovery_test|boundary_fuzz_test|flight_recorder_test|suvm_parallel_test|virtual_gate_test|crypto_test|crypto_extra_test|faceverif_test|param_server_test|cache_model_test|tlb_model_test|huge_buffer_test|security_test|epc_driver_test|suvm_test|suvm_edge_test|suvm_paging_fix_test|suvm_property_test|spointer_test|driver_property_test)$'
 cmake -B build-asan -S . -DELEOS_SANITIZE=address,undefined
-cmake --build build-asan -j --target \
-  fault_injection_test chaos_soak_test crash_recovery_test \
-  boundary_fuzz_test flight_recorder_test \
-  suvm_parallel_test virtual_gate_test crypto_test crypto_extra_test \
-  faceverif_test param_server_test cache_model_test tlb_model_test \
-  huge_buffer_test security_test epc_driver_test suvm_test suvm_edge_test \
-  suvm_paging_fix_test suvm_property_test spointer_test driver_property_test
-(cd build-asan && ctest --output-on-failure -j"$(nproc)" -R "$ASAN_TESTS")
+cmake --build build-asan -j --target asan_tests
+(cd build-asan && ctest --output-on-failure -j"$(nproc)" -L asan)
 
 OUT_DIR="$(mktemp -d)" scripts/bench.sh --smoke
 

@@ -129,7 +129,7 @@ KvCache::KvCache(sim::Machine& machine, MemRegion& region, Options options)
 }
 
 void KvCache::RejectMetadata(sim::CpuContext* cpu) {
-  metadata_rejects_.Inc();
+  metadata_rejects_.Add();
   rejected_inputs_->Add(1);
   machine_->metrics().trace().Record(
       telemetry::TraceKind::kBoundaryReject,

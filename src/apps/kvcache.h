@@ -6,7 +6,7 @@
 // (hash chains, LRU lists, slab bookkeeping, sizes of the memory pool) stays
 // in cleartext untrusted memory — it is security-insensitive — while the
 // keys, values, and their sizes live in secure memory through the C-style
-// SUVM API (or an SgxBuffer for vanilla SGX, or plain memory for native).
+// SUVM API (or an EnclaveRegion for vanilla SGX, or plain memory for native).
 // A slab allocator with power-of-1.25 size classes manages the secure pool,
 // like memcached's.
 
@@ -20,10 +20,10 @@
 
 #include "src/apps/mem_region.h"
 #include "src/common/rng.h"
-#include "src/common/stats.h"
 #include "src/common/untrusted.h"
 #include "src/crypto/ctr.h"
 #include "src/rpc/rpc_manager.h"
+#include "src/telemetry/telemetry.h"
 
 namespace eleos::apps {
 
@@ -191,7 +191,7 @@ class KvCache {
   KvStats stats_;
   Status last_status_;
   telemetry::Counter* rejected_inputs_;  // boundary.rejected_inputs (shared)
-  Counter metadata_rejects_;
+  telemetry::Counter metadata_rejects_;
 };
 
 }  // namespace eleos::apps

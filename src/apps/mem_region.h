@@ -14,7 +14,6 @@
 #include <memory>
 #include <stdexcept>
 
-#include "src/baseline/sgx_buffer.h"
 #include "src/common/status.h"
 #include "src/common/untrusted.h"
 #include "src/sim/enclave.h"
@@ -67,6 +66,14 @@ class MemRegion {
 
  protected:
   static constexpr char kPastEndMsg[] = "MemRegion: range past the region";
+
+  // The throwing backends' range check: the memory around a region may
+  // belong to other allocations.
+  void CheckRange(uint64_t off, size_t n) const {
+    if (!RangeFits(off, n, size())) {
+      throw std::out_of_range(kPastEndMsg);
+    }
+  }
 };
 
 // Plain host memory: the untrusted baseline. Accesses are charged at
@@ -81,18 +88,14 @@ class UntrustedRegion : public MemRegion {
         data_(new uint8_t[bytes]()) {}
 
   void Read(sim::CpuContext* cpu, uint64_t off, void* dst, size_t n) override {
-    if (!RangeFits(off, n, bytes_)) {
-      throw std::out_of_range(kPastEndMsg);
-    }
+    CheckRange(off, n);
     machine_->Access(cpu, vaddr_ + off, n, /*write=*/false,
                      sim::MemKind::kUntrusted);
     std::memcpy(dst, data_.get() + off, n);
   }
   void Write(sim::CpuContext* cpu, uint64_t off, const void* src,
              size_t n) override {
-    if (!RangeFits(off, n, bytes_)) {
-      throw std::out_of_range(kPastEndMsg);
-    }
+    CheckRange(off, n);
     machine_->Access(cpu, vaddr_ + off, n, /*write=*/true,
                      sim::MemKind::kUntrusted);
     std::memcpy(data_.get() + off, src, n);
@@ -107,22 +110,33 @@ class UntrustedRegion : public MemRegion {
 };
 
 // Enclave memory paged by the simulated SGX driver: the vanilla-SGX
-// comparator. Out-of-PRM accesses take hardware EPC faults.
+// comparator the paper measures SUVM against (Figs 7 and 9, Tables 2 and 4).
+// Every out-of-PRM access takes a hardware EPC fault with AEX, shootdowns
+// and EWB/ELDU.
 class EnclaveRegion : public MemRegion {
  public:
-  EnclaveRegion(sim::Enclave& enclave, size_t bytes) : buffer_(enclave, bytes) {}
+  EnclaveRegion(sim::Enclave& enclave, size_t bytes)
+      : enclave_(&enclave), bytes_(bytes), vaddr_(enclave.Alloc(bytes)) {}
+  ~EnclaveRegion() override { enclave_->Free(vaddr_, bytes_); }
+
+  EnclaveRegion(const EnclaveRegion&) = delete;
+  EnclaveRegion& operator=(const EnclaveRegion&) = delete;
 
   void Read(sim::CpuContext* cpu, uint64_t off, void* dst, size_t n) override {
-    buffer_.Read(cpu, off, dst, n);
+    CheckRange(off, n);
+    enclave_->Read(cpu, vaddr_ + off, dst, n);
   }
   void Write(sim::CpuContext* cpu, uint64_t off, const void* src,
              size_t n) override {
-    buffer_.Write(cpu, off, src, n);
+    CheckRange(off, n);
+    enclave_->Write(cpu, vaddr_ + off, src, n);
   }
-  size_t size() const override { return buffer_.size(); }
+  size_t size() const override { return bytes_; }
 
  private:
-  baseline::SgxBuffer buffer_;
+  sim::Enclave* enclave_;
+  size_t bytes_;
+  uint64_t vaddr_;
 };
 
 // SUVM-backed memory (one big suvm_malloc). `direct_reads` switches GETs to

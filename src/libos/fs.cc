@@ -59,7 +59,7 @@ int64_t EnclaveFs::ValidateCount(sim::CpuContext* cpu, int64_t r,
 }
 
 int64_t EnclaveFs::RejectBoundary(sim::CpuContext* cpu, BoundarySite site) {
-  iago_rejects_.Inc();
+  iago_rejects_.Add();
   rejected_inputs_->Add(1);
   enclave_->machine().metrics().trace().Record(
       telemetry::TraceKind::kBoundaryReject,

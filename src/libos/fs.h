@@ -135,7 +135,7 @@ class EnclaveFs {
   uint64_t syscalls_ = 0;
   sim::FaultInjector* faults_;
   telemetry::Counter* rejected_inputs_;  // boundary.rejected_inputs (shared)
-  Counter iago_rejects_;
+  telemetry::Counter iago_rejects_;
   std::atomic<uint64_t> iago_cycle_{0};  // rotates the mangled-value shapes
   Status last_status_ = Status::Ok();
 };

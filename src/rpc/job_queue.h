@@ -62,7 +62,6 @@
 #include <vector>
 
 #include "src/common/spinlock.h"
-#include "src/common/stats.h"
 #include "src/common/untrusted.h"
 #include "src/sim/fault_injector.h"
 #include "src/telemetry/telemetry.h"
@@ -166,7 +165,7 @@ class JobQueue {
         return true;
       }
       // Queue full: make the backpressure observable, then back off.
-      queue_full_spins_.Inc();
+      queue_full_spins_.Add();
       if (spins >= spin_budget) {
         return false;
       }
@@ -187,13 +186,13 @@ class JobQueue {
       return 0;
     }
     if (faults_ != nullptr && faults_->ShouldInject(sim::Fault::kQueueFull)) {
-      queue_full_spins_.Inc();
+      queue_full_spins_.Add();
       return 0;
     }
     const size_t published = SubmitRun(fns, args, tickets, n, span_id,
                                        submit_tsc);
     if (published == 0) {
-      queue_full_spins_.Inc();
+      queue_full_spins_.Add();
     }
     return published;
   }
@@ -242,7 +241,7 @@ class JobQueue {
             fill,
             (tok >> 1) == ticket.gen ? SlotState::kRunning : SlotState::kReady,
             std::memory_order_release);
-        hostile_gen_races_.Inc();
+        hostile_gen_races_.Add();
         return WaitResult::kHostile;
       }
       Release(s, sh, ticket.gen);
@@ -252,7 +251,7 @@ class JobQueue {
     expected = SlotState::kRunning;
     if (s.state.compare_exchange_strong(expected, SlotState::kAbandoned,
                                         std::memory_order_acq_rel)) {
-      abandoned_slots_.Inc();
+      abandoned_slots_.Add();
       return WaitResult::kAbandoned;
     }
     // Lost both races. An honest worker published kDone in between — but the
@@ -267,7 +266,7 @@ class JobQueue {
       if (st == SlotState::kRunning &&
           s.state.compare_exchange_strong(st, SlotState::kAbandoned,
                                           std::memory_order_acq_rel)) {
-        abandoned_slots_.Inc();
+        abandoned_slots_.Add();
         return WaitResult::kAbandoned;
       }
       CpuRelax();
@@ -285,8 +284,8 @@ class JobQueue {
       }
       if (s.state.compare_exchange_weak(cur, SlotState::kAbandoned,
                                         std::memory_order_acq_rel)) {
-        terminal_abandons_.Inc();
-        abandoned_slots_.Inc();
+        terminal_abandons_.Add();
+        abandoned_slots_.Add();
         return WaitResult::kAbandoned;
       }
     }
@@ -346,7 +345,7 @@ class JobQueue {
         if ((tok & 1) == 0) {
           // kReady with no live publication behind it: a forged state word
           // replaying an already-consumed claim (or a never-published slot).
-          claim_replays_.Inc();
+          claim_replays_.Add();
           s.state.store(SlotState::kHostile, std::memory_order_release);
           continue;
         }
@@ -371,7 +370,7 @@ class JobQueue {
           // the slot; the submitter's token-guarded wait reclaims it. The
           // token stays live, so an honest retry of the same publication can
           // still dispatch if the submitter has not reclaimed it yet.
-          integrity_rejects_.Inc();
+          integrity_rejects_.Add();
           s.state.store(SlotState::kHostile, std::memory_order_release);
           continue;
         }
@@ -383,7 +382,7 @@ class JobQueue {
         uint64_t live = tok;
         if (!sh.token.compare_exchange_strong(live, gen << 1,
                                               std::memory_order_acq_rel)) {
-          claim_replays_.Inc();
+          claim_replays_.Add();
           s.state.store(SlotState::kHostile, std::memory_order_release);
           continue;
         }
@@ -414,7 +413,7 @@ class JobQueue {
     JobSlot& s = slots_[ticket.slot];
     ShadowSlot& sh = shadows_[ticket.slot];
     if (sh.token.load(std::memory_order_acquire) >> 1 != ticket.gen) {
-      stale_completions_.Inc();  // stale: the slot moved on without us
+      stale_completions_.Add();  // stale: the slot moved on without us
       return;
     }
     SlotState expected = SlotState::kRunning;
@@ -424,12 +423,12 @@ class JobQueue {
     }
     if (expected == SlotState::kAbandoned) {
       // The submitter gave up on us; recycle the slot ourselves.
-      abandoned_recycles_.Inc();
+      abandoned_recycles_.Add();
       Release(s, sh, ticket.gen);
     } else if (expected == SlotState::kEmpty) {
       // Released (our generation's token consumed, state recycled) between
       // our token check and the CAS: the completion is stale all the same.
-      stale_completions_.Inc();
+      stale_completions_.Add();
     }
   }
 
@@ -449,7 +448,7 @@ class JobQueue {
     SlotState expected = SlotState::kAbandoned;
     if (s.state.compare_exchange_strong(expected, SlotState::kFilling,
                                         std::memory_order_acq_rel)) {
-      abandoned_scrubs_.Inc();
+      abandoned_scrubs_.Add();
       Release(s, sh, ticket.gen);
       return true;
     }
@@ -536,7 +535,7 @@ class JobQueue {
 
   // The queue's counters by registry name; boundary.double_fetch_races
   // (DESIGN.md §12) sums the three double-fetch detections.
-  using Metric = std::pair<const char*, Counter JobQueue::*>;
+  using Metric = std::pair<const char*, telemetry::Counter JobQueue::*>;
   static std::span<const Metric> Metrics() {
     static constexpr Metric kMetrics[] = {
         {"rpc.queue_full_spins", &JobQueue::queue_full_spins_},
@@ -620,7 +619,7 @@ class JobQueue {
     const SlotState st = s.state.load(std::memory_order_acquire);
     const uint64_t tok = sh.token.load(std::memory_order_acquire);
     if ((tok >> 1) != ticket.gen) {
-      hostile_gen_races_.Inc();
+      hostile_gen_races_.Add();
       *out = WaitResult::kHostile;
       return true;
     }
@@ -633,7 +632,7 @@ class JobQueue {
       SlotState expected = SlotState::kHostile;
       if (s.state.compare_exchange_strong(expected, SlotState::kFilling,
                                           std::memory_order_acq_rel)) {
-        hostile_reclaims_.Inc();
+        hostile_reclaims_.Add();
         Release(s, sh, ticket.gen);
         *out = WaitResult::kHostile;
         return true;
@@ -737,16 +736,16 @@ class JobQueue {
   // Monotonic position hints reduced mod capacity; never authoritative.
   std::atomic<uint64_t> tail_{0};
   std::atomic<uint64_t> head_{0};
-  Counter queue_full_spins_;
-  Counter stale_completions_;
-  Counter abandoned_recycles_;
-  Counter abandoned_slots_;
-  Counter terminal_abandons_;
-  Counter abandoned_scrubs_;
-  Counter integrity_rejects_;
-  Counter claim_replays_;
-  Counter hostile_gen_races_;
-  Counter hostile_reclaims_;
+  telemetry::Counter queue_full_spins_;
+  telemetry::Counter stale_completions_;
+  telemetry::Counter abandoned_recycles_;
+  telemetry::Counter abandoned_slots_;
+  telemetry::Counter terminal_abandons_;
+  telemetry::Counter abandoned_scrubs_;
+  telemetry::Counter integrity_rejects_;
+  telemetry::Counter claim_replays_;
+  telemetry::Counter hostile_gen_races_;
+  telemetry::Counter hostile_reclaims_;
   telemetry::CellList cells_;  // after the counters it lists
 };
 

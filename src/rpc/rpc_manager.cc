@@ -140,7 +140,7 @@ RpcManager::~RpcManager() {
 
 void RpcManager::ChargeSubmit(sim::CpuContext* cpu, size_t io_bytes,
                               size_t batch) {
-  calls_.Inc(batch);
+  calls_.Add(batch);
   batch_size_->Record(batch);
   if (cpu == nullptr) {
     return;  // functional-only call: no accounting (keeps models single-writer)
@@ -164,13 +164,13 @@ void RpcManager::ChargeSubmit(sim::CpuContext* cpu, size_t io_bytes,
 }
 
 void RpcManager::CountFallback(sim::CpuContext* cpu, FallbackWhy why) {
-  fallback_ocalls_.Inc();
+  fallback_ocalls_.Add();
   switch (why) {
     case FallbackWhy::kSubmitTimeout:
-      submit_timeouts_.Inc();
+      submit_timeouts_.Add();
       break;
     case FallbackWhy::kAwaitTimeout:
-      await_timeouts_.Inc();
+      await_timeouts_.Add();
       break;
     case FallbackWhy::kBreakerOpen:
       break;  // already counted in breaker_short_circuits_
@@ -187,7 +187,7 @@ bool RpcManager::AdmitExitless(sim::CpuContext* cpu) {
     case HealthFsm::Gate::kAllow:
       return true;
     case HealthFsm::Gate::kDeny:
-      breaker_short_circuits_.Inc();
+      breaker_short_circuits_.Add();
       return false;
     case HealthFsm::Gate::kProbe:
       if (RunCanary(cpu)) {
@@ -235,7 +235,7 @@ void RpcManager::OnSpinTimeout(sim::CpuContext* cpu, bool submit_side,
   // determinism. This is what makes hostile spin cost visible in p99.
   ChargeSpins(cpu, budget_burned);
   if (breaker_.RecordFailure()) {
-    breaker_opens_.Inc();
+    breaker_opens_.Add();
     enclave_->machine().metrics().trace().Record(
         telemetry::TraceKind::kRpcBreakerOpen,
         cpu != nullptr ? cpu->clock.now() : 0, submit_side ? 1 : 0,
@@ -277,7 +277,7 @@ void RpcManager::QuarantineJob(JobBase* job) {
 }
 
 void RpcManager::OnHostileBoundary(sim::CpuContext* cpu, BoundarySite site) {
-  hostile_rejects_.Inc();
+  hostile_rejects_.Add();
   rejected_inputs_metric_->Add(1);
   enclave_->machine().metrics().trace().Record(
       telemetry::TraceKind::kBoundaryReject,
@@ -286,7 +286,7 @@ void RpcManager::OnHostileBoundary(sim::CpuContext* cpu, BoundarySite site) {
   // must feed the breaker like timeouts do: sustained hostility trips the
   // short-circuit and stops paying spin budgets to an adversary.
   if (breaker_.RecordFailure()) {
-    breaker_opens_.Inc();
+    breaker_opens_.Add();
     enclave_->machine().metrics().trace().Record(
         telemetry::TraceKind::kRpcBreakerOpen,
         cpu != nullptr ? cpu->clock.now() : 0, /*arg0=*/2,
@@ -305,7 +305,7 @@ void RpcManager::NoteAwaitFailure(sim::CpuContext* cpu,
     // The slot said kDone but the job's private `ran` flag is false: the
     // completion was forged. The state word lives in untrusted memory; the
     // flag does not — the flag wins.
-    forged_completions_.Inc();
+    forged_completions_.Add();
     OnHostileBoundary(cpu, BoundarySite::kRpcForgedCompletion);
     CountFallback(cpu, FallbackWhy::kHostileInput);
     return;

@@ -55,7 +55,6 @@
 
 #include "src/common/health.h"
 #include "src/common/spinlock.h"
-#include "src/common/stats.h"
 #include "src/common/untrusted.h"
 #include "src/rpc/job_queue.h"
 #include "src/rpc/worker_pool.h"
@@ -411,15 +410,16 @@ class RpcManager {
   std::unique_ptr<JobQueue> queue_;
   std::unique_ptr<WorkerPool> pool_;
   HealthFsm breaker_;
-  Counter calls_;
-  Counter fallback_ocalls_;
-  Counter submit_timeouts_;
-  Counter await_timeouts_;
-  Counter breaker_opens_;
-  Counter breaker_short_circuits_;
-  // Untrusted-boundary hardening (DESIGN.md §12).
-  Counter forged_completions_;  // kDone published for a job that never ran
-  Counter hostile_rejects_;     // scribbled/forged outcomes rejected at await
+  telemetry::Counter calls_;
+  telemetry::Counter fallback_ocalls_;
+  telemetry::Counter submit_timeouts_;
+  telemetry::Counter await_timeouts_;
+  telemetry::Counter breaker_opens_;
+  telemetry::Counter breaker_short_circuits_;
+  // Untrusted-boundary hardening (DESIGN.md §12): kDone published for a job
+  // that never ran, and scribbled/forged outcomes rejected at await.
+  telemetry::Counter forged_completions_;
+  telemetry::Counter hostile_rejects_;
   mutable Spinlock quarantine_lock_;
   std::vector<JobBase*> quarantine_;  // guarded by quarantine_lock_
   size_t quarantine_cursor_ = 0;      // amortized-drain scan position (same)

@@ -60,7 +60,7 @@ void WorkerPool::WorkerLoop(Worker* self) {
   bool killed = false;
   while (!killed && !stop_.load(std::memory_order_acquire)) {
     if (faults_ != nullptr && faults_->ShouldInject(sim::Fault::kWorkerDeath)) {
-      worker_deaths_.Inc();
+      worker_deaths_.Add();
       break;  // the host silently killed this worker while idle
     }
     const size_t n = queue_.TryClaimBatch(jobs, kWorkerDrainMax);
@@ -80,7 +80,7 @@ void WorkerPool::WorkerLoop(Worker* self) {
       if (faults_ != nullptr &&
           faults_->ShouldInject(sim::Fault::kWorkerDeathWithClaim)) {
         // Killed between claiming and completing: claims[j..n) stay held.
-        worker_deaths_.Inc();
+        worker_deaths_.Add();
         killed = true;
         break;
       }
@@ -119,12 +119,12 @@ void WorkerPool::WorkerLoop(Worker* self) {
         // Ran, but the completion never lands. The claim entry stays
         // unresolved: if we die later in this run, the watchdog scrub is the
         // only thing that can ever recycle the slot.
-        completions_dropped_.Inc();
+        completions_dropped_.Add();
       } else {
         queue_.Complete(jobs[j].ticket);
         self->claims[j].slot = SIZE_MAX;  // resolved
       }
-      jobs_executed_.Inc();
+      jobs_executed_.Add();
     }
     if (!killed) {
       self->n_claims = 0;
@@ -158,7 +158,7 @@ void WorkerPool::WatchdogLoop() {
         w->n_claims = 0;
         w->alive.store(true, std::memory_order_release);
         w->thread = std::thread([this, worker = w.get()] { WorkerLoop(worker); });
-        worker_respawns_.Inc();
+        worker_respawns_.Add();
         if (trace_ != nullptr) {
           trace_->Record(telemetry::TraceKind::kRpcWorkerRespawn, 0,
                          worker_respawns_.value());

@@ -29,7 +29,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/common/stats.h"
 #include "src/rpc/job_queue.h"
 #include "src/sim/fault_injector.h"
 #include "src/telemetry/telemetry.h"
@@ -89,10 +88,10 @@ class WorkerPool {
   uint64_t exec_lead_cycles_;
   uint64_t exec_cycles_;
   std::atomic<bool> stop_{false};
-  Counter jobs_executed_;
-  Counter worker_deaths_;
-  Counter worker_respawns_;
-  Counter completions_dropped_;
+  telemetry::Counter jobs_executed_;
+  telemetry::Counter worker_deaths_;
+  telemetry::Counter worker_respawns_;
+  telemetry::Counter completions_dropped_;
   telemetry::CellList cells_;  // lists the counters above
   mutable std::mutex respawn_mutex_;  // guards the thread objects, not the loop
   std::vector<std::unique_ptr<Worker>> workers_;

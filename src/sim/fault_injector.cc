@@ -45,7 +45,7 @@ bool FaultInjector::ShouldInject(Fault fault) {
   if (!p.armed.load(std::memory_order_relaxed)) {
     return false;  // fast path: benign host
   }
-  p.checks.Inc();
+  p.checks.Add();
   std::lock_guard guard(lock_);
   if (p.triggers_left == 0) {
     p.armed.store(false, std::memory_order_release);
@@ -58,7 +58,7 @@ bool FaultInjector::ShouldInject(Fault fault) {
   if (--p.triggers_left == 0) {
     p.armed.store(false, std::memory_order_release);
   }
-  p.injected.Inc();
+  p.injected.Add();
   return true;
 }
 

@@ -24,7 +24,7 @@
 
 #include "src/common/rng.h"
 #include "src/common/spinlock.h"
-#include "src/common/stats.h"
+#include "src/telemetry/telemetry.h"
 
 namespace eleos::sim {
 
@@ -154,8 +154,8 @@ class FaultInjector {
     std::atomic<bool> armed{false};
     double probability = 0.0;          // guarded by lock
     uint64_t triggers_left = 0;        // guarded by lock
-    Counter checks;
-    Counter injected;
+    telemetry::Counter checks;
+    telemetry::Counter injected;
   };
 
   struct PhaseState {

@@ -144,6 +144,19 @@ class Machine {
     return now;
   }
 
+  // The index of the CPU with the lowest virtual clock among the first `n`,
+  // ties going to the lowest index: the simulated thread that takes the next
+  // request, as the furthest-behind of `n` concurrent threads would.
+  size_t LowestClockCpu(size_t n) const {
+    size_t best = 0;
+    for (size_t i = 1; i < n; ++i) {
+      if (cpus_[i]->clock.now() < cpus_[best]->clock.now()) {
+        best = i;
+      }
+    }
+    return best;
+  }
+
   // Runs the tracer's cycle-accounting audit against this machine's
   // sim.cycles.* totals. True on success; fills *error otherwise.
   bool AuditSpanAccounting(std::string* error) const;

@@ -43,8 +43,10 @@ namespace eleos::telemetry {
 class TimeSeriesSampler;  // src/telemetry/timeseries.h
 class FlightRecorder;     // src/telemetry/flight_recorder.h
 
-// Monotonic named counter owned by the Registry (GetCounter). value() is this
-// cell alone; Registry::CounterValue adds the cells components list under the
+// Monotonic event counter, safe to bump from enclave threads and untrusted
+// workers at once. The Registry owns one per name (GetCounter), and
+// components own theirs and list cell() under a name (CellList). value() is
+// this cell alone; Registry::CounterValue adds the cells listed under the
 // name. Levels that move both ways are gauges: always component cells, in a
 // JSON section of their own, so counters can be checked for monotonicity.
 class Counter {
@@ -55,6 +57,8 @@ class Counter {
 
   void Add(uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
   uint64_t value() const { return value_.load(std::memory_order_relaxed); }
+  // The atomic itself, for a registry that reads it in place.
+  const std::atomic<uint64_t>& cell() const { return value_; }
 
  private:
   std::atomic<uint64_t> value_{0};

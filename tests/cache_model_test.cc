@@ -8,6 +8,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -443,6 +444,66 @@ TEST(CacheModelGeometry, RejectsMeeCacheOutsideOneTo64) {
   EXPECT_EQ(write_miss(1), tree_hit);    // same page
   EXPECT_EQ(write_miss(64), tree_miss);  // page 1 evicts page 0's node
   EXPECT_EQ(write_miss(2), tree_miss);
+}
+
+// --- Racing ranges (the one threaded case; TSan runs only this suite) ---
+
+// AccessRange takes the LLC lock once per range, so racing CPUs see a range
+// enter the LLC as one unit (DESIGN.md §15). On one set of W ways, two
+// threads released together each access W lines of their own. Exact LRU then
+// keeps the last W lines accessed: one thread's whole range if ranges are
+// whole, part of each if they interleave line by line. A probe of thread 0's
+// range therefore hits all W lines or none.
+TEST(LlcRace, RacingRangesEnterTheLlcWhole) {
+  constexpr size_t kWays = 16;
+  constexpr int kRounds = 1000;
+  CostModel c;
+  c.llc_bytes = 64 * kWays;
+  c.llc_ways = kWays;
+  CacheModel llc(c);
+  ASSERT_EQ(llc.num_sets(), 1u);
+  const auto access_range = [&](uint64_t t) {
+    llc.AccessRange(t * kWays, t * kWays + kWays - 1, /*write=*/false,
+                    MemKind::kUntrusted, kCosShared);
+  };
+  int split_rounds = 0;
+  int first_split = -1;
+  uint64_t first_split_hits = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    // Waiters yield: a tight spin holds a CPU that the other thread needs
+    // when ctest runs suites in parallel, and costs seconds there.
+    std::atomic<int> ready{0};
+    std::atomic<bool> go{false};
+    std::vector<std::thread> threads;
+    for (uint64_t t = 0; t < 2; ++t) {
+      threads.emplace_back([&, t] {
+        ready.fetch_add(1);
+        while (!go.load(std::memory_order_acquire)) {
+          std::this_thread::yield();
+        }
+        access_range(t);
+      });
+    }
+    while (ready.load() < 2) {
+      std::this_thread::yield();
+    }
+    go.store(true, std::memory_order_release);
+    for (std::thread& th : threads) {
+      th.join();
+    }
+    const uint64_t before = llc.hits();
+    access_range(0);
+    const uint64_t hits = llc.hits() - before;
+    if (hits != 0 && hits != kWays) {
+      if (split_rounds++ == 0) {
+        first_split = round;
+        first_split_hits = hits;
+      }
+    }
+  }
+  EXPECT_EQ(split_rounds, 0) << "round " << first_split << " probed "
+                             << first_split_hits << " of " << kWays
+                             << " lines of one range resident";
 }
 
 // --- Oracle: the model against the per-line reference ---

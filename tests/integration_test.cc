@@ -9,8 +9,8 @@
 #include <cstring>
 #include <memory>
 
+#include "src/apps/mem_region.h"
 #include "src/apps/param_server.h"
-#include "src/baseline/sgx_buffer.h"
 #include "src/rpc/rpc_manager.h"
 #include "src/suvm/spointer.h"
 #include "tests/test_status.h"
@@ -32,7 +32,7 @@ TEST(Integration, SuvmBeatsNativeSgxPagingOutOfEpc) {
   {
     sim::Machine machine(mc);
     sim::Enclave enclave(machine);
-    baseline::SgxBuffer buffer(enclave, buffer_bytes);
+    apps::EnclaveRegion buffer(enclave, buffer_bytes);
     sim::CpuContext& cpu = machine.cpu(0);
     Xoshiro256 rng(42);
     uint8_t page[4096] = {1};

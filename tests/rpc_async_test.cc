@@ -192,19 +192,24 @@ TEST(RpcFault, WatchdogScrubsClaimsHeldByKilledWorkers) {
                            .queue_capacity = 2,
                            .await_spin_budget = 1 << 20,
                            .breaker_enabled = false});
-  // Keep calling until the armed kill fires (a cold worker may lose the race
-  // to claim the first few calls — those revoke harmlessly). The victim call
-  // still returns correctly through the fallback.
+  // Each wait below runs until its event or one 30 s wall-clock deadline,
+  // never for a fixed number of calls: a cold worker may lose the race to
+  // claim many calls before the armed kill fires (those revoke harmlessly).
+  // The victim call still returns correctly through the fallback.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  const auto in_time = [&] {
+    return std::chrono::steady_clock::now() < deadline;
+  };
   uint64_t bad = 0;
-  for (uint64_t i = 0; i < 200 && rpc.pool()->worker_deaths() < 1; ++i) {
+  for (uint64_t i = 0; rpc.pool()->worker_deaths() < 1 && in_time(); ++i) {
     bad += rpc.Call(nullptr, 0, [i] { return i + 11; }) != i + 11;
   }
   EXPECT_EQ(bad, 0u);
   ASSERT_EQ(rpc.pool()->worker_deaths(), 1u);
   // The watchdog joins the corpse, inherits the ticket, and scrubs it once
   // the submitter's abandon lands.
-  for (int spins = 0; rpc.queue()->abandoned_scrubs() < 1 && spins < 10000;
-       ++spins) {
+  while (rpc.queue()->abandoned_scrubs() < 1 && in_time()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_EQ(rpc.queue()->abandoned_scrubs(), 1u);
@@ -213,12 +218,11 @@ TEST(RpcFault, WatchdogScrubsClaimsHeldByKilledWorkers) {
   // The ring is whole again: with the scrubbed slot back and the respawned
   // worker claiming, exit-less calls must succeed without fallback. Without
   // the scrub, the leaked slot would still be parked kAbandoned forever.
-  for (int spins = 0; rpc.pool()->alive_workers() < 1 && spins < 10000;
-       ++spins) {
+  while (rpc.pool()->alive_workers() < 1 && in_time()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   int healthy_streak = 0;
-  for (uint64_t i = 0; i < 2000 && healthy_streak < 4; ++i) {
+  for (uint64_t i = 0; healthy_streak < 4 && in_time(); ++i) {
     const uint64_t fb = rpc.fallback_ocalls();
     EXPECT_EQ(rpc.Call(nullptr, 0, [i] { return i + 7; }), i + 7);
     healthy_streak = rpc.fallback_ocalls() == fb ? healthy_streak + 1 : 0;

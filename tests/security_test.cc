@@ -11,7 +11,7 @@
 #include <cstring>
 #include <vector>
 
-#include "src/baseline/sgx_buffer.h"
+#include "src/apps/mem_region.h"
 #include "src/common/rng.h"
 #include "src/suvm/suvm.h"
 #include "tests/test_status.h"
@@ -179,7 +179,7 @@ TEST(DriverSecurity, EwbTamperDetected) {
   sim::Machine machine(mc);
   machine.driver().ConfigureSwapper(0, 0);
   sim::Enclave enclave(machine);
-  baseline::SgxBuffer buffer(enclave, 8 * sim::kPageSize);
+  apps::EnclaveRegion buffer(enclave, 8 * sim::kPageSize);
   uint8_t page[64] = {0x5c};
   for (uint64_t p = 0; p < 8; ++p) {
     buffer.Write(nullptr, p * sim::kPageSize, page, sizeof(page));
@@ -267,7 +267,7 @@ SealRun RunSealWorkload() {
   direct.direct_mode = true;
   suvm::Suvm journaled(enclave, whole);
   suvm::Suvm subpaged(enclave, direct);
-  baseline::SgxBuffer buffer(enclave, 128 * sim::kPageSize);
+  apps::EnclaveRegion buffer(enclave, 128 * sim::kPageSize);
 
   const char secret[] = "SEALED-PAGE-CONTRACT-SECRET";
   std::vector<uint8_t> page(sim::kPageSize);
