@@ -17,7 +17,8 @@
 #    as the ctest `cache_model_race`), and the driver's enclave table read by
 #    a balloon pass while another thread creates and destroys enclaves.
 #    It also re-runs the face-database build's worker threads and
-#    look-ahead ring.
+#    look-ahead ring (faceverif_test without its single-threaded kernel
+#    oracles and LBP checks, as the ctest `faceverif_threads`).
 # 3. An ASan+UBSan build re-running the hostile-host suites: fault injection,
 #    the chaos-soak smoke, crash recovery (kill/restart over a surviving
 #    arena) and the boundary fuzz — the paths that poke

@@ -652,8 +652,11 @@ bool Suvm::EvictOne(sim::CpuContext* cpu) {
   // entry's payload, and the detached slot cannot be reallocated yet.
   sim::SpanScope evict_span(&enclave_->machine().metrics().spans(), cpu,
                             "suvm.evict");
+  // A clean drop keeps the seal already in the arena, so only a write-back
+  // stores a new nonce and MAC.
   if (v.write_back) {
     SealResident(cpu, v.bs_page, m);
+    TouchCryptoMeta(cpu, v.bs_page, /*write=*/true);
     stats_.writebacks.fetch_add(1, std::memory_order_relaxed);
   } else {
     stats_.clean_drops.fetch_add(1, std::memory_order_relaxed);
@@ -663,7 +666,6 @@ bool Suvm::EvictOne(sim::CpuContext* cpu) {
                               : telemetry::TraceKind::kSuvmEvictCleanDrop,
                  cpu != nullptr ? cpu->clock.now() : 0, v.bs_page,
                  static_cast<uint64_t>(v.slot));
-  TouchCryptoMeta(cpu, v.bs_page, /*write=*/true);
   {
     std::lock_guard sl(StripeLock(v.bs_page));
     m.dirty = false;
@@ -1027,10 +1029,10 @@ Status Suvm::WalkDirect(sim::CpuContext* cpu, uint64_t addr, uint8_t* out,
       stats_.direct_reads.fetch_add(1, std::memory_order_relaxed);
       direct_read_bytes_->Add(chunk);
     }
-    TouchCryptoMeta(cpu, page, write);
     if (m.state == Residency::kResident) {
       // Consistency: the cached copy wins (paper: "reads are consistent by
-      // checking that the page is not resident in the page cache first").
+      // checking that the page is not resident in the page cache first"),
+      // and serving it opens no seal, so the crypto metadata goes untouched.
       m.ref_bit = true;
       uint8_t* data = SlotData(cpu, m.slot, page_off, chunk, write);
       if (write) {
@@ -1044,6 +1046,7 @@ Status Suvm::WalkDirect(sim::CpuContext* cpu, uint64_t addr, uint8_t* out,
         stats_.quarantine_hits.fetch_add(1, std::memory_order_relaxed);
         return Status::DataCorruption(kQuarantinedMsg);
       }
+      TouchCryptoMeta(cpu, page, write);
       // The single-retry protocol, as in PinPage: a MAC failure is retried
       // once and a second one quarantines the page (corruption implies the
       // sub-page pre-existed, so a poisoned entry is never `inserted`).

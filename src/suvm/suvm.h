@@ -362,7 +362,8 @@ class Suvm {
   void NoteAllocHealth(bool ok);
 
   // Accounting touches on SUVM's own (EPC-resident, natively evictable)
-  // metadata tables.
+  // metadata tables. A page's crypto entry (nonce and MAC) is touched only
+  // where a seal is opened or written, and by the zero-fill page-in.
   void TouchIpt(sim::CpuContext* cpu);
   void TouchCryptoMeta(sim::CpuContext* cpu, uint64_t bs_page, bool write);
 

@@ -132,6 +132,82 @@ TEST(Suvm, CleanSkipDisabledAlwaysWritesBack) {
   EXPECT_EQ(w.suvm->stats().clean_drops.load(), 0u);
 }
 
+uint64_t LlcAccesses(sim::Machine& m) {
+  return m.llc().hits() + m.llc().misses();
+}
+
+// Paper §3.2.4: a clean drop keeps the page's seal in the arena, so it is
+// bookkeeping only: no cycle and no LLC line, not even the page's crypto
+// entry. A write-back streams the EPC++ copy (64 lines) and the arena
+// (64 lines) and stores a new nonce and MAC (at least one entry line).
+TEST(Suvm, CleanDropsTouchNoMemoryAndWriteBacksTouchTheEntry) {
+  constexpr uint64_t kPages = 8;
+  World w(TinyCfg(kPages));
+  sim::CpuContext& cpu = w.machine->cpu(0);
+  const uint64_t a = ValueOrThrow(w.suvm->Malloc(2 * kPages * sim::kPageSize));
+  // Seal every page once, then read the first half back: that pass evicts
+  // the dirty second half and leaves only clean pages resident.
+  for (uint64_t p = 0; p < 2 * kPages; ++p) {
+    ASSERT_OK(w.suvm->Memset(&cpu, a + p * sim::kPageSize,
+                             static_cast<uint8_t>(p), sim::kPageSize));
+  }
+  uint8_t buf[16];
+  for (uint64_t p = 0; p < kPages; ++p) {
+    ASSERT_OK(w.suvm->Read(&cpu, a + p * sim::kPageSize, buf, sizeof(buf)));
+  }
+  ASSERT_EQ(w.suvm->page_cache().in_use(), kPages);
+
+  const Suvm::Stats& s = w.suvm->stats();
+  const uint64_t drops = s.clean_drops.load();
+  const uint64_t writebacks = s.writebacks.load();
+  uint64_t t0 = cpu.clock.now();
+  uint64_t lines = LlcAccesses(*w.machine);
+  w.suvm->ResizeEpcPp(&cpu, 0);
+  EXPECT_EQ(s.clean_drops.load() - drops, kPages);
+  EXPECT_EQ(s.writebacks.load(), writebacks);
+  EXPECT_EQ(cpu.clock.now() - t0, 0u);
+  EXPECT_EQ(LlcAccesses(*w.machine) - lines, 0u);
+
+  // The same pages, dirtied, cost a seal each on the way out.
+  w.suvm->ResizeEpcPp(&cpu, kPages);
+  for (uint64_t p = 0; p < kPages; ++p) {
+    ASSERT_OK(w.suvm->Memset(&cpu, a + p * sim::kPageSize, 0x77, 1));
+  }
+  t0 = cpu.clock.now();
+  lines = LlcAccesses(*w.machine);
+  w.suvm->ResizeEpcPp(&cpu, 0);
+  EXPECT_EQ(s.writebacks.load() - writebacks, kPages);
+  EXPECT_GT(cpu.clock.now(), t0);
+  EXPECT_GE(LlcAccesses(*w.machine) - lines, kPages * (64 + 64 + 1));
+}
+
+// Direct access served from the resident EPC++ copy opens no seal: a
+// line-aligned 16-byte read is one LLC access, with no crypto entry lookup.
+// Once the page is sealed out, the same read streams its 1 KiB sub-page
+// (16 lines) and reads the entry (at least one line).
+TEST(SuvmDirect, ResidentReadTouchesOnlyTheCachedLine) {
+  SuvmConfig cfg = TinyCfg(4);
+  cfg.direct_mode = true;
+  World w(cfg);
+  sim::CpuContext& cpu = w.machine->cpu(0);
+  const uint64_t a = ValueOrThrow(w.suvm->Malloc(2 * sim::kPageSize));
+  const uint64_t line = (a + 63) / 64 * 64;
+  const uint8_t v[16] = {1, 2, 3, 4};
+  ASSERT_OK(w.suvm->Write(&cpu, line, v, sizeof(v)));  // resident
+  uint8_t got[16] = {};
+  uint64_t lines = LlcAccesses(*w.machine);
+  ASSERT_OK(w.suvm->ReadDirect(&cpu, line, got, sizeof(got)));
+  EXPECT_EQ(LlcAccesses(*w.machine) - lines, 1u);
+  EXPECT_EQ(0, std::memcmp(got, v, sizeof(v)));
+
+  w.suvm->ResizeEpcPp(&cpu, 0);
+  std::memset(got, 0, sizeof(got));
+  lines = LlcAccesses(*w.machine);
+  ASSERT_OK(w.suvm->ReadDirect(&cpu, line, got, sizeof(got)));
+  EXPECT_GE(LlcAccesses(*w.machine) - lines, 16u + 1u);
+  EXPECT_EQ(0, std::memcmp(got, v, sizeof(v)));
+}
+
 TEST(Suvm, TamperedBackingStoreDetected) {
   World w(TinyCfg(2));
   const uint64_t addr = ValueOrThrow(w.suvm->Malloc(8 * sim::kPageSize));
