@@ -4,8 +4,10 @@
 // 500 MiB of data (4.5x PRM), 20-byte keys, 1 KiB / 4 KiB values, memaslap-
 // style GET workload over all items. Configurations: native (no SGX),
 // Graphene-style baseline (enclave + OCALL), Eleos RPC, Eleos RPC + SUVM,
-// Eleos RPC + SUVM with direct sub-page access, and the page-fault-free
-// upper bound (20 MiB dataset).
+// Eleos RPC + SUVM with direct sub-page access, and the no-fault column: the
+// Graphene-style baseline on a 20 MiB dataset that fits the EPC. It still
+// pays an enclave exit per GET, so it bounds the baseline, not the Eleos
+// configurations, which can pass it.
 //
 // Every cell builds a fresh server, warms it with charged GETs until its
 // paging cache (EPC++ for SUVM, the EPC for hardware paging) has turned over

@@ -9,8 +9,9 @@
 #    concurrency-sensitive suites: the lock-free job queue / worker pool /
 #    watchdog, SUVM's striped paging locks, the relaxed-atomic telemetry
 #    layer, the paging gate's virtual-time section record, the HealthFsm,
-#    the fault-injection paths that deliberately race workers against
-#    submitter timeouts, the boundary fuzz (a live
+#    the fault-injection suite (without its two single-threaded
+#    parameter-server runs, whose RPC is inline: the ctest
+#    `fault_injection_threads`), the boundary fuzz (a live
 #    scribbler thread storing garbage into the shared job slots), the
 #    time-series sampler (cut inside ChargeCost under component locks), the
 #    LLC model's one lock per range (cache_model_test's threaded case alone,
@@ -36,7 +37,9 @@
 #    recovery seals) into AES-GCM through a cast AAD pointer, plus the SUVM,
 #    spointer and driver-property suites, which index SUVM's page and
 #    sub-page tables by backing-store page and the driver's per-enclave page
-#    arrays by virtual page (and hand both addresses past their ends).
+#    arrays by virtual page (and hand both addresses past their ends), plus
+#    the KvCache suites, whose lookups read a record's lengths and key into
+#    one buffer and whose stores stage the whole record in another.
 # 4. A benchmark smoke stage: runs the baseline benches end-to-end and
 #    validates the emitted BENCH_*.json (fails on malformed/empty output,
 #    including the schema-v2 timeline block) plus the TRACE_*.json span

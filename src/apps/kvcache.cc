@@ -179,53 +179,49 @@ void KvCache::ChargeMetadataTouch(sim::CpuContext* cpu, size_t records) {
 
 int64_t KvCache::Get(sim::CpuContext* cpu, std::string_view key, void* out,
                      size_t out_cap) {
+  return GetInto(cpu, key, out, out_cap, nullptr);
+}
+
+int64_t KvCache::GetInto(sim::CpuContext* cpu, std::string_view key, void* out,
+                         size_t out_cap, std::vector<uint8_t>* sized) {
   ++stats_.gets;
   last_status_ = Status::Ok();
   if (cpu != nullptr) {
     cpu->Charge(machine_->costs().hash_op_cycles);
   }
-  const uint32_t hash = HashKey(key);
-  const uint32_t item = FindLocked(cpu, key, hash);
+  uint32_t vlen = 0;
+  const uint32_t item = FindLocked(cpu, key, HashKey(key), &vlen);
   if (item == 0) {
     return last_status_.ok() ? -1 : GetErrCode(last_status_);
   }
   ++stats_.get_hits;
-  // Snapshot the untrusted record once; all checks and reads below use the
-  // snapshot, never a second fetch of the shared metadata (DESIGN.md §12).
-  const ItemMeta m = items_[item];
-  uint32_t lens[2];
-  Status status = CheckedRead(cpu, m.data, lens, sizeof(lens));
-  if (status.ok()) {
-    // The lengths came from the secure record, but the offset that located
-    // them is untrusted: insist the whole record fits its chunk before
-    // deriving any further addresses from it.
-    size_t record = 0;
-    if (!CheckedAdd(8, lens[0], &record) ||
-        !CheckedAdd(record, lens[1], &record) ||
-        record > slab_.ChunkSize(m.cls)) {
-      RejectMetadata(cpu);
-      return GetErrCode(last_status_);
-    }
-    const size_t vlen = lens[1];
-    const size_t take = vlen < out_cap ? vlen : out_cap;
-    status = CheckedRead(cpu, m.data + 8 + lens[0], out, take);
-    if (status.ok()) {
-      // LRU bump (metadata only).
-      LruUnlink(m.cls, item);
-      LruPushFront(m.cls, item);
-      ChargeMetadataTouch(cpu, 2);
-      return static_cast<int64_t>(vlen);
-    }
+  if (sized != nullptr) {
+    sized->resize(vlen);
+    out = sized->data();
+    out_cap = vlen;
   }
-  ++stats_.io_errors;
-  last_status_ = status;
-  return GetErrCode(status);
+  // Snapshot the untrusted record once; the read below uses the snapshot,
+  // never a second fetch of the shared metadata (DESIGN.md §12).
+  const ItemMeta m = items_[item];
+  const Status status = CheckedRead(cpu, m.data + 8 + key.size(), out,
+                                    vlen < out_cap ? vlen : out_cap);
+  if (!status.ok()) {
+    ++stats_.io_errors;
+    last_status_ = status;
+    return GetErrCode(status);
+  }
+  // LRU bump (metadata only).
+  LruUnlink(m.cls, item);
+  LruPushFront(m.cls, item);
+  ChargeMetadataTouch(cpu, 2);
+  return vlen;
 }
 
 uint32_t KvCache::FindLocked(sim::CpuContext* cpu, std::string_view key,
-                             uint32_t hash) {
+                             uint32_t hash, uint32_t* vlen) {
   uint32_t cur = *BucketHead(hash);
   size_t steps = 0;
+  std::vector<uint8_t> head;  // [klen u32][vlen u32][key] of a candidate
   while (cur != 0) {
     // Chain links are untrusted: bound the walk (a scribbled link can form a
     // cycle) and validate every index and chunk pointer before use.
@@ -239,32 +235,36 @@ uint32_t KvCache::FindLocked(sim::CpuContext* cpu, std::string_view key,
       RejectMetadata(cpu);
       return 0;
     }
-    if (m.key_hash == hash) {
+    const size_t chunk = slab_.ChunkSize(m.cls);
+    if (m.key_hash == hash && 8 + key.size() <= chunk) {
       // Compare the secure key bytes: the key echo in secure memory is what
       // authenticates an untrusted metadata pointer — a redirected m.data
       // lands on some other (whole, class-valid) record whose key will not
       // match. A failed read (quarantined page, crashed instance) is
       // recorded in last_status_ and the probe gives up rather than walking
       // the chain on garbage lengths.
-      uint32_t lens[2];
-      Status status = CheckedRead(cpu, m.data, lens, sizeof(lens));
+      head.resize(8 + key.size());
+      const Status status = CheckedRead(cpu, m.data, head.data(), head.size());
       if (!status.ok()) {
         ++stats_.io_errors;
         last_status_ = status;
         return 0;
       }
+      uint32_t lens[2];
+      std::memcpy(lens, head.data(), sizeof(lens));
       if (lens[0] == key.size() &&
-          8 + static_cast<size_t>(lens[0]) <= slab_.ChunkSize(m.cls)) {
-        std::vector<uint8_t> kbuf(lens[0]);
-        status = CheckedRead(cpu, m.data + 8, kbuf.data(), lens[0]);
-        if (!status.ok()) {
-          ++stats_.io_errors;
-          last_status_ = status;
+          std::memcmp(head.data() + 8, key.data(), key.size()) == 0) {
+        // The lengths came from the secure record, but the offset that
+        // located them is untrusted: insist the whole record fits its chunk
+        // before any caller derives the value's address from it.
+        if (head.size() + lens[1] > chunk) {
+          RejectMetadata(cpu);
           return 0;
         }
-        if (std::memcmp(kbuf.data(), key.data(), key.size()) == 0) {
-          return cur;
+        if (vlen != nullptr) {
+          *vlen = lens[1];
         }
+        return cur;
       }
     }
     cur = m.hash_next;
@@ -314,17 +314,16 @@ bool KvCache::Set(sim::CpuContext* cpu, std::string_view key, const void* value,
     return false;  // value larger than any class, or nothing to evict
   }
 
-  // Secure layout: [klen u32][vlen u32][key][value]. A failed write hands
-  // the chunk back and relinks the old record (if one was held).
+  // Secure layout: [klen u32][vlen u32][key][value], staged and written
+  // whole. A failed write hands the chunk back and relinks the old record
+  // (if one was held).
   const uint32_t lens[2] = {static_cast<uint32_t>(key.size()),
                             static_cast<uint32_t>(value_len)};
-  Status status = CheckedWrite(cpu, off, lens, sizeof(lens));
-  if (status.ok()) {
-    status = CheckedWrite(cpu, off + 8, key.data(), key.size());
-  }
-  if (status.ok()) {
-    status = CheckedWrite(cpu, off + 8 + key.size(), value, value_len);
-  }
+  std::vector<uint8_t> record(need);
+  std::memcpy(record.data(), lens, sizeof(lens));
+  std::memcpy(record.data() + 8, key.data(), key.size());
+  std::memcpy(record.data() + 8 + key.size(), value, value_len);
+  const Status status = CheckedWrite(cpu, off, record.data(), need);
   if (!status.ok()) {
     ++stats_.io_errors;
     last_status_ = status;
@@ -363,84 +362,54 @@ bool KvCache::Set(sim::CpuContext* cpu, std::string_view key, const void* value,
   return true;
 }
 
-namespace {
-
-// Modeled network response send for one request in a multi-op: the payload
-// has already been staged in untrusted memory; the host-side sendmsg is the
-// untrusted function a worker (or the OCALL fallback) runs. Returns the
-// bytes "sent" so the batch result is checkable end to end.
-struct SendResponseOp {
-  size_t bytes;
-  int64_t operator()() const { return static_cast<int64_t>(bytes); }
-};
-
-}  // namespace
-
-void KvCache::SendResponses(sim::CpuContext* cpu,
-                            const std::vector<size_t>& response_bytes) {
-  if (options_.rpc == nullptr || response_bytes.empty()) {
-    return;
+void KvCache::SendResponse(sim::CpuContext* cpu, size_t bytes) {
+  // The host-side sendmsg of the staged response: one exit-less call.
+  if (options_.rpc != nullptr && bytes > 0) {
+    options_.rpc->Call(cpu, bytes, [] {});
   }
-  std::vector<SendResponseOp> sends;
-  sends.reserve(response_bytes.size());
-  size_t total = 0;
-  for (size_t bytes : response_bytes) {
-    sends.push_back(SendResponseOp{bytes});
-    total += bytes;
-  }
-  options_.rpc->CallBatch(cpu, total / response_bytes.size(), sends);
 }
 
 size_t KvCache::MultiGet(sim::CpuContext* cpu,
                          const std::vector<std::string>& keys,
                          std::vector<std::vector<uint8_t>>* values) {
-  values->assign(keys.size(), {});
-  std::vector<size_t> response_bytes;
-  response_bytes.reserve(keys.size());
-  std::vector<uint8_t> scratch(64 << 10);
+  values->resize(keys.size());
+  size_t response_bytes = 0;
   size_t hits = 0;
   for (size_t i = 0; i < keys.size(); ++i) {
-    const int64_t len = Get(cpu, keys[i], scratch.data(), scratch.size());
-    if (len >= 0) {
-      const size_t take =
-          static_cast<size_t>(len) < scratch.size()
-              ? static_cast<size_t>(len)
-              : scratch.size();
-      (*values)[i].assign(scratch.begin(),
-                          scratch.begin() + static_cast<int64_t>(take));
+    std::vector<uint8_t>& value = (*values)[i];
+    if (GetInto(cpu, keys[i], nullptr, 0, &value) >= 0) {
       // "VALUE <key> <flags> <len>\r\n<data>\r\nEND\r\n"-shaped response.
-      response_bytes.push_back(keys[i].size() + take + 32);
+      response_bytes += keys[i].size() + value.size() + 32;
       ++hits;
     } else {
-      response_bytes.push_back(8);  // bare "END\r\n" miss marker
+      value.clear();
+      response_bytes += 8;  // bare "END\r\n" miss marker
     }
   }
-  SendResponses(cpu, response_bytes);
+  SendResponse(cpu, response_bytes);
   return hits;
 }
 
 size_t KvCache::MultiSet(
     sim::CpuContext* cpu,
     const std::vector<std::pair<std::string, std::string>>& pairs) {
-  std::vector<size_t> response_bytes;
-  response_bytes.reserve(pairs.size());
+  size_t response_bytes = 0;
   size_t stored = 0;
   for (const auto& [key, value] : pairs) {
     if (Set(cpu, key, value.data(), value.size())) {
       ++stored;
-      response_bytes.push_back(8);  // "STORED\r\n"
+      response_bytes += 8;  // "STORED\r\n"
     } else {
-      response_bytes.push_back(12);  // "NOT_STORED\r\n"
+      response_bytes += 12;  // "NOT_STORED\r\n"
     }
   }
-  SendResponses(cpu, response_bytes);
+  SendResponse(cpu, response_bytes);
   return stored;
 }
 
 bool KvCache::Delete(sim::CpuContext* cpu, std::string_view key) {
   last_status_ = Status::Ok();
-  const uint32_t hash = HashKey(key);
-  const uint32_t item = FindLocked(cpu, key, hash);
+  const uint32_t item = FindLocked(cpu, key, HashKey(key));
   if (item == 0) {
     return false;
   }

@@ -78,11 +78,11 @@ class KvCache {
     // Paper §5.1 ablation: keep *all* metadata in secure memory instead of
     // the optimized cleartext-metadata split (3-7% slower in §6.2.2).
     bool metadata_in_secure_memory = false;
-    // When set, MultiGet/MultiSet push their per-request network responses
-    // through one batched exit-less doorbell (RpcManager::CallBatch)
-    // instead of one boundary crossing per request — the serving-loop
-    // amortization the paper's memcached integration is after. Null keeps
-    // the multi ops purely local (no response I/O modeled).
+    // When set, MultiGet/MultiSet send each request's whole response (every
+    // VALUE block, miss marker or ack) with one exit-less call
+    // (RpcManager::Call), as memcached answers "get k1 ... k8" with one
+    // sendmsg over an iovec list. Null keeps the multi ops purely local (no
+    // response I/O modeled).
     rpc::RpcManager* rpc = nullptr;
   };
 
@@ -101,13 +101,13 @@ class KvCache {
   bool Delete(sim::CpuContext* cpu, std::string_view key);
 
   // Batched lookup (memcached "get k1 k2 ..."): performs the secure-region
-  // reads, then sends all responses — hits and the trailing miss markers —
-  // through the batched RPC path when Options::rpc is attached. values[i] is
-  // the value for keys[i], empty on miss or error. Returns the hit count.
+  // reads, then sends the one response for all keys — hits and miss markers
+  // — when Options::rpc is attached. values[i] is the whole value for
+  // keys[i], empty on miss or error. Returns the hit count.
   size_t MultiGet(sim::CpuContext* cpu, const std::vector<std::string>& keys,
                   std::vector<std::vector<uint8_t>>* values);
   // Batched store: one Set per pair, then the "STORED"/"NOT_STORED" acks go
-  // out through the batched RPC path. Returns the stored count.
+  // out as one response. Returns the stored count.
   size_t MultiSet(
       sim::CpuContext* cpu,
       const std::vector<std::pair<std::string, std::string>>& pairs);
@@ -142,8 +142,16 @@ class KvCache {
   };
 
   uint32_t* BucketHead(uint32_t hash);
-  // Finds the item for key; 0 if absent. Also returns the predecessor link.
-  uint32_t FindLocked(sim::CpuContext* cpu, std::string_view key, uint32_t hash);
+  // Finds the item for key; 0 if absent or on a failed read or check (see
+  // last_status_). One region read fetches a candidate's lengths and key
+  // echo; a hit's whole record is checked to fit its chunk, and its value
+  // length goes to *vlen when vlen is set.
+  uint32_t FindLocked(sim::CpuContext* cpu, std::string_view key, uint32_t hash,
+                      uint32_t* vlen = nullptr);
+  // GET's body: reads the value into out (up to out_cap), or, when `sized` is
+  // set, into *sized resized to the value's length.
+  int64_t GetInto(sim::CpuContext* cpu, std::string_view key, void* out,
+                  size_t out_cap, std::vector<uint8_t>* sized);
   void LruUnlink(int cls, uint32_t item);
   void LruPushFront(int cls, uint32_t item);
   bool EvictOneFrom(sim::CpuContext* cpu, int cls);
@@ -169,10 +177,8 @@ class KvCache {
   Status CheckedWrite(sim::CpuContext* cpu, uint64_t off, const void* data,
                       size_t len);
   void ChargeMetadataTouch(sim::CpuContext* cpu, size_t records);
-  // Pushes one modeled response send per entry through the batched RPC path
-  // (no-op without Options::rpc).
-  void SendResponses(sim::CpuContext* cpu,
-                     const std::vector<size_t>& response_bytes);
+  // Sends one staged response of `bytes` (no-op without Options::rpc).
+  void SendResponse(sim::CpuContext* cpu, size_t bytes);
 
   sim::Machine* machine_;
   MemRegion* region_;

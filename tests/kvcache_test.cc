@@ -182,9 +182,31 @@ TEST(KvCache, ValueTooLargeForAnyClassFails) {
   EXPECT_FALSE(w.cache->Set(nullptr, "huge", huge.data(), huge.size()));
 }
 
+// Region that counts its accesses: pins how often a KvCache op crosses into
+// the secure region.
+class CountingRegion : public UntrustedRegion {
+ public:
+  using UntrustedRegion::UntrustedRegion;
+
+  Status TryRead(sim::CpuContext* cpu, uint64_t off, void* dst,
+                 size_t n) override {
+    ++reads;
+    return UntrustedRegion::TryRead(cpu, off, dst, n);
+  }
+  Status TryWrite(sim::CpuContext* cpu, uint64_t off, const void* src,
+                  size_t n) override {
+    ++writes;
+    return UntrustedRegion::TryWrite(cpu, off, src, n);
+  }
+
+  int reads = 0;
+  int writes = 0;
+};
+
 // Region whose TryWrite fails after a countdown of successful writes —
 // drives Set/MultiSet's partial-failure unwinding (each Set issues exactly
-// three region writes: header, key, value).
+// one region write: the whole record). A torn failure lands the first half
+// of the bytes before it fails, as a write cut off mid-copy would.
 class FailingRegion : public UntrustedRegion {
  public:
   FailingRegion(sim::Machine& machine, size_t bytes)
@@ -193,6 +215,9 @@ class FailingRegion : public UntrustedRegion {
   Status TryWrite(sim::CpuContext* cpu, uint64_t off, const void* src,
                   size_t n) override {
     if (writes_until_fail_ == 0) {
+      if (torn_) {
+        ThrowIfError(UntrustedRegion::TryWrite(cpu, off, src, n / 2));
+      }
       return Status::Unavailable("injected region write failure");
     }
     if (writes_until_fail_ > 0) {
@@ -200,11 +225,15 @@ class FailingRegion : public UntrustedRegion {
     }
     return UntrustedRegion::TryWrite(cpu, off, src, n);
   }
-  void FailAfter(int64_t writes) { writes_until_fail_ = writes; }
+  void FailAfter(int64_t writes, bool torn = false) {
+    writes_until_fail_ = writes;
+    torn_ = torn;
+  }
   void Heal() { writes_until_fail_ = -1; }
 
  private:
   int64_t writes_until_fail_ = -1;  // -1 = never fail
+  bool torn_ = false;
 };
 
 TEST(KvCache, OverwriteWriteFailureKeepsOldValue) {
@@ -242,8 +271,8 @@ TEST(KvCache, OverwriteWriteFailureKeepsOldValue) {
 }
 
 TEST(KvCache, OverwriteMidRecordFailureKeepsOldValue) {
-  // The header write succeeds and the key write fails: the half-written new
-  // chunk must be discarded and the old record restored.
+  // The replacement's write tears: its first half lands and the rest fails.
+  // The half-written new chunk must be discarded and the old record restored.
   sim::Machine machine;
   FailingRegion region(machine, 4 << 20);
   KvCache::Options opts;
@@ -254,7 +283,7 @@ TEST(KvCache, OverwriteMidRecordFailureKeepsOldValue) {
   const std::string old_v(300, 'o'), new_v(300, 'n');
   ASSERT_TRUE(cache.Set(nullptr, "mid", old_v.data(), old_v.size()));
 
-  region.FailAfter(1);  // header lands, key write fails
+  region.FailAfter(0, /*torn=*/true);
   EXPECT_FALSE(cache.Set(nullptr, "mid", new_v.data(), new_v.size()));
 
   region.Heal();
@@ -276,8 +305,8 @@ TEST(KvCache, MultiSetPartialFailureLeavesOldValuesIntact) {
   ASSERT_TRUE(cache.Set(nullptr, "a", old_a.data(), old_a.size()));
   ASSERT_TRUE(cache.Set(nullptr, "b", old_b.data(), old_b.size()));
 
-  // The first pair's three writes land; the second pair's writes fail.
-  region.FailAfter(3);
+  // The first pair's write lands; the second pair's write fails.
+  region.FailAfter(1);
   const std::string new_a(120, 'A'), new_b(120, 'B');
   const std::vector<std::pair<std::string, std::string>> pairs = {
       {"a", new_a}, {"b", new_b}};
@@ -293,6 +322,62 @@ TEST(KvCache, MultiSetPartialFailureLeavesOldValuesIntact) {
       << "partial MultiSet failure must not lose b's old value";
   EXPECT_EQ(out.substr(0, static_cast<size_t>(n)), old_b);
   EXPECT_EQ(cache.item_count(), 2u);
+}
+
+TEST(KvCache, GetHitReadsTheRegionTwice) {
+  // One read for the record's lengths and key echo, one for the value.
+  sim::Machine machine;
+  CountingRegion region(machine, 4 << 20);
+  KvCache::Options opts;
+  opts.pool_bytes = 4 << 20;
+  KvCache cache(machine, region, opts);
+  const std::string value(300, 'g');
+  ASSERT_TRUE(cache.Set(nullptr, "key", value.data(), value.size()));
+
+  region.reads = 0;
+  std::string out(1024, 0);
+  ASSERT_EQ(cache.Get(nullptr, "key", out.data(), out.size()), 300);
+  EXPECT_EQ(out.substr(0, 300), value);
+  EXPECT_EQ(region.reads, 2);
+}
+
+TEST(KvCache, NewKeySetWritesOneRecord) {
+  sim::Machine machine;
+  CountingRegion region(machine, 4 << 20);
+  KvCache::Options opts;
+  opts.pool_bytes = 4 << 20;
+  KvCache cache(machine, region, opts);
+  const std::string value(300, 's');
+  ASSERT_TRUE(cache.Set(nullptr, "key", value.data(), value.size()));
+  EXPECT_EQ(region.writes, 1);
+  EXPECT_EQ(region.reads, 0);  // an empty bucket has no key echo to read
+}
+
+TEST(KvCache, MultiGetReturnsWholeValuesPast64KiB) {
+  // MultiGet once read into a 64 KiB scratch buffer: a larger value came
+  // back cut to 65,536 bytes and still counted as a hit.
+  KvWorld w;
+  std::string big(100 << 10, 'b');
+  for (size_t i = 0; i < big.size(); i += 4096) {
+    big[i] = static_cast<char>('a' + i / 4096 % 26);
+  }
+  ASSERT_TRUE(w.cache->Set(nullptr, "big", big.data(), big.size()));
+  ASSERT_TRUE(w.cache->Set(nullptr, "small", "tiny", 4));
+
+  std::vector<std::vector<uint8_t>> values;
+  EXPECT_EQ(w.cache->MultiGet(nullptr, {"big", "absent", "small"}, &values),
+            2u);
+  ASSERT_EQ(values.size(), 3u);
+  ASSERT_EQ(values[0].size(), 102400u);
+  EXPECT_EQ(std::string(values[0].begin(), values[0].end()), big);
+  EXPECT_TRUE(values[1].empty());
+  EXPECT_EQ(std::string(values[2].begin(), values[2].end()), "tiny");
+
+  // Reused output: a slot that held a hit is emptied by a miss.
+  EXPECT_EQ(w.cache->MultiGet(nullptr, {"absent", "small"}, &values), 1u);
+  ASSERT_EQ(values.size(), 2u);
+  EXPECT_TRUE(values[0].empty());
+  EXPECT_EQ(std::string(values[1].begin(), values[1].end()), "tiny");
 }
 
 TEST(KvCache, MetadataPlacementAblationRuns) {
